@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import BudgetExceededError, FamilyMismatchError, UnsupportedFamilyError
@@ -31,6 +31,7 @@ from .groups import (
     FreeProduct,
     GroupSpec,
     RelHyp,
+    per_instance,
 )
 
 # An edge label is ("x", generator_elem) or ("h", nu, peripheral_elem).
@@ -73,7 +74,7 @@ def _factor_letter_path(fac: GroupSpec, x: Elem) -> list[Elem]:
     raise UnsupportedFamilyError(type(fac).__name__)
 
 
-@lru_cache(maxsize=None)
+@per_instance
 def _finite_paths(fac: FiniteGroup):
     letters = _canonical_letters(fac)
     parent = {fac.identity(): None}

@@ -21,8 +21,8 @@ from .separability import (
     RationalSubset,
     basis,
     finite_index_in,
-    intersection_graph,
     membership_oracle,
+    pullback,
     subgroup_graph,
     subgroups_equal,
 )
@@ -107,14 +107,14 @@ class ConditionContext:
         return subgroup_graph(spec.gens, self.G)
 
     def s_spec(self) -> SubgroupSpec:
-        inter = intersection_graph(self.graph(self.Q), self.graph(self.R))
+        inter = pullback(self.graph(self.Q), self.graph(self.R))
         return SubgroupSpec(tuple(basis(inter, self.G)), role="S")
 
     def join_spec(self) -> SubgroupSpec:
         return SubgroupSpec(self.Qp.gens + self.Rp.gens, role="<Q',R'>")
 
     def restrict(self, spec: SubgroupSpec, P: SubgroupSpec, role: str) -> SubgroupSpec:
-        inter = intersection_graph(self.graph(spec), self.graph(P))
+        inter = pullback(self.graph(spec), self.graph(P))
         return SubgroupSpec(tuple(basis(inter, self.G)), role=role)
 
 
@@ -200,7 +200,7 @@ def check_condition(cond_id: str, ctx: ConditionContext) -> ConditionReport:
 
 def _check_c1(ctx: ConditionContext) -> ConditionReport:
     s = ctx.s_spec()
-    qp_rp = intersection_graph(ctx.graph(ctx.Qp), ctx.graph(ctx.Rp))
+    qp_rp = pullback(ctx.graph(ctx.Qp), ctx.graph(ctx.Rp))
     exact = subgroups_equal(qp_rp, ctx.graph(s), ctx.G)
     if exact:
         return ConditionReport(
@@ -271,7 +271,7 @@ def _check_c4(ctx: ConditionContext) -> ConditionReport:
         join_P = subgroup_graph(qp_P.gens + rp_P.gens, ctx.G)
         for big, small in ((ctx.Q, qp_P), (ctx.R, rp_P)):
             big_P = ctx.restrict(big, P, "%s_P" % (big.role or "?"))
-            lhs = intersection_graph(ctx.graph(big_P), join_P)
+            lhs = pullback(ctx.graph(big_P), join_P)
             if not subgroups_equal(lhs, ctx.graph(small), ctx.G):
                 in_lhs = membership_oracle(ctx.G, tuple(basis(lhs, ctx.G)))
                 in_small = membership_oracle(ctx.G, small.gens)

@@ -16,15 +16,38 @@ operations.  All operations are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 from .errors import FamilyMismatchError, UnsupportedFamilyError
 
 Elem = object  # family-specific payload; see module docstring
+
+
+def per_instance(fn):
+    """Memoise ``fn(self, *args)`` in the instance's own ``__dict__``.
+
+    Frozen dataclasses allow writing ``__dict__`` directly.  Unlike
+    ``lru_cache`` on a method, a call never hashes or compares the instance
+    (a whole multiplication table, say), and the memo dies with it.
+    """
+    key = "_memo_" + fn.__name__
+
+    @functools.wraps(fn)
+    def wrapper(self, *args):
+        memo = self.__dict__.get(key)
+        if memo is None:
+            memo = self.__dict__[key] = {}
+        try:
+            return memo[args]
+        except KeyError:
+            value = memo[args] = fn(self, *args)
+            return value
+
+    return wrapper
 
 
 class GroupSpec:
@@ -205,7 +228,7 @@ class FiniteGroup(GroupSpec):
     def inv(self, a):
         return self._inverses()[a]
 
-    @lru_cache(maxsize=None)
+    @per_instance
     def _inverses(self):
         n = self.order
         e = self.identity_index
@@ -224,7 +247,7 @@ class FiniteGroup(GroupSpec):
             return self.gens
         return tuple(i for i in range(self.order) if i != self.identity_index)
 
-    @lru_cache(maxsize=None)
+    @per_instance
     def _dist_table(self):
         # BFS from identity over designated generators and their inverses.
         moves = set(self._gen_indices()) | {self.inv(g) for g in self._gen_indices()}
@@ -374,7 +397,7 @@ class Amalgam(GroupSpec):
     def _sides(self):
         return (self.left, self.right)
 
-    @lru_cache(maxsize=None)
+    @per_instance
     def _edge_maps(self):
         to_right = dict(self.edge)
         to_left = {r: l for l, r in self.edge}
@@ -382,6 +405,7 @@ class Amalgam(GroupSpec):
             raise ValueError("edge pairing is not a bijection")
         return to_right, to_left
 
+    @per_instance
     def d_sets(self):
         to_right, to_left = self._edge_maps()
         return frozenset(to_right), frozenset(to_left)
@@ -394,7 +418,7 @@ class Amalgam(GroupSpec):
     def in_d(self, side: int, x: Elem) -> bool:
         return x in self.d_sets()[side]
 
-    @lru_cache(maxsize=None)
+    @per_instance
     def _coset_rep(self, side: int, x: Elem):
         """Canonical representative of the left coset xD plus its D-remainder."""
         fac = self._sides[side]

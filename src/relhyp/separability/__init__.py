@@ -28,7 +28,6 @@ from .stallings import (
     StallingsGraph,
     basis,
     finite_index_in,
-    intersection_graph,
     is_complete,
     member,
     pullback,
@@ -51,7 +50,6 @@ __all__ = [
     "finite_index_in",
     "image_of_rational_subset",
     "induced_quotient",
-    "intersection_graph",
     "is_complete",
     "lattice_contains",
     "member",

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 from ..errors import DIncompatibleError, FamilyMismatchError
 from ..groups import Amalgam, Elem, FiniteGroup, GroupSpec
-from .quotients import FiniteQuotient
+from .quotients import FiniteQuotient, perm_mul
 
 
 @dataclass(frozen=True)
@@ -201,10 +201,8 @@ def induced_quotient(
 
 
 def _image_group(phi: FiniteQuotient, prefix: str) -> FiniteGroup:
-    elems = sorted(phi._image_set())
-    index = {p: i for i, p in enumerate(elems)}
-    from .quotients import perm_mul
-
+    index = phi._image_index_map()
+    elems = list(index)
     table = tuple(
         tuple(index[perm_mul(a, b)] for b in elems) for a in elems
     )

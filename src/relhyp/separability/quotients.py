@@ -10,11 +10,10 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from ..errors import BudgetExceededError, UnsupportedFamilyError
-from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec
+from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec, per_instance
 from .rational import RationalSubset
 from .stallings import StallingsGraph, spanning_tree, subgroup_graph
 
@@ -27,13 +26,27 @@ def perm_identity(n: int) -> Perm:
 
 def perm_mul(p: Perm, q: Perm) -> Perm:
     """Apply p, then q."""
-    return tuple(q[p[i]] for i in range(len(p)))
+    return tuple([q[i] for i in p])
 
 
 def perm_inv(p: Perm) -> Perm:
     out = [0] * len(p)
     for i, v in enumerate(p):
         out[v] = i
+    return tuple(out)
+
+
+def _image_word(images: Sequence[Perm], degree: int, w: Elem) -> Perm:
+    """Image of the free word ``w`` when generator i+1 maps to ``images[i]``."""
+    out = list(range(degree))
+    if w:
+        signed = {}
+        for i, p in enumerate(images, 1):
+            signed[i] = p
+            signed[-i] = perm_inv(p)
+        for x in w:
+            p = signed[x]
+            out = [p[i] for i in out]
     return tuple(out)
 
 
@@ -95,17 +108,12 @@ class FiniteQuotient:
 
     def image_of(self, g: Elem) -> Perm:
         if isinstance(self.domain, FreeGroup):
-            imgs = self.gen_images
-            out = perm_identity(self.degree)
-            for x in g:
-                p = imgs[abs(x) - 1]
-                out = perm_mul(out, p if x > 0 else perm_inv(p))
-            return out
+            return _image_word(self.gen_images, self.degree, g)
         if isinstance(self.domain, FiniteGroup):
             return self._finite_map()[g]
         raise UnsupportedFamilyError(type(self.domain).__name__)
 
-    @lru_cache(maxsize=None)
+    @per_instance
     def _finite_map(self):
         dom = self.domain
         gens = [g for _, g in dom.generator_elems()]
@@ -140,13 +148,14 @@ class FiniteQuotient:
     def subgroup_image(self, gens: Sequence[Elem]) -> frozenset:
         return subgroup_closure([self.image_of(g) for g in gens], self.degree)
 
-    def _image_set(self) -> frozenset:
-        if isinstance(self.domain, FiniteGroup):
-            return frozenset(self._finite_map().values())
-        return subgroup_closure(self.gen_images, self.degree)
-
+    @per_instance
     def _image_index_map(self) -> dict:
-        return {p: i for i, p in enumerate(sorted(self._image_set()))}
+        """Image elements in sorted order, each mapped to its position."""
+        if isinstance(self.domain, FiniteGroup):
+            image = set(self._finite_map().values())
+        else:
+            image = subgroup_closure(self.gen_images, self.degree)
+        return {p: i for i, p in enumerate(sorted(image))}
 
     def certificate(self) -> dict:
         return {
@@ -226,32 +235,30 @@ def _conjugacy_reps(n: int) -> list:
     return list(reps.values())
 
 
-def _image_word(images, w) -> Perm:
-    out = perm_identity(len(images[0]))
-    for x in w:
-        p = images[abs(x) - 1]
-        out = perm_mul(out, p if x > 0 else perm_inv(p))
-    return out
-
-
 def _image_in_product(pg: Perm, closures, budget: int = 400_000):
     """Is pg in the setwise product of the image subgroups?
 
-    Returns True/False, or None when the cross-product walk would exceed the
-    budget (the candidate is then skipped, never trusted).
+    Meet in the middle: the last half of the factors is multiplied out into
+    one set, and pg is walked back through the first half, h_1^-1 pg, then
+    h_2^-1 h_1^-1 pg and so on, until a walk lands in that set.  Returns
+    True/False, or None when a product or walk would exceed the budget (the
+    candidate is then skipped, never trusted).
     """
     if len(closures) == 1:
         return pg in closures[0]
-    if len(closures) == 2:
-        h1, h2 = closures
-        if len(h1) <= len(h2):
-            return any(perm_mul(perm_inv(h), pg) in h2 for h in h1)
-        return any(perm_mul(pg, perm_inv(h)) in h1 for h in h2)
-    h1, h2, h3 = closures
-    if len(h1) * len(h2) > budget:
+    half = (len(closures) + 1) // 2
+    try:
+        right = product_set(closures[half:], budget)
+    except BudgetExceededError:
         return None
-    mid = {perm_mul(perm_inv(h), pg) for h in h1}
-    return any(perm_mul(perm_inv(b), a) in h3 for a in mid for b in h2)
+    mids = {pg}
+    for i, h in enumerate(closures[:half], 1):
+        if len(mids) * len(h) > budget:
+            return None
+        h_inv = [perm_inv(x) for x in h]
+        if i == half:
+            return any(perm_mul(x, m) in right for m in mids for x in h_inv)
+        mids = {perm_mul(x, m) for m in mids for x in h_inv}
 
 
 def _assignments_blocks(rank: int, blocks: Sequence[int]):
@@ -291,13 +298,13 @@ def find_separating_quotient(
 
     def candidate(images) -> Optional[FiniteQuotient]:
         n = len(images[0])
-        pg = _image_word(images, g)
+        pg = _image_word(images, n, g)
         closures = []
         for gens in factor_words:
             closures.append(
-                subgroup_closure([_image_word(images, x) for x in gens], n)
+                subgroup_closure([_image_word(images, n, x) for x in gens], n)
             )
-        probe = pg if not g0 else perm_mul(perm_inv(_image_word(images, g0)), pg)
+        probe = pg if not g0 else perm_mul(perm_inv(_image_word(images, n, g0)), pg)
         hit = _image_in_product(probe, closures)
         if hit is not False:
             return None

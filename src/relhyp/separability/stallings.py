@@ -4,6 +4,15 @@ A letter is a nonzero signed generator index, matching the free-group word
 payloads.  Graphs are stored with transitions in both directions, so after
 folding each vertex reads each letter at most once and membership is a
 deterministic walk from the basepoint.
+
+Folding is union-find driven by a stack of pending merges (Touikan, "A fast
+algorithm for Stallings' folding process", IJAC 2006), near-linear in the
+input size.  The fold partition is unique, and the output does not depend on
+merge order because of two invariants: each class is rooted at its smallest
+input label, and the final rebuild walks the input edges in their given
+order.  So vertex numbers, and the key order of each transition dict, are a
+function of the input edge list alone; ``basis``, ``chord_alphabet`` and
+``rewrite`` read them in that order.
 """
 
 from __future__ import annotations
@@ -72,49 +81,50 @@ def _assemble(rank: int, n: int, edges) -> StallingsGraph:
             v = parent[v]
         return v
 
-    def union(a, b):
+    # Union-find folding.  trans[r] is the transition dict of root r; its
+    # targets may be stale labels, resolved through find.  A second target
+    # for the same letter queues a merge of the two targets.
+    trans = [{} for _ in range(n)]
+    pending = []
+    for (u, x, v) in edges:
+        for (a, l, b) in ((u, x, v), (v, -x, u)):
+            t = trans[a].setdefault(l, b)
+            if t != b:
+                pending.append((t, b))
+    while pending:
+        a, b = pending.pop()
         ra, rb = find(a), find(b)
-        if ra != rb:
-            # keep the basepoint's class rooted at the smaller label
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
+        if ra == rb:
+            continue
+        if rb < ra:
+            ra, rb = rb, ra
+        parent[rb] = ra  # every class stays rooted at its smallest label
+        big, small = trans[ra], trans[rb]
+        if len(big) < len(small):
+            big, small = small, big
+        trans[ra], trans[rb] = big, None
+        for l, t in small.items():
+            s = big.setdefault(l, t)
+            if s != t:
+                pending.append((s, t))
 
-    # Fold until no vertex reads a letter twice.
-    work = [(u, x, v) for (u, x, v) in edges]
-    while True:
-        trans: dict = {}
-        conflict = None
-        for (u, x, v) in work:
-            for (a, l, b) in ((find(u), x, find(v)), (find(v), -x, find(u))):
-                key = (a, l)
-                if key in trans and trans[key] != b:
-                    conflict = (trans[key], b)
-                    break
-            if conflict:
-                break
-            trans[(find(u), x)] = find(v)
-            trans[(find(v), -x)] = find(u)
-        if conflict is None:
-            break
-        union(*conflict)
-
-    # Rebuild on representatives, then trim to the core.
+    # Rebuild on representatives, in input edge order, then trim to the core.
     out_map: dict = {}
-    for (u, x, v) in work:
+    for (u, x, v) in edges:
         out_map.setdefault(find(u), {})[x] = find(v)
         out_map.setdefault(find(v), {})[-x] = find(u)
     base = find(0)
     out_map.setdefault(base, {})
-    changed = True
-    while changed:
-        changed = False
-        for v in list(out_map):
-            if v != base and len(out_map[v]) <= 1:
-                for x, w in list(out_map[v].items()):
-                    out_map[w].pop(-x, None)
-                del out_map[v]
-                changed = True
+    hanging = [v for v in out_map if v != base and len(out_map[v]) <= 1]
+    while hanging:
+        v = hanging.pop()
+        if v not in out_map:
+            continue
+        for x, w in out_map.pop(v).items():
+            trans_w = out_map[w]
+            del trans_w[-x]
+            if w != base and len(trans_w) <= 1:
+                hanging.append(w)
 
     order = sorted(out_map, key=lambda v: (v != base, v))
     index = {v: i for i, v in enumerate(order)}
@@ -225,10 +235,6 @@ def pullback(A: StallingsGraph, B: StallingsGraph) -> StallingsGraph:
             if x > 0:
                 edges.append((seen[(u1, u2)], x, seen[tgt]))
     return _assemble(rank, len(order), edges)
-
-
-def intersection_graph(A: StallingsGraph, B: StallingsGraph) -> StallingsGraph:
-    return pullback(A, B)
 
 
 def is_complete(H: StallingsGraph) -> bool:

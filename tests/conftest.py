@@ -171,3 +171,66 @@ def amalgam_word_classes(A: Amalgam, max_syllables: int):
             if j is not None:
                 union(i, j)
     return words, index, find
+
+
+def reference_assemble(rank, n, edges):
+    """The original quadratic fold, kept as an oracle for ``stallings._assemble``.
+
+    After every single merge it rescans every edge for a vertex that reads a
+    letter twice; the rebuild and core trim are full passes.
+    """
+    from relhyp.separability.stallings import StallingsGraph
+
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            if rb < ra:
+                ra, rb = rb, ra
+            parent[rb] = ra
+
+    work = list(edges)
+    while True:
+        trans: dict = {}
+        conflict = None
+        for (u, x, v) in work:
+            for (a, l, b) in ((find(u), x, find(v)), (find(v), -x, find(u))):
+                key = (a, l)
+                if key in trans and trans[key] != b:
+                    conflict = (trans[key], b)
+                    break
+            if conflict:
+                break
+            trans[(find(u), x)] = find(v)
+            trans[(find(v), -x)] = find(u)
+        if conflict is None:
+            break
+        union(*conflict)
+
+    out_map: dict = {}
+    for (u, x, v) in work:
+        out_map.setdefault(find(u), {})[x] = find(v)
+        out_map.setdefault(find(v), {})[-x] = find(u)
+    base = find(0)
+    out_map.setdefault(base, {})
+    changed = True
+    while changed:
+        changed = False
+        for v in list(out_map):
+            if v != base and len(out_map[v]) <= 1:
+                for x, w in list(out_map[v].items()):
+                    out_map[w].pop(-x, None)
+                del out_map[v]
+                changed = True
+
+    order = sorted(out_map, key=lambda v: (v != base, v))
+    index = {v: i for i, v in enumerate(order)}
+    out = tuple({x: index[w] for x, w in out_map[v].items()} for v in order)
+    return StallingsGraph(rank, out)

@@ -260,6 +260,25 @@ class TestMainExitCodes:
         line = json.loads(out.read_text())
         assert isinstance(line["timing"], int)
 
+    def test_separate_four_factors(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, FAB_REL_A.replace("factors = Q R", "factors = Q' R' Q' R'"))
+        out = tmp_path / "s.jsonl"
+        rc = main(["--config", cfg, "--command", "separate", "--seed", "1", "--out", str(out)])
+        assert rc in (EXIT_OK, EXIT_CHECK_FAILED)
+        cert = json.loads(out.read_text())["verdict"]
+        if rc == EXIT_OK:
+            from relhyp import FreeGroup, word_to_elem
+            from relhyp.separability import RationalSubset, verify_separation
+            from relhyp.separability.quotients import FiniteQuotient
+
+            F = FreeGroup(("a", "b"))
+            q = FiniteQuotient(
+                F, cert["degree"], tuple(tuple(p) for p in cert["generator_images"])
+            )
+            gens = tuple((word_to_elem(x, F),) for x in ("a a", "b b", "a a", "b b"))
+            target = RationalSubset(F, (), gens)
+            assert verify_separation(q, word_to_elem("b a", F), target)
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A)
         out1 = tmp_path / "r1.jsonl"

@@ -1,7 +1,11 @@
 import itertools
 import random
+from unittest import mock
 
 import pytest
+from conftest import reduce_letters_naive, reference_assemble
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relhyp import DIncompatibleError, FreeGroup, cyclic_group, word_to_elem
 from relhyp.cayley import build_ball
@@ -15,11 +19,19 @@ from relhyp.separability import (
     member,
     minx_quotient_harness,
     product_member,
+    pullback,
+    stallings,
     subgroup_graph,
     subgroups_equal,
     verify_separation,
 )
-from relhyp.separability.quotients import FiniteQuotient
+from relhyp.separability.quotients import (
+    FiniteQuotient,
+    _image_in_product,
+    perm_identity,
+    product_set,
+    subgroup_closure,
+)
 
 w = word_to_elem
 
@@ -91,6 +103,88 @@ class TestStallings:
         B = basis(H, fab)
         H2 = subgroup_graph(tuple(B), fab)
         assert subgroups_equal(H, H2, fab)
+
+
+def _free_word(rank, max_len):
+    letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    return st.lists(st.sampled_from(letters), max_size=max_len).map(reduce_letters_naive)
+
+
+@st.composite
+def _subgroup_pair(draw):
+    rank = draw(st.integers(1, 3))
+    word = st.one_of(_free_word(rank, 1), _free_word(rank, 7))
+    gens = [tuple(draw(st.lists(word, max_size=4))) for _ in range(2)]
+    probes = draw(st.lists(_free_word(rank, 8), max_size=8))
+    return rank, gens, probes
+
+
+def _reference(fn, *args):
+    with mock.patch.object(stallings, "_assemble", reference_assemble):
+        return fn(*args)
+
+
+def _same_graph(A, B):
+    return len(A) == len(B) and all(
+        list(a.items()) == list(b.items()) for a, b in zip(A.out, B.out)
+    )
+
+
+class TestFoldAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(_subgroup_pair())
+    def test_graphs_and_membership_match(self, case):
+        rank, gens, probes = case
+        G = FreeGroup(tuple("abc"[:rank]))
+        graphs = [subgroup_graph(g, G) for g in gens]
+        refs = [_reference(subgroup_graph, g, G) for g in gens]
+        for H, R in zip(graphs, refs):
+            assert _same_graph(H, R)
+        inter, ref_inter = pullback(*graphs), _reference(pullback, *refs)
+        assert _same_graph(inter, ref_inter)
+        for H, R in zip(graphs + [inter], refs + [ref_inter]):
+            for g in probes:
+                assert member(g, H) == member(g, R)
+
+    def test_large_fold_matches_reference(self, fab):
+        # 60 reduced generators of length 30; no time is checked
+        rng = random.Random(7)
+        gens = []
+        for _ in range(60):
+            g = [rng.choice((1, -1, 2, -2))]
+            while len(g) < 30:
+                g.append(rng.choice([x for x in (1, -1, 2, -2) if x != -g[-1]]))
+            gens.append(tuple(g))
+        H = subgroup_graph(gens, fab)
+        R = _reference(subgroup_graph, gens, fab)
+        assert len(H) == len(R) > 1
+        assert len(list(H.edges())) == len(list(R.edges()))
+        assert _same_graph(H, R)
+
+
+class TestImageInProduct:
+    def test_matches_product_set(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(2, 4)
+            closures = []
+            for _ in range(rng.randint(1, 5)):
+                gens = [tuple(rng.sample(range(n), n)) for _ in range(rng.randint(0, 2))]
+                closures.append(subgroup_closure(gens, n))
+            pg = tuple(rng.sample(range(n), n))
+            assert _image_in_product(pg, closures) == (pg in product_set(closures))
+
+    def test_over_budget_is_skipped(self):
+        s4 = subgroup_closure([(1, 2, 3, 0), (1, 0, 2, 3)], 4)
+        assert _image_in_product(perm_identity(4), [s4] * 4, budget=100) is None
+
+    def test_four_factor_search(self, fab):
+        target = RationalSubset(
+            fab, (), tuple((w(x, fab),) for x in ("a a", "b b", "a a", "b b"))
+        )
+        g = w("a b", fab)
+        q = find_separating_quotient(g, target, n_max=5)
+        assert q is not None and verify_separation(q, g, target)
 
 
 class TestProductMember:
