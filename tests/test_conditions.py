@@ -6,6 +6,7 @@ from relhyp import FreeGroup, PeripheralSpec, RelHyp, SubgroupSpec, word_to_elem
 from relhyp.cayley import build_ball, relative_view
 from relhyp.conditions import (
     ConditionContext,
+    ConditionReport,
     EnumeratedSet,
     check_condition,
     minx,
@@ -231,3 +232,60 @@ class TestConditions:
         r8 = check_condition("C2", ctx8)
         assert r6.verdict == r8.verdict == "fails"
         assert fab.x_length(r6.witness) == fab.x_length(r8.witness)
+
+
+# Full reports of the minx-scan conditions on the fixtures above, pinned:
+# the CLI emits neither ``params`` nor ``measured``, so the golden replay
+# cannot see them.
+_P_WHOLE = dict(P_list=(("a", "b"), "P"), P_abelian=(False,))
+_T1 = dict(T_list=(("a b",), "T1"))
+_U1 = dict(U_list=(("a b",), "U1"))
+_RADIUS_CAVEAT = "pass is radius-stamped; a failure witness would be absolute"
+_COSET_CAVEAT = "q ranges over coset representatives found in the ball"
+PINNED_REPORTS = [
+    ("C2", dict(k=4, B=3, radius=8), {},
+     ("holds-to-radius", 8, None, 4, (("B", 3), ("side", "Q")), (_RADIUS_CAVEAT,))),
+    ("C2", dict(k=2, B=50, radius=6), {},
+     ("fails", 6, (2, 2), 2, (("B", 50), ("side", "Q")), ())),
+    ("C3", dict(k=2, C=2, radius=6), {},
+     ("holds-to-radius", 6, None, 2, (("C", 2), ("P", "P0"), ("half", "R'")),
+      (_RADIUS_CAVEAT,))),
+    ("C3", dict(k=2, C=50, radius=6), {},
+     ("fails", 6, (2, 2), 2, (("C", 50), ("P", "P0"), ("half", "R'")), ())),
+    ("C5", dict(), {},
+     ("vacuous", 6, None, None, (("P", "P0"),),
+      ("abelian peripheral: the two sides coincide",))),
+    ("C5", dict(k=2, C=1, radius=4), _P_WHOLE,
+     ("holds-to-radius", 4, None, 4, (("C", 1), ("P", "P"), ("q", "1")),
+      (_COSET_CAVEAT, _RADIUS_CAVEAT))),
+    ("C5", dict(k=2, C=50, radius=4), _P_WHOLE,
+     ("fails", 4, (2, 2, 1, 1), 4, (("C", 50), ("P", "P"), ("q", "1")), (_COSET_CAVEAT,))),
+    ("C2-m", dict(k=2, B=2, radius=6), {},
+     ("holds-to-radius", 6, None, 2, (("B", 2), ("j", 0)), (_RADIUS_CAVEAT,))),
+    ("C2-m", dict(k=2, B=2, radius=6), _T1,
+     ("fails", 6, (1,), 1, (("B", 2), ("j", 1)), ())),
+    ("C2-m", dict(k=2, B=50, radius=6), _T1,
+     ("fails", 6, (1, 1), 2, (("B", 50), ("j", 0)), ())),
+    ("C5-m", dict(with_p=False), {},
+     ("vacuous", 6, None, None, (), ())),
+    ("C5-m", dict(), {},
+     ("holds-to-radius", 6, None, math.inf, (("C", 2), ("P", "P0"), ("j", 0), ("q", "1")),
+      (_COSET_CAVEAT, _RADIUS_CAVEAT))),
+    ("C5-m", dict(k=2, C=1, radius=4), {**_P_WHOLE, **_T1, **_U1},
+     ("holds-to-radius", 4, None, 3, (("C", 1), ("P", "P"), ("j", 1), ("q", "1")),
+      (_COSET_CAVEAT, _RADIUS_CAVEAT))),
+    ("C5-m", dict(k=2, C=50, radius=4), {**_P_WHOLE, **_T1, **_U1},
+     ("fails", 4, (2, 2, 1, 1), 4, (("C", 50), ("P", "P"), ("j", 0), ("q", "1")),
+      (_COSET_CAVEAT,))),
+]
+
+
+@pytest.mark.parametrize("cond_id,kwargs,extra,expected", PINNED_REPORTS)
+def test_pinned_report(fab, fab_rel_a, cond_id, kwargs, extra, expected):
+    ctx = make_ctx(fab, fab_rel_a, **kwargs)
+    for key, value in extra.items():
+        if key.endswith("_list"):
+            words, role = value
+            value = (SubgroupSpec(tuple(w(x, fab) for x in words), role=role),)
+        setattr(ctx, key, value)
+    assert check_condition(cond_id, ctx) == ConditionReport(cond_id, *expected)
