@@ -34,7 +34,6 @@ from .groups import (
     RelHyp,
     SubgroupSpec,
     cyclic_group,
-    enumerate_ball,
     inv,
     mul,
     syllables,

@@ -25,19 +25,14 @@ from .conditions import (
     EnumeratedSet,
     check_condition,
     minx,
-    quasiconvexity_epsilon,
 )
-from .errors import (
-    BudgetExceededError,
-    RelhypError,
-    SchemaError,
-    UnsupportedFamilyError,
-)
-from .geometry import ConstantsProfile, gromov_product, is_quasigeodesic, measure_delta
+from .errors import BudgetExceededError, SchemaError, UnsupportedFamilyError
+from .geometry import ConstantsProfile, gromov_product, measure_delta
 from .groups import (
     Amalgam,
     FreeAbelian,
     FreeGroup,
+    FreeProduct,
     GroupSpec,
     PeripheralSpec,
     RelHyp,
@@ -45,14 +40,12 @@ from .groups import (
     cyclic_group,
     word_to_elem,
 )
-from .pathrep import SearchBudget, minimize_type, type_of
+from .pathrep import SearchBudget, minimize_type
 from .separability import (
     RationalSubset,
     amalgam_product_member,
-    amalgam_reduce,
     find_separating_quotient,
     member,
-    membership_oracle,
     minx_quotient_harness,
     product_member,
     subgroup_graph,
@@ -87,34 +80,36 @@ def parse_config(text: str) -> dict:
     return sections
 
 
+def _build_family(sec: dict, kind: str) -> GroupSpec:
+    """The free, free-abelian or finite-cyclic group a config section names."""
+    family = sec.get("family")
+    try:
+        if family == "free":
+            return FreeGroup(tuple(sec["symbols"].split()))
+        if family == "free-abelian":
+            return FreeAbelian(tuple(sec["symbols"].split()))
+        if family == "finite-cyclic":
+            return cyclic_group(int(sec["order"]), sec.get("symbol", "g"))
+    except KeyError as e:
+        raise SchemaError("%s family %r needs the key %s" % (kind, family, e))
+    except ValueError as e:
+        raise SchemaError("bad %s: %s" % (kind, e))
+    raise SchemaError("unknown %s family %r" % (kind, family))
+
+
 def _build_factor(cfg: dict, name: str) -> GroupSpec:
     sec = cfg.get("factor %s" % name)
     if sec is None:
         raise SchemaError("missing section [factor %s]" % name)
-    family = sec.get("family")
-    if family == "free":
-        return FreeGroup(tuple(sec["symbols"].split()))
-    if family == "free-abelian":
-        return FreeAbelian(tuple(sec["symbols"].split()))
-    if family == "finite-cyclic":
-        return cyclic_group(int(sec["order"]), sec.get("symbol", "g"))
-    raise SchemaError("unknown factor family %r" % family)
+    return _build_family(sec, "factor")
 
 
 def build_group(cfg: dict) -> RelHyp:
-    from .groups import FreeProduct
-
     sec = cfg.get("group")
     if sec is None:
         raise SchemaError("missing [group] section")
     family = sec.get("family")
-    if family == "free":
-        base: GroupSpec = FreeGroup(tuple(sec["symbols"].split()))
-    elif family == "free-abelian":
-        base = FreeAbelian(tuple(sec["symbols"].split()))
-    elif family == "finite-cyclic":
-        base = cyclic_group(int(sec["order"]), sec.get("symbol", "g"))
-    elif family == "free-product":
+    if family == "free-product":
         names = sec["factors"].split()
         base = FreeProduct(tuple(_build_factor(cfg, n) for n in names))
     elif family == "amalgam":
@@ -131,7 +126,7 @@ def build_group(cfg: dict) -> RelHyp:
         base = Amalgam(left, right, tuple(sorted(pairs)))
         base.spot_check()
     else:
-        raise SchemaError("unknown group family %r" % family)
+        base = _build_family(sec, "group")
 
     peripherals = []
     for key, value in sorted(cfg.get("peripherals", {}).items()):
@@ -158,8 +153,6 @@ def build_group(cfg: dict) -> RelHyp:
 def parse_word(word: str, G: GroupSpec):
     try:
         return word_to_elem(word, G)
-    except RelhypError:
-        raise
     except Exception as e:
         raise SchemaError("bad word %r: %s" % (word, e))
 
@@ -173,9 +166,11 @@ def parse_path(view: RelGraphView, text: str, start_word: str = "") -> EdgePath:
         if parts[0] == "x" and len(parts) == 2:
             labels.append(("x", parse_word(parts[1], G)))
         elif parts[0] == "h" and len(parts) == 3:
-            labels.append(
-                ("h", int(parts[1]), parse_word(parts[2].replace(",", " "), G))
-            )
+            try:
+                nu = G.peripheral(int(parts[1])).nu
+            except (ValueError, KeyError):
+                raise SchemaError("no peripheral %r in path token %r" % (parts[1], token))
+            labels.append(("h", nu, parse_word(parts[2].replace(",", " "), G)))
         else:
             raise SchemaError("bad path token %r" % token)
     start = parse_word(start_word, G)
@@ -466,8 +461,14 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         specs = [subgroup_from_config(cfg, n, G) for n in names]
         target = RationalSubset(G, (), tuple(s.gens for s in specs))
         cap = _int_param(cfg, "cap", default=6)
-        q = find_separating_quotient(g, target, n_max=cap, seed=seed)
-        if q is None:
+        in_target = target.contains(g)
+        q = None if in_target else find_separating_quotient(g, target, n_max=cap, seed=seed)
+        if in_target:
+            reporter.any_failed = True
+            reporter.emit(command, {"g": _word_param(cfg, "g")}, "in-target",
+                          witness=G.elem_str(g),
+                          caveats=["g lies in the target product; no finite quotient separates it"])
+        elif q is None:
             reporter.emit(command, {"g": _word_param(cfg, "g")}, "not-found",
                           caveats=["search cap S_%d exhausted" % cap])
         else:
@@ -555,10 +556,10 @@ def _run_conditions(cfg, view, reporter: Reporter, radius_override) -> None:
         P_list=opt_subgroups("P"),
         T_list=opt_subgroups("T"),
         U_list=opt_subgroups("U"),
-        B=int(p.get("B", 0)),
-        C=int(p.get("C", 0)),
-        A=int(p.get("A", 0)),
-        radius=radius_override or int(p.get("radius", 6)),
+        B=_int_param(cfg, "B", default=0),
+        C=_int_param(cfg, "C", default=0),
+        A=_int_param(cfg, "A", default=0),
+        radius=_int_param(cfg, "radius", default=6, override=radius_override),
         P_abelian=tuple(
             x == "1" for x in p.get("P-abelian", "").split()
         ),

@@ -5,14 +5,21 @@ procedures: a failure comes with a concrete short witness and is final, a
 pass is stamped with the enumeration radius.  Set memberships are exact
 (saturated product automata over free ambient groups, family arithmetic for
 peripheral cases); only the enumeration is truncated.
+
+C2, C3, C5, C2-m and C5-m each check one minx bound per member of a family
+(a side, a peripheral, a tail, a coset representative).  Their checkers
+yield one report per member, and ``_least`` reduces them to one: the first
+report that fails, in enumeration order.  If none fails, it is the report
+with the least measured minx; a missing or zero value counts as +inf, and
+the first of equal reports wins.  A family with no members is vacuous.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product as iproduct
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 from .cayley import RelGraphView, build_ball
 from .errors import UnsupportedFamilyError
@@ -28,6 +35,7 @@ from .separability import (
 )
 
 CONDITION_IDS = ("C1", "C2", "C3", "C4", "C5", "C2-m", "C5-m", "P1", "P2", "P3")
+_MINX_FAMILIES = ("C2", "C3", "C5", "C2-m", "C5-m")
 
 
 @dataclass(frozen=True)
@@ -40,13 +48,9 @@ class EnumeratedSet:
     exact: bool = False
 
 
-def minx_of(values: Iterable[int]):
-    return min(values, default=math.inf)
-
-
 def minx(Y: EnumeratedSet, G: GroupSpec):
     """min |g|_X over the enumerated set; +inf when empty within the radius."""
-    return minx_of(G.x_length(g) for g in Y.elements)
+    return min((G.x_length(g) for g in Y.elements), default=math.inf)
 
 
 @dataclass(frozen=True)
@@ -178,11 +182,22 @@ def _minx_condition(
     )
 
 
+def _least(reports: Iterable[ConditionReport]) -> Optional[ConditionReport]:
+    """The first report that fails, else the first with the least measured
+    value (None when there are no reports)."""
+    least = None
+    for rep in reports:
+        if not rep.ok:
+            return rep
+        if least is None or (rep.measured or math.inf) < (least.measured or math.inf):
+            least = rep
+    return least
+
+
 def check_condition(cond_id: str, ctx: ConditionContext) -> ConditionReport:
     """Dispatch one metric condition or property check."""
     if cond_id not in CONDITION_IDS:
         raise ValueError("unknown condition %r" % cond_id)
-    G = ctx.G
     handler = {
         "C1": _check_c1,
         "C2": _check_c2,
@@ -195,6 +210,8 @@ def check_condition(cond_id: str, ctx: ConditionContext) -> ConditionReport:
         "P2": _check_p2,
         "P3": _check_p3,
     }[cond_id]
+    if cond_id in _MINX_FAMILIES:
+        return _least(handler(ctx)) or ConditionReport(cond_id, "vacuous", ctx.radius)
     return handler(ctx)
 
 
@@ -217,49 +234,34 @@ def _check_c1(ctx: ConditionContext) -> ConditionReport:
     return ConditionReport("C1", "fails", ctx.radius, witness)
 
 
-def _check_c2(ctx: ConditionContext) -> ConditionReport:
+def _check_c2(ctx: ConditionContext) -> Iterator[ConditionReport]:
     join = ctx.join_spec()
-    worst = None
     for side in (ctx.Q, ctx.R):
-        prod = RationalSubset(ctx.G, (), (side.gens, join.gens, side.gens))
-        in_side = membership_oracle(ctx.G, side.gens)
-        rep = _minx_condition(
+        yield _minx_condition(
             ctx,
             "C2",
-            prod,
-            in_side,
+            RationalSubset(ctx.G, (), (side.gens, join.gens, side.gens)),
+            membership_oracle(ctx.G, side.gens),
             ctx.B,
             params=(("B", ctx.B), ("side", side.role or "?")),
         )
-        if not rep.ok:
-            return rep
-        if worst is None or (rep.measured or math.inf) < (worst.measured or math.inf):
-            worst = rep
-    return worst
 
 
-def _check_c3(ctx: ConditionContext) -> ConditionReport:
+def _check_c3(ctx: ConditionContext) -> Iterator[ConditionReport]:
     if not ctx.P_list:
-        return ConditionReport("C3", "vacuous", ctx.radius)
+        return
     s = ctx.s_spec()
-    worst = None
     for P in ctx.P_list:
         ps = RationalSubset(ctx.G, (), (P.gens, s.gens))
         for half in (ctx.Qp, ctx.Rp):
-            prod = RationalSubset(ctx.G, (), (P.gens, half.gens))
-            rep = _minx_condition(
+            yield _minx_condition(
                 ctx,
                 "C3",
-                prod,
+                RationalSubset(ctx.G, (), (P.gens, half.gens)),
                 ps.contains,
                 ctx.C,
                 params=(("C", ctx.C), ("P", P.role or "?"), ("half", half.role or "?")),
             )
-            if not rep.ok:
-                return rep
-            if worst is None or (rep.measured or math.inf) < (worst.measured or math.inf):
-                worst = rep
-    return worst
 
 
 def _check_c4(ctx: ConditionContext) -> ConditionReport:
@@ -302,110 +304,68 @@ def _coset_reps_in_ball(ctx: ConditionContext, big: SubgroupSpec, small: Subgrou
     return reps
 
 
-def _check_c5(ctx: ConditionContext) -> ConditionReport:
-    if not ctx.P_list:
-        return ConditionReport("C5", "vacuous", ctx.radius)
+def _c5_reports(ctx: ConditionContext, cond_id: str, P: SubgroupSpec, tails):
+    """The C5 minx reports at one peripheral P, lazily.
+
+    ``tails`` holds (params, factors) pairs: the factors extend both
+    products after R_P, and the params go between P and q in the report.
+    """
+    qp_P = ctx.restrict(ctx.Qp, P, "Q'_P")
+    rp_P = ctx.restrict(ctx.Rp, P, "R'_P")
+    q_P = ctx.restrict(ctx.Q, P, "Q_P")
+    r_P = ctx.restrict(ctx.R, P, "R_P")
+    join_gens = qp_P.gens + rp_P.gens
+    reps = _coset_reps_in_ball(ctx, q_P, qp_P)
+    for extra, tail in tails:
+        for q in reps:
+            yield _minx_condition(
+                ctx,
+                cond_id,
+                RationalSubset(ctx.G, q, (join_gens, r_P.gens) + tail),
+                RationalSubset(ctx.G, q, (qp_P.gens, r_P.gens) + tail).contains,
+                ctx.C,
+                params=(("C", ctx.C), ("P", P.role or "?")) + extra
+                + (("q", ctx.G.elem_str(q)),),
+                caveats=("q ranges over coset representatives found in the ball",),
+            )
+
+
+def _check_c5(ctx: ConditionContext) -> Iterator[ConditionReport]:
     abelian = ctx.P_abelian or (False,) * len(ctx.P_list)
-    worst = None
     for P, is_ab in zip(ctx.P_list, abelian):
         if is_ab:
-            rep = ConditionReport(
+            yield ConditionReport(
                 "C5", "vacuous", ctx.radius, None, None,
                 (("P", P.role or "?"),),
                 ("abelian peripheral: the two sides coincide",),
             )
-            worst = worst or rep
-            continue
-        qp_P = ctx.restrict(ctx.Qp, P, "Q'_P")
-        rp_P = ctx.restrict(ctx.Rp, P, "R'_P")
-        q_P = ctx.restrict(ctx.Q, P, "Q_P")
-        r_P = ctx.restrict(ctx.R, P, "R_P")
-        join_gens = qp_P.gens + rp_P.gens
-        for q in _coset_reps_in_ball(ctx, q_P, qp_P):
-            inside = RationalSubset(ctx.G, q, (join_gens, r_P.gens))
-            smaller = RationalSubset(ctx.G, q, (qp_P.gens, r_P.gens))
-            rep = _minx_condition(
-                ctx,
-                "C5",
-                inside,
-                smaller.contains,
-                ctx.C,
-                params=(("C", ctx.C), ("P", P.role or "?"), ("q", ctx.G.elem_str(q))),
-                caveats=("q ranges over coset representatives found in the ball",),
-            )
-            if not rep.ok:
-                return rep
-            if worst is None or (rep.measured or math.inf) < (worst.measured or math.inf):
-                worst = rep
-    return worst
+        else:
+            yield from _c5_reports(ctx, "C5", P, [((), ())])
 
 
-def _check_c2m(ctx: ConditionContext) -> ConditionReport:
+def _check_c2m(ctx: ConditionContext) -> Iterator[ConditionReport]:
     join = ctx.join_spec()
-    worst = None
     for j in range(len(ctx.T_list) + 1):
         tail = tuple(t.gens for t in ctx.T_list[:j])
-        inside = RationalSubset(ctx.G, (), (ctx.R.gens, join.gens, ctx.R.gens) + tail)
-        outside = RationalSubset(ctx.G, (), (ctx.R.gens,) + tail)
-        rep = _minx_condition(
+        yield _minx_condition(
             ctx,
             "C2-m",
-            inside,
-            outside.contains,
+            RationalSubset(ctx.G, (), (ctx.R.gens, join.gens, ctx.R.gens) + tail),
+            RationalSubset(ctx.G, (), (ctx.R.gens,) + tail).contains,
             ctx.B,
             params=(("B", ctx.B), ("j", j)),
         )
-        if not rep.ok:
-            return rep
-        if worst is None or (rep.measured or math.inf) < (worst.measured or math.inf):
-            worst = rep
-    return worst
 
 
-def _check_c5m(ctx: ConditionContext) -> ConditionReport:
-    if not ctx.P_list:
-        return ConditionReport("C5-m", "vacuous", ctx.radius)
-    worst = None
-    m = len(ctx.T_list)
+def _check_c5m(ctx: ConditionContext) -> Iterator[ConditionReport]:
     for P in ctx.P_list:
-        qp_P = ctx.restrict(ctx.Qp, P, "Q'_P")
-        rp_P = ctx.restrict(ctx.Rp, P, "R'_P")
-        q_P = ctx.restrict(ctx.Q, P, "Q_P")
-        r_P = ctx.restrict(ctx.R, P, "R_P")
-        u_P = [ctx.restrict(U, P, "U_P") for U in ctx.U_list]
-        join_gens = qp_P.gens + rp_P.gens
-        reps = _coset_reps_in_ball(ctx, q_P, qp_P)
-        for j in range(m + 1):
-            for combo in iproduct(range(len(u_P)), repeat=j) if u_P else ([()] if j == 0 else []):
-                tail = tuple(u_P[i].gens for i in combo) if j else ()
-                for q in reps:
-                    inside = RationalSubset(
-                        ctx.G, q, (join_gens, r_P.gens) + tail
-                    )
-                    smaller = RationalSubset(
-                        ctx.G, q, (qp_P.gens, r_P.gens) + tail
-                    )
-                    rep = _minx_condition(
-                        ctx,
-                        "C5-m",
-                        inside,
-                        smaller.contains,
-                        ctx.C,
-                        params=(
-                            ("C", ctx.C),
-                            ("P", P.role or "?"),
-                            ("j", j),
-                            ("q", ctx.G.elem_str(q)),
-                        ),
-                        caveats=("q ranges over coset representatives found in the ball",),
-                    )
-                    if not rep.ok:
-                        return rep
-                    if worst is None or (rep.measured or math.inf) < (
-                        worst.measured or math.inf
-                    ):
-                        worst = rep
-    return worst or ConditionReport("C5-m", "vacuous", ctx.radius)
+        u_P = [ctx.restrict(U, P, "U_P").gens for U in ctx.U_list]
+        tails = (
+            ((("j", j),), tail)
+            for j in range(len(ctx.T_list) + 1)
+            for tail in iproduct(u_P, repeat=j)
+        )
+        yield from _c5_reports(ctx, "C5-m", P, tails)
 
 
 def _check_p1(ctx: ConditionContext) -> ConditionReport:

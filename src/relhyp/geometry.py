@@ -9,10 +9,10 @@ of the piecewise-linear preimage distances occur).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Optional
+from typing import Optional
 
 from .cayley import Ball, BrokenLine, EdgePath, RelGraphView, word_metric_view
 from .groups import FreeGroup, SubgroupSpec
@@ -154,68 +154,8 @@ def _cp(u, v) -> int:
 
 
 def _tree_triple_delta(x, y, z) -> Fraction:
-    """Tripod thinness of a free-group word-metric triangle.
-
-    All positions are doubled so midpoints are integers.  Side points are
-    prefixes of the corner words, so matched-point distances are arithmetic
-    on common-prefix lengths; the shared initial segment of the two sides at
-    a corner (where both are equal prefixes of the corner word) contributes
-    zero and is skipped wholesale.
-    """
-    best2 = 0  # doubled
-    words = (x, y, z)
-    c01 = _cp(x, y)
-    c02 = _cp(x, z)
-    c12 = _cp(y, z)
-    l0, l1, l2 = len(x), len(y), len(z)
-    d01 = l0 + l1 - 2 * c01
-    d02 = l0 + l2 - 2 * c02
-    d12 = l1 + l2 - 2 * c12
-    cptab = ((None, c01, c02), (c01, None, c12), (c02, c12, None))
-    lens = (l0, l1, l2)
-    dtab = ((0, d01, d02), (d01, 0, d12), (d02, d12, 0))
-
-    for corner in range(3):
-        if corner == 0:
-            o1, o2 = 1, 2
-        elif corner == 1:
-            o1, o2 = 0, 2
-        else:
-            o1, o2 = 0, 1
-        leg2 = dtab[corner][o1] + dtab[corner][o2] - dtab[o1][o2]
-        lc = lens[corner]
-        cp1 = cptab[corner][o1]
-        cp2 = cptab[corner][o2]
-        b1_2 = 2 * (lc - cp1)
-        b2_2 = 2 * (lc - cp2)
-        start = min(b1_2, b2_2)
-        if start >= leg2:
-            continue  # both sides ride the corner word for the whole leg
-        cp_oo = cptab[o1][o2]
-        for t2 in range(start, leg2 + 1):
-            # point on side [corner -> o_i]: (word, doubled prefix length)
-            if t2 <= b1_2:
-                w1, a1 = corner, 2 * lc - t2
-            else:
-                w1, a1 = o1, 2 * cp1 + (t2 - b1_2)
-            if t2 <= b2_2:
-                w2, a2 = corner, 2 * lc - t2
-            else:
-                w2, a2 = o2, 2 * cp2 + (t2 - b2_2)
-            if a1 & 1 == 0 and a2 & 1 == 0:
-                if w1 == w2:
-                    d2 = a1 - a2 if a1 >= a2 else a2 - a1
-                else:
-                    m = a1 if a1 < a2 else a2
-                    cc2 = 2 * cptab[w1][w2]
-                    if cc2 < m:
-                        m = cc2
-                    d2 = a1 + a2 - 2 * m
-            else:
-                d2 = _tree_mid_dist2(words, cptab, w1, a1, w2, a2)
-            if d2 > best2:
-                best2 = d2
-    return Fraction(best2, 2)
+    """Tripod thinness of one free-group word-metric triangle."""
+    return _tree_ball_scan((x, y, z))[0]
 
 
 def _tree_pdist(words, cptab, w1, l1, w2, l2):
@@ -255,8 +195,15 @@ class DeltaMeasurement:
     witness: Optional[tuple] = None
 
 
-def _tree_ball_scan(elems, progress=None):
-    """Exhaustive triple scan with precomputed prefix tables (free groups)."""
+def _tree_ball_scan(elems):
+    """Exhaustive triple scan with precomputed prefix tables (free groups).
+
+    All positions are doubled so midpoints are integers.  Side points are
+    prefixes of the corner words, so matched-point distances are arithmetic
+    on common-prefix lengths; the shared initial segment of the two sides at
+    a corner (where both are equal prefixes of the corner word) contributes
+    zero and is skipped wholesale.
+    """
     n = len(elems)
     lens = [len(w) for w in elems]
     cp = [[0] * n for _ in range(n)]
@@ -292,7 +239,7 @@ def _tree_ball_scan(elems, progress=None):
                     b2_2 = 2 * (lc - cp2)
                     start = b1_2 if b1_2 < b2_2 else b2_2
                     if start >= leg2:
-                        continue
+                        continue  # both sides ride the corner word for the whole leg
                     words = (elems[c], elems[o1], elems[o2])
                     cptab = (
                         (None, cp1, cp2),
@@ -300,6 +247,7 @@ def _tree_ball_scan(elems, progress=None):
                         (cp2, cp[o2][o1], None),
                     )
                     for t2 in range(start, leg2 + 1):
+                        # point on side [corner -> o_i]: (word, doubled prefix length)
                         if t2 <= b1_2:
                             w1, a1 = 0, 2 * lc - t2
                         else:
@@ -322,17 +270,15 @@ def _tree_ball_scan(elems, progress=None):
                         if d2 > best2:
                             best2 = d2
                             witness = (elems[i], elems[j], elems[k])
-            if progress and count % 2_000_000 < n - j - 1:
-                progress(count)
     return Fraction(best2, 2), witness, count
 
 
-def measure_delta(ball: Ball, progress: Optional[Callable[[int], None]] = None) -> DeltaMeasurement:
+def measure_delta(ball: Ball) -> DeltaMeasurement:
     """Max of thin_triangle_delta over all vertex triples of the ball."""
     view = word_metric_view(ball.group)
     elems = ball.elements
     if isinstance(ball.group, FreeGroup):
-        best, witness, count = _tree_ball_scan(elems, progress)
+        best, witness, count = _tree_ball_scan(elems)
         return DeltaMeasurement(best, ball.radius, count, witness)
     best = Fraction(0)
     witness = None
@@ -344,8 +290,6 @@ def measure_delta(ball: Ball, progress: Optional[Callable[[int], None]] = None) 
         if v > best:
             best = v
             witness = (x, y, z)
-        if progress and count % 1_000_000 == 0:
-            progress(count)
     return DeltaMeasurement(best, ball.radius, count, witness)
 
 
@@ -380,11 +324,6 @@ class ConstantsProfile:
     @property
     def c3(self) -> Fraction:
         return 10 * (self.delta + 2 * self.c1)
-
-    @staticmethod
-    def from_ball(ball: Ball, c0=0) -> "ConstantsProfile":
-        m = measure_delta(ball)
-        return ConstantsProfile(delta=m.delta, c0=Fraction(c0), ball_radius=ball.radius)
 
 
 @dataclass(frozen=True)

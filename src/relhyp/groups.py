@@ -756,33 +756,3 @@ def syllables(g: Elem, G: GroupSpec) -> list[tuple[int, Elem]]:
         return syllables(g, G.base)
     raise FamilyMismatchError("syllables need a free product or amalgam")
 
-
-def enumerate_ball(G: GroupSpec, radius: int, budget: int = 2_000_000):
-    """Breadth-first ball of the word metric; yields (element, distance).
-
-    Raises BudgetExceededError when the vertex count passes ``budget``.
-    """
-    from .errors import BudgetExceededError
-
-    if isinstance(G, Amalgam):
-        letters = G.nontrivial_factor_elems()
-    else:
-        letters = [g for _, g in G.generator_elems()]
-        letters += [G.inv(g) for g in letters]
-    seen = {G.identity(): 0}
-    yield G.identity(), 0
-    frontier = [G.identity()]
-    for d in range(1, radius + 1):
-        nxt = []
-        for v in frontier:
-            for g in letters:
-                w = G.mul(v, g)
-                if w not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceededError(
-                            "ball enumeration exceeded %d vertices" % budget
-                        )
-                    seen[w] = d
-                    nxt.append(w)
-                    yield w, d
-        frontier = nxt

@@ -23,7 +23,7 @@ from .quotients import (
     subgroup_closure,
     verify_separation,
 )
-from .rational import RationalSubset, product_member, rational_subset
+from .rational import RationalSubset, product_member
 from .stallings import (
     StallingsGraph,
     basis,
@@ -60,7 +60,6 @@ __all__ = [
     "perm_mul",
     "product_member",
     "pullback",
-    "rational_subset",
     "subgroup_closure",
     "subgroup_graph",
     "subgroups_equal",

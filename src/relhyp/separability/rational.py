@@ -166,7 +166,3 @@ def product_member(g: Elem, factors: Sequence, G: FreeGroup) -> bool:
     ]
     nfa = saturate(build_chain_nfa((), graphs))
     return accepts_reduced(nfa, g)
-
-
-def rational_subset(G: FreeGroup, g0: Elem = (), *factor_gens) -> RationalSubset:
-    return RationalSubset(G, g0, tuple(tuple(f) for f in factor_gens))

@@ -153,8 +153,8 @@ def spanning_tree(H: StallingsGraph):
     return parent, word
 
 
-def basis(H: StallingsGraph, G: FreeGroup) -> list[Elem]:
-    """Free basis of the subgroup: one generator per non-tree edge."""
+def _tree_edges(H: StallingsGraph):
+    """Edges of the BFS spanning tree in both directions, and the access words."""
     parent, access = spanning_tree(H)
     tree_edges = set()
     for w, pe in parent.items():
@@ -162,6 +162,12 @@ def basis(H: StallingsGraph, G: FreeGroup) -> list[Elem]:
             v, x = pe
             tree_edges.add((v, x, w))
             tree_edges.add((w, -x, v))
+    return tree_edges, access
+
+
+def basis(H: StallingsGraph, G: FreeGroup) -> list[Elem]:
+    """Free basis of the subgroup: one generator per non-tree edge."""
+    tree_edges, access = _tree_edges(H)
     out = []
     for (u, x, v) in H.edges():
         if (u, x, v) in tree_edges:
@@ -172,13 +178,7 @@ def basis(H: StallingsGraph, G: FreeGroup) -> list[Elem]:
 
 def chord_alphabet(H: StallingsGraph):
     """The non-tree edges in canonical order; index i stands for chord i+1."""
-    parent, _ = spanning_tree(H)
-    tree_edges = set()
-    for w, pe in parent.items():
-        if pe is not None:
-            v, x = pe
-            tree_edges.add((v, x, w))
-            tree_edges.add((w, -x, v))
+    tree_edges, _ = _tree_edges(H)
     chords = [e for e in sorted(H.edges()) if e not in tree_edges]
     return chords, tree_edges
 

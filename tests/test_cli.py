@@ -279,6 +279,41 @@ class TestMainExitCodes:
             target = RationalSubset(F, (), gens)
             assert verify_separation(q, word_to_elem("b a", F), target)
 
+    @pytest.mark.parametrize(
+        "old,new,command",
+        [
+            ("symbols = a b", "symbols = a a", "rel-dist"),
+            ("symbols = a b\n", "", "rel-dist"),
+            ("B = 2", "B = two", "check-conditions"),
+            ("[paths]\n", "[paths]\npath = x:b h:1:a\n", "components"),
+            ("v = a a a b a a", "v = z", "rel-dist"),
+        ],
+        ids=["duplicate-symbols", "missing-symbols", "non-integer-B",
+             "unknown-peripheral", "unknown-letter"],
+    )
+    def test_malformed_config_is_schema_error(self, tmp_path, capsys, old, new, command):
+        assert old in FAB_REL_A
+        cfg = self._write(tmp_path, FAB_REL_A.replace(old, new))
+        assert main(["--config", cfg, "--command", command]) == EXIT_SCHEMA
+        assert "schema error" in capsys.readouterr().err
+
+    def test_check_conditions_radius_zero(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, FAB_REL_A)
+        out = tmp_path / "c.jsonl"
+        main(["--config", cfg, "--command", "check-conditions", "--radius", "0",
+              "--out", str(out)])
+        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        assert lines and all(l["inputs"]["radius"] == 0 for l in lines)
+
+    def test_separate_element_of_target(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, FAB_REL_A.replace("g = b a", "g = a a b"))
+        out = tmp_path / "s.jsonl"
+        rc = main(["--config", cfg, "--command", "separate", "--out", str(out)])
+        assert rc == EXIT_CHECK_FAILED
+        line = json.loads(out.read_text())
+        assert line["verdict"] == "in-target" and line["witness"] == "a a b"
+        assert line["caveats"]
+
     def test_byte_identical_reports(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A)
         out1 = tmp_path / "r1.jsonl"
