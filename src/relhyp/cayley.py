@@ -16,12 +16,11 @@ geodesic machinery serves both metrics.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .errors import BudgetExceededError, FamilyMismatchError, UnsupportedFamilyError
+from .errors import UnsupportedFamilyError
 from .groups import (
     Amalgam,
     Elem,
@@ -31,6 +30,7 @@ from .groups import (
     FreeProduct,
     GroupSpec,
     RelHyp,
+    bfs,
     per_instance,
 )
 
@@ -38,12 +38,6 @@ from .groups import (
 Label = tuple
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
-
-
-def _canonical_letters(fac: GroupSpec) -> list[Elem]:
-    """Generator letters in canonical order: positive by index, then inverses."""
-    gens = [g for _, g in fac.generator_elems()]
-    return gens + [fac.inv(g) for g in gens]
 
 
 def _factor_letter_path(fac: GroupSpec, x: Elem) -> list[Elem]:
@@ -76,17 +70,7 @@ def _factor_letter_path(fac: GroupSpec, x: Elem) -> list[Elem]:
 
 @per_instance
 def _finite_paths(fac: FiniteGroup):
-    letters = _canonical_letters(fac)
-    parent = {fac.identity(): None}
-    queue = deque([fac.identity()])
-    while queue:
-        v = queue.popleft()
-        for g in letters:
-            w = fac.mul(v, g)
-            if w not in parent:
-                parent[w] = (v, g)
-                queue.append(w)
-    return parent
+    return bfs(fac.identity(), _ball_letters(fac), fac.mul)[1]
 
 
 def _finite_letter_path(fac: FiniteGroup, x: Elem) -> list[Elem]:
@@ -437,7 +421,6 @@ class Ball:
     radius: int
     elements: tuple[Elem, ...]
     dist: dict
-    parent: dict
 
     def __contains__(self, g) -> bool:
         return g in self.dist
@@ -457,40 +440,27 @@ class Ball:
 
 
 def _ball_letters(G: GroupSpec) -> list[Elem]:
+    """The word metric's letters: generators by index, then their inverses
+    (every nontrivial factor element for an amalgam)."""
     if isinstance(G, Amalgam):
         return G.nontrivial_factor_elems()
     gens = [g for _, g in G.generator_elems()]
     return gens + [G.inv(g) for g in gens]
 
 
-def build_ball(G: GroupSpec, r: int, budget: int = DEFAULT_VERTEX_BUDGET) -> Ball:
-    """Complete radius-r ball of the word metric; |g|_X is exact on it."""
+def build_ball(G: GroupSpec, r: int, budget: Optional[int] = None) -> Ball:
+    """Complete radius-r ball of the word metric; |g|_X is exact on it.
+
+    At most ``budget`` vertices (None: DEFAULT_VERTEX_BUDGET) are stored.
+    """
     if r < 0:
         raise ValueError("radius must be non-negative")
     if isinstance(G, RelHyp):
         G = G.base
-    letters = _ball_letters(G)
-    e = G.identity()
-    dist = {e: 0}
-    parent = {e: None}
-    order = [e]
-    frontier = [e]
-    for d in range(1, r + 1):
-        nxt = []
-        for v in frontier:
-            for g in letters:
-                w = G.mul(v, g)
-                if w not in dist:
-                    if len(dist) >= budget:
-                        raise BudgetExceededError(
-                            "ball exceeded the %d-vertex budget" % budget
-                        )
-                    dist[w] = d
-                    parent[w] = (v, g)
-                    order.append(w)
-                    nxt.append(w)
-        frontier = nxt
-    return Ball(G, r, tuple(order), dist, parent)
+    if budget is None:
+        budget = DEFAULT_VERTEX_BUDGET
+    dist, _ = bfs(G.identity(), _ball_letters(G), G.mul, r, budget)
+    return Ball(G, r, tuple(dist), dist)
 
 
 def rel_dist(u: Elem, v: Elem, view: RelGraphView) -> int:

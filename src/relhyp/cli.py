@@ -26,7 +26,7 @@ from .conditions import (
     check_condition,
     minx,
 )
-from .errors import BudgetExceededError, SchemaError, UnsupportedFamilyError
+from .errors import BudgetExceededError, FamilyMismatchError, SchemaError, UnsupportedFamilyError
 from .geometry import ConstantsProfile, gromov_product, measure_delta
 from .groups import (
     Amalgam,
@@ -109,24 +109,27 @@ def build_group(cfg: dict) -> RelHyp:
     if sec is None:
         raise SchemaError("missing [group] section")
     family = sec.get("family")
-    if family == "free-product":
-        names = sec["factors"].split()
-        base = FreeProduct(tuple(_build_factor(cfg, n) for n in names))
-    elif family == "amalgam":
-        left = _build_factor(cfg, sec["left"])
-        right = _build_factor(cfg, sec["right"])
-        pairs = []
-        for pair in sec["edge"].split(";"):
-            if not pair.strip():
-                continue
-            lw, _, rw = pair.partition(":")
-            pairs.append(
-                (word_to_elem(lw.strip(), left), word_to_elem(rw.strip(), right))
-            )
-        base = Amalgam(left, right, tuple(sorted(pairs)))
-        base.spot_check()
-    else:
-        base = _build_family(sec, "group")
+    try:
+        if family == "free-product":
+            names = sec["factors"].split()
+            base = FreeProduct(tuple(_build_factor(cfg, n) for n in names))
+        elif family == "amalgam":
+            left = _build_factor(cfg, sec["left"])
+            right = _build_factor(cfg, sec["right"])
+            pairs = []
+            for pair in sec["edge"].split(";"):
+                if not pair.strip():
+                    continue
+                lw, _, rw = pair.partition(":")
+                pairs.append((parse_word(lw.strip(), left), parse_word(rw.strip(), right)))
+            base = Amalgam(left, right, tuple(sorted(pairs)))
+            base.spot_check()
+        else:
+            base = _build_family(sec, "group")
+    except KeyError as e:
+        raise SchemaError("group family %r needs the key %s" % (family, e))
+    except ValueError as e:
+        raise SchemaError("bad group: %s" % e)
 
     peripherals = []
     for key, value in sorted(cfg.get("peripherals", {}).items()):
@@ -135,15 +138,14 @@ def build_group(cfg: dict) -> RelHyp:
         except ValueError:
             raise SchemaError("peripheral keys are integer indices")
         parts = value.split()
-        kind = parts[0]
-        if kind == "whole-group":
+        if parts == ["whole-group"]:
             peripherals.append(PeripheralSpec(nu, "whole-group"))
-        elif kind == "cyclic-generator":
+        elif len(parts) == 2 and parts[0] == "cyclic-generator":
             peripherals.append(PeripheralSpec(nu, "cyclic-generator", parts[1]))
-        elif kind == "free-factor":
+        elif len(parts) == 2 and parts[0] == "free-factor" and parts[1].isdigit():
             peripherals.append(PeripheralSpec(nu, "free-factor", int(parts[1])))
         else:
-            raise SchemaError("unknown peripheral kind %r" % kind)
+            raise SchemaError("bad peripheral %r" % value)
     try:
         return RelHyp(base, tuple(peripherals))
     except ValueError as e:
@@ -248,18 +250,20 @@ def _params(cfg: dict) -> dict:
     return cfg.get("params", {})
 
 
-def _int_param(cfg, key, default=None, override=None):
-    if override is not None:
-        return override
-    raw = _params(cfg).get(key)
+def _int_param(cfg, key, default=None, override=None, least=0):
+    """An integer parameter no less than ``least``; a CLI ``override`` wins."""
+    raw = override if override is not None else _params(cfg).get(key)
     if raw is None:
         if default is None:
             raise SchemaError("missing parameter %r" % key)
         return default
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise SchemaError("parameter %r must be an integer" % key)
+    if value < least:
+        raise SchemaError("parameter %r must be at least %d" % (key, least))
+    return value
 
 
 def _word_param(cfg, key):
@@ -269,6 +273,14 @@ def _word_param(cfg, key):
     return raw
 
 
+# Commands defined on one base family only; any other base exits 5.
+_BASE_FAMILY = {
+    **dict.fromkeys(("stallings", "member", "product-member", "separate", "minx-harness"),
+                    FreeGroup),
+    **dict.fromkeys(("amalgam-reduce", "amalgam-member"), Amalgam),
+}
+
+
 def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         budget: Optional[int] = None, radius: Optional[int] = None) -> None:
     """Execute one named check against a parsed configuration."""
@@ -276,10 +288,13 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
     view = relative_view(group)
     wview = view.word_view()
     G = group.base
+    family = _BASE_FAMILY.get(command)
+    if family is not None and not isinstance(G, family):
+        raise UnsupportedFamilyError("%s needs a %s base" % (command, family.__name__))
 
     if command == "ball":
         r = _int_param(cfg, "radius", override=radius)
-        ball = build_ball(G, r, budget or 2_000_000)
+        ball = build_ball(G, r, budget)
         reporter.emit(
             command,
             {"radius": r},
@@ -312,7 +327,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
     elif command == "delta":
         r = _int_param(cfg, "radius", override=radius)
         c0 = _int_param(cfg, "c0", default=0)
-        ball = build_ball(G, r, budget or 2_000_000)
+        ball = build_ball(G, r, budget)
         m = measure_delta(ball)
         profile = ConstantsProfile(delta=m.delta, c0=Fraction(c0), ball_radius=r)
         reporter.emit(
@@ -355,7 +370,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         )
     elif command == "shortcut":
         bl = parse_broken_line(view, cfg.get("paths", {}), "bl")
-        theta = _int_param(cfg, "theta")
+        theta = _int_param(cfg, "theta", least=1)
         res = shortcut_mod.shortcut(bl, theta)
         res.check_invariants()
         reporter.emit(
@@ -371,7 +386,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         B = _int_param(cfg, "B")
         C = _int_param(cfg, "C")
         zeta = _int_param(cfg, "zeta")
-        theta = _int_param(cfg, "theta")
+        theta = _int_param(cfg, "theta", least=1)
         verdict = shortcut_mod.is_tamable(bl, B, C, zeta, theta)
         reporter.emit(
             command,
@@ -381,7 +396,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         )
     elif command == "verify-shortcut":
         bl = parse_broken_line(view, cfg.get("paths", {}), "bl")
-        theta = _int_param(cfg, "theta")
+        theta = _int_param(cfg, "theta", least=1)
         lam = _int_param(cfg, "lambda")
         c = _int_param(cfg, "c")
         eta = _int_param(cfg, "eta", default=0)
@@ -491,8 +506,6 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
             caveats=list(res.caveats),
         )
     elif command == "amalgam-reduce":
-        if not isinstance(G, Amalgam):
-            raise UnsupportedFamilyError("amalgam-reduce needs an amalgam group")
         g = parse_word(_word_param(cfg, "w"), G)
         reporter.emit(
             command,
@@ -500,8 +513,6 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
             {"length": len(g), "syllables": G.elem_str(g)},
         )
     elif command == "amalgam-member":
-        if not isinstance(G, Amalgam):
-            raise UnsupportedFamilyError("amalgam-member needs an amalgam group")
         g = parse_word(_word_param(cfg, "g"), G)
         kind = _params(cfg).get("kind", "BC")
         U = [
@@ -514,11 +525,11 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
             for w in _params(cfg).get("V", "").split(";")
             if w.strip()
         ]
-        reporter.emit(
-            command,
-            {"g": _word_param(cfg, "g"), "kind": kind},
-            amalgam_product_member(g, kind, G, U, V),
-        )
+        try:
+            verdict = amalgam_product_member(g, kind, G, U, V)
+        except (ValueError, FamilyMismatchError) as e:
+            raise SchemaError("bad amalgam-member parameters: %s" % e)
+        reporter.emit(command, {"g": _word_param(cfg, "g"), "kind": kind}, verdict)
     else:
         raise SchemaError("unknown command %r" % command)
 
@@ -591,7 +602,11 @@ def main(argv=None) -> int:
 
     budget = args.budget
     if budget is None and os.environ.get("RELHYP_BUDGET"):
-        budget = int(os.environ["RELHYP_BUDGET"])
+        try:
+            budget = int(os.environ["RELHYP_BUDGET"])
+        except ValueError:
+            print("schema error: RELHYP_BUDGET must be an integer", file=sys.stderr)
+            return EXIT_SCHEMA
 
     try:
         with open(args.config) as fh:

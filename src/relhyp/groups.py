@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+import sys
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .errors import FamilyMismatchError, UnsupportedFamilyError
+from .errors import BudgetExceededError, FamilyMismatchError, UnsupportedFamilyError
 
 Elem = object  # family-specific payload; see module docstring
 
@@ -50,6 +50,41 @@ def per_instance(fn):
     return wrapper
 
 
+def bfs(start, letters, mul, radius=None, budget=None):
+    """Breadth-first closure of ``start`` under right multiplication by ``letters``.
+
+    Returns ``(dist, parent)``, both in discovery order: ``dist[w]`` is the
+    least number of letters taking ``start`` to ``w``, and ``parent[w]`` is
+    the ``(v, g)`` with ``w == mul(v, g)`` that first reached ``w`` (``None``
+    at ``start``).  ``radius`` caps the depth (None: until nothing new
+    appears); BudgetExceededError is raised before element ``budget + 1``
+    would be stored.
+    """
+    limit = sys.maxsize if budget is None else budget
+    if limit < 1:
+        raise BudgetExceededError("search exceeded the %d-element budget" % limit)
+    dist = {start: 0}
+    parent = {start: None}
+    frontier = [start]
+    d = 0
+    while frontier and (radius is None or d < radius):
+        d += 1
+        nxt = []
+        for v in frontier:
+            for g in letters:
+                w = mul(v, g)
+                if w not in dist:
+                    if len(dist) >= limit:
+                        raise BudgetExceededError(
+                            "search exceeded the %d-element budget" % limit
+                        )
+                    dist[w] = d
+                    parent[w] = (v, g)
+                    nxt.append(w)
+        frontier = nxt
+    return dist, parent
+
+
 class GroupSpec:
     """Base class for group families.  Subclasses implement the arithmetic."""
 
@@ -73,14 +108,6 @@ class GroupSpec:
     def generator_elems(self) -> list[tuple[str, Elem]]:
         """Standard generators as (symbol, element) pairs, inverses excluded."""
         raise NotImplementedError
-
-    def generator_letters(self) -> list[tuple[str, Elem]]:
-        """Generators and their inverses, ``^-1``-suffixed symbols included."""
-        out = []
-        for sym, g in self.generator_elems():
-            out.append((sym, g))
-            out.append((sym + "^-1", self.inv(g)))
-        return out
 
     def elem_str(self, a: Elem) -> str:
         """Render an element as a word string (parseable by word_to_elem)."""
@@ -249,17 +276,8 @@ class FiniteGroup(GroupSpec):
 
     @per_instance
     def _dist_table(self):
-        # BFS from identity over designated generators and their inverses.
-        moves = set(self._gen_indices()) | {self.inv(g) for g in self._gen_indices()}
-        dist = {self.identity_index: 0}
-        queue = deque([self.identity_index])
-        while queue:
-            v = queue.popleft()
-            for g in moves:
-                w = self.table[v][g]
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
+        gens = self._gen_indices()
+        dist, _ = bfs(self.identity_index, set(gens) | set(map(self.inv, gens)), self.mul)
         if len(dist) != self.order:
             raise ValueError("designated generators do not generate the group")
         return dist
@@ -622,35 +640,6 @@ class RelHyp(GroupSpec):
         if g == self.base.identity():
             return True
         return len(g) == 1 and g[0][0] == p.arg
-
-    def peripheral_ball(self, nu: int, radius: int) -> list[Elem]:
-        """Nontrivial elements of H_nu with x-length at most ``radius``."""
-        p = self.peripheral(nu)
-        if p.kind == "cyclic-generator":
-            i = self.base.symbols.index(p.arg) + 1
-            out = []
-            for k in range(1, radius + 1):
-                out.append((i,) * k)
-                out.append((-i,) * k)
-            return out
-        if p.kind == "free-factor":
-            fac = self.base.factors[p.arg]
-            seen = {fac.identity()}
-            frontier = [fac.identity()]
-            letters = [g for _, g in fac.generator_elems()]
-            letters += [fac.inv(g) for g in letters]
-            for _ in range(radius):
-                nxt = []
-                for v in frontier:
-                    for g in letters:
-                        w = fac.mul(v, g)
-                        if w not in seen:
-                            seen.add(w)
-                            nxt.append(w)
-                frontier = nxt
-            seen.discard(fac.identity())
-            return [self.base.embed(p.arg, x) for x in seen]
-        raise UnsupportedFamilyError("peripheral ball for %r" % p.kind)
 
 
 @dataclass(frozen=True)

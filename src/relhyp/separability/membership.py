@@ -12,6 +12,7 @@ from ..groups import (
     FreeGroup,
     GroupSpec,
     RelHyp,
+    bfs,
 )
 from .stallings import member, subgroup_graph
 
@@ -71,18 +72,7 @@ def membership_oracle(G: GroupSpec, gens: Sequence[Elem]) -> Callable[[Elem], bo
         gen_rows = tuple(tuple(g) for g in gens)
         return lambda g: lattice_contains(gen_rows, tuple(g))
     if isinstance(G, FiniteGroup):
-        closure = {G.identity()}
-        frontier = [G.identity()]
-        moves = list(gens) + [G.inv(g) for g in gens]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for m in moves:
-                    w = G.mul(v, m)
-                    if w not in closure:
-                        closure.add(w)
-                        nxt.append(w)
-            frontier = nxt
+        closure, _ = bfs(G.identity(), list(gens) + [G.inv(g) for g in gens], G.mul)
         return lambda g: g in closure
     raise UnsupportedFamilyError(
         "no membership oracle for %s subgroups" % type(G).__name__

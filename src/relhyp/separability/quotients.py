@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import BudgetExceededError, UnsupportedFamilyError
-from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec, per_instance
+from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec, bfs, per_instance
 from .rational import RationalSubset
 from .stallings import StallingsGraph, spanning_tree, subgroup_graph
 
@@ -57,22 +57,8 @@ def perm_block_sum(p: Perm, q: Perm) -> Perm:
 
 def subgroup_closure(gens: Sequence[Perm], n: int, budget: int = 100_000) -> frozenset:
     """The subgroup of S_n generated by ``gens`` (breadth-first closure)."""
-    e = perm_identity(n)
-    seen = {e}
-    frontier = [e]
-    gens = list(gens) + [perm_inv(g) for g in gens]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = perm_mul(p, g)
-                if q not in seen:
-                    if len(seen) >= budget:
-                        raise BudgetExceededError("permutation closure too large")
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return frozenset(seen)
+    letters = list(gens) + [perm_inv(g) for g in gens]
+    return frozenset(bfs(perm_identity(n), letters, perm_mul, budget=budget)[0])
 
 
 def product_set(parts: Sequence[frozenset], budget: int = 2_000_000) -> frozenset:
@@ -119,17 +105,10 @@ class FiniteQuotient:
         gens = [g for _, g in dom.generator_elems()]
         images = dict(zip(gens, self.gen_images))
         e = dom.identity()
+        _, parent = bfs(e, list(images), dom.mul)
         table = {e: perm_identity(self.degree)}
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for g, img in images.items():
-                    w = dom.mul(v, g)
-                    if w not in table:
-                        table[w] = perm_mul(table[v], img)
-                        nxt.append(w)
-            frontier = nxt
+        for w, (v, g) in itertools.islice(parent.items(), 1, None):
+            table[w] = perm_mul(table[v], images[g])
         return table
 
     def check(self) -> None:

@@ -2,9 +2,9 @@
 
 Oracles here deliberately avoid the library's own normal-form code paths:
 free words are reduced by repeated adjacent-pair deletion, amalgam equality
-is decided by a union-find closure of elementary rewriting moves, and
-relative distances are recomputed by breadth-first search on explicitly
-built coned graphs.
+is decided by a union-find closure of elementary rewriting moves, relative
+distances are recomputed by breadth-first search on explicitly built coned
+graphs, and finite subgroups and word lengths are fixpoints of set products.
 """
 
 from __future__ import annotations
@@ -171,6 +171,37 @@ def amalgam_word_classes(A: Amalgam, max_syllables: int):
             if j is not None:
                 union(i, j)
     return words, index, find
+
+
+def fixpoint_lengths(letters, mul, identity):
+    """Word lengths in a finite group by set products, with no search.
+
+    ``level`` is every product of at most k letters; it is multiplied by the
+    whole letter set until it stops growing.  Returns {element: least k}.
+    """
+    lengths = {identity: 0}
+    level = {identity}
+    k = 0
+    while True:
+        k += 1
+        grown = level | {mul(a, x) for a in level for x in letters}
+        if grown == level:
+            return lengths
+        for g in grown - level:
+            lengths[g] = k
+        level = grown
+
+
+def fixpoint_closure(gens, mul, identity):
+    """The subgroup of a finite group generated by ``gens``: pairwise products
+    of everything found so far, repeated until nothing new appears (in a
+    finite group the generated monoid is already the subgroup)."""
+    elems = {identity, *gens}
+    while True:
+        new = {mul(a, b) for a in elems for b in elems} - elems
+        if not new:
+            return elems
+        elems |= new
 
 
 def reference_assemble(rank, n, edges):

@@ -1,5 +1,6 @@
 import io
 import json
+import random
 
 import pytest
 
@@ -91,6 +92,12 @@ symbol = c
 w = b b c c c
 g = c b
 kind = BC
+"""
+
+FREE_ABELIAN = """
+[group]
+family = free-abelian
+symbols = a b
 """
 
 
@@ -252,6 +259,34 @@ class TestMainExitCodes:
         cfg = self._write(tmp_path, FAB_REL_A)
         assert main(["--config", cfg, "--command", "ball", "--radius", "9"]) == EXIT_BUDGET
 
+    @pytest.mark.parametrize("command", ["ball", "delta"])
+    def test_budget_zero_is_honoured(self, tmp_path, capsys, command):
+        cfg = self._write(tmp_path, FAB_REL_A)
+        argv = ["--config", cfg, "--command", command, "--radius", "2", "--budget", "0"]
+        assert main(argv) == EXIT_BUDGET
+
+    def test_budget_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("RELHYP_BUDGET", "abc")
+        cfg = self._write(tmp_path, FAB_REL_A)
+        assert main(["--config", cfg, "--command", "ball", "--radius", "2"]) == EXIT_SCHEMA
+        assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base,letter",
+        [(Z2Z, "x"), (AMALGAM, "b"), (FREE_ABELIAN, "a")],
+        ids=["free-product", "amalgam", "free-abelian"],
+    )
+    @pytest.mark.parametrize(
+        "command", ["stallings", "member", "product-member", "separate", "minx-harness"]
+    )
+    def test_free_group_command_on_other_base(self, tmp_path, capsys, base, letter, command):
+        cfg = self._write(tmp_path, base + (
+            "\n[subgroups]\nQ = {0}\nR = {0} {0}\n"
+            "\n[params]\ng = {0} {0} {0}\nfactors = Q R\nC = 2\n".format(letter)
+        ))
+        assert main(["--config", cfg, "--command", command]) == EXIT_UNSUPPORTED
+        assert "unsupported family" in capsys.readouterr().err
+
     def test_timing_env_enables_timing(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RELHYP_TIMING", "1")
         cfg = self._write(tmp_path, FAB_REL_A)
@@ -280,22 +315,75 @@ class TestMainExitCodes:
             assert verify_separation(q, word_to_elem("b a", F), target)
 
     @pytest.mark.parametrize(
-        "old,new,command",
+        "base,old,new,command",
         [
-            ("symbols = a b", "symbols = a a", "rel-dist"),
-            ("symbols = a b\n", "", "rel-dist"),
-            ("B = 2", "B = two", "check-conditions"),
-            ("[paths]\n", "[paths]\npath = x:b h:1:a\n", "components"),
-            ("v = a a a b a a", "v = z", "rel-dist"),
+            (FAB_REL_A, "symbols = a b", "symbols = a a", "rel-dist"),
+            (FAB_REL_A, "symbols = a b\n", "", "rel-dist"),
+            (FAB_REL_A, "B = 2", "B = two", "check-conditions"),
+            (FAB_REL_A, "[paths]\n", "[paths]\npath = x:b h:1:a\n", "components"),
+            (FAB_REL_A, "v = a a a b a a", "v = z", "rel-dist"),
+            (Z2Z, "factors = A B\n", "", "rel-dist"),
+            (AMALGAM, "edge = : ; b b : c c c\n", "", "amalgam-reduce"),
+            (AMALGAM, "edge = : ; b b : c c c", "edge = b b : c c c", "amalgam-reduce"),
+            (FAB_REL_A, "0 = cyclic-generator a", "0 =", "rel-dist"),
+            (FAB_REL_A, "0 = cyclic-generator a", "0 = cyclic-generator", "rel-dist"),
+            (Z2Z, "0 = free-factor 0", "0 = free-factor x", "rel-dist"),
+            (FAB_REL_A, "radius = 6", "radius = -1", "ball"),
+            (FAB_REL_A, "radius = 6", "radius = -1", "check-conditions"),
+            (FAB_REL_A, "theta = 5", "theta = -5", "shortcut"),
+            (AMALGAM, "kind = BC", "kind = XX", "amalgam-member"),
         ],
         ids=["duplicate-symbols", "missing-symbols", "non-integer-B",
-             "unknown-peripheral", "unknown-letter"],
+             "unknown-peripheral", "unknown-letter", "free-product-without-factors",
+             "amalgam-without-edge", "edge-without-identity", "empty-peripheral",
+             "cyclic-generator-without-letter", "free-factor-not-an-index",
+             "negative-radius-ball", "negative-radius-conditions", "negative-theta",
+             "unknown-amalgam-kind"],
     )
-    def test_malformed_config_is_schema_error(self, tmp_path, capsys, old, new, command):
-        assert old in FAB_REL_A
-        cfg = self._write(tmp_path, FAB_REL_A.replace(old, new))
+    def test_malformed_config_is_schema_error(self, tmp_path, capsys, base, old, new, command):
+        assert old in base
+        cfg = self._write(tmp_path, base.replace(old, new))
         assert main(["--config", cfg, "--command", command]) == EXIT_SCHEMA
         assert "schema error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "base,commands",
+        [
+            (FAB_REL_A, ["rel-dist", "geodesic", "ball", "shortcut", "stallings", "member",
+                         "product-member"]),
+            (Z2Z, ["rel-dist", "geodesic", "ball"]),
+            (AMALGAM, ["amalgam-reduce", "amalgam-member", "ball"]),
+        ],
+        ids=["free", "free-product", "amalgam"],
+    )
+    def test_mutated_config_exits_with_a_contract_code(self, tmp_path, capsys, base, commands):
+        """Drop or corrupt one key at a time: every run ends in a documented exit code."""
+        rng = random.Random(0)
+        junk = ["", "x", "-3", "0", "1 2", "a ^ b", ":", "h:0:"]
+        tokens = base.split() + ["-1", "^-1", ";", "|", ":", ","]
+        lines = base.splitlines()
+        mutants = []
+        for i, line in enumerate(lines):
+            if "=" in line:
+                key = line.partition("=")[0]
+                mutants.append(lines[:i] + lines[i + 1:])
+                values = junk + [" ".join(rng.choices(tokens, k=rng.randint(1, 4)))
+                                 for _ in range(4)]
+                for value in values:
+                    mutants.append(lines[:i] + [key + "= " + value] + lines[i + 1:])
+        bad = []
+        for mutant in mutants:
+            cfg = self._write(tmp_path, "\n".join(mutant) + "\n")
+            for command in commands:
+                argv = ["--config", cfg, "--command", command, "--budget", "5000"]
+                try:
+                    rc = main(argv)
+                except Exception as e:  # a traceback is itself a contract breach
+                    rc = repr(e)
+                if rc not in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_BUDGET, EXIT_SCHEMA,
+                              EXIT_UNSUPPORTED):
+                    bad.append((command, "\n".join(mutant), rc))
+        assert not bad, "%d runs broke the exit-code contract; first: %r" % (len(bad), bad[0])
 
     def test_check_conditions_radius_zero(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A)

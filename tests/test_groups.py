@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -15,9 +16,19 @@ from relhyp import (
     syllables,
     word_to_elem,
 )
-from relhyp.cayley import build_ball
+from relhyp.cayley import _finite_letter_path, build_ball
+from relhyp.errors import BudgetExceededError
+from relhyp.groups import FiniteGroup, bfs
+from relhyp.separability import membership_oracle
+from relhyp.separability.quotients import perm_mul, subgroup_closure
 
-from conftest import amalgam_word_classes, random_free_letters, reduce_letters_naive
+from conftest import (
+    amalgam_word_classes,
+    fixpoint_closure,
+    fixpoint_lengths,
+    random_free_letters,
+    reduce_letters_naive,
+)
 
 w = word_to_elem
 
@@ -166,3 +177,85 @@ class TestAmalgam:
         C = cyclic_group(6, "c")
         with pytest.raises(ValueError):
             Amalgam(B, C, ((0, 0), (1, 3))).spot_check()  # b has order 4, c^3 order 2
+
+
+def symmetric_group(n):
+    """S_n as a multiplication table, its elements in lexicographic order."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(tuple(index[perm_mul(p, q)] for q in perms) for p in perms)
+    return FiniteGroup(table=table, identity_index=index[tuple(range(n))])
+
+
+S3, S4 = symmetric_group(3), symmetric_group(4)
+perms_of = st.integers(2, 5).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.permutations(range(n)), max_size=3))
+)
+finite_with_gens = st.sampled_from(
+    [cyclic_group(n) for n in (1, 2, 5, 12)] + [S3, S4]
+).flatmap(lambda G: st.tuples(
+    st.just(G), st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3)))
+
+
+class TestBreadthFirstKernel:
+    """``groups.bfs`` through each of its callers, against set-product fixpoints."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(perms_of)
+    def test_subgroup_closure(self, case):
+        n, gens = case
+        gens = [tuple(p) for p in gens]
+        expected = fixpoint_closure(gens, perm_mul, tuple(range(n)))
+        assert subgroup_closure(gens, n) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_with_gens)
+    def test_finite_membership_oracle(self, case):
+        G, gens = case
+        closure = fixpoint_closure(gens, G.mul, G.identity())
+        oracle = membership_oracle(G, gens)
+        assert {g for g in range(G.order) if oracle(g)} == closure
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_with_gens)
+    def test_finite_x_length_and_letter_path(self, case):
+        G, gens = case
+        G = FiniteGroup(G.table, G.identity_index, gens=tuple(gens))
+        letters = set(gens) | {G.inv(g) for g in gens}
+        lengths = fixpoint_lengths(letters, G.mul, G.identity())
+        if len(lengths) < G.order:
+            with pytest.raises(ValueError):
+                G.x_length(G.identity())
+            return
+        for x in range(G.order):
+            assert G.x_length(x) == lengths[x]
+            path = _finite_letter_path(G, x)
+            assert all(g in letters for g in path)
+            assert len(path) == lengths[x]
+            prod = G.identity()
+            for g in path:
+                prod = G.mul(prod, g)
+            assert prod == x
+
+    @pytest.mark.parametrize("rank,radius", [(1, 5), (2, 4), (3, 3)])
+    def test_free_ball_is_every_reduced_word(self, rank, radius):
+        F = FreeGroup(tuple("abc"[:rank]))
+        signed = [s * i for i in range(1, rank + 1) for s in (1, -1)]
+        words = {reduce_letters_naive(word)
+                 for k in range(radius + 1) for word in itertools.product(signed, repeat=k)}
+        ball = build_ball(F, radius)
+        assert len(ball.elements) == len(words) and set(ball.elements) == words
+        assert all(ball.dist[g] == len(g) for g in words)
+
+    def test_budget_and_radius(self):
+        C = cyclic_group(12)
+        dist, parent = bfs(0, [1], C.mul, budget=12)
+        assert list(dist) == list(parent) == list(range(12))
+        assert parent[0] is None and parent[5] == (4, 1)
+        with pytest.raises(BudgetExceededError):
+            bfs(0, [1], C.mul, budget=11)
+        assert bfs(0, [1], C.mul, radius=0, budget=1) == ({0: 0}, {0: None})
+        with pytest.raises(BudgetExceededError):
+            bfs(0, [1], C.mul, radius=0, budget=0)
+        dist, _ = bfs(0, [1, 11], C.mul, radius=2)
+        assert dist == {0: 0, 1: 1, 11: 1, 2: 2, 10: 2}
