@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -328,6 +329,11 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         r = _int_param(cfg, "radius", override=radius)
         c0 = _int_param(cfg, "c0", default=0)
         ball = build_ball(G, r, budget)
+        triples = math.comb(len(ball), 3)
+        if budget is not None and triples > budget:
+            raise BudgetExceededError(
+                "%d vertex triples exceed the budget of %d" % (triples, budget)
+            )
         m = measure_delta(ball)
         profile = ConstantsProfile(delta=m.delta, c0=Fraction(c0), ball_radius=r)
         reporter.emit(

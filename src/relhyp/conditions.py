@@ -23,11 +23,12 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .cayley import RelGraphView, build_ball
 from .errors import UnsupportedFamilyError
-from .groups import Elem, FreeGroup, GroupSpec, SubgroupSpec
+from .groups import Elem, FreeGroup, GroupSpec, SubgroupSpec, per_instance
 from .separability import (
     RationalSubset,
     basis,
     finite_index_in,
+    member,
     membership_oracle,
     pullback,
     subgroup_graph,
@@ -98,15 +99,24 @@ class ConditionContext:
                 "condition checking needs a free ambient base"
             )
         self.G = base
-        self._ball = None
 
+    @per_instance
     def ball_elements(self):
-        if self._ball is None:
-            self._ball = build_ball(self.G, self.radius)
-        return self._ball.elements
+        return build_ball(self.G, self.radius).elements
+
+    def first(self, pred: Callable[[Elem], bool]) -> Optional[Elem]:
+        """The first ball element satisfying ``pred``, or None.
+
+        The ball is in breadth-first order over a free ambient, where |g|_X
+        is the breadth-first depth, so the first hit has the least X-length:
+        it is the element a full scan keeping only strictly shorter hits
+        would return.
+        """
+        return next((g for g in self.ball_elements() if pred(g)), None)
 
     # -- derived subgroups, all exact via folded automata --
 
+    @per_instance
     def graph(self, spec: SubgroupSpec):
         return subgroup_graph(spec.gens, self.G)
 
@@ -159,14 +169,8 @@ def _minx_condition(
     caveats: tuple = (),
 ) -> ConditionReport:
     """Generic minx(inside \\ outside) >= threshold over the radius ball."""
-    measured = math.inf
-    witness = None
-    for g in ctx.ball_elements():
-        if inside.contains(g) and not outside(g):
-            l = ctx.G.x_length(g)
-            if l < measured:
-                measured = l
-                witness = g
+    witness = ctx.first(lambda g: inside.contains(g) and not outside(g))
+    measured = math.inf if witness is None else ctx.G.x_length(witness)
     if measured < threshold:
         return ConditionReport(
             cond_id, "fails", ctx.radius, witness, measured, params, caveats
@@ -216,35 +220,38 @@ def check_condition(cond_id: str, ctx: ConditionContext) -> ConditionReport:
 
 
 def _check_c1(ctx: ConditionContext) -> ConditionReport:
-    s = ctx.s_spec()
+    s_graph = ctx.graph(ctx.s_spec())
     qp_rp = pullback(ctx.graph(ctx.Qp), ctx.graph(ctx.Rp))
-    exact = subgroups_equal(qp_rp, ctx.graph(s), ctx.G)
-    if exact:
+    if subgroups_equal(qp_rp, s_graph, ctx.G):
         return ConditionReport(
             "C1", "holds", ctx.radius, None, None, (), ("exact via folded automata",)
         )
     # produce a short witness on either side of the failed inclusion
-    in_qp_rp = membership_oracle(ctx.G, tuple(basis(qp_rp, ctx.G)))
-    in_s = membership_oracle(ctx.G, s.gens)
-    witness = None
-    for g in ctx.ball_elements():
-        if in_qp_rp(g) != in_s(g):
-            witness = g
-            break
+    witness = ctx.first(lambda g: member(g, qp_rp) != member(g, s_graph))
     return ConditionReport("C1", "fails", ctx.radius, witness)
 
 
-def _check_c2(ctx: ConditionContext) -> Iterator[ConditionReport]:
-    join = ctx.join_spec()
-    for side in (ctx.Q, ctx.R):
+def _c2_reports(ctx: ConditionContext, cond_id: str, side: SubgroupSpec, tails):
+    """The C2 minx reports on one side, lazily.
+
+    ``tails`` holds (params, factors) pairs: the factors extend both
+    products after the side, and the params follow B in the report.
+    """
+    join_gens = ctx.join_spec().gens
+    for extra, tail in tails:
         yield _minx_condition(
             ctx,
-            "C2",
-            RationalSubset(ctx.G, (), (side.gens, join.gens, side.gens)),
-            membership_oracle(ctx.G, side.gens),
+            cond_id,
+            RationalSubset(ctx.G, (), (side.gens, join_gens, side.gens) + tail),
+            RationalSubset(ctx.G, (), (side.gens,) + tail).contains,
             ctx.B,
-            params=(("B", ctx.B), ("side", side.role or "?")),
+            params=(("B", ctx.B),) + extra,
         )
+
+
+def _check_c2(ctx: ConditionContext) -> Iterator[ConditionReport]:
+    for side in (ctx.Q, ctx.R):
+        yield from _c2_reports(ctx, "C2", side, [((("side", side.role or "?"),), ())])
 
 
 def _check_c3(ctx: ConditionContext) -> Iterator[ConditionReport]:
@@ -274,12 +281,10 @@ def _check_c4(ctx: ConditionContext) -> ConditionReport:
         for big, small in ((ctx.Q, qp_P), (ctx.R, rp_P)):
             big_P = ctx.restrict(big, P, "%s_P" % (big.role or "?"))
             lhs = pullback(ctx.graph(big_P), join_P)
-            if not subgroups_equal(lhs, ctx.graph(small), ctx.G):
-                in_lhs = membership_oracle(ctx.G, tuple(basis(lhs, ctx.G)))
-                in_small = membership_oracle(ctx.G, small.gens)
-                witness = next(
-                    (g for g in ctx.ball_elements() if in_lhs(g) != in_small(g)),
-                    None,
+            small_graph = ctx.graph(small)
+            if not subgroups_equal(lhs, small_graph, ctx.G):
+                witness = ctx.first(
+                    lambda g: member(g, lhs) != member(g, small_graph)
                 )
                 return ConditionReport(
                     "C4", "fails", ctx.radius, witness, None,
@@ -344,17 +349,11 @@ def _check_c5(ctx: ConditionContext) -> Iterator[ConditionReport]:
 
 
 def _check_c2m(ctx: ConditionContext) -> Iterator[ConditionReport]:
-    join = ctx.join_spec()
-    for j in range(len(ctx.T_list) + 1):
-        tail = tuple(t.gens for t in ctx.T_list[:j])
-        yield _minx_condition(
-            ctx,
-            "C2-m",
-            RationalSubset(ctx.G, (), (ctx.R.gens, join.gens, ctx.R.gens) + tail),
-            RationalSubset(ctx.G, (), (ctx.R.gens,) + tail).contains,
-            ctx.B,
-            params=(("B", ctx.B), ("j", j)),
-        )
+    tails = (
+        ((("j", j),), tuple(t.gens for t in ctx.T_list[:j]))
+        for j in range(len(ctx.T_list) + 1)
+    )
+    yield from _c2_reports(ctx, "C2-m", ctx.R, tails)
 
 
 def _check_c5m(ctx: ConditionContext) -> Iterator[ConditionReport]:

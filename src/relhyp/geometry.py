@@ -158,33 +158,6 @@ def _tree_triple_delta(x, y, z) -> Fraction:
     return _tree_ball_scan((x, y, z))[0]
 
 
-def _tree_pdist(words, cptab, w1, l1, w2, l2):
-    c = min(l1, l2) if w1 == w2 else min(l1, l2, cptab[w1][w2])
-    return l1 + l2 - 2 * c
-
-
-def _tree_mid_dist2(words, cptab, w1, a1, w2, a2) -> int:
-    """Doubled distance between points at doubled positions, odd = midpoint."""
-    if a1 & 1 and a2 & 1:
-        e1 = ((w1, (a1 - 1) // 2), (w1, (a1 + 1) // 2))
-        e2 = ((w2, (a2 - 1) // 2), (w2, (a2 + 1) // 2))
-        fwd = all(_tree_pdist(words, cptab, *p, *q) == 0 for p, q in zip(e1, e2))
-        rev = all(
-            _tree_pdist(words, cptab, *p, *q) == 0 for p, q in zip(e1, e2[::-1])
-        )
-        if fwd or rev:
-            return 0
-        return 2 + 2 * min(
-            _tree_pdist(words, cptab, *p, *q) for p in e1 for q in e2
-        )
-    if a1 & 1:
-        (w1, a1), (w2, a2) = (w2, a2), (w1, a1)
-    ends = ((w2, (a2 - 1) // 2), (w2, (a2 + 1) // 2))
-    return 1 + 2 * min(
-        _tree_pdist(words, cptab, w1, a1 // 2, *e) for e in ends
-    )
-
-
 @dataclass(frozen=True)
 class DeltaMeasurement:
     """Measured tripod-thinness maximum over all vertex triples of a ball."""
@@ -198,11 +171,15 @@ class DeltaMeasurement:
 def _tree_ball_scan(elems):
     """Exhaustive triple scan with precomputed prefix tables (free groups).
 
-    All positions are doubled so midpoints are integers.  Side points are
-    prefixes of the corner words, so matched-point distances are arithmetic
-    on common-prefix lengths; the shared initial segment of the two sides at
-    a corner (where both are equal prefixes of the corner word) contributes
-    zero and is skipped wholesale.
+    All positions are doubled so midpoints are integers.  Every point the
+    scan compares is a pair (corner word w, doubled arclength a along the
+    tree ray from 1 to w), a vertex when a is even and an edge midpoint when
+    it is odd.  Two rays from 1 share exactly their first cp(w1, w2) edges
+    and then part for good, so at every position, vertex or midpoint, the
+    doubled distance is a1 + a2 - 2 min(a1, a2, 2 cp(w1, w2)); with
+    cp(w, w) = |w| this is |a1 - a2| on one ray.  The shared initial segment
+    of the two sides at a corner (where both are equal prefixes of the
+    corner word) contributes zero and is skipped wholesale.
     """
     n = len(elems)
     lens = [len(w) for w in elems]
@@ -240,12 +217,9 @@ def _tree_ball_scan(elems):
                     start = b1_2 if b1_2 < b2_2 else b2_2
                     if start >= leg2:
                         continue  # both sides ride the corner word for the whole leg
-                    words = (elems[c], elems[o1], elems[o2])
-                    cptab = (
-                        (None, cp1, cp2),
-                        (cp1, None, cp[o1][o2]),
-                        (cp2, cp[o2][o1], None),
-                    )
+                    # doubled cp of the two points' words, indexed by
+                    # (side 1 on o1's ray, side 2 on o2's ray)
+                    cc2 = ((2 * lc, 2 * cp2), (2 * cp1, 2 * cp[o1][o2]))
                     for t2 in range(start, leg2 + 1):
                         # point on side [corner -> o_i]: (word, doubled prefix length)
                         if t2 <= b1_2:
@@ -255,18 +229,10 @@ def _tree_ball_scan(elems):
                         if t2 <= b2_2:
                             w2, a2 = 0, 2 * lc - t2
                         else:
-                            w2, a2 = 2, 2 * cp2 + (t2 - b2_2)
-                        if a1 & 1 == 0 and a2 & 1 == 0:
-                            if w1 == w2:
-                                d2 = a1 - a2 if a1 >= a2 else a2 - a1
-                            else:
-                                m = a1 if a1 < a2 else a2
-                                cc2 = 2 * cptab[w1][w2]
-                                if cc2 < m:
-                                    m = cc2
-                                d2 = a1 + a2 - 2 * m
-                        else:
-                            d2 = _tree_mid_dist2(words, cptab, w1, a1, w2, a2)
+                            w2, a2 = 1, 2 * cp2 + (t2 - b2_2)
+                        m = a1 if a1 < a2 else a2
+                        c2 = cc2[w1][w2]
+                        d2 = a1 + a2 - 2 * (m if m < c2 else c2)
                         if d2 > best2:
                             best2 = d2
                             witness = (elems[i], elems[j], elems[k])

@@ -176,15 +176,6 @@ class MinimizeResult:
     caveat: str
 
 
-def _candidates(view: RelGraphView, spec: SubgroupSpec, max_len: int) -> list[Elem]:
-    G = view.group
-    oracle = membership_oracle(G, spec.gens)
-    ball = build_ball(G.base, max_len)
-    out = [g for g in ball.elements if g != G.identity() and oracle(g)]
-    out.sort(key=G.sort_key)
-    return out
-
-
 def minimize_type(
     g: Elem,
     qp: SubgroupSpec,
@@ -205,9 +196,12 @@ def minimize_type(
         rep = PathRep("I", line, ("Q'",))
         return MinimizeResult(rep, RepType(1, 0, 0), budget, caveat)
 
-    cand_q = _candidates(view, qp, budget.max_len)
-    cand_r = _candidates(view, rp, budget.max_len)
-    pool = [(y, "Q'") for y in cand_q] + [(y, "R'") for y in cand_r]
+    ball = build_ball(G.base, budget.max_len).elements
+    pool = []
+    for spec, role in ((qp, "Q'"), (rp, "R'")):
+        oracle = membership_oracle(G, spec.gens)
+        cands = [y for y in ball if y != G.identity() and oracle(y)]
+        pool += [(y, role) for y in sorted(cands, key=G.sort_key)]
 
     best: Optional[tuple[RepType, tuple]] = None
 

@@ -159,10 +159,5 @@ class RationalSubset:
 
 def product_member(g: Elem, factors: Sequence, G: FreeGroup) -> bool:
     """Is g in the product H_1 H_2 ... H_s (as a group product, with
-    cancellation)?  ``factors`` are StallingsGraphs or generator tuples."""
-    graphs = [
-        f if isinstance(f, StallingsGraph) else subgroup_graph(tuple(f), G)
-        for f in factors
-    ]
-    nfa = saturate(build_chain_nfa((), graphs))
-    return accepts_reduced(nfa, g)
+    cancellation)?  ``factors`` are generator tuples."""
+    return RationalSubset(G, (), factors).contains(g)

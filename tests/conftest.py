@@ -9,6 +9,7 @@ graphs, and finite subgroups and word lengths are fixpoints of set products.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -265,3 +266,38 @@ def reference_assemble(rank, n, edges):
     index = {v: i for i, v in enumerate(order)}
     out = tuple({x: index[w] for x, w in out_map[v].items()} for v in order)
     return StallingsGraph(rank, out)
+
+
+def least_hit(elements, pred):
+    """(least length of an element satisfying ``pred``, the first such
+    element of that length), by a full scan that keeps only a strictly
+    shorter hit; (inf, None) when nothing satisfies ``pred``.  Elements are
+    reduced free words, so the length is the tuple's."""
+    measured, witness = math.inf, None
+    for g in elements:
+        if pred(g) and len(g) < measured:
+            measured, witness = len(g), g
+    return measured, witness
+
+
+def reference_minx_condition(ctx, cond_id, inside, outside, threshold, params, caveats=()):
+    """``conditions._minx_condition`` over a full scan of the ball
+    (``least_hit``), with no use of the ball's breadth-first order."""
+    from relhyp.conditions import ConditionReport
+
+    measured, witness = least_hit(
+        ctx.ball_elements(), lambda g: inside.contains(g) and not outside(g)
+    )
+    if measured < threshold:
+        return ConditionReport(
+            cond_id, "fails", ctx.radius, witness, measured, params, caveats
+        )
+    return ConditionReport(
+        cond_id,
+        "holds-to-radius",
+        ctx.radius,
+        None,
+        measured,
+        params,
+        caveats + ("pass is radius-stamped; a failure witness would be absolute",),
+    )

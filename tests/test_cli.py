@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import time
 
 import pytest
 
@@ -264,6 +265,17 @@ class TestMainExitCodes:
         cfg = self._write(tmp_path, FAB_REL_A)
         argv = ["--config", cfg, "--command", command, "--radius", "2", "--budget", "0"]
         assert main(argv) == EXIT_BUDGET
+
+    def test_budget_bounds_delta_triples(self, tmp_path, capsys):
+        # radius 5: 485 vertices fit the budget, their C(485, 3) triples do not
+        cfg = self._write(tmp_path, FAB_REL_A)
+        start = time.perf_counter()
+        argv = ["--config", cfg, "--command", "delta", "--radius", "5", "--budget", "1000"]
+        assert main(argv) == EXIT_BUDGET
+        assert time.perf_counter() - start < 1.0
+        assert "triples" in capsys.readouterr().err
+        argv = ["--config", cfg, "--command", "delta", "--radius", "3", "--budget", "100000"]
+        assert main(argv) == EXIT_OK
 
     def test_budget_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RELHYP_BUDGET", "abc")

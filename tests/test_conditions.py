@@ -1,8 +1,12 @@
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relhyp import FreeGroup, PeripheralSpec, RelHyp, SubgroupSpec, word_to_elem
+from relhyp import conditions
 from relhyp.cayley import build_ball, relative_view
 from relhyp.conditions import (
     ConditionContext,
@@ -14,6 +18,8 @@ from relhyp.conditions import (
     quasiconvexity_epsilon,
 )
 from relhyp.separability import membership_oracle
+
+from conftest import least_hit, reduce_letters_naive, reference_minx_condition
 
 w = word_to_elem
 
@@ -289,3 +295,109 @@ def test_pinned_report(fab, fab_rel_a, cond_id, kwargs, extra, expected):
             value = (SubgroupSpec(tuple(w(x, fab) for x in words), role=role),)
         setattr(ctx, key, value)
     assert check_condition(cond_id, ctx) == ConditionReport(cond_id, *expected)
+
+
+# -- first hit against the full scan -------------------------------------------
+
+_gens = st.lists(
+    st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=3)
+    .map(reduce_letters_naive)
+    .filter(bool),
+    min_size=1,
+    max_size=2,
+).map(tuple)
+
+
+def _specs(gens_list, role):
+    return tuple(
+        SubgroupSpec(gens, role="%s%d" % (role, i)) for i, gens in enumerate(gens_list)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=_gens, r=_gens, qp=_gens, rp=_gens,
+    p_list=st.lists(_gens, max_size=1),
+    t_list=st.lists(_gens, max_size=1),
+    u_list=st.lists(_gens, max_size=1),
+    bounds=st.tuples(*[st.integers(0, 4)] * 3),
+    radius=st.integers(3, 5),
+)
+def test_first_hit_reports_match_full_scan(
+    fab_rel_a, q, r, qp, rp, p_list, t_list, u_list, bounds, radius
+):
+    B, C, A = bounds
+    ctx = ConditionContext(
+        view=fab_rel_a,
+        Q=SubgroupSpec(q, role="Q"),
+        R=SubgroupSpec(r, role="R"),
+        Qp=SubgroupSpec(qp, role="Q'"),
+        Rp=SubgroupSpec(rp, role="R'"),
+        P_list=_specs(p_list, "P"),
+        T_list=_specs(t_list, "T"),
+        U_list=_specs(u_list, "U"),
+        B=B,
+        C=C,
+        A=A,
+        radius=radius,
+        P_abelian=(False,) * len(p_list),
+    )
+    for cond_id in ("C2", "C3", "C5", "C2-m", "C5-m", "P2", "P3"):
+        got = check_condition(cond_id, ctx)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(conditions, "_minx_condition", reference_minx_condition)
+            assert got == check_condition(cond_id, ctx), cond_id
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=_gens, r=_gens, qp=_gens, rp=_gens, p=_gens, radius=st.integers(3, 5))
+def test_c1_c4_witness_is_the_least_disagreement(fab, fab_rel_a, q, r, qp, rp, p, radius):
+    ctx = ConditionContext(
+        view=fab_rel_a,
+        Q=SubgroupSpec(q, role="Q"),
+        R=SubgroupSpec(r, role="R"),
+        Qp=SubgroupSpec(qp, role="Q'"),
+        Rp=SubgroupSpec(rp, role="R'"),
+        P_list=(SubgroupSpec(p, role="P0"),),
+        radius=radius,
+    )
+    ball = ctx.ball_elements()
+    in_q, in_r, in_qp, in_rp, in_p = (
+        membership_oracle(fab, gens) for gens in (q, r, qp, rp, p)
+    )
+    rep = check_condition("C1", ctx)
+    if rep.verdict == "fails":
+        # Q' cap R' against S = Q cap R
+        expected = least_hit(
+            ball, lambda g: (in_qp(g) and in_rp(g)) != (in_q(g) and in_r(g))
+        )[1]
+        assert rep.witness == expected
+    rep = check_condition("C4", ctx)
+    if rep.verdict == "fails":
+        P = ctx.P_list[0]
+        qp_P = ctx.restrict(ctx.Qp, P, "Q'_P")
+        rp_P = ctx.restrict(ctx.Rp, P, "R'_P")
+        in_join = membership_oracle(fab, qp_P.gens + rp_P.gens)
+        hits = []
+        for in_big, small in ((in_q, qp_P), (in_r, rp_P)):
+            in_small = membership_oracle(fab, small.gens)
+            hits.append(least_hit(ball, lambda g: (
+                in_big(g) and in_p(g) and in_join(g)) != in_small(g))[1])
+        # equal subgroups never disagree, so the first pair that does in the
+        # ball is the pair the checker stopped at
+        if rep.witness is None:
+            assert hits[0] is None
+        else:
+            assert rep.witness == next(h for h in hits if h is not None)
+
+
+def test_first_matches_full_scan_on_random_predicates(fab, fab_rel_a):
+    ctx = make_ctx(fab, fab_rel_a, radius=4)
+    ball = ctx.ball_elements()
+    rng = random.Random(17)
+    for _ in range(200):
+        hits = set(rng.sample(ball, rng.choice((0, 1, 2, 5, 20))))
+        bound = rng.randrange(5)
+        preds = (lambda g: g in hits, lambda g: g in hits and len(g) >= bound)
+        for pred in preds:
+            assert ctx.first(pred) == least_hit(ball, pred)[1]
