@@ -2,13 +2,14 @@
 
 The relative Cayley graph adds one edge per nontrivial peripheral element.
 For the whitelisted structures the relative metric is computed exactly from
-normal forms, never by truncated search:
-
-* free base with cyclic-generator peripherals: each maximal peripheral run
-  costs one edge, every other letter costs one;
-* free product base with free-factor peripherals: peripheral syllables cost
-  one edge, other syllables cost their factor word length;
-* whole-group peripheral: the graph has diameter one.
+normal forms, never by truncated search, by one syllable rule.  The normal
+form splits into keyed syllables: a free-product element into its own
+(keyed by factor), a free word with cyclic-generator peripherals into its
+maximal one-generator runs (keyed by generator), anything else into one.
+The canonical geodesic from 1 to g takes one edge per peripheral syllable
+and a geodesic word of its factor per other syllable; d(u, v) cancels the
+common syllable prefix of u and v, then fuses their first tail syllables
+into one when they share a key.
 
 A view with no peripherals is the plain word metric, so the same path and
 geodesic machinery serves both metrics.
@@ -17,7 +18,7 @@ geodesic machinery serves both metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterator, Optional, Sequence
 
 from .errors import UnsupportedFamilyError
@@ -38,6 +39,10 @@ from .groups import (
 Label = tuple
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
+# A view remembers the first syllables it spells and free words it splits:
+# few syllables recur in every geodesic, and the pair loops over a ball that
+# carry most dist calls meet its elements first.  Nothing is kept past this.
+_MEMO_SIZE = 1024
 
 
 def _factor_letter_path(fac: GroupSpec, x: Elem) -> list[Elem]:
@@ -84,6 +89,29 @@ def _finite_letter_path(fac: FiniteGroup, x: Elem) -> list[Elem]:
     return out
 
 
+def _as_is(x):
+    return x
+
+
+class _Runs(dict):
+    """Reduced free words to their maximal one-generator runs, keyed by
+    generator; the first _MEMO_SIZE are kept, and a hit costs no Python call."""
+
+    def __missing__(self, g) -> list:
+        out = []
+        i, n = 0, len(g)
+        while i < n:
+            x = g[i]
+            j = i + 1
+            while j < n and g[j] == x:
+                j += 1
+            out.append((x if x > 0 else -x, g[i:j]))
+            i = j
+        if len(self) < _MEMO_SIZE:
+            self[g] = out
+        return out
+
+
 @dataclass(frozen=True)
 class RelGraphView:
     """Metric view of Gamma(G, X u H) for a RelHyp group.
@@ -94,151 +122,94 @@ class RelGraphView:
     group: RelHyp
 
     @cached_property
-    def _letter_to_nu(self) -> dict:
-        out = {}
-        for p in self.group.peripherals:
-            if p.kind == "cyclic-generator":
-                out[self.group.base.symbols.index(p.arg) + 1] = p.nu
-        return out
+    def _walk(self):
+        """The syllable rule of this view, as ``(syllables, prices)``.
+
+        ``syllables(g)`` lists the normal form of g as ``(key, x)`` pairs;
+        ``prices[key]`` is ``(nu, factor, embed)``: the peripheral index of
+        such a syllable (None if it is not peripheral), the factor x lies in,
+        and the map carrying x into the base group.
+        """
+        G = self.group
+        base = G.base
+        whole = [p.nu for p in G.peripherals if p.kind == "whole-group"]
+        if isinstance(base, FreeProduct) and not whole:
+            nus = {p.arg: p.nu for p in G.peripherals}
+            return _as_is, {
+                i: (nus.get(i), fac, partial(base.embed, i))
+                for i, fac in enumerate(base.factors)
+            }
+        if isinstance(base, FreeGroup) and G.peripherals and not whole:
+            nus = {base.symbols.index(p.arg) + 1: p.nu for p in G.peripherals}
+            prices = {i: (nus.get(i), base, _as_is) for i in range(1, base.rank + 1)}
+            return _Runs().__getitem__, prices
+        if G.peripherals and not whole:
+            raise UnsupportedFamilyError(
+                "relative metric is only exact for the whitelisted structures"
+            )
+        e = base.identity()
+        return (lambda g: () if g == e else ((None, g),)), {
+            None: (whole[0] if whole else None, base, _as_is)
+        }
 
     @cached_property
-    def _factor_to_nu(self) -> dict:
-        out = {}
-        for p in self.group.peripherals:
-            if p.kind == "free-factor":
-                out[p.arg] = p.nu
-        return out
-
-    @cached_property
-    def _whole_nu(self) -> Optional[int]:
-        for p in self.group.peripherals:
-            if p.kind == "whole-group":
-                return p.nu
-        return None
+    def _spelled(self) -> dict:
+        return {}  # syllable -> its edge labels in decompose
 
     # -- metric ------------------------------------------------------------
 
     def decompose(self, g: Elem) -> list[Label]:
-        """Canonical edge labels of the chosen geodesic from 1 to ``g``."""
-        base = self.group.base
-        if g == base.identity():
-            return []
-        if self._whole_nu is not None:
-            return [("h", self._whole_nu, g)]
-        if isinstance(base, FreeGroup):
-            return self._decompose_free(base, g)
-        if isinstance(base, FreeProduct):
-            return self._decompose_product(base, g)
-        if self.group.peripherals:
-            raise UnsupportedFamilyError(
-                "relative metric is only exact for the whitelisted structures"
-            )
-        return [("x", l) for l in _factor_letter_path(base, g)]
-
-    def _decompose_free(self, base: FreeGroup, g) -> list[Label]:
-        lab = self._letter_to_nu
+        """Canonical edge labels of the chosen geodesic from 1 to ``g``: one
+        ``h`` label per peripheral syllable, the factor's letters otherwise."""
+        syllables, prices = self._walk
+        spelled = self._spelled
         out: list[Label] = []
-        i, n = 0, len(g)
-        while i < n:
-            x = g[i]
-            nu = lab.get(abs(x))
-            if nu is None:
-                out.append(("x", (x,)))
-                i += 1
-            else:
-                j = i
-                while j < n and g[j] == x:
-                    j += 1
-                out.append(("h", nu, g[i:j]))
-                i = j
-        return out
-
-    def _decompose_product(self, base: FreeProduct, g) -> list[Label]:
-        fmap = self._factor_to_nu
-        out: list[Label] = []
-        for idx, x in g:
-            nu = fmap.get(idx)
-            if nu is None:
-                out.extend(
-                    ("x", base.embed(idx, l))
-                    for l in _factor_letter_path(base.factors[idx], x)
-                )
-            else:
-                out.append(("h", nu, base.embed(idx, x)))
+        for s in syllables(g):
+            labels = spelled.get(s)
+            if labels is None:
+                key, x = s
+                nu, fac, embed = prices[key]
+                if nu is None:
+                    labels = [("x", embed(l)) for l in _factor_letter_path(fac, x)]
+                else:
+                    labels = [("h", nu, embed(x))]
+                if len(spelled) < _MEMO_SIZE:
+                    spelled[s] = labels
+            out += labels
         return out
 
     def dist(self, u: Elem, v: Elem) -> int:
-        """Exact d_{X u H}(u, v)."""
-        base = self.group.base
-        if self._whole_nu is None:
-            # cancel the common normal-form prefix instead of building u^-1 v
-            if isinstance(base, FreeProduct):
-                return self._dist_product_fast(base, u, v)
-            if isinstance(base, FreeGroup):
-                return self._dist_free_fast(base, u, v)
-        return self._dist_generic(u, v)
+        """Exact d_{X u H}(u, v), the label count of ``decompose(u^-1 v)``.
+
+        Past the common syllable prefix of u and v, the first two tail
+        syllables fuse into one when their keys agree; every other tail
+        syllable keeps its own cost.
+        """
+        syllables, prices = self._walk
+        su, sv = syllables(u), syllables(v)
+        n1, n2 = len(su), len(sv)
+        i = 0  # common_prefix(su, sv), inlined on this hot path
+        while i < n1 and i < n2 and su[i] == sv[i]:
+            i += 1
+        total = 0
+        if i < n1 and i < n2 and su[i][0] == sv[i][0]:
+            nu, fac, _ = prices[su[i][0]]
+            total = 1 if nu is not None else fac.x_dist(su[i][1], sv[i][1])
+            i += 1
+        for key, x in su[i:]:
+            nu, fac, _ = prices[key]
+            total += 1 if nu is not None else fac.x_length(x)
+        for key, x in sv[i:]:
+            nu, fac, _ = prices[key]
+            total += 1 if nu is not None else fac.x_length(x)
+        return total
 
     def _dist_generic(self, u: Elem, v: Elem) -> int:
         return len(self.decompose(self.group.mul(self.group.inv(u), v)))
 
-    def _dist_product_fast(self, base: FreeProduct, u, v) -> int:
-        fmap = self._factor_to_nu
-        facs = base.factors
-        n1, n2 = len(u), len(v)
-        i = 0
-        while i < n1 and i < n2 and u[i] == v[i]:
-            i += 1
-        total = 0
-        if i < n1 and i < n2 and u[i][0] == v[i][0]:
-            idx = u[i][0]
-            fac = facs[idx]
-            merged = fac.mul(fac.inv(u[i][1]), v[i][1])
-            total += 1 if idx in fmap else fac.x_length(merged)
-            start = i + 1
-        else:
-            start = i
-        for k in range(start, n1):
-            idx, x = u[k]
-            total += 1 if idx in fmap else facs[idx].x_length(x)
-        for k in range(start, n2):
-            idx, x = v[k]
-            total += 1 if idx in fmap else facs[idx].x_length(x)
-        return total
-
-    def _dist_free_fast(self, base: FreeGroup, u, v) -> int:
-        lab = self._letter_to_nu
-        n1, n2 = len(u), len(v)
-        i = 0
-        while i < n1 and i < n2 and u[i] == v[i]:
-            i += 1
-
-        def tail_cost(word, start, n):
-            t = 0
-            k = start
-            while k < n:
-                x = word[k]
-                if (x if x > 0 else -x) in lab:
-                    j = k + 1
-                    while j < n and word[j] == x:
-                        j += 1
-                    t += 1
-                    k = j
-                else:
-                    t += 1
-                    k += 1
-            return t
-
-        total = tail_cost(u, i, n1) + tail_cost(v, i, n2)
-        if i < n1 and i < n2:
-            bu = u[i] if u[i] > 0 else -u[i]
-            bv = v[i] if v[i] > 0 else -v[i]
-            if bu == bv and bu in lab:
-                total -= 1  # the two boundary runs fuse into one peripheral edge
-        return total
-
     def x_dist(self, u: Elem, v: Elem) -> int:
         """Exact d_X(u, v) in the base word metric."""
-        return self.group.x_length(self.group.mul(self.group.inv(u), v))
+        return self.group.base.x_dist(u, v)
 
     def geodesic(self, u: Elem, v: Elem) -> "EdgePath":
         """The canonical geodesic from u to v (deterministic tie-breaking)."""
@@ -247,9 +218,6 @@ class RelGraphView:
 
     def label_elem(self, label: Label) -> Elem:
         return label[1] if label[0] == "x" else label[2]
-
-    def peripheral_contains(self, nu: int, g: Elem) -> bool:
-        return self.group.peripheral_contains(nu, g)
 
     def coset_key(self, nu: int, v: Elem):
         """Hashable canonical key of the left coset v * H_nu."""

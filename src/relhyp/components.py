@@ -121,9 +121,6 @@ class BacktrackInstance:
     def last(self) -> HComponent:
         return self.pairs[-1][1]
 
-    def max_x_length(self) -> int:
-        return max(c.x_length for _, c in self.pairs)
-
 
 def segment_components(bl: BrokenLine) -> list[list[HComponent]]:
     return [find_components(seg) for seg in bl.segments]

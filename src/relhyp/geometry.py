@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Optional
 
 from .cayley import Ball, BrokenLine, EdgePath, RelGraphView, word_metric_view
-from .groups import FreeGroup, SubgroupSpec
+from .groups import FreeGroup, SubgroupSpec, common_prefix
 
 
 def gromov_product(x, y, z, view: RelGraphView) -> Fraction:
@@ -145,14 +145,6 @@ def thin_triangle_delta(x, y, z, view: RelGraphView) -> Fraction:
 # reduce to integer arithmetic on common-prefix lengths.
 
 
-def _cp(u, v) -> int:
-    n = min(len(u), len(v))
-    i = 0
-    while i < n and u[i] == v[i]:
-        i += 1
-    return i
-
-
 def _tree_triple_delta(x, y, z) -> Fraction:
     """Tripod thinness of one free-group word-metric triangle."""
     return _tree_ball_scan((x, y, z))[0]
@@ -188,7 +180,7 @@ def _tree_ball_scan(elems):
         wi = elems[i]
         row = cp[i]
         for j in range(i + 1, n):
-            c = _cp(wi, elems[j])
+            c = common_prefix(wi, elems[j])
             row[j] = c
             cp[j][i] = c
     best2 = 0

@@ -85,6 +85,15 @@ def bfs(start, letters, mul, radius=None, budget=None):
     return dist, parent
 
 
+def common_prefix(u, v) -> int:
+    """Length of the longest common prefix of two sequences."""
+    n = min(len(u), len(v))
+    i = 0
+    while i < n and u[i] == v[i]:
+        i += 1
+    return i
+
+
 class GroupSpec:
     """Base class for group families.  Subclasses implement the arithmetic."""
 
@@ -100,6 +109,10 @@ class GroupSpec:
     def x_length(self, a: Elem) -> int:
         """Word length of ``a`` over the family's standard generating set."""
         raise NotImplementedError
+
+    def x_dist(self, a: Elem, b: Elem) -> int:
+        """Word distance |a^-1 b| over the standard generating set."""
+        return self.x_length(self.mul(self.inv(a), b))
 
     def sort_key(self, a: Elem):
         """Total order on elements, used for canonical choices."""
@@ -170,6 +183,10 @@ class FreeGroup(GroupSpec):
     def x_length(self, a):
         return len(a)
 
+    def x_dist(self, a, b):
+        # a^-1 b cancels exactly the common prefix of the two reduced words
+        return len(a) + len(b) - 2 * common_prefix(a, b)
+
     def sort_key(self, a):
         return (len(a), a)
 
@@ -207,6 +224,9 @@ class FreeAbelian(GroupSpec):
 
     def x_length(self, a):
         return sum(abs(x) for x in a)
+
+    def x_dist(self, a, b):
+        return sum(abs(y - x) for x, y in zip(a, b))
 
     def sort_key(self, a):
         return (self.x_length(a), a)

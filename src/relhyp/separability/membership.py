@@ -41,24 +41,28 @@ def _row_lattice_basis(rows: Sequence[Sequence[int]], cols: int):
     return basis
 
 
-def lattice_contains(gens: Sequence[tuple], v: tuple) -> bool:
-    """Is the integer vector v in the lattice spanned by ``gens``?
-
-    Reduce v against an echelon basis of the row lattice; membership is
-    successive divisibility at the pivots.
-    """
-    if not any(v):
-        return True
-    cols = len(v)
+def _lattice_member(gens: Sequence[tuple], cols: int) -> Callable[[tuple], bool]:
+    """Membership in the lattice spanned by ``gens``, against an echelon basis
+    built once: reduce v at each pivot; v is in the lattice exactly when every
+    pivot divides and nothing is left."""
     basis = _row_lattice_basis(tuple(gens), cols)
-    w = list(v)
-    for col, row in basis:
-        if w[col] % row[col] != 0:
-            return False
-        q = w[col] // row[col]
-        for i in range(cols):
-            w[i] -= q * row[i]
-    return not any(w)
+
+    def contains(v) -> bool:
+        w = list(v)
+        for col, row in basis:
+            if w[col] % row[col] != 0:
+                return False
+            q = w[col] // row[col]
+            for i in range(cols):
+                w[i] -= q * row[i]
+        return not any(w)
+
+    return contains
+
+
+def lattice_contains(gens: Sequence[tuple], v: tuple) -> bool:
+    """Is the integer vector v in the lattice spanned by ``gens``?"""
+    return _lattice_member(gens, len(v))(v)
 
 
 def membership_oracle(G: GroupSpec, gens: Sequence[Elem]) -> Callable[[Elem], bool]:
@@ -69,8 +73,7 @@ def membership_oracle(G: GroupSpec, gens: Sequence[Elem]) -> Callable[[Elem], bo
         graph = subgroup_graph(tuple(gens), G)
         return lambda g: member(g, graph)
     if isinstance(G, FreeAbelian):
-        gen_rows = tuple(tuple(g) for g in gens)
-        return lambda g: lattice_contains(gen_rows, tuple(g))
+        return _lattice_member(gens, G.rank)
     if isinstance(G, FiniteGroup):
         closure, _ = bfs(G.identity(), list(gens) + [G.inv(g) for g in gens], G.mul)
         return lambda g: g in closure

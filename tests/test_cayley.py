@@ -3,15 +3,19 @@ import random
 import pytest
 
 from relhyp import (
+    Amalgam,
     BudgetExceededError,
     FreeGroup,
+    FreeProduct,
     PeripheralSpec,
     RelHyp,
+    cyclic_group,
     word_to_elem,
 )
 from relhyp.cayley import (
     BrokenLine,
     EdgePath,
+    _ball_letters,
     build_ball,
     rel_dist,
     rel_geodesic,
@@ -19,6 +23,7 @@ from relhyp.cayley import (
     word_metric_view,
 )
 from relhyp.components import find_components, is_without_backtracking
+from relhyp.groups import FreeAbelian, GroupSpec
 
 w = word_to_elem
 
@@ -36,8 +41,7 @@ def coned_bfs_oracle(view, domain_radius):
     elems = list(ball.elements)
     index = {g: i for i, g in enumerate(elems)}
     adj = [[] for _ in elems]
-    letters = [g for _, g in G.generator_elems()]
-    letters += [G.inv(g) for g in letters]
+    letters = _ball_letters(G.base)
     for g in elems:
         for l in letters:
             h = G.mul(g, l)
@@ -165,13 +169,6 @@ class TestRelDist:
         assert view.dist(FP.identity(), g) == 4
         geo = view.geodesic(FP.identity(), g)
         assert [lab[0] for lab in geo.labels] == ["h", "x", "h", "x"]
-        import random
-
-        rng = random.Random(3)
-        elems = build_ball(FP, 4).elements
-        for _ in range(2000):
-            u, v = rng.choice(elems), rng.choice(elems)
-            assert view.dist(u, v) == view._dist_generic(u, v)
 
     def test_agrees_with_coned_bfs_small(self, fab_rel_a, fab):
         elems, index, dist_from = coned_bfs_oracle(fab_rel_a, 4)
@@ -181,6 +178,102 @@ class TestRelDist:
             table = dist_from(index[uu])
             for vv in near[:40]:
                 assert table[index[vv]] == fab_rel_a.dist(uu, vv)
+
+
+_F3 = FreeGroup(("a", "b", "c"))
+_Z2Z = FreeProduct((FreeAbelian(("x", "y")), FreeAbelian(("t",))))
+_C3ZF2 = FreeProduct((cyclic_group(3, "u"), FreeAbelian(("t",)), FreeGroup(("p", "q"))))
+_AM46 = Amalgam(cyclic_group(4, "b"), cyclic_group(6, "c"), ((0, 0), (2, 3)))
+
+
+def _cyc(nu, s):
+    return PeripheralSpec(nu, "cyclic-generator", s)
+
+
+def _fac(nu, i):
+    return PeripheralSpec(nu, "free-factor", i)
+
+
+_WHOLE = (PeripheralSpec(0, "whole-group"),)
+
+# (id, base, peripherals, ball radius): every family with every peripheral
+# shape it admits, each syllable rule of RelGraphView._walk among them
+METRIC_SHAPES = [
+    ("F3", _F3, (), 4),
+    ("F3-rel-a", _F3, (_cyc(0, "a"),), 4),
+    ("F3-rel-a-c", _F3, (_cyc(0, "a"), _cyc(1, "c")), 4),
+    ("F3-whole", _F3, _WHOLE, 3),
+    ("Z2*Z", _Z2Z, (), 4),
+    ("Z2*Z-rel-Z2", _Z2Z, (_fac(0, 0),), 4),
+    ("Z2*Z-rel-both", _Z2Z, (_fac(0, 0), _fac(1, 1)), 4),
+    ("Z2*Z-whole", _Z2Z, _WHOLE, 3),
+    ("C3*Z*F2", _C3ZF2, (), 3),
+    ("C3*Z*F2-rel-C3", _C3ZF2, (_fac(0, 0),), 3),
+    ("C3*Z*F2-rel-F2", _C3ZF2, (_fac(0, 2),), 3),
+    ("C3*Z-rel-C3", FreeProduct((cyclic_group(3, "u"), FreeAbelian(("t",)))), (_fac(0, 0),), 4),
+    ("amalgam", _AM46, (), 3),
+    ("amalgam-whole", _AM46, _WHOLE, 3),
+    ("Z7", cyclic_group(7), (), 3),
+    ("Z2", FreeAbelian(("x", "y")), (), 4),
+]
+
+
+@pytest.mark.parametrize(
+    "base,peripherals,radius",
+    [pytest.param(*shape[1:], id=shape[0]) for shape in METRIC_SHAPES],
+)
+def test_syllable_walk(base, peripherals, radius):
+    """dist against the label count of decompose(u^-1 v) on random pairs,
+    half of them (u, u s) with a shared prefix; and dist from 1 against a
+    coned-graph BFS over the whole ball, which holds the canonical geodesic
+    of each of its elements."""
+    view = relative_view(RelHyp(base, peripherals))
+    elems = build_ball(base, radius).elements
+    steps = build_ball(base, 2).elements
+    rng = random.Random(3)
+    for k in range(2000):
+        u = rng.choice(elems)
+        v = rng.choice(elems) if k % 2 else base.mul(u, rng.choice(steps))
+        assert view.dist(u, v) == view._dist_generic(u, v)
+    _, index, dist_from = coned_bfs_oracle(view, radius)
+    table = dist_from(index[base.identity()])
+    for g in elems:
+        assert view.dist(base.identity(), g) == table[index[g]]
+        assert view.geodesic(base.identity(), g).end == g
+
+
+@pytest.mark.parametrize(
+    "base,peripherals",
+    [(_F3, (_cyc(0, "a"), _cyc(1, "c"))), (_Z2Z, (_fac(0, 0),))],
+    ids=["F3-rel-a-c", "Z2*Z-rel-Z2"],
+)
+def test_memos_are_bounded(monkeypatch, base, peripherals):
+    """Past its size a memo keeps what it holds and computes the rest."""
+    import relhyp.cayley
+
+    monkeypatch.setattr(relhyp.cayley, "_MEMO_SIZE", 3)
+    view = relative_view(RelHyp(base, peripherals))
+    elems = build_ball(base, 3).elements
+    rng = random.Random(9)
+    for _ in range(500):
+        u, v = rng.choice(elems), rng.choice(elems)
+        path = view.geodesic(u, v)
+        assert path.end == v
+        assert len(path) == view.dist(u, v) == view._dist_generic(u, v)
+    assert len(view._spelled) == 3
+
+
+@pytest.mark.parametrize(
+    "G",
+    [FreeGroup(("a", "b")), _F3, FreeAbelian(("t",)), FreeAbelian(("x", "y", "z"))],
+    ids=["F2", "F3", "Z", "Z3"],
+)
+def test_x_dist_overrides_match_default(G):
+    elems = build_ball(G, 4).elements
+    rng = random.Random(5)
+    for _ in range(2000):
+        a, b = rng.choice(elems), rng.choice(elems)
+        assert G.x_dist(a, b) == GroupSpec.x_dist(G, a, b)
 
 
 class TestPaths:

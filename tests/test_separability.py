@@ -3,12 +3,13 @@ import random
 from unittest import mock
 
 import pytest
-from conftest import reduce_letters_naive, reference_assemble
+from conftest import fixpoint_closure, reduce_letters_naive, reference_assemble
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relhyp import DIncompatibleError, FreeGroup, cyclic_group, word_to_elem
 from relhyp.cayley import build_ball
+from relhyp.groups import FreeAbelian
 from relhyp.separability import (
     RationalSubset,
     amalgam_product_member,
@@ -16,7 +17,9 @@ from relhyp.separability import (
     basis,
     find_separating_quotient,
     induced_quotient,
+    lattice_contains,
     member,
+    membership_oracle,
     minx_quotient_harness,
     product_member,
     pullback,
@@ -160,6 +163,59 @@ class TestFoldAgainstReference:
         assert len(H) == len(R) > 1
         assert len(list(H.edges())) == len(list(R.edges()))
         assert _same_graph(H, R)
+
+
+def _det(rows):
+    """Leibniz determinant of a small square integer matrix."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total
+
+
+@st.composite
+def _full_rank_lattice(draw):
+    n = draw(st.integers(1, 3))
+    entry = st.integers(-3, 3)
+    rows = draw(
+        st.lists(st.tuples(*[entry] * n), min_size=n, max_size=n).filter(
+            lambda r: 1 <= abs(_det(r)) <= 12
+        )
+    )
+    vec = st.tuples(*[st.integers(-30, 30)] * n)
+    coeffs = st.lists(st.tuples(*[st.integers(-3, 3)] * n), min_size=10, max_size=10)
+    return rows, draw(st.lists(vec, min_size=10, max_size=10)), draw(coeffs)
+
+
+class TestLattice:
+    @settings(max_examples=200, deadline=None)
+    @given(_full_rank_lattice())
+    def test_lattice_contains_against_residues(self, case):
+        """n generators of Z^n with |det| = d span a lattice L containing d Z^n,
+        so v is in L exactly when v mod d is in the closure of the generators
+        mod d in (Z/d)^n."""
+        rows, probes, coeffs = case
+        n, d = len(rows), abs(_det(rows))
+        closure = fixpoint_closure(
+            [tuple(x % d for x in r) for r in rows],
+            lambda a, b: tuple((x + y) % d for x, y in zip(a, b)),
+            (0,) * n,
+        )
+        members = [
+            tuple(sum(c[k] * rows[k][i] for k in range(n)) for i in range(n))
+            for c in coeffs
+        ]
+        oracle = membership_oracle(FreeAbelian(tuple("xyz"[:n])), rows)
+        for v in probes + members:
+            expected = tuple(x % d for x in v) in closure
+            assert lattice_contains(rows, v) == expected
+            assert oracle(v) == expected
+        assert all(lattice_contains(rows, v) for v in members)
 
 
 class TestImageInProduct:
