@@ -7,9 +7,9 @@ form splits into keyed syllables: a free-product element into its own
 (keyed by factor), a free word with cyclic-generator peripherals into its
 maximal one-generator runs (keyed by generator), anything else into one.
 The canonical geodesic from 1 to g takes one edge per peripheral syllable
-and a geodesic word of its factor per other syllable; d(u, v) cancels the
-common syllable prefix of u and v, then fuses their first tail syllables
-into one when they share a key.
+and a geodesic word of its factor per other syllable; d(u, v) cancels a
+common prefix of u and v (whole syllables, or letters of a free word), then
+fuses their first tail syllables into one when they share a key.
 
 A view with no peripherals is the plain word metric, so the same path and
 geodesic machinery serves both metrics.
@@ -18,7 +18,7 @@ geodesic machinery serves both metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from .errors import UnsupportedFamilyError
@@ -32,17 +32,15 @@ from .groups import (
     GroupSpec,
     RelHyp,
     bfs,
+    common_prefix,
     per_instance,
 )
 
-# An edge label is ("x", generator_elem) or ("h", nu, peripheral_elem).
+# An edge label is ("x", generator_elem) or ("h", nu, peripheral_elem): its
+# element comes last.
 Label = tuple
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
-# A view remembers the first syllables it spells and free words it splits:
-# few syllables recur in every geodesic, and the pair loops over a ball that
-# carry most dist calls meet its elements first.  Nothing is kept past this.
-_MEMO_SIZE = 1024
 
 
 def _factor_letter_path(fac: GroupSpec, x: Elem) -> list[Elem]:
@@ -62,10 +60,8 @@ def _factor_letter_path(fac: GroupSpec, x: Elem) -> list[Elem]:
     if isinstance(fac, FiniteGroup):
         return _finite_letter_path(fac, x)
     if isinstance(fac, FreeProduct):
-        out = []
-        for idx, s in x:
-            out.extend(fac.embed(idx, l) for l in _factor_letter_path(fac.factors[idx], s))
-        return out
+        factors = fac.factors
+        return [((i, l),) for i, s in x for l in _factor_letter_path(factors[i], s)]
     if isinstance(fac, Amalgam):
         return [fac.embed(side, s) for side, s in x]
     if isinstance(fac, RelHyp):
@@ -93,23 +89,33 @@ def _as_is(x):
     return x
 
 
-class _Runs(dict):
-    """Reduced free words to their maximal one-generator runs, keyed by
-    generator; the first _MEMO_SIZE are kept, and a hit costs no Python call."""
+def _syllable_tails(u, v):
+    """Free-product normal forms u and v past their common syllable prefix
+    (a normal form is its own syllable list)."""
+    i = common_prefix(u, v)
+    return u[i:], v[i:]
 
-    def __missing__(self, g) -> list:
-        out = []
-        i, n = 0, len(g)
-        while i < n:
-            x = g[i]
-            j = i + 1
-            while j < n and g[j] == x:
-                j += 1
-            out.append((x if x > 0 else -x, g[i:j]))
-            i = j
-        if len(self) < _MEMO_SIZE:
-            self[g] = out
-        return out
+
+def _run_tails(u, v):
+    """Reduced free words u and v past their common letter prefix, as
+    maximal one-generator runs.  A run cut there costs what it would whole:
+    the other word goes on with another generator, or ends."""
+    i = common_prefix(u, v)
+    return _runs(u, i), _runs(v, i)
+
+
+def _runs(g, k: int) -> list:
+    """The runs of g from position k, keyed by generator."""
+    out = []
+    n = len(g)
+    while k < n:
+        x = g[k]
+        j = k + 1
+        while j < n and g[j] == x:
+            j += 1
+        out.append((x if x > 0 else -x, g[k:j]))
+        k = j
+    return out
 
 
 @dataclass(frozen=True)
@@ -123,9 +129,10 @@ class RelGraphView:
 
     @cached_property
     def _walk(self):
-        """The syllable rule of this view, as ``(syllables, prices)``.
+        """The syllable rule of this view, as ``(tails, prices)``.
 
-        ``syllables(g)`` lists the normal form of g as ``(key, x)`` pairs;
+        ``tails(u, v)`` lists the syllables of the normal forms of u and of v
+        past a common prefix, as ``(key, x)`` pairs, the first two distinct;
         ``prices[key]`` is ``(nu, factor, embed)``: the peripheral index of
         such a syllable (None if it is not peripheral), the factor x lies in,
         and the map carrying x into the base group.
@@ -135,71 +142,61 @@ class RelGraphView:
         whole = [p.nu for p in G.peripherals if p.kind == "whole-group"]
         if isinstance(base, FreeProduct) and not whole:
             nus = {p.arg: p.nu for p in G.peripherals}
-            return _as_is, {
-                i: (nus.get(i), fac, partial(base.embed, i))
+            # a syllable is never the identity: it embeds as a one-syllable word
+            return _syllable_tails, {
+                i: (nus.get(i), fac, lambda x, i=i: ((i, x),))
                 for i, fac in enumerate(base.factors)
             }
         if isinstance(base, FreeGroup) and G.peripherals and not whole:
             nus = {base.symbols.index(p.arg) + 1: p.nu for p in G.peripherals}
-            prices = {i: (nus.get(i), base, _as_is) for i in range(1, base.rank + 1)}
-            return _Runs().__getitem__, prices
+            return _run_tails, {
+                i: (nus.get(i), base, _as_is) for i in range(1, base.rank + 1)
+            }
         if G.peripherals and not whole:
             raise UnsupportedFamilyError(
                 "relative metric is only exact for the whitelisted structures"
             )
         e = base.identity()
-        return (lambda g: () if g == e else ((None, g),)), {
-            None: (whole[0] if whole else None, base, _as_is)
-        }
 
-    @cached_property
-    def _spelled(self) -> dict:
-        return {}  # syllable -> its edge labels in decompose
+        def tails(u, v):
+            if u == v:
+                return (), ()
+            return (() if u == e else ((None, u),)), (() if v == e else ((None, v),))
+
+        return tails, {None: (whole[0] if whole else None, base, _as_is)}
 
     # -- metric ------------------------------------------------------------
 
     def decompose(self, g: Elem) -> list[Label]:
         """Canonical edge labels of the chosen geodesic from 1 to ``g``: one
         ``h`` label per peripheral syllable, the factor's letters otherwise."""
-        syllables, prices = self._walk
-        spelled = self._spelled
+        tails, prices = self._walk
+        base = self.group.base
         out: list[Label] = []
-        for s in syllables(g):
-            labels = spelled.get(s)
-            if labels is None:
-                key, x = s
-                nu, fac, embed = prices[key]
-                if nu is None:
-                    labels = [("x", embed(l)) for l in _factor_letter_path(fac, x)]
-                else:
-                    labels = [("h", nu, embed(x))]
-                if len(spelled) < _MEMO_SIZE:
-                    spelled[s] = labels
-            out += labels
+        for key, x in tails(base.identity(), g)[1]:
+            nu, _, embed = prices[key]
+            y = embed(x)
+            if nu is None:
+                out += [("x", l) for l in _factor_letter_path(base, y)]
+            else:
+                out.append(("h", nu, y))
         return out
 
     def dist(self, u: Elem, v: Elem) -> int:
         """Exact d_{X u H}(u, v), the label count of ``decompose(u^-1 v)``.
 
-        Past the common syllable prefix of u and v, the first two tail
-        syllables fuse into one when their keys agree; every other tail
-        syllable keeps its own cost.
+        Past the common prefix of u and v, the first two tail syllables fuse
+        into one when their keys agree; every other tail syllable keeps its
+        own cost.
         """
-        syllables, prices = self._walk
-        su, sv = syllables(u), syllables(v)
-        n1, n2 = len(su), len(sv)
-        i = 0  # common_prefix(su, sv), inlined on this hot path
-        while i < n1 and i < n2 and su[i] == sv[i]:
-            i += 1
-        total = 0
-        if i < n1 and i < n2 and su[i][0] == sv[i][0]:
-            nu, fac, _ = prices[su[i][0]]
-            total = 1 if nu is not None else fac.x_dist(su[i][1], sv[i][1])
-            i += 1
-        for key, x in su[i:]:
-            nu, fac, _ = prices[key]
-            total += 1 if nu is not None else fac.x_length(x)
-        for key, x in sv[i:]:
+        tails, prices = self._walk
+        su, sv = tails(u, v)
+        total = i = 0
+        if su and sv and su[0][0] == sv[0][0]:
+            nu, fac, _ = prices[su[0][0]]
+            total = 1 if nu is not None else fac.x_dist(su[0][1], sv[0][1])
+            i = 1
+        for key, x in su[i:] + sv[i:]:
             nu, fac, _ = prices[key]
             total += 1 if nu is not None else fac.x_length(x)
         return total
@@ -215,9 +212,6 @@ class RelGraphView:
         """The canonical geodesic from u to v (deterministic tie-breaking)."""
         g = self.group.mul(self.group.inv(u), v)
         return EdgePath(self, u, tuple(self.decompose(g)))
-
-    def label_elem(self, label: Label) -> Elem:
-        return label[1] if label[0] == "x" else label[2]
 
     def coset_key(self, nu: int, v: Elem):
         """Hashable canonical key of the left coset v * H_nu."""
@@ -269,13 +263,14 @@ class EdgePath:
 
     def __post_init__(self):
         G = self.view.group
+        e = G.identity()
         for lab in self.labels:
             if lab[0] == "x":
-                if lab[1] == G.identity():
+                if lab[1] == e:
                     raise ValueError("identity edge label")
             elif lab[0] == "h":
                 _, nu, h = lab
-                if h == G.identity() or not G.peripheral_contains(nu, h):
+                if h == e or not G.peripheral_contains(nu, h):
                     raise ValueError("h-label must be a nontrivial peripheral element")
             else:
                 raise ValueError("unknown label kind %r" % (lab[0],))
@@ -285,11 +280,11 @@ class EdgePath:
 
     @cached_property
     def vertices(self) -> tuple[Elem, ...]:
-        G = self.view.group
+        mul = self.view.group.base.mul
         out = [self.start]
         v = self.start
         for lab in self.labels:
-            v = G.mul(v, self.view.label_elem(lab))
+            v = mul(v, lab[-1])
             out.append(v)
         return tuple(out)
 

@@ -655,7 +655,7 @@ class RelHyp(GroupSpec):
             return True
         if p.kind == "cyclic-generator":
             i = self.base.symbols.index(p.arg) + 1
-            return all(abs(x) == i for x in g)
+            return g.count(i) + g.count(-i) == len(g)  # letters a^{+-1} only
         # free-factor
         if g == self.base.identity():
             return True
