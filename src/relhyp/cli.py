@@ -500,7 +500,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         Z = RationalSubset(G, (), tuple(s.gens for s in specs))
         C = _int_param(cfg, "C")
         cap = _int_param(cfg, "cap", default=6)
-        res = minx_quotient_harness(Z, C, n_max=cap, seed=seed)
+        res = minx_quotient_harness(Z, C, n_max=cap, seed=seed, budget=budget)
         reporter.emit(
             command,
             {"C": C, "Z": Z.symbolic()},

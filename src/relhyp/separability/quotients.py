@@ -3,6 +3,12 @@
 A certificate is a homomorphism to a symmetric group, given by generator
 images in one-line notation.  Every search re-verifies its candidate by
 direct image computation before returning it.
+
+Searches run up to simultaneous conjugacy.  Conjugation by c is an
+automorphism of S_n that carries every image and image subgroup along, so
+generator images c^-1 p_i c separate (or exceed a budget) exactly when the
+p_i do.  A candidate conjugate to a failed one is skipped; the first success
+in the search order never is, so certificates do not depend on the skip.
 """
 
 from __future__ import annotations
@@ -36,17 +42,32 @@ def perm_inv(p: Perm) -> Perm:
     return tuple(out)
 
 
-def _image_word(images: Sequence[Perm], degree: int, w: Elem) -> Perm:
-    """Image of the free word ``w`` when generator i+1 maps to ``images[i]``."""
+def _runs(w: Elem) -> tuple:
+    """The free word ``w`` as its maximal letter runs ``(x, k)``: x repeated k times."""
+    return tuple((x, len(list(run))) for x, run in itertools.groupby(w))
+
+
+def _signed_images(images: Sequence[Perm]) -> dict:
+    """Generator i+1 maps to ``images[i]`` and its inverse letter -(i+1) to the inverse."""
+    signed = {}
+    for i, p in enumerate(images, 1):
+        signed[i] = p
+        signed[-i] = perm_inv(p)
+    return signed
+
+
+def _image_runs(signed: dict, degree: int, runs) -> Perm:
+    """Image of the word spelled by ``runs``; a run x^k costs O(log k) gathers."""
     out = list(range(degree))
-    if w:
-        signed = {}
-        for i, p in enumerate(images, 1):
-            signed[i] = p
-            signed[-i] = perm_inv(p)
-        for x in w:
-            p = signed[x]
-            out = [p[i] for i in out]
+    for x, k in runs:
+        p = signed[x]
+        while True:  # out <- out p^k, by repeated squaring of p
+            if k & 1:
+                out = [p[i] for i in out]
+            k >>= 1
+            if not k:
+                break
+            p = [p[i] for i in p]
     return tuple(out)
 
 
@@ -94,7 +115,7 @@ class FiniteQuotient:
 
     def image_of(self, g: Elem) -> Perm:
         if isinstance(self.domain, FreeGroup):
-            return _image_word(self.gen_images, self.degree, g)
+            return _image_runs(_signed_images(self.gen_images), self.degree, _runs(g))
         if isinstance(self.domain, FiniteGroup):
             return self._finite_map()[g]
         raise UnsupportedFamilyError(type(self.domain).__name__)
@@ -186,9 +207,16 @@ def _completion_quotient(G: FreeGroup, graph: StallingsGraph, g: Elem) -> Finite
     return FiniteQuotient(G, n, tuple(images))
 
 
-def _assignments_exhaustive(rank: int, n: int):
-    perms = list(itertools.permutations(range(n)))
-    return itertools.product(perms, repeat=rank)
+def _orbit(images: tuple, conjugators) -> set:
+    """The simultaneous conjugates c^-1 images c, for c given as pairs (c, c^-1)."""
+    return {tuple(tuple([c[p[j]] for j in ci]) for p in images) for c, ci in conjugators}
+
+
+def _conjugators(blocks: Sequence[int]) -> list:
+    """Pairs (c, c^-1) for the c in S_n that map blocks of points onto blocks."""
+    blk = [k for k, b in enumerate(blocks) for _ in range(b)]
+    return [(c, perm_inv(c)) for c in itertools.permutations(range(len(blk)))
+            if len({(blk[i], blk[x]) for i, x in enumerate(c)}) == len(blocks)]
 
 
 def _cycle_type(p: Perm) -> tuple:
@@ -234,10 +262,10 @@ def _image_in_product(pg: Perm, closures, budget: int = 400_000):
     for i, h in enumerate(closures[:half], 1):
         if len(mids) * len(h) > budget:
             return None
-        h_inv = [perm_inv(x) for x in h]
+        # h is a subgroup, so it is its own set of inverses h_i^-1
         if i == half:
-            return any(perm_mul(x, m) in right for m in mids for x in h_inv)
-        mids = {perm_mul(x, m) for m in mids for x in h_inv}
+            return any(perm_mul(x, m) in right for m in mids for x in h)
+        mids = {perm_mul(x, m) for m in mids for x in h}
 
 
 def _assignments_blocks(rank: int, blocks: Sequence[int]):
@@ -266,24 +294,27 @@ def find_separating_quotient(
     n_max points, the basepoint-stabiliser completion for single subgroups,
     seeded random images, and finally (rank 2) an exhaustive scan of S_5 and
     S_6 up to simultaneous conjugacy, which decides degrees <= n_max
-    outright apart from budget-skipped three-factor candidates.
+    outright apart from budget-skipped three-factor candidates.  The
+    exhaustive, block-sum and scan stages skip assignments conjugate to a
+    failed one (by any c, by c permuting the blocks, by c centralising the
+    first image), which fail too: the result is that of the full order.
     """
     G = target.group
     if target.contains(g):
         raise ValueError("element is in the target subset; nothing to separate")
     rank = G.rank
-    factor_words = [tuple(gens) for gens in target.factors]
-    g0 = target.g0
+    g_runs, g0_runs = _runs(g), _runs(target.g0)
+    factor_runs = [[_runs(x) for x in gens] for gens in target.factors]
 
     def candidate(images) -> Optional[FiniteQuotient]:
         n = len(images[0])
-        pg = _image_word(images, n, g)
-        closures = []
-        for gens in factor_words:
-            closures.append(
-                subgroup_closure([_image_word(images, n, x) for x in gens], n)
-            )
-        probe = pg if not g0 else perm_mul(perm_inv(_image_word(images, n, g0)), pg)
+        signed = _signed_images(images)
+        pg = _image_runs(signed, n, g_runs)
+        closures = [
+            subgroup_closure([_image_runs(signed, n, r) for r in gens], n)
+            for gens in factor_runs
+        ]
+        probe = perm_mul(perm_inv(_image_runs(signed, n, g0_runs)), pg) if g0_runs else pg
         hit = _image_in_product(probe, closures)
         if hit is not False:
             return None
@@ -292,18 +323,30 @@ def find_separating_quotient(
             return q
         return None
 
-    for n in range(2, min(4, n_max) + 1):
-        for images in _assignments_exhaustive(rank, n):
-            q = candidate(list(images))
+    def first(assignments, conjugators) -> Optional[FiniteQuotient]:
+        """The first separating assignment, skipping conjugates of failed ones."""
+        tried = set()
+        for images in assignments:
+            if images in tried:
+                continue
+            q = candidate(images)
             if q:
                 return q
-    for blocks in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
+            tried |= _orbit(images, conjugators)
+        return None
+
+    for n in range(2, min(4, n_max) + 1):
+        perms = list(itertools.permutations(range(n)))
+        q = first(itertools.product(perms, repeat=rank), _conjugators((n,)))
+        if q:
+            return q
+    # (2, 2) block sums are degree-4 assignments, all tried above.
+    for blocks in ((2, 3), (3, 3), (2, 2, 2)):
         if sum(blocks) > n_max:
             continue
-        for images in _assignments_blocks(rank, blocks):
-            q = candidate(list(images))
-            if q:
-                return q
+        q = first(_assignments_blocks(rank, blocks), _conjugators(blocks))
+        if q:
+            return q
     if len(target.factors) == 1 and not target.g0:
         comp = _completion_quotient(G, target.graphs[0], g)
         if verify_separation(comp, g, target):
@@ -322,13 +365,15 @@ def find_separating_quotient(
                 return q
     if rank == 2:
         for n in range(5, n_max + 1):
-            reps = _conjugacy_reps(n)
-            perms = list(itertools.permutations(range(n)))
-            for pa in reps:
-                for pb in perms:
-                    q = candidate([pa, pb])
-                    if q:
-                        return q
+            pairs = _conjugators((n,))
+            for pa in _conjugacy_reps(n):
+                # (pa, pb) and (pa, c^-1 pb c) are conjugate when c centralises pa
+                centraliser = [
+                    (c, ci) for c, ci in pairs if all(c[pa[i]] == pa[x] for i, x in enumerate(c))
+                ]
+                q = first(((pa, pb) for pb, _ in pairs), centraliser)
+                if q:
+                    return q
     return None
 
 
@@ -363,13 +408,15 @@ def minx_quotient_harness(
     n_max: int = 6,
     seed: int = 0,
     check_radius: Optional[int] = None,
+    budget: Optional[int] = None,
 ) -> MinxHarnessResult:
     """Find a quotient whose kernel N satisfies minx(ZN \\ Z) >= C.
 
     Every element shorter than C outside Z gets a separating quotient; the
     block sum of those quotients has the required kernel.  Membership in ZN
     is decided through images, and the bound is re-verified on the ball of
-    radius ``check_radius`` (default C + 2).
+    radius ``check_radius`` (default C + 2), of at most ``budget`` vertices
+    (None: the default vertex budget of ``build_ball``).
     """
     import math
 
@@ -377,7 +424,7 @@ def minx_quotient_harness(
 
     G = Z.group
     radius = check_radius if check_radius is not None else C + 2
-    ball = build_ball(G, max(radius, max(C - 1, 0)))
+    ball = build_ball(G, max(radius, max(C - 1, 0)), budget)
     outsiders = [
         g for g in ball.elements if len(g) < C and not Z.contains(g)
     ]
@@ -392,11 +439,17 @@ def minx_quotient_harness(
     z_image = image_of_rational_subset(combined, Z)
     achieved = math.inf
     ok = True
+    signed = _signed_images(combined.gen_images)
+    image = {}
     for g in ball.elements:
         if ball.dist[g] > radius:
-            continue
-        in_zn = combined.image_of(g) in z_image
-        if in_zn and not Z.contains(g):
+            break
+        # build_ball lists every reduced word after its prefix g[:-1]; only
+        # words inside the radius are kept, as prefixes of words to come
+        pg = perm_mul(image[g[:-1]], signed[g[-1]]) if g else perm_identity(combined.degree)
+        if ball.dist[g] < radius:
+            image[g] = pg
+        if pg in z_image and not Z.contains(g):
             achieved = min(achieved, len(g))
             if len(g) < C:
                 ok = False

@@ -9,6 +9,7 @@ graphs, and finite subgroups and word lengths are fixpoints of set products.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -266,6 +267,170 @@ def reference_assemble(rank, n, edges):
     index = {v: i for i, v in enumerate(order)}
     out = tuple({x: index[w] for x, w in out_map[v].items()} for v in order)
     return StallingsGraph(rank, out)
+
+
+def naive_perm_word(images, degree, word):
+    """Image of a free word under generator images, one letter at a time:
+    letter i+1 applies ``images[i]`` and -(i+1) its inverse, found by
+    ``index``.  Permutations compose left to right (apply p, then q)."""
+    out = tuple(range(degree))
+    for x in word:
+        p = images[abs(x) - 1]
+        if x < 0:
+            p = tuple(p.index(i) for i in range(degree))
+        out = tuple(p[i] for i in out)
+    return out
+
+
+def _compose(p, q):
+    return tuple(q[i] for i in p)
+
+
+def reference_find_separating_quotient(g, target, n_max=6, seed=0, random_tries=200):
+    """``quotients.find_separating_quotient`` as it was before it skipped
+    simultaneously conjugate candidates: every assignment in the search
+    order is tried, every image is composed letter by letter
+    (``naive_perm_word``) and every subgroup is closed by products with its
+    generators until nothing new appears.
+    Returns (degree, generator images) of the first separating assignment,
+    or None; raises BudgetExceededError where a subgroup image exceeds the
+    closure budget."""
+    from relhyp.errors import BudgetExceededError
+    from relhyp.separability.quotients import _completion_quotient
+
+    G, rank = target.group, target.group.rank
+
+    def closures(images, n):
+        out = []
+        for gens in target.factors:
+            gens = [naive_perm_word(images, n, x) for x in gens]
+            elems = frontier = {tuple(range(n))}
+            while frontier:  # in a finite group the generated monoid is the subgroup
+                frontier = {_compose(p, x) for p in frontier for x in gens} - elems
+                elems = elems | frontier
+                if len(elems) > 100_000:  # the budget of quotients.subgroup_closure
+                    raise BudgetExceededError("subgroup closure over budget")
+            out.append(elems)
+        return out
+
+    def in_product(pg, parts, budget=400_000):
+        # the meet in the middle of _image_in_product, with its budget skip
+        if len(parts) == 1:
+            return pg in parts[0]
+        half = (len(parts) + 1) // 2
+        right = {tuple(range(len(pg)))}
+        for part in parts[half:]:
+            if len(right) * len(part) > budget:
+                return None
+            right = {_compose(p, q) for p in right for q in part}
+        mids = {pg}
+        for i, h in enumerate(parts[:half], 1):
+            if len(mids) * len(h) > budget:
+                return None
+            h_inv = [tuple(x.index(j) for j in range(len(x))) for x in h]
+            mids = {_compose(x, m) for m in mids for x in h_inv}
+        return bool(mids & right)
+
+    def separates(images) -> bool:
+        n = len(images[0])
+        pg = naive_perm_word(images, n, g)
+        if target.g0:
+            p0 = naive_perm_word(images, n, target.g0)
+            pg = _compose(tuple(p0.index(i) for i in range(n)), pg)
+        return in_product(pg, closures(images, n)) is False
+
+    def first(assignments):
+        for images in assignments:
+            if separates(images):
+                return len(images[0]), tuple(images)
+        return None
+
+    def blocks_of(sizes):
+        pools = [list(itertools.permutations(range(b))) for b in sizes]
+        for combo in itertools.product(*[itertools.product(pool, repeat=rank) for pool in pools]):
+            images = []
+            for i in range(rank):
+                img, shift = (), 0
+                for blk, size in zip(combo, sizes):
+                    img += tuple(v + shift for v in blk[i])
+                    shift += size
+                images.append(img)
+            yield images
+
+    for n in range(2, min(4, n_max) + 1):
+        found = first(itertools.product(itertools.permutations(range(n)), repeat=rank))
+        if found:
+            return found
+    for sizes in ((2, 2), (2, 3), (3, 3), (2, 2, 2)):
+        found = first(blocks_of(sizes)) if sum(sizes) <= n_max else None
+        if found:
+            return found
+    if len(target.factors) == 1 and not target.g0:
+        comp = _completion_quotient(G, target.graphs[0], g)
+        if separates(comp.gen_images):
+            return comp.degree, comp.gen_images
+    rng = random.Random(seed)
+    for n in range(5, n_max + 1):
+        pool = list(range(n))
+        for _ in range(random_tries):
+            images = []
+            for _ in range(rank):
+                p = pool[:]
+                rng.shuffle(p)
+                images.append(tuple(p))
+            if separates(images):
+                return n, tuple(images)
+    if rank == 2:
+        for n in range(5, n_max + 1):
+            reps = {}  # the lex-least permutation of each cycle type
+            for p in itertools.permutations(range(n)):
+                cycles = set()
+                for i in range(n):
+                    cycle, j = {i}, p[i]
+                    while j != i:
+                        cycle.add(j)
+                        j = p[j]
+                    cycles.add(frozenset(cycle))
+                reps.setdefault(tuple(sorted(map(len, cycles))), p)
+            for pa in reps.values():
+                found = first((pa, pb) for pb in itertools.permutations(range(n)))
+                if found:
+                    return found
+    return None
+
+
+def reference_minx_harness(Z, C, n_max=6, seed=0, check_radius=None):
+    """``quotients.minx_quotient_harness`` with every quotient found by
+    ``reference_find_separating_quotient`` and every ball element's image
+    composed on its own by ``naive_perm_word``.  Returns (degree, generator
+    images) of the block-summed quotient or None, achieved_min, verified."""
+    from relhyp.cayley import build_ball
+
+    G = Z.group
+    radius = check_radius if check_radius is not None else C + 2
+    ball = build_ball(G, max(radius, C - 1, 0))
+    images, degree = [()] * G.rank, 0
+    for u in ball.elements:
+        if len(u) < C and not Z.contains(u):
+            found = reference_find_separating_quotient(u, Z, n_max, seed)
+            if found is None:
+                return None, None, False
+            n, gens = found
+            images = [a + tuple(v + degree for v in b) for a, b in zip(images, gens)]
+            degree += n
+    if not degree:
+        images, degree = [(0,)] * G.rank, 1
+    z_image = {naive_perm_word(images, degree, Z.g0)}
+    for gens in Z.factors:
+        factor = fixpoint_closure(
+            [naive_perm_word(images, degree, x) for x in gens], _compose, tuple(range(degree))
+        )
+        z_image = {_compose(p, q) for p in z_image for q in factor}
+    achieved = math.inf
+    for u in ball.elements:
+        if len(u) <= radius and naive_perm_word(images, degree, u) in z_image and not Z.contains(u):
+            achieved = min(achieved, len(u))
+    return (degree, tuple(images)), achieved, achieved >= C
 
 
 def least_hit(elements, pred):

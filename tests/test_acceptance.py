@@ -667,8 +667,8 @@ def test_criterion_08_conditions():
 # -- criterion 9: separability engine ------------------------------------------
 
 
-def _brute_product(g, oracles, max_len):
-    ball = build_ball(FAB, max_len)
+def _brute_product(g, oracles, ball):
+    max_len = ball.radius
     lists = [[x for x in ball.elements if o(x)] for o in oracles]
 
     def rec(i, value):
@@ -689,6 +689,13 @@ def test_criterion_09_separability_engine():
     rng = random.Random(909)
     gen_words = ["a", "b", "a a", "b b", "a b", "a b^-1", "a a a", "b b b"]
     ball5 = build_ball(FAB, 5)
+    oracle_balls = {}  # radius -> ball, each built once
+
+    def oracle_ball(r):
+        if r not in oracle_balls:
+            oracle_balls[r] = build_ball(FAB, r)
+        return oracle_balls[r]
+
     mismatches = 0
     nonmembers = []
     for _ in range(500):
@@ -700,9 +707,9 @@ def test_criterion_09_separability_engine():
         g = rng.choice(ball5.elements)
         fast = product_member(g, factors, FAB)
         oracles = [membership_oracle(FAB, f) for f in factors]
-        slow = _brute_product(g, oracles, 8)
+        slow = _brute_product(g, oracles, oracle_ball(8))
         if fast and not slow:
-            slow = _brute_product(g, oracles, 16)
+            slow = _brute_product(g, oracles, oracle_ball(16))
             assert slow, "no witness found for a claimed member: %s" % (g,)
         if fast != slow:
             mismatches += 1

@@ -277,6 +277,14 @@ class TestMainExitCodes:
         argv = ["--config", cfg, "--command", "delta", "--radius", "3", "--budget", "100000"]
         assert main(argv) == EXIT_OK
 
+    def test_budget_bounds_minx_harness_ball(self, tmp_path, capsys):
+        # C = 2 checks the radius-4 ball of F2: 161 vertices
+        cfg = self._write(tmp_path, FAB_REL_A)
+        argv = ["--config", cfg, "--command", "minx-harness"]
+        assert main(argv + ["--budget", "5"]) == EXIT_BUDGET
+        assert "budget" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
+
     def test_budget_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RELHYP_BUDGET", "abc")
         cfg = self._write(tmp_path, FAB_REL_A)

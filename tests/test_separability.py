@@ -3,12 +3,20 @@ import random
 from unittest import mock
 
 import pytest
-from conftest import fixpoint_closure, reduce_letters_naive, reference_assemble
-from hypothesis import given, settings
+from conftest import (
+    fixpoint_closure,
+    naive_perm_word,
+    reduce_letters_naive,
+    reference_assemble,
+    reference_find_separating_quotient,
+    reference_minx_harness,
+)
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from relhyp import DIncompatibleError, FreeGroup, cyclic_group, word_to_elem
 from relhyp.cayley import build_ball
+from relhyp.errors import BudgetExceededError
 from relhyp.groups import FreeAbelian
 from relhyp.separability import (
     RationalSubset,
@@ -243,6 +251,86 @@ class TestImageInProduct:
         assert q is not None and verify_separation(q, g, target)
 
 
+def _letters(rank):
+    return [s * i for i in range(1, rank + 1) for s in (1, -1)]
+
+
+def _run_word(rank, max_runs, max_exp):
+    """Words made of up to ``max_runs`` runs x^k, k <= ``max_exp``, as drawn
+    (not reduced)."""
+    run = st.tuples(st.sampled_from(_letters(rank)), st.integers(1, max_exp))
+    return st.lists(run, max_size=max_runs).map(
+        lambda runs: tuple(x for x, k in runs for _ in range(k))
+    )
+
+
+class TestPermWordEvaluator:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_letter_by_letter(self, data):
+        rank, degree = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+        images = tuple(
+            tuple(data.draw(st.permutations(range(degree)))) for _ in range(rank)
+        )
+        word = data.draw(_run_word(rank, 4, 60))
+        q = FiniteQuotient(FreeGroup(tuple("abc"[:rank])), degree, images)
+        assert q.image_of(word) == naive_perm_word(images, degree, word)
+
+
+@st.composite
+def _separation_case(draw):
+    rank = draw(st.sampled_from((2, 3)))
+    G = FreeGroup(tuple("abc"[:rank]))
+    gen = _run_word(rank, 3, 3).map(reduce_letters_naive).filter(bool)
+    subgroup = st.lists(gen, min_size=1, max_size=2).map(tuple)
+    factors = draw(st.lists(subgroup, min_size=1, max_size=3))
+    g = tuple(reduce_letters_naive(draw(_run_word(rank, 3, 6))))
+    # The reference alone tries 7,920 candidates in the rank-2 S_6 scan and
+    # 46,656 rank-3 (3, 3) block sums.  So only single-factor rank-2 targets
+    # go up to S_6: the completion quotient settles them before the scan.
+    n_max = draw(st.integers(4, 6 if rank == 2 and len(factors) == 1 else 5))
+    return G, g, tuple(factors), n_max, draw(st.sampled_from((0, 200))), draw(st.integers(0, 99))
+
+
+class TestSearchMatchesReference:
+    """The search returns the reference's certificate: skipping simultaneous
+    conjugates of failed candidates never skips the first success."""
+
+    @staticmethod
+    def _check(g, target, n_max, tries, seed):
+        try:
+            q = find_separating_quotient(g, target, n_max=n_max, seed=seed, random_tries=tries)
+            got = None if q is None else (q.degree, q.gen_images)
+        except BudgetExceededError:
+            got = "over budget"
+        try:
+            expected = reference_find_separating_quotient(g, target, n_max, seed, tries)
+        except BudgetExceededError:
+            expected = "over budget"
+        assert got == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(_separation_case())
+    def test_random_targets(self, case):
+        G, g, factors, n_max, tries, seed = case
+        target = RationalSubset(G, (), factors)
+        assume(not target.contains(g))
+        self._check(g, target, n_max, tries, seed)
+
+    @pytest.mark.parametrize(
+        "g,factors",
+        [
+            # first found in the S_5 scan, after skipped conjugates of pb
+            ("a a", ("b b b b a a a a", "a^-1 a^-1 a^-1 a^-1 a^-1")),
+            ("a^-1", ("b b a^-1 a^-1 a^-1", "a a a a b b")),
+            ("b b b b", ("b^-1 b^-1 b^-1 b^-1 b^-1 a a a", "a^-1 a^-1 a^-1 a^-1 a^-1")),
+        ],
+    )
+    def test_scan_targets(self, fab, g, factors):
+        target = RationalSubset(fab, (), tuple((w(f, fab),) for f in factors))
+        self._check(w(g, fab), target, 5, 0, 0)
+
+
 class TestProductMember:
     def test_spec_examples(self, fab):
         A = (w("a", fab),)
@@ -326,6 +414,19 @@ class TestMinxHarness:
         res = minx_quotient_harness(Z, 2)
         assert res.verified
         assert res.achieved_min == float("inf")
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        factors=st.lists(_run_word(2, 2, 2).map(reduce_letters_naive).filter(bool),
+                         min_size=1, max_size=2),
+        C=st.integers(1, 3),
+        n_max=st.integers(4, 5),
+    )
+    def test_matches_per_element_reference(self, fab, factors, C, n_max):
+        Z = RationalSubset(fab, (), tuple((f,) for f in factors))
+        res = minx_quotient_harness(Z, C, n_max=n_max)
+        got = None if res.quotient is None else (res.quotient.degree, res.quotient.gen_images)
+        assert (got, res.achieved_min, res.verified) == reference_minx_harness(Z, C, n_max)
 
 
 class TestAmalgamOps:
