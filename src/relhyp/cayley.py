@@ -9,7 +9,9 @@ maximal one-generator runs (keyed by generator), anything else into one.
 The canonical geodesic from 1 to g takes one edge per peripheral syllable
 and a geodesic word of its factor per other syllable; d(u, v) cancels a
 common prefix of u and v (whole syllables, or letters of a free word), then
-fuses their first tail syllables into one when they share a key.
+fuses their first tail syllables into one when they share a key.  The same
+rule keys the left cosets of a peripheral subgroup: v H_nu is keyed by the
+syllables of v less a last syllable in H_nu.
 
 A view with no peripherals is the plain word metric, so the same path and
 geodesic machinery serves both metrics.
@@ -152,10 +154,7 @@ class RelGraphView:
             return _run_tails, {
                 i: (nus.get(i), base, _as_is) for i in range(1, base.rank + 1)
             }
-        if G.peripherals and not whole:
-            raise UnsupportedFamilyError(
-                "relative metric is only exact for the whitelisted structures"
-            )
+        # no peripherals, or the whole group: each element is one syllable
         e = base.identity()
 
         def tails(u, v):
@@ -213,27 +212,14 @@ class RelGraphView:
         g = self.group.mul(self.group.inv(u), v)
         return EdgePath(self, u, tuple(self.decompose(g)))
 
-    def coset_key(self, nu: int, v: Elem):
-        """Hashable canonical key of the left coset v * H_nu."""
-        p = self.group.peripheral(nu)
-        base = self.group.base
-        if p.kind == "whole-group":
-            return ()
-        if p.kind == "cyclic-generator":
-            i = base.symbols.index(p.arg) + 1
-            w = v
-            k = len(w)
-            while k > 0 and abs(w[k - 1]) == i:
-                k -= 1
-            return w[:k]
-        # free-factor: strip a trailing syllable of the peripheral factor
-        if v and v[-1][0] == p.arg:
-            return v[:-1]
-        return v
-
-    def word_view(self) -> "RelGraphView":
-        """The same group with no peripherals: the plain word metric."""
-        return RelGraphView(RelHyp(self.group.base, ()))
+    def coset_key(self, nu: int, v: Elem) -> tuple:
+        """Hashable key of the left coset v H_nu: the syllables of v, as the
+        syllable walk splits them, less a last one that lies in H_nu."""
+        tails, prices = self._walk
+        syl = tails(self.group.identity(), v)[1]
+        if syl and prices[syl[-1][0]][0] == nu:
+            syl = syl[:-1]
+        return tuple(syl)
 
 
 def word_metric_view(G: GroupSpec) -> RelGraphView:
@@ -361,10 +347,10 @@ class BrokenLine:
         return sum(len(s) for s in self.segments)
 
     def whole_path(self) -> EdgePath:
-        path = self.segments[0]
-        for seg in self.segments[1:]:
-            path = path.concat(seg)
-        return path
+        """The segments as one path (they chain by construction)."""
+        return EdgePath(
+            self.view, self.start, tuple(l for seg in self.segments for l in seg.labels)
+        )
 
     @staticmethod
     def from_nodes(view: RelGraphView, nodes: Sequence[Elem]) -> "BrokenLine":

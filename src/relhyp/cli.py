@@ -19,7 +19,14 @@ from typing import Optional
 
 from . import components as comp_mod
 from . import shortcut as shortcut_mod
-from .cayley import BrokenLine, EdgePath, RelGraphView, build_ball, relative_view
+from .cayley import (
+    BrokenLine,
+    EdgePath,
+    RelGraphView,
+    build_ball,
+    relative_view,
+    word_metric_view,
+)
 from .conditions import (
     CONDITION_IDS,
     ConditionContext,
@@ -287,7 +294,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
     """Execute one named check against a parsed configuration."""
     group = build_group(cfg)
     view = relative_view(group)
-    wview = view.word_view()
+    wview = word_metric_view(group)
     G = group.base
     family = _BASE_FAMILY.get(command)
     if family is not None and not isinstance(G, family):

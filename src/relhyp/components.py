@@ -3,13 +3,16 @@
 A component is a maximal subpath whose labels all lie in one peripheral
 subgroup.  Two components of the same subgroup are connected when their
 start vertices lie in the same left coset; a path is without backtracking
-when its components are pairwise non-connected.
+when its components are pairwise non-connected.  On a broken line, the
+components of one coset over consecutive segments form a run
+(``coset_runs``); a run of two or more is consecutive backtracking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from typing import Iterator, Optional
 
 from .cayley import BrokenLine, EdgePath
 
@@ -71,11 +74,8 @@ def find_components(p: EdgePath) -> list[HComponent]:
 
 def connected(h: HComponent, k: HComponent) -> bool:
     """Same peripheral subgroup and start vertices in the same left coset."""
-    if h.nu != k.nu:
-        return False
-    view = h.path.view
-    G = view.group
-    return G.peripheral_contains(h.nu, G.mul(G.inv(h.h_minus), k.h_minus))
+    key = h.path.view.coset_key
+    return h.nu == k.nu and key(h.nu, h.h_minus) == key(k.nu, k.h_minus)
 
 
 def is_without_backtracking(p: EdgePath) -> bool:
@@ -122,60 +122,48 @@ class BacktrackInstance:
         return self.pairs[-1][1]
 
 
-def segment_components(bl: BrokenLine) -> list[list[HComponent]]:
-    return [find_components(seg) for seg in bl.segments]
+def coset_runs(bl: BrokenLine) -> Iterator[tuple[int, list[tuple[int, HComponent]]]]:
+    """Every maximal run of same-coset components over consecutive segments,
+    as ``(nu, [(segment index, component), ...])``, runs of one included.
+
+    A geodesic segment has at most one component in any coset (the subpath
+    between two would be a single edge), so a run takes one per segment.
+    """
+    view = bl.view
+    hits: dict = {}
+    for si, seg in enumerate(bl.segments):
+        for c in find_components(seg):
+            hits.setdefault((c.nu, view.coset_key(c.nu, c.h_minus)), []).append((si, c))
+    for (nu, _), items in hits.items():
+        run = [items[0]]
+        for cur in items[1:]:
+            if cur[0] != run[-1][0] + 1:
+                yield nu, run
+                run = []
+            run.append(cur)
+        yield nu, run
 
 
 def find_consecutive_backtracking(bl: BrokenLine) -> list[BacktrackInstance]:
     """All maximal chains of pairwise-connected components over consecutive
     segments (two or more segments per chain)."""
-    view = bl.view
-    per_seg = segment_components(bl)
-    # For each (nu, coset) record which segments carry a component in it.
-    hits: dict = {}
-    for si, comps in enumerate(per_seg):
-        for c in comps:
-            key = (c.nu, view.coset_key(c.nu, c.h_minus))
-            hits.setdefault(key, []).append((si, c))
-    out = []
-    for (nu, _), items in hits.items():
-        items.sort(key=lambda t: t[0])
-        run: list = [items[0]]
-        for cur in items[1:]:
-            if cur[0] == run[-1][0] + 1:
-                run.append(cur)
-            else:
-                if len(run) >= 2:
-                    out.append(BacktrackInstance(tuple(run), nu))
-                run = [cur]
-        if len(run) >= 2:
-            out.append(BacktrackInstance(tuple(run), nu))
+    out = [
+        BacktrackInstance(tuple(run), nu) for nu, run in coset_runs(bl) if len(run) >= 2
+    ]
     out.sort(key=lambda inst: (inst.pairs[0][0], inst.nu))
     return out
 
 
-def maximal_chain_from(
-    bl: BrokenLine,
-    per_seg: list[list[HComponent]],
-    seg_index: int,
-    comp: HComponent,
-) -> list[tuple[int, HComponent]]:
-    """The longest chain comp, ... over consecutive segments starting at comp."""
-    view = bl.view
-    key = (comp.nu, view.coset_key(comp.nu, comp.h_minus))
-    chain = [(seg_index, comp)]
-    si = seg_index + 1
-    while si < len(bl.segments):
-        nxt = None
-        for c in per_seg[si]:
-            if (c.nu, view.coset_key(c.nu, c.h_minus)) == key:
-                nxt = c
-                break
-        if nxt is None:
-            break
-        chain.append((si, nxt))
-        si += 1
-    return chain
+def run_suffixes(bl: BrokenLine) -> dict[int, list[tuple[int, HComponent]]]:
+    """Each H-labelled edge of ``bl.whole_path()``, by index, to the rest of
+    its coset run from its own component on."""
+    offsets = [0, *accumulate(len(seg) for seg in bl.segments)]
+    out = {}
+    for _, run in coset_runs(bl):
+        for k, (si, c) in enumerate(run):
+            for edge in range(offsets[si] + c.start, offsets[si] + c.stop):
+                out[edge] = run[k:]
+    return out
 
 
 def x_length_of_path(p: EdgePath, theta: Optional[int] = None) -> int:

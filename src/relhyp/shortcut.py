@@ -11,16 +11,15 @@ measures that on concrete inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .cayley import BrokenLine, EdgePath, trivial_path
 from .components import (
-    HComponent,
     find_components,
     find_consecutive_backtracking,
     is_without_backtracking,
-    maximal_chain_from,
-    segment_components,
+    run_suffixes,
 )
 from .geometry import QuasigeodesicVerdict, gromov_product, is_quasigeodesic
 
@@ -85,24 +84,8 @@ def shortcut(bl: BrokenLine, theta: int) -> ShortcutResult:
     verts = whole.vertices
     d = len(whole.labels)
 
-    # Global edge offsets of the segments and their components.
-    per_seg = segment_components(bl)
-    offsets = []
-    off = 0
-    for seg in bl.segments:
-        offsets.append(off)
-        off += len(seg)
-    seg_of_edge = []
-    for i, seg in enumerate(bl.segments):
-        seg_of_edge.extend([i] * len(seg))
-
-    def comp_at(edge: int) -> tuple[int, HComponent]:
-        i = seg_of_edge[edge]
-        local = edge - offsets[i]
-        for c in per_seg[i]:
-            if c.start <= local < c.stop:
-                return i, c
-        raise AssertionError("H-labelled edge outside every component")
+    offsets = [0, *accumulate(len(seg) for seg in bl.segments)]
+    chain_at = run_suffixes(bl)
 
     s = 0
     N = 0
@@ -117,8 +100,8 @@ def shortcut(bl: BrokenLine, theta: int) -> ShortcutResult:
         if t is None:
             V.append((s, d))
             break
-        i, comp = comp_at(t)
-        chain = maximal_chain_from(bl, per_seg, i, comp)
+        chain = chain_at[t]
+        i, comp = chain[0]
         last_seg, last = chain[-1]
         if max(c.x_length for _, c in chain) >= theta:
             V.append((s, t))

@@ -4,7 +4,9 @@ Oracles here deliberately avoid the library's own normal-form code paths:
 free words are reduced by repeated adjacent-pair deletion, amalgam equality
 is decided by a union-find closure of elementary rewriting moves, relative
 distances are recomputed by breadth-first search on explicitly built coned
-graphs, and finite subgroups and word lengths are fixpoints of set products.
+graphs whose peripheral cosets are keyed by peripheral kind rather than by
+the syllable walk, and finite subgroups and word lengths are fixpoints of
+set products.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from relhyp import (
     cyclic_group,
     word_to_elem,
 )
-from relhyp.cayley import RelGraphView, relative_view, word_metric_view
+from relhyp.cayley import (
+    BrokenLine,
+    RelGraphView,
+    build_ball,
+    relative_view,
+    word_metric_view,
+)
 
 
 def w(word, G):
@@ -404,8 +412,6 @@ def reference_minx_harness(Z, C, n_max=6, seed=0, check_radius=None):
     ``reference_find_separating_quotient`` and every ball element's image
     composed on its own by ``naive_perm_word``.  Returns (degree, generator
     images) of the block-summed quotient or None, achieved_min, verified."""
-    from relhyp.cayley import build_ball
-
     G = Z.group
     radius = check_radius if check_radius is not None else C + 2
     ball = build_ball(G, max(radius, C - 1, 0))
@@ -466,3 +472,69 @@ def reference_minx_condition(ctx, cond_id, inside, outside, threshold, params, c
         params,
         caveats + ("pass is radius-stamped; a failure witness would be absolute",),
     )
+
+
+def random_broken_line(rng, G, view, max_nodes=5, radius=4):
+    """A broken line of canonical geodesics from 1 through up to
+    ``max_nodes`` further nodes, each a random step from the radius ball."""
+    ball = build_ball(G, radius)
+    n = rng.randint(1, max_nodes)
+    nodes = [G.identity()]
+    for _ in range(n):
+        nodes.append(G.mul(nodes[-1], rng.choice(ball.elements)))
+    return BrokenLine.from_nodes(view, nodes)
+
+
+def reference_coset_key(G: RelHyp, nu, v):
+    """A key of the left coset v H_nu read off the peripheral kind, apart
+    from the syllable walk: nothing for the whole group, v less its trailing
+    run of the generator for a cyclic-generator peripheral, v less a trailing
+    syllable of the factor for a free factor."""
+    p = G.peripheral(nu)
+    if p.kind == "whole-group":
+        return ()
+    if p.kind == "cyclic-generator":
+        i = G.base.symbols.index(p.arg) + 1
+        k = len(v)
+        while k > 0 and abs(v[k - 1]) == i:
+            k -= 1
+        return v[:k]
+    if v and v[-1][0] == p.arg:
+        return v[:-1]
+    return v
+
+
+def reference_chain(bl, per_seg, seg_index, comp):
+    """The longest chain of same-coset components over consecutive segments
+    of a broken line, starting at ``comp`` of segment ``seg_index``, found by
+    walking the segments one at a time with ``reference_coset_key``."""
+    G = bl.view.group
+
+    def key(c):
+        return (c.nu, reference_coset_key(G, c.nu, c.h_minus))
+
+    chain = [(seg_index, comp)]
+    for si in range(seg_index + 1, len(per_seg)):
+        nxt = next((c for c in per_seg[si] if key(c) == key(comp)), None)
+        if nxt is None:
+            break
+        chain.append((si, nxt))
+    return chain
+
+
+def reference_backtracking(bl, per_seg):
+    """Every chain of two or more components that no component of the
+    previous segment extends, as (nu, ((segment index, start, stop), ...))."""
+    G = bl.view.group
+
+    def key(c):
+        return (c.nu, reference_coset_key(G, c.nu, c.h_minus))
+
+    out = []
+    for si, comps in enumerate(per_seg):
+        before = {key(d) for d in per_seg[si - 1]} if si else set()
+        for c in comps:
+            chain = reference_chain(bl, per_seg, si, c)
+            if key(c) not in before and len(chain) >= 2:
+                out.append((c.nu, tuple((i, d.start, d.stop) for i, d in chain)))
+    return out

@@ -55,7 +55,7 @@ from relhyp.separability import (
 from relhyp.separability.quotients import FiniteQuotient
 from relhyp.errors import DIncompatibleError
 
-from conftest import amalgam_word_classes
+from conftest import amalgam_word_classes, reference_coset_key
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -146,7 +146,7 @@ def _coned_oracle(view, domain_radius):
     for p in G.peripherals:
         cosets = {}
         for g in elems:
-            cosets.setdefault(view.coset_key(p.nu, g), []).append(index[g])
+            cosets.setdefault(reference_coset_key(G, p.nu, g), []).append(index[g])
         for members in cosets.values():
             for i in members:
                 for j in members:

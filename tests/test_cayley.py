@@ -25,6 +25,8 @@ from relhyp.cayley import (
 from relhyp.components import find_components, is_without_backtracking
 from relhyp.groups import FreeAbelian, GroupSpec
 
+from conftest import reference_coset_key
+
 w = word_to_elem
 
 
@@ -51,7 +53,7 @@ def coned_bfs_oracle(view, domain_radius):
     for p in G.peripherals:
         cosets = {}
         for g in elems:
-            cosets.setdefault(view.coset_key(p.nu, g), []).append(index[g])
+            cosets.setdefault(reference_coset_key(G, p.nu, g), []).append(index[g])
         for members in cosets.values():
             for i in members:
                 for j in members:
@@ -246,6 +248,28 @@ def test_syllable_walk(base, peripherals, radius):
         row = dist_from(index[u])
         for v in near:
             assert view.dist(u, v) == row[index[v]]
+
+
+@pytest.mark.parametrize(
+    "base,peripherals,radius",
+    [pytest.param(*shape[1:], id=shape[0]) for shape in METRIC_SHAPES if shape[2]]
+    + [
+        pytest.param(FreeGroup(("a", "b")), _WHOLE, 4, id="F2-whole"),
+        pytest.param(FreeAbelian(("x", "y")), _WHOLE, 4, id="Z2-whole"),
+        pytest.param(cyclic_group(7), _WHOLE, 3, id="Z7-whole"),
+    ],
+)
+def test_coset_key_partition(base, peripherals, radius):
+    """coset_key, read off the syllable walk, and reference_coset_key, read
+    off the peripheral kind, cut the ball into the same cosets of each
+    peripheral subgroup."""
+    G = RelHyp(base, peripherals)
+    view = relative_view(G)
+    elems = build_ball(base, radius).elements
+    for p in peripherals:
+        keys = [view.coset_key(p.nu, g) for g in elems]
+        refs = [reference_coset_key(G, p.nu, g) for g in elems]
+        assert len(set(keys)) == len(set(zip(keys, refs))) == len(set(refs))
 
 
 @pytest.mark.parametrize(

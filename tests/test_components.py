@@ -3,7 +3,7 @@ import random
 import pytest
 
 from relhyp import word_to_elem
-from relhyp.cayley import BrokenLine, EdgePath, build_ball
+from relhyp.cayley import BrokenLine, EdgePath, build_ball, word_metric_view
 from relhyp.components import (
     connected,
     find_components,
@@ -12,6 +12,8 @@ from relhyp.components import (
     phase_vertices,
     x_length_of_path,
 )
+
+from conftest import random_broken_line
 
 w = word_to_elem
 
@@ -77,6 +79,24 @@ class TestConnected:
             if connected(x, y) and connected(y, z):
                 assert connected(x, z)
 
+    @pytest.mark.parametrize("view_name", ["fab_rel_a", "z2z"])
+    def test_matches_peripheral_membership(self, request, view_name):
+        """connected(h, k) holds exactly when h_-^-1 k_- lies in H_nu, on the
+        components of random broken lines and of their whole paths."""
+        view = request.getfixturevalue(view_name)
+        G = view.group
+        rng = random.Random(37)
+        for _ in range(60):
+            bl = random_broken_line(rng, G.base, view)
+            comps = [c for seg in bl.segments for c in find_components(seg)]
+            comps += find_components(bl.whole_path())
+            for h in comps:
+                for k in comps:
+                    same_coset = G.peripheral_contains(
+                        h.nu, G.mul(G.inv(h.h_minus), k.h_minus)
+                    )
+                    assert connected(h, k) == (h.nu == k.nu and same_coset)
+
 
 class TestBacktracking:
     def test_empty_and_geodesic(self, fab_rel_a, fab):
@@ -128,7 +148,7 @@ class TestXLength:
         assert x_length_of_path(p, 2) == 4  # |b a^2 b|_X = 4 <= 2 * 3
 
     def test_equality_for_all_x(self, fab_rel_a, fab):
-        geo = fab_rel_a.word_view().geodesic(fab.identity(), w("a b a b", fab))
+        geo = word_metric_view(fab).geodesic(fab.identity(), w("a b a b", fab))
         assert x_length_of_path(geo, 1) == 4
 
     def test_theta_precondition(self, fab_rel_a, fab):

@@ -2,10 +2,22 @@ import random
 
 import pytest
 
-from relhyp import word_to_elem
-from relhyp.cayley import BrokenLine, build_ball
-from relhyp.components import find_components, is_without_backtracking
+from relhyp import PeripheralSpec, RelHyp, word_to_elem
+from relhyp.cayley import BrokenLine, relative_view
+from relhyp.components import (
+    find_components,
+    find_consecutive_backtracking,
+    is_without_backtracking,
+    run_suffixes,
+)
 from relhyp.shortcut import is_tamable, shortcut, verify_shortcut_proposition
+
+from conftest import (
+    random_broken_line,
+    reference_backtracking,
+    reference_chain,
+    reference_coset_key,
+)
 
 w = word_to_elem
 
@@ -15,15 +27,6 @@ def a5_a10(fab, fab_rel_a):
     a5 = w("a a a a a", fab)
     a10 = fab.mul(a5, a5)
     return BrokenLine.from_nodes(fab_rel_a, [fab.identity(), a5, a10])
-
-
-def random_broken_line(rng, fab, view, max_nodes=5, radius=4):
-    ball = build_ball(fab, radius)
-    n = rng.randint(1, max_nodes)
-    nodes = [fab.identity()]
-    for _ in range(n):
-        nodes.append(fab.mul(nodes[-1], rng.choice(ball.elements)))
-    return BrokenLine.from_nodes(view, nodes)
 
 
 class TestProcedure:
@@ -122,6 +125,44 @@ class TestProposition:
             if is_without_backtracking(path):
                 comps = find_components(path)
                 keys = {
-                    (c.nu, fab_rel_a.coset_key(c.nu, c.h_minus)) for c in comps
+                    (c.nu, reference_coset_key(fab_rel_a.group, c.nu, c.h_minus))
+                    for c in comps
                 }
                 assert len(keys) == len(comps)
+
+
+@pytest.fixture(params=["F2-rel-a", "Z2*Z-rel-both", "F2-whole"])
+def line_view(request, fab):
+    """A relative view of each peripheral kind."""
+    if request.param == "F2-rel-a":
+        return request.getfixturevalue("fab_rel_a")
+    if request.param == "Z2*Z-rel-both":
+        return request.getfixturevalue("z2z")
+    return relative_view(RelHyp(fab, (PeripheralSpec(0, "whole-group"),)))
+
+
+def test_coset_runs_match_reference_chains(line_view):
+    """The run suffix shortcut reads at each H-labelled edge is the chain
+    walked from that edge's component with reference_coset_key, and the
+    backtracking instances are the reference chains no earlier segment
+    extends, ordered by first segment, then nu."""
+    G = line_view.group.base
+    rng = random.Random(41)
+    for _ in range(200):
+        bl = random_broken_line(rng, G, line_view)
+        per_seg = [find_components(seg) for seg in bl.segments]
+        expected = {}
+        offset = 0
+        for si, comps in enumerate(per_seg):
+            for c in comps:
+                chain = reference_chain(bl, per_seg, si, c)
+                for edge in range(offset + c.start, offset + c.stop):
+                    expected[edge] = chain
+            offset += len(bl.segments[si])
+        assert run_suffixes(bl) == expected
+        got = [
+            (inst.nu, tuple((i, c.start, c.stop) for i, c in inst.pairs))
+            for inst in find_consecutive_backtracking(bl)
+        ]
+        assert sorted(got) == sorted(reference_backtracking(bl, per_seg))
+        assert got == sorted(got, key=lambda inst: (inst[1][0][0], inst[0]))
