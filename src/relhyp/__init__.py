@@ -8,8 +8,6 @@ from .cayley import (
     EdgePath,
     RelGraphView,
     build_ball,
-    rel_dist,
-    rel_geodesic,
     relative_view,
     trivial_path,
     word_metric_view,

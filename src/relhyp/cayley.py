@@ -288,11 +288,6 @@ class EdgePath:
             raise IndexError((i, j))
         return EdgePath(self.view, self.vertices[i], self.labels[i:j])
 
-    def concat(self, other: "EdgePath") -> "EdgePath":
-        if other.start != self.end:
-            raise ValueError("paths do not chain")
-        return EdgePath(self.view, self.start, self.labels + other.labels)
-
     def reverse(self) -> "EdgePath":
         G = self.view.group
         labs = []
@@ -346,8 +341,9 @@ class BrokenLine:
     def length(self) -> int:
         return sum(len(s) for s in self.segments)
 
+    @per_instance
     def whole_path(self) -> EdgePath:
-        """The segments as one path (they chain by construction)."""
+        """The segments as one path (they chain by construction), built once."""
         return EdgePath(
             self.view, self.start, tuple(l for seg in self.segments for l in seg.labels)
         )
@@ -410,11 +406,3 @@ def build_ball(G: GroupSpec, r: int, budget: Optional[int] = None) -> Ball:
         budget = DEFAULT_VERTEX_BUDGET
     dist, _ = bfs(G.identity(), _ball_letters(G), G.mul, r, budget)
     return Ball(G, r, tuple(dist), dist)
-
-
-def rel_dist(u: Elem, v: Elem, view: RelGraphView) -> int:
-    return view.dist(u, v)
-
-
-def rel_geodesic(u: Elem, v: Elem, view: RelGraphView) -> EdgePath:
-    return view.geodesic(u, v)

@@ -30,7 +30,6 @@ from .cayley import (
 from .conditions import (
     CONDITION_IDS,
     ConditionContext,
-    EnumeratedSet,
     check_condition,
     minx,
 )
@@ -38,6 +37,7 @@ from .errors import BudgetExceededError, FamilyMismatchError, SchemaError, Unsup
 from .geometry import ConstantsProfile, gromov_product, measure_delta
 from .groups import (
     Amalgam,
+    Elem,
     FreeAbelian,
     FreeGroup,
     FreeProduct,
@@ -167,8 +167,9 @@ def parse_word(word: str, G: GroupSpec):
         raise SchemaError("bad word %r: %s" % (word, e))
 
 
-def parse_path(view: RelGraphView, text: str, start_word: str = "") -> EdgePath:
-    """Tokens 'x:<letter>' and 'h:<nu>:<word>' (word letters joined by ',')."""
+def parse_path(view: RelGraphView, text: str, start: Elem) -> EdgePath:
+    """Tokens 'x:<letter>' and 'h:<nu>:<word>' (word letters joined by ','),
+    read from ``start``."""
     G = view.group
     labels = []
     for token in text.split():
@@ -183,27 +184,29 @@ def parse_path(view: RelGraphView, text: str, start_word: str = "") -> EdgePath:
             labels.append(("h", nu, parse_word(parts[2].replace(",", " "), G)))
         else:
             raise SchemaError("bad path token %r" % token)
-    start = parse_word(start_word, G)
-    return EdgePath(view, start, tuple(labels))
+    try:
+        return EdgePath(view, start, tuple(labels))
+    except ValueError as e:
+        raise SchemaError("bad path %r: %s" % (text, e))
 
 
-def parse_broken_line(view: RelGraphView, sec: dict, key: str) -> BrokenLine:
+def parse_broken_line(view: RelGraphView, sec: dict) -> BrokenLine:
     """Either 'nodes' (words separated by ';') or 'segments' (paths by '|')."""
-    if key + ".nodes" in sec or "nodes" in sec:
-        text = sec.get(key + ".nodes", sec.get("nodes"))
-        nodes = [parse_word(w.strip(), view.group) for w in text.split(";")]
+    G = view.group
+    if "nodes" in sec:
+        nodes = [parse_word(w.strip(), G) for w in sec["nodes"].split(";")]
         return BrokenLine.from_nodes(view, nodes)
-    if key + ".segments" in sec or "segments" in sec:
-        text = sec.get(key + ".segments", sec.get("segments"))
-        segs = []
-        at = view.group.identity()
-        for part in text.split("|"):
-            p = parse_path(view, part.strip())
-            p = EdgePath(view, at, p.labels)
-            segs.append(p)
-            at = p.end
+    if "segments" not in sec:
+        raise SchemaError("broken line needs 'nodes' or 'segments'")
+    segs = []
+    at = G.identity()
+    for part in sec["segments"].split("|"):
+        segs.append(parse_path(view, part.strip(), at))
+        at = segs[-1].end
+    try:
         return BrokenLine(tuple(segs))
-    raise SchemaError("broken line needs 'nodes' or 'segments'")
+    except ValueError as e:
+        raise SchemaError("bad segments: %s" % e)
 
 
 def subgroup_from_config(cfg: dict, name: str, G: GroupSpec) -> SubgroupSpec:
@@ -274,11 +277,34 @@ def _int_param(cfg, key, default=None, override=None, least=0):
     return value
 
 
-def _word_param(cfg, key):
-    raw = _params(cfg).get(key)
-    if raw is None:
-        raise SchemaError("missing parameter %r" % key)
-    return raw
+def _word_params(cfg, G, *keys):
+    """Each word parameter in ``keys``, read once: its raw text by key (the
+    report's ``inputs``) and the elements they spell, in order."""
+    raws, elems = {}, []
+    for key in keys:
+        raw = _params(cfg).get(key)
+        if raw is None:
+            raise SchemaError("missing parameter %r" % key)
+        raws[key] = raw
+        elems.append(parse_word(raw, G))
+    return raws, elems
+
+
+def _word_list(text: str, G: GroupSpec) -> list:
+    """The elements of a ';'-separated word list; blank entries are skipped."""
+    return [parse_word(w.strip(), G) for w in text.split(";") if w.strip()]
+
+
+def _factor_gens(cfg, G):
+    """The subgroup names the 'factors' parameter lists, and their generators."""
+    names = _params(cfg).get("factors", "").split()
+    return names, tuple(subgroup_from_config(cfg, n, G).gens for n in names)
+
+
+def _named_subgroup(cfg, G):
+    """The subgroup the 'subgroup' parameter names (default Q), and its folded graph."""
+    name = _params(cfg).get("subgroup", "Q")
+    return name, subgroup_graph(subgroup_from_config(cfg, name, G).gens, G)
 
 
 # Commands defined on one base family only; any other base exits 5.
@@ -294,7 +320,6 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
     """Execute one named check against a parsed configuration."""
     group = build_group(cfg)
     view = relative_view(group)
-    wview = word_metric_view(group)
     G = group.base
     family = _BASE_FAMILY.get(command)
     if family is not None and not isinstance(G, family):
@@ -309,29 +334,17 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
             {"vertices": len(ball), "max_distance": max(ball.dist.values(), default=0)},
         )
     elif command == "rel-dist":
-        u = parse_word(_word_param(cfg, "u"), G)
-        v = parse_word(_word_param(cfg, "v"), G)
-        reporter.emit(command, {"u": _word_param(cfg, "u"), "v": _word_param(cfg, "v")}, view.dist(u, v))
+        inputs, (u, v) = _word_params(cfg, G, "u", "v")
+        reporter.emit(command, inputs, view.dist(u, v))
     elif command == "geodesic":
-        u = parse_word(_word_param(cfg, "u"), G)
-        v = parse_word(_word_param(cfg, "v"), G)
+        inputs, (u, v) = _word_params(cfg, G, "u", "v")
         path = view.geodesic(u, v)
-        reporter.emit(
-            command,
-            {"u": _word_param(cfg, "u"), "v": _word_param(cfg, "v")},
-            {"length": len(path), "labels": _label_strs(path)},
-        )
+        reporter.emit(command, inputs, {"length": len(path), "labels": _label_strs(path)})
     elif command == "gromov":
         metric = _params(cfg).get("metric", "relative")
-        mview = view if metric == "relative" else wview
-        x = parse_word(_word_param(cfg, "x"), G)
-        y = parse_word(_word_param(cfg, "y"), G)
-        z = parse_word(_word_param(cfg, "z"), G)
-        reporter.emit(
-            command,
-            {"metric": metric},
-            gromov_product(x, y, z, mview),
-        )
+        mview = view if metric == "relative" else word_metric_view(group)
+        _, (x, y, z) = _word_params(cfg, G, "x", "y", "z")
+        reporter.emit(command, {"metric": metric}, gromov_product(x, y, z, mview))
     elif command == "delta":
         r = _int_param(cfg, "radius", override=radius)
         c0 = _int_param(cfg, "c0", default=0)
@@ -356,33 +369,28 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         )
     elif command == "components":
         sec = cfg.get("paths", {})
-        path = parse_path(view, sec.get("path", ""), sec.get("start", ""))
-        comps = comp_mod.find_components(path)
+        text = sec.get("path", "")
+        path = parse_path(view, text, parse_word(sec.get("start", ""), G))
         reporter.emit(
             command,
-            {"path": sec.get("path", "")},
+            {"path": text},
             [
                 {"range": [c.start, c.stop], "nu": c.nu, "x_length": c.x_length}
-                for c in comps
+                for c in comp_mod.find_components(path)
             ],
         )
     elif command == "backtracking":
-        bl = parse_broken_line(view, cfg.get("paths", {}), "bl")
-        insts = comp_mod.find_consecutive_backtracking(bl)
+        bl = parse_broken_line(view, cfg.get("paths", {}))
         reporter.emit(
             command,
             {},
             [
-                {
-                    "kind": inst.kind,
-                    "nu": inst.nu,
-                    "segments": [i for i, _ in inst.pairs],
-                }
-                for inst in insts
+                {"kind": inst.kind, "nu": inst.nu, "segments": [i for i, _ in inst.pairs]}
+                for inst in comp_mod.find_consecutive_backtracking(bl)
             ],
         )
     elif command == "shortcut":
-        bl = parse_broken_line(view, cfg.get("paths", {}), "bl")
+        bl = parse_broken_line(view, cfg.get("paths", {}))
         theta = _int_param(cfg, "theta", least=1)
         res = shortcut_mod.shortcut(bl, theta)
         res.check_invariants()
@@ -395,7 +403,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
             },
         )
     elif command == "tamable":
-        bl = parse_broken_line(view, cfg.get("paths", {}), "bl")
+        bl = parse_broken_line(view, cfg.get("paths", {}))
         B = _int_param(cfg, "B")
         C = _int_param(cfg, "C")
         zeta = _int_param(cfg, "zeta")
@@ -408,7 +416,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
             witness=None if verdict.ok else str(verdict.failing[0]),
         )
     elif command == "verify-shortcut":
-        bl = parse_broken_line(view, cfg.get("paths", {}), "bl")
+        bl = parse_broken_line(view, cfg.get("paths", {}))
         theta = _int_param(cfg, "theta", least=1)
         lam = _int_param(cfg, "lambda")
         c = _int_param(cfg, "c")
@@ -428,7 +436,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
             },
         )
     elif command == "minimize-type":
-        g = parse_word(_word_param(cfg, "g"), G)
+        inputs, (g,) = _word_params(cfg, G, "g")
         qp = subgroup_from_config(cfg, "Q'", G)
         rp = subgroup_from_config(cfg, "R'", G)
         b = SearchBudget(
@@ -446,65 +454,45 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
                     for role, seg in zip(res.rep.roles, res.rep.line.segments)
                 ],
             }
-        reporter.emit(command, {"g": _word_param(cfg, "g")}, verdict, caveats=[res.caveat])
+        reporter.emit(command, inputs, verdict, caveats=[res.caveat])
     elif command == "check-conditions":
         _run_conditions(cfg, view, reporter, radius)
     elif command == "minx":
-        sec = cfg.get("set", {})
-        raw = sec.get("elements", "")
-        elems = [parse_word(w.strip(), G) for w in raw.split(";") if w.strip()]
-        r = _int_param(cfg, "radius", default=0, override=radius)
-        es = EnumeratedSet(frozenset(elems), r, "explicit element list", exact=True)
-        reporter.emit(command, {"size": len(elems)}, minx(es, G))
+        elems = _word_list(cfg.get("set", {}).get("elements", ""), G)
+        # minx reads no radius, but a malformed one is still a schema error
+        _int_param(cfg, "radius", default=0, override=radius)
+        reporter.emit(command, {"size": len(elems)}, minx(elems, G))
     elif command == "stallings":
-        name = _params(cfg).get("subgroup", "Q")
-        spec = subgroup_from_config(cfg, name, G)
-        graph = subgroup_graph(spec.gens, G)
+        name, graph = _named_subgroup(cfg, G)
         reporter.emit(
             command,
             {"subgroup": name},
             {"vertices": len(graph), "edges": sum(1 for _ in graph.edges())},
         )
     elif command == "member":
-        g = parse_word(_word_param(cfg, "g"), G)
-        name = _params(cfg).get("subgroup", "Q")
-        spec = subgroup_from_config(cfg, name, G)
-        reporter.emit(
-            command,
-            {"g": _word_param(cfg, "g"), "subgroup": name},
-            member(g, subgroup_graph(spec.gens, G)),
-        )
+        inputs, (g,) = _word_params(cfg, G, "g")
+        name, graph = _named_subgroup(cfg, G)
+        reporter.emit(command, {**inputs, "subgroup": name}, member(g, graph))
     elif command == "product-member":
-        g = parse_word(_word_param(cfg, "g"), G)
-        names = _params(cfg).get("factors", "").split()
-        specs = [subgroup_from_config(cfg, n, G) for n in names]
-        reporter.emit(
-            command,
-            {"g": _word_param(cfg, "g"), "factors": names},
-            product_member(g, [s.gens for s in specs], G),
-        )
+        inputs, (g,) = _word_params(cfg, G, "g")
+        names, gens = _factor_gens(cfg, G)
+        reporter.emit(command, {**inputs, "factors": names}, product_member(g, gens, G))
     elif command == "separate":
-        g = parse_word(_word_param(cfg, "g"), G)
-        names = _params(cfg).get("factors", "").split()
-        specs = [subgroup_from_config(cfg, n, G) for n in names]
-        target = RationalSubset(G, (), tuple(s.gens for s in specs))
+        inputs, (g,) = _word_params(cfg, G, "g")
+        target = RationalSubset(G, (), _factor_gens(cfg, G)[1])
         cap = _int_param(cfg, "cap", default=6)
-        in_target = target.contains(g)
-        q = None if in_target else find_separating_quotient(g, target, n_max=cap, seed=seed)
-        if in_target:
+        if target.contains(g):
             reporter.any_failed = True
-            reporter.emit(command, {"g": _word_param(cfg, "g")}, "in-target",
-                          witness=G.elem_str(g),
+            reporter.emit(command, inputs, "in-target", witness=G.elem_str(g),
                           caveats=["g lies in the target product; no finite quotient separates it"])
-        elif q is None:
-            reporter.emit(command, {"g": _word_param(cfg, "g")}, "not-found",
-                          caveats=["search cap S_%d exhausted" % cap])
+            return
+        q = find_separating_quotient(g, target, n_max=cap, seed=seed)
+        if q is None:
+            reporter.emit(command, inputs, "not-found", caveats=["search cap S_%d exhausted" % cap])
         else:
-            reporter.emit(command, {"g": _word_param(cfg, "g")}, q.certificate())
+            reporter.emit(command, inputs, q.certificate())
     elif command == "minx-harness":
-        names = _params(cfg).get("factors", "").split()
-        specs = [subgroup_from_config(cfg, n, G) for n in names]
-        Z = RationalSubset(G, (), tuple(s.gens for s in specs))
+        Z = RationalSubset(G, (), _factor_gens(cfg, G)[1])
         C = _int_param(cfg, "C")
         cap = _int_param(cfg, "cap", default=6)
         res = minx_quotient_harness(Z, C, n_max=cap, seed=seed, budget=budget)
@@ -519,30 +507,18 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
             caveats=list(res.caveats),
         )
     elif command == "amalgam-reduce":
-        g = parse_word(_word_param(cfg, "w"), G)
-        reporter.emit(
-            command,
-            {"w": _word_param(cfg, "w")},
-            {"length": len(g), "syllables": G.elem_str(g)},
-        )
+        inputs, (g,) = _word_params(cfg, G, "w")
+        reporter.emit(command, inputs, {"length": len(g), "syllables": G.elem_str(g)})
     elif command == "amalgam-member":
-        g = parse_word(_word_param(cfg, "g"), G)
+        inputs, (g,) = _word_params(cfg, G, "g")
         kind = _params(cfg).get("kind", "BC")
-        U = [
-            parse_word(w.strip(), G)
-            for w in _params(cfg).get("U", "").split(";")
-            if w.strip()
-        ]
-        V = [
-            parse_word(w.strip(), G)
-            for w in _params(cfg).get("V", "").split(";")
-            if w.strip()
-        ]
+        U = _word_list(_params(cfg).get("U", ""), G)
+        V = _word_list(_params(cfg).get("V", ""), G)
         try:
             verdict = amalgam_product_member(g, kind, G, U, V)
         except (ValueError, FamilyMismatchError) as e:
             raise SchemaError("bad amalgam-member parameters: %s" % e)
-        reporter.emit(command, {"g": _word_param(cfg, "g"), "kind": kind}, verdict)
+        reporter.emit(command, {**inputs, "kind": kind}, verdict)
     else:
         raise SchemaError("unknown command %r" % command)
 

@@ -39,19 +39,9 @@ CONDITION_IDS = ("C1", "C2", "C3", "C4", "C5", "C2-m", "C5-m", "P1", "P2", "P3")
 _MINX_FAMILIES = ("C2", "C3", "C5", "C2-m", "C5-m")
 
 
-@dataclass(frozen=True)
-class EnumeratedSet:
-    """Elements of a set materialized up to an X-length radius."""
-
-    elements: frozenset
-    radius: int
-    provenance: str
-    exact: bool = False
-
-
-def minx(Y: EnumeratedSet, G: GroupSpec):
-    """min |g|_X over the enumerated set; +inf when empty within the radius."""
-    return min((G.x_length(g) for g in Y.elements), default=math.inf)
+def minx(elements: Iterable[Elem], G: GroupSpec):
+    """min |g|_X over ``elements``; +inf when there are none."""
+    return min((G.x_length(g) for g in elements), default=math.inf)
 
 
 @dataclass(frozen=True)

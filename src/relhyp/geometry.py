@@ -32,12 +32,12 @@ class QuasigeodesicVerdict:
         return self.ok
 
 
-def is_quasigeodesic(p: EdgePath, lam, c, view: Optional[RelGraphView] = None) -> QuasigeodesicVerdict:
+def is_quasigeodesic(p: EdgePath, lam, c) -> QuasigeodesicVerdict:
     """Exhaustive check of len(q) <= lam * d(q-, q+) + c over all subpaths q.
 
     Returns a failing subpath as witness when the bound is violated.
     """
-    view = view or p.view
+    view = p.view
     lam = Fraction(lam)
     c = Fraction(c)
     verts = p.vertices
@@ -256,15 +256,13 @@ class ConstantsProfile:
     """Constants derived from a measured delta on a stated ball.
 
     c1 = 12(c0 + delta) + 1, c2 = 10(delta + c1), c3 = 10(delta + 2 c1);
-    lam/c are the quasigeodesicity parameters under test, and ``empirical``
-    records estimates measured on finite data as (name, value, radius).
+    ``empirical`` records estimates measured on finite data as (name, value,
+    radius).
     """
 
     delta: Fraction
     c0: Fraction
     ball_radius: int
-    lam: Optional[Fraction] = None
-    c: Optional[Fraction] = None
     empirical: tuple = ()
 
     def __post_init__(self):
@@ -320,8 +318,8 @@ def check_concat_lemma(bl: BrokenLine, c0, profile: ConstantsProfile) -> ConcatR
         for i in range(1, n)
     )
     whole = bl.whole_path()
-    concl3 = is_quasigeodesic(whole, 4, profile.c3, view)
-    concl2 = is_quasigeodesic(whole, 4, profile.c2, view) if strong and products_ok else None
+    concl3 = is_quasigeodesic(whole, 4, profile.c3)
+    concl2 = is_quasigeodesic(whole, 4, profile.c2) if strong and products_ok else None
     hyp = interior_ok and products_ok
     violation = (hyp and not concl3.ok) or (
         strong and products_ok and concl2 is not None and not concl2.ok

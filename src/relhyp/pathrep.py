@@ -172,7 +172,6 @@ class SearchBudget:
 class MinimizeResult:
     rep: Optional[PathRep]
     rep_type: Optional[RepType]
-    budget: SearchBudget
     caveat: str
 
 
@@ -194,7 +193,7 @@ def minimize_type(
     if g == G.identity():
         line = BrokenLine((trivial_path(view, G.identity()),))
         rep = PathRep("I", line, ("Q'",))
-        return MinimizeResult(rep, RepType(1, 0, 0), budget, caveat)
+        return MinimizeResult(rep, RepType(1, 0, 0), caveat)
 
     ball = build_ball(G.base, budget.max_len).elements
     pool = []
@@ -234,5 +233,5 @@ def minimize_type(
 
     dfs([], G.identity(), budget.max_factors)
     if best is None:
-        return MinimizeResult(None, None, budget, "not found within budget (%s)" % budget.describe())
-    return MinimizeResult(best[1], best[0], budget, caveat)
+        return MinimizeResult(None, None, "not found within budget (%s)" % budget.describe())
+    return MinimizeResult(best[1], best[0], caveat)

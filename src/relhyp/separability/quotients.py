@@ -349,7 +349,11 @@ def find_separating_quotient(
             return q
     if len(target.factors) == 1 and not target.g0:
         comp = _completion_quotient(G, target.graphs[0], g)
-        if verify_separation(comp, g, target):
+        # checked by direct images, not by closing the image subgroup (which
+        # can pass the closure budget): every factor generator fixes the
+        # basepoint b, so the image subgroup does, and g moves b
+        b = target.graphs[0].basepoint
+        if comp.image_of(g)[b] != b and all(comp.image_of(h)[b] == b for h in target.factors[0]):
             return comp
     rng = random.Random(seed)
     for n in range(5, n_max + 1):
@@ -382,7 +386,6 @@ class MinxHarnessResult:
     quotient: Optional[FiniteQuotient]
     achieved_min: object  # int or math.inf over the checked ball
     verified: bool
-    checked_radius: int
     caveats: tuple[str, ...]
 
 
@@ -407,7 +410,6 @@ def minx_quotient_harness(
     C: int,
     n_max: int = 6,
     seed: int = 0,
-    check_radius: Optional[int] = None,
     budget: Optional[int] = None,
 ) -> MinxHarnessResult:
     """Find a quotient whose kernel N satisfies minx(ZN \\ Z) >= C.
@@ -415,16 +417,16 @@ def minx_quotient_harness(
     Every element shorter than C outside Z gets a separating quotient; the
     block sum of those quotients has the required kernel.  Membership in ZN
     is decided through images, and the bound is re-verified on the ball of
-    radius ``check_radius`` (default C + 2), of at most ``budget`` vertices
-    (None: the default vertex budget of ``build_ball``).
+    radius C + 2, of at most ``budget`` vertices (None: the default vertex
+    budget of ``build_ball``).
     """
     import math
 
     from ..cayley import build_ball
 
     G = Z.group
-    radius = check_radius if check_radius is not None else C + 2
-    ball = build_ball(G, max(radius, max(C - 1, 0)), budget)
+    radius = C + 2
+    ball = build_ball(G, max(radius, 0), budget)
     outsiders = [
         g for g in ball.elements if len(g) < C and not Z.contains(g)
     ]
@@ -433,7 +435,9 @@ def minx_quotient_harness(
     for u in outsiders:
         q = find_separating_quotient(u, Z, n_max=n_max, seed=seed)
         if q is None:
-            return MinxHarnessResult(None, None, False, radius, ("separation search cap exhausted at %s" % G.elem_str(u),))
+            return MinxHarnessResult(
+                None, None, False, ("separation search cap exhausted at %s" % G.elem_str(u),)
+            )
         parts.append(q)
     combined = combine_quotients(G, parts)
     z_image = image_of_rational_subset(combined, Z)
@@ -454,4 +458,4 @@ def minx_quotient_harness(
             if len(g) < C:
                 ok = False
     caveats.append("ZN membership checked through images on the radius-%d ball" % radius)
-    return MinxHarnessResult(combined, achieved, ok and achieved >= C, radius, tuple(caveats))
+    return MinxHarnessResult(combined, achieved, ok and achieved >= C, tuple(caveats))

@@ -40,12 +40,10 @@ class ShortcutResult:
     es: tuple[EdgePath, ...]
     sigma: BrokenLine
 
-    def input_vertices(self) -> tuple:
-        return self.source.whole_path().vertices
-
     def check_invariants(self) -> None:
         """Assert the structural guarantees of the construction."""
-        verts = self.input_vertices()
+        whole = self.source.whole_path()
+        verts = whole.vertices
         d = len(verts) - 1
         view = self.source.view
         assert self.V[0][0] == 0 and self.V[-1][1] == d
@@ -58,7 +56,6 @@ class ShortcutResult:
         vert_set = set(verts)
         for node in self.sigma.nodes:
             assert node in vert_set
-        whole = self.source.whole_path()
         for (s, t) in self.V:
             for lab in whole.labels[s:t]:
                 if lab[0] == "h":

@@ -299,7 +299,8 @@ def reference_find_separating_quotient(g, target, n_max=6, seed=0, random_tries=
     simultaneously conjugate candidates: every assignment in the search
     order is tried, every image is composed letter by letter
     (``naive_perm_word``) and every subgroup is closed by products with its
-    generators until nothing new appears.
+    generators until nothing new appears (the completion stage instead
+    checks where the basepoint goes).
     Returns (degree, generator images) of the first separating assignment,
     or None; raises BudgetExceededError where a subgroup image exceeds the
     closure budget."""
@@ -375,7 +376,11 @@ def reference_find_separating_quotient(g, target, n_max=6, seed=0, random_tries=
             return found
     if len(target.factors) == 1 and not target.g0:
         comp = _completion_quotient(G, target.graphs[0], g)
-        if separates(comp.gen_images):
+        # the search checks this stage by where the basepoint 0 goes, not by
+        # closing the subgroup image, which can pass the closure budget
+        fixes = [naive_perm_word(comp.gen_images, comp.degree, x)[0] == 0
+                 for x in target.factors[0]]
+        if all(fixes) and naive_perm_word(comp.gen_images, comp.degree, g)[0] != 0:
             return comp.degree, comp.gen_images
     rng = random.Random(seed)
     for n in range(5, n_max + 1):

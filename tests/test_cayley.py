@@ -17,8 +17,6 @@ from relhyp.cayley import (
     EdgePath,
     _ball_letters,
     build_ball,
-    rel_dist,
-    rel_geodesic,
     relative_view,
     word_metric_view,
 )
@@ -31,7 +29,7 @@ w = word_to_elem
 
 
 def coned_bfs_oracle(view, domain_radius):
-    """Truncated coned-graph BFS distances, independent of rel_dist.
+    """Truncated coned-graph BFS distances, independent of RelGraphView.dist.
 
     Vertices: the X-ball of the given radius.  Edges: X-edges plus every
     peripheral edge between domain vertices.
@@ -114,24 +112,24 @@ class TestBall:
 class TestRelDist:
     def test_spec_examples(self, fab_rel_a, fab):
         e = fab.identity()
-        assert rel_dist(e, w("a a a a a", fab), fab_rel_a) == 1
-        assert rel_dist(w("b a", fab), w("b a", fab), fab_rel_a) == 0
-        assert rel_dist(e, w("a a a b a a", fab), fab_rel_a) == 3
+        assert fab_rel_a.dist(e, w("a a a a a", fab)) == 1
+        assert fab_rel_a.dist(w("b a", fab), w("b a", fab)) == 0
+        assert fab_rel_a.dist(e, w("a a a b a a", fab)) == 3
 
     def test_free_product_syllable_count(self, z2z):
         G = z2z.group.base
-        assert rel_dist(G.identity(), w("x t", G), z2z) == 2
-        path = rel_geodesic(G.identity(), w("x t", G), z2z)
+        assert z2z.dist(G.identity(), w("x t", G)) == 2
+        path = z2z.geodesic(G.identity(), w("x t", G))
         assert [lab[0] for lab in path.labels] == ["h", "h"]
 
     def test_geodesic_fixture(self, fab_rel_a, fab):
-        path = rel_geodesic(fab.identity(), w("a a a b", fab), fab_rel_a)
+        path = fab_rel_a.geodesic(fab.identity(), w("a a a b", fab))
         assert len(path) == 2
         assert path.labels[0][0] == "h" and path.labels[1][0] == "x"
 
     def test_empty_geodesic(self, fab_rel_a, fab):
         g = w("a b", fab)
-        path = rel_geodesic(g, g, fab_rel_a)
+        path = fab_rel_a.geodesic(g, g)
         assert len(path) == 0 and path.start == path.end == g
 
     def test_rel_leq_word(self, fab_rel_a, fab):

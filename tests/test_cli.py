@@ -352,13 +352,16 @@ class TestMainExitCodes:
             (FAB_REL_A, "radius = 6", "radius = -1", "check-conditions"),
             (FAB_REL_A, "theta = 5", "theta = -5", "shortcut"),
             (AMALGAM, "kind = BC", "kind = XX", "amalgam-member"),
+            (FAB_REL_A, "[paths]\n", "[paths]\npath = x:b h:0:b\n", "components"),
+            (FAB_REL_A, "nodes = 1 ; a a a a a ; a a a a a a a a a a", "segments = x:a x:a",
+             "shortcut"),
         ],
         ids=["duplicate-symbols", "missing-symbols", "non-integer-B",
              "unknown-peripheral", "unknown-letter", "free-product-without-factors",
              "amalgam-without-edge", "edge-without-identity", "empty-peripheral",
              "cyclic-generator-without-letter", "free-factor-not-an-index",
              "negative-radius-ball", "negative-radius-conditions", "negative-theta",
-             "unknown-amalgam-kind"],
+             "unknown-amalgam-kind", "h-label-outside-peripheral", "non-geodesic-segment"],
     )
     def test_malformed_config_is_schema_error(self, tmp_path, capsys, base, old, new, command):
         assert old in base
@@ -412,6 +415,36 @@ class TestMainExitCodes:
               "--out", str(out)])
         lines = [json.loads(l) for l in out.read_text().splitlines()]
         assert lines and all(l["inputs"]["radius"] == 0 for l in lines)
+
+    def test_separate_single_factor_completion(self, tmp_path, capsys):
+        """The degree-10 basepoint completion separates a^5 from one factor
+        whose image closure in S_10 passes the closure budget; it is accepted
+        with no --budget, and the orbit of the point 0 under the factor's
+        images, found here by breadth-first search, misses the image of g."""
+        cfg = self._write(tmp_path, (
+            "[group]\nfamily = free\nsymbols = a b\n"
+            "[subgroups]\nH0 = a a b^-1 b^-1 | a b b b b\n"
+            "[params]\ng = a a a a a\nfactors = H0\ncap = 4\n"
+        ))
+        out = tmp_path / "s.jsonl"
+        assert main(["--config", cfg, "--command", "separate", "--out", str(out)]) == EXIT_OK
+        cert = json.loads(out.read_text())["verdict"]
+        images = [tuple(p) for p in cert["generator_images"]]
+        assert all(sorted(p) == list(range(cert["degree"])) for p in images)
+
+        def act(point, letters):  # letter i is generator i, -i its inverse
+            for x in letters:
+                p = images[abs(x) - 1]
+                point = p[point] if x > 0 else p.index(point)
+            return point
+
+        gens = [(1, 1, -2, -2), (1, 2, 2, 2, 2)]
+        gens += [tuple(-x for x in reversed(h)) for h in gens]
+        orbit, frontier = {0}, {0}
+        while frontier:
+            frontier = {act(pt, h) for pt in frontier for h in gens} - orbit
+            orbit |= frontier
+        assert act(0, (1, 1, 1, 1, 1)) not in orbit
 
     def test_separate_element_of_target(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A.replace("g = b a", "g = a a b"))

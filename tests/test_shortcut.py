@@ -3,7 +3,7 @@ import random
 import pytest
 
 from relhyp import PeripheralSpec, RelHyp, word_to_elem
-from relhyp.cayley import BrokenLine, relative_view
+from relhyp.cayley import BrokenLine, EdgePath, relative_view
 from relhyp.components import (
     find_components,
     find_consecutive_backtracking,
@@ -51,6 +51,22 @@ class TestProcedure:
         res.check_invariants()
         assert res.V == ((0, 2),)
         assert res.sigma.length() == 1
+
+    def test_source_path_built_once(self, a5_a10, monkeypatch):
+        """One shortcut and its invariant check (the CLI's sequence) build the
+        source's whole path, and so validate its labels, once."""
+        labels = tuple(l for seg in a5_a10.segments for l in seg.labels)
+        built = []
+        validate = EdgePath.__post_init__
+
+        def counting(path):
+            if path.start == a5_a10.start and path.labels == labels:
+                built.append(path)
+            validate(path)
+
+        monkeypatch.setattr(EdgePath, "__post_init__", counting)
+        shortcut(a5_a10, 5).check_invariants()
+        assert len(built) == 1
 
     def test_determinism(self, a5_a10):
         r1 = shortcut(a5_a10, 5)
