@@ -33,7 +33,13 @@ from .conditions import (
     check_condition,
     minx,
 )
-from .errors import BudgetExceededError, FamilyMismatchError, SchemaError, UnsupportedFamilyError
+from .errors import (
+    BudgetExceededError,
+    FamilyMismatchError,
+    InTargetError,
+    SchemaError,
+    UnsupportedFamilyError,
+)
 from .geometry import ConstantsProfile, gromov_product, measure_delta
 from .groups import (
     Amalgam,
@@ -481,12 +487,13 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         inputs, (g,) = _word_params(cfg, G, "g")
         target = RationalSubset(G, (), _factor_gens(cfg, G)[1])
         cap = _int_param(cfg, "cap", default=6)
-        if target.contains(g):
+        try:
+            q = find_separating_quotient(g, target, n_max=cap, seed=seed)
+        except InTargetError:
             reporter.any_failed = True
             reporter.emit(command, inputs, "in-target", witness=G.elem_str(g),
                           caveats=["g lies in the target product; no finite quotient separates it"])
             return
-        q = find_separating_quotient(g, target, n_max=cap, seed=seed)
         if q is None:
             reporter.emit(command, inputs, "not-found", caveats=["search cap S_%d exhausted" % cap])
         else:

@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterator, Optional
+from typing import Optional
 
 from .cayley import BrokenLine, EdgePath
+from .groups import per_instance
 
 
 @dataclass(frozen=True)
@@ -79,11 +80,14 @@ def connected(h: HComponent, k: HComponent) -> bool:
 
 
 def is_without_backtracking(p: EdgePath) -> bool:
-    comps = find_components(p)
+    return pairwise_unconnected(find_components(p))
+
+
+def pairwise_unconnected(comps: list[HComponent]) -> bool:
+    """No two of ``comps``, the components of one path, are connected."""
     seen = set()
-    view = p.view
     for c in comps:
-        key = (c.nu, view.coset_key(c.nu, c.h_minus))
+        key = (c.nu, c.path.view.coset_key(c.nu, c.h_minus))
         if key in seen:
             return False
         seen.add(key)
@@ -122,9 +126,11 @@ class BacktrackInstance:
         return self.pairs[-1][1]
 
 
-def coset_runs(bl: BrokenLine) -> Iterator[tuple[int, list[tuple[int, HComponent]]]]:
+@per_instance
+def coset_runs(bl: BrokenLine) -> tuple[tuple[int, tuple[tuple[int, HComponent], ...]], ...]:
     """Every maximal run of same-coset components over consecutive segments,
-    as ``(nu, [(segment index, component), ...])``, runs of one included.
+    as ``(nu, ((segment index, component), ...))``, runs of one included;
+    found once per broken line.
 
     A geodesic segment has at most one component in any coset (the subpath
     between two would be a single edge), so a run takes one per segment.
@@ -134,22 +140,22 @@ def coset_runs(bl: BrokenLine) -> Iterator[tuple[int, list[tuple[int, HComponent
     for si, seg in enumerate(bl.segments):
         for c in find_components(seg):
             hits.setdefault((c.nu, view.coset_key(c.nu, c.h_minus)), []).append((si, c))
+    out = []
     for (nu, _), items in hits.items():
         run = [items[0]]
         for cur in items[1:]:
             if cur[0] != run[-1][0] + 1:
-                yield nu, run
+                out.append((nu, tuple(run)))
                 run = []
             run.append(cur)
-        yield nu, run
+        out.append((nu, tuple(run)))
+    return tuple(out)
 
 
 def find_consecutive_backtracking(bl: BrokenLine) -> list[BacktrackInstance]:
     """All maximal chains of pairwise-connected components over consecutive
     segments (two or more segments per chain)."""
-    out = [
-        BacktrackInstance(tuple(run), nu) for nu, run in coset_runs(bl) if len(run) >= 2
-    ]
+    out = [BacktrackInstance(run, nu) for nu, run in coset_runs(bl) if len(run) >= 2]
     out.sort(key=lambda inst: (inst.pairs[0][0], inst.nu))
     return out
 
@@ -162,7 +168,7 @@ def run_suffixes(bl: BrokenLine) -> dict[int, list[tuple[int, HComponent]]]:
     for _, run in coset_runs(bl):
         for k, (si, c) in enumerate(run):
             for edge in range(offsets[si] + c.start, offsets[si] + c.stop):
-                out[edge] = run[k:]
+                out[edge] = list(run[k:])
     return out
 
 

@@ -126,21 +126,43 @@ def quasiconvexity_epsilon(
     Q: SubgroupSpec, view: RelGraphView, radius: int
 ) -> tuple[int, str]:
     """Largest d_X from a vertex of a canonical relative geodesic between
-    ball elements of Q to the enumerated part of Q.  Radius-stamped."""
+    two points of P = Q ∩ B_r to P.  Radius-stamped.
+
+    The base of ``view`` must be free (else UnsupportedFamilyError); then
+    one geodesic per point suffices, |P| - 1 in all, not one per pair.  The
+    vertices of the canonical geodesics between all pairs of P are those of
+    the geodesics from 1 to each u in P \\ {1}:
+
+    Write u = c u' and v = c v' with c their longest common prefix.  The
+    geodesic from u to v spells u'^-1 v' by maximal one-generator runs: one
+    h edge per peripheral run, one x edge per letter of any other run (one h
+    edge in all under a whole-group peripheral, a letter per edge with no
+    peripherals).  So its vertices are the c p with p a prefix of u' or of
+    v', cut at a point not strictly inside a peripheral run.  Between two
+    letters of u' (or at its end) that point cuts u the same way, so c p is
+    a vertex of the geodesic from 1 to u.  The one point left is c itself.
+    The last letter of c cannot begin both u' and v', so c is strictly
+    inside a peripheral run of at most one of u and v, and is a vertex of
+    the geodesic from 1 to the other.  Conversely each geodesic from 1 is a
+    pair of P, as 1 lies in P.
+
+    Off free bases this fails: on Z^2 the vertex (1, 1) lies on the
+    geodesic from (1, 0) to (0, 1) but on no geodesic from 0.
+    """
     G = view.group
+    if not isinstance(G.base, FreeGroup):
+        raise UnsupportedFamilyError("quasiconvexity_epsilon needs a free base")
     ball = build_ball(G.base, radius)
     oracle = membership_oracle(G, Q.gens)
     pts = [g for g in ball.elements if oracle(g)]
+    e = G.identity()
     need = set()
     for u in pts:
-        for v in pts:
-            if u == v:
-                continue
-            need.update(view.geodesic(u, v).vertices)
+        if u != e:
+            need.update(view.geodesic(e, u).vertices)
     eps = 0
-    for v in need:
-        d = min(view.x_dist(v, q) for q in pts)
-        eps = max(eps, d)
+    for v in need.difference(pts):  # a point of P is at distance 0
+        eps = max(eps, min(view.x_dist(v, q) for q in pts))
     return eps, "measured on the radius-%d ball" % radius
 
 

@@ -21,5 +21,9 @@ class SchemaError(RelhypError):
     """A run configuration violates the expected schema."""
 
 
+class InTargetError(ValueError):
+    """The element to separate lies in the target subset: no quotient separates it."""
+
+
 class DIncompatibleError(RelhypError):
     """A pair of factor quotients disagrees on the edge subgroup of an amalgam."""

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..errors import BudgetExceededError, UnsupportedFamilyError
+from ..errors import BudgetExceededError, InTargetError, UnsupportedFamilyError
 from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec, bfs, per_instance
 from .rational import RationalSubset
 from .stallings import StallingsGraph, spanning_tree, subgroup_graph
@@ -288,7 +288,8 @@ def find_separating_quotient(
     random_tries: int = 200,
 ) -> Optional[FiniteQuotient]:
     """A finite quotient in which the image of g avoids the image of the
-    target subset, or None when the search cap is exhausted.
+    target subset, or None when the search cap is exhausted.  Raises
+    InTargetError when g lies in the target.
 
     Search order: exhaustive images in S_2..S_4, block sums filling up to
     n_max points, the basepoint-stabiliser completion for single subgroups,
@@ -301,7 +302,7 @@ def find_separating_quotient(
     """
     G = target.group
     if target.contains(g):
-        raise ValueError("element is in the target subset; nothing to separate")
+        raise InTargetError("element is in the target subset; nothing to separate")
     rank = G.rank
     g_runs, g0_runs = _runs(g), _runs(target.g0)
     factor_runs = [[_runs(x) for x in gens] for gens in target.factors]

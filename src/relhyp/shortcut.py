@@ -18,7 +18,7 @@ from .cayley import BrokenLine, EdgePath, trivial_path
 from .components import (
     find_components,
     find_consecutive_backtracking,
-    is_without_backtracking,
+    pairwise_unconnected,
     run_suffixes,
 )
 from .geometry import QuasigeodesicVerdict, gromov_product, is_quasigeodesic
@@ -208,10 +208,10 @@ def verify_shortcut_proposition(
     sigma_path = res.sigma.whole_path()
     nontrivial = all(len(e) == 1 for e in res.es)
     qg = is_quasigeodesic(sigma_path, lam, c)
-    no_bt = is_without_backtracking(sigma_path)
+    comps = find_components(sigma_path)
+    no_bt = pairwise_unconnected(comps)
 
     # X-lengths of the sigma components containing each bridging edge.
-    comps = find_components(sigma_path)
     eta_values = []
     pos = 0
     e_positions = []

@@ -479,6 +479,30 @@ def reference_minx_condition(ctx, cond_id, inside, outside, threshold, params, c
     )
 
 
+def reference_quasiconvexity_epsilon(Q, view, radius):
+    """``conditions.quasiconvexity_epsilon`` as it was before it took one
+    geodesic per point: the vertices of the canonical geodesic between every
+    ordered pair of distinct points of Q ∩ B_r, each scanned against every
+    point.  Any base."""
+    from relhyp.separability import membership_oracle
+
+    G = view.group
+    ball = build_ball(G.base, radius)
+    oracle = membership_oracle(G, Q.gens)
+    pts = [g for g in ball.elements if oracle(g)]
+    need = set()
+    for u in pts:
+        for v in pts:
+            if u == v:
+                continue
+            need.update(view.geodesic(u, v).vertices)
+    eps = 0
+    for v in need:
+        d = min(view.x_dist(v, q) for q in pts)
+        eps = max(eps, d)
+    return eps, "measured on the radius-%d ball" % radius
+
+
 def random_broken_line(rng, G, view, max_nodes=5, radius=4):
     """A broken line of canonical geodesics from 1 through up to
     ``max_nodes`` further nodes, each a random step from the radius ball."""

@@ -101,6 +101,13 @@ family = free-abelian
 symbols = a b
 """
 
+# a^5 against one factor, cap 4: only the degree-10 basepoint completion separates
+A5_COMPLETION = (
+    "[group]\nfamily = free\nsymbols = a b\n"
+    "[subgroups]\nH0 = a a b^-1 b^-1 | a b b b b\n"
+    "[params]\ng = a a a a a\nfactors = H0\ncap = 4\n"
+)
+
 
 def run_lines(cfg_text, command, **kw):
     cfg = parse_config(cfg_text)
@@ -421,11 +428,7 @@ class TestMainExitCodes:
         whose image closure in S_10 passes the closure budget; it is accepted
         with no --budget, and the orbit of the point 0 under the factor's
         images, found here by breadth-first search, misses the image of g."""
-        cfg = self._write(tmp_path, (
-            "[group]\nfamily = free\nsymbols = a b\n"
-            "[subgroups]\nH0 = a a b^-1 b^-1 | a b b b b\n"
-            "[params]\ng = a a a a a\nfactors = H0\ncap = 4\n"
-        ))
+        cfg = self._write(tmp_path, A5_COMPLETION)
         out = tmp_path / "s.jsonl"
         assert main(["--config", cfg, "--command", "separate", "--out", str(out)]) == EXIT_OK
         cert = json.loads(out.read_text())["verdict"]
@@ -454,6 +457,30 @@ class TestMainExitCodes:
         line = json.loads(out.read_text())
         assert line["verdict"] == "in-target" and line["witness"] == "a a b"
         assert line["caveats"]
+
+    def test_separate_decides_membership_once(self, tmp_path, monkeypatch):
+        """One target membership test per separate run, on the a^5 completion
+        config and on an element of the target."""
+        from relhyp.separability import RationalSubset
+
+        calls = []
+        contains = RationalSubset.contains
+
+        def counted(self, g):
+            calls.append(g)
+            return contains(self, g)
+
+        monkeypatch.setattr(RationalSubset, "contains", counted)
+        configs = [
+            (A5_COMPLETION, EXIT_OK),
+            (FAB_REL_A.replace("g = b a", "g = a a b"), EXIT_CHECK_FAILED),
+        ]
+        for text, rc in configs:
+            calls.clear()
+            cfg = self._write(tmp_path, text)
+            out = tmp_path / "s.jsonl"
+            assert main(["--config", cfg, "--command", "separate", "--out", str(out)]) == rc
+            assert len(calls) == 1
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A)

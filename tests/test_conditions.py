@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from relhyp import FreeGroup, PeripheralSpec, RelHyp, SubgroupSpec, word_to_elem
 from relhyp import conditions
-from relhyp.cayley import build_ball, relative_view
+from relhyp.cayley import RelGraphView, build_ball, relative_view
 from relhyp.conditions import (
     ConditionContext,
     ConditionReport,
@@ -16,9 +16,15 @@ from relhyp.conditions import (
     preccurlyeq,
     quasiconvexity_epsilon,
 )
+from relhyp.errors import UnsupportedFamilyError
 from relhyp.separability import membership_oracle
 
-from conftest import least_hit, reduce_letters_naive, reference_minx_condition
+from conftest import (
+    least_hit,
+    reduce_letters_naive,
+    reference_minx_condition,
+    reference_quasiconvexity_epsilon,
+)
 
 w = word_to_elem
 
@@ -68,6 +74,101 @@ class TestQuasiconvexity:
     def test_ab_cyclic(self, fab, fab_rel_a):
         eps, _ = quasiconvexity_epsilon(SubgroupSpec((w("a b", fab),)), fab_rel_a, 6)
         assert eps == 1
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pair_scan(self, data):
+        """One geodesic per point measures the epsilon of the scan over every
+        pair, on random Q <= F2 or F3 under each peripheral shape a free base
+        admits: none, the whole group, a set of cyclic generators."""
+        rank = data.draw(st.sampled_from((2, 3)))
+        F = FreeGroup(("a", "b", "c")[:rank])
+        letter = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+        word = st.lists(letter, min_size=1, max_size=4).map(reduce_letters_naive)
+        gens = data.draw(st.lists(word.filter(bool), min_size=1, max_size=2))
+        shape = data.draw(st.sampled_from(("none", "whole-group", "cyclic-generator")))
+        if shape == "none":
+            peripherals = ()
+        elif shape == "whole-group":
+            peripherals = (PeripheralSpec(0, "whole-group"),)
+        else:
+            syms = data.draw(st.lists(st.sampled_from(F.symbols), min_size=1, unique=True))
+            peripherals = tuple(
+                PeripheralSpec(nu, "cyclic-generator", x) for nu, x in enumerate(syms)
+            )
+        view = relative_view(RelHyp(F, peripherals))
+        radius = data.draw(st.integers(1, 4))
+        Q = SubgroupSpec(tuple(gens))
+        assert quasiconvexity_epsilon(Q, view, radius) == reference_quasiconvexity_epsilon(
+            Q, view, radius
+        )
+
+    def test_non_free_base_unsupported(self, z2):
+        # on Z^2, (1, 1) lies on the geodesic from (1, 0) to (0, 1) only
+        with pytest.raises(UnsupportedFamilyError):
+            quasiconvexity_epsilon(SubgroupSpec(((1, 0), (0, 1))), relative_view(z2), 2)
+
+    def test_p1_one_geodesic_per_point(self, fab, fab_rel_a, monkeypatch):
+        """P1 at radius r builds one geodesic per point of the join other than
+        1, at radius r and at r + 2."""
+        ctx = make_ctx(fab, fab_rel_a, k=2, radius=3)
+        calls = []
+        geodesic = RelGraphView.geodesic
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            return geodesic(self, u, v)
+
+        monkeypatch.setattr(RelGraphView, "geodesic", counted)
+        check_condition("P1", ctx)
+        in_join = membership_oracle(fab, ctx.join_spec().gens)
+        points = [sum(map(in_join, build_ball(fab, r).elements)) for r in (3, 5)]
+        assert len(calls) == (points[0] - 1) + (points[1] - 1)
+
+
+def _report(verdict, measured, tag):
+    return ConditionReport("C2", verdict, 4, None, measured, (("tag", tag),))
+
+
+class TestLeast:
+    """``_least``'s reduction rule, which no pinned report decides."""
+
+    def test_first_failure_wins(self):
+        reps = [
+            _report("holds-to-radius", 1, 0),
+            _report("fails", 5, 1),
+            _report("fails", 2, 2),
+        ]
+        rest = iter(reps)
+        assert conditions._least(rest) is reps[1]
+        assert next(rest) is reps[2]  # nothing past the first failure is read
+
+    def test_first_of_equal_passes_wins(self):
+        reps = [
+            _report("holds-to-radius", 5, 0),
+            _report("holds-to-radius", 3, 1),
+            _report("vacuous", 4, 2),
+            _report("holds-to-radius", 3, 3),
+        ]
+        assert conditions._least(reps) is reps[1]
+
+    def test_none_and_zero_count_as_inf(self):
+        reps = [
+            _report("holds-to-radius", None, 0),
+            _report("holds-to-radius", 0, 1),
+            _report("holds-to-radius", 9, 2),
+        ]
+        assert conditions._least(reps) is reps[2]
+        reps = [
+            _report("holds-to-radius", 0, 0),
+            _report("holds-to-radius", None, 1),
+            _report("holds-to-radius", math.inf, 2),
+        ]
+        assert conditions._least(reps) is reps[0]
+        assert conditions._least(reps[1:]) is reps[1]
+
+    def test_no_reports(self):
+        assert conditions._least([]) is None
 
 
 class TestPreccurlyeq:

@@ -125,6 +125,24 @@ class TestProposition:
         rep = verify_shortcut_proposition(bl, 3, 1, 0, 0)
         assert rep.conclusion_holds
 
+    def test_components_found_once(self, a5_a10, monkeypatch):
+        """With a tamability triple, each segment's components are found once
+        for shortcutting and tamability together, and sigma's once: 3 calls
+        on the two-segment line."""
+        from relhyp import components, shortcut as shortcut_mod
+
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return find_components(p)
+
+        monkeypatch.setattr(components, "find_components", counted)
+        monkeypatch.setattr(shortcut_mod, "find_components", counted)
+        rep = verify_shortcut_proposition(a5_a10, 5, 1, 0, 11, tamability=(0, 10, 10))
+        assert rep.tamable.ok
+        assert len(calls) == 3
+
     def test_violation_flag_wiring(self, a5_a10):
         # tamable input forced to fail an impossibly tight conclusion
         rep = verify_shortcut_proposition(a5_a10, 5, 1, 0, 11, tamability=(0, 10, 10))
