@@ -200,9 +200,6 @@ class RelGraphView:
             total += 1 if nu is not None else fac.x_length(x)
         return total
 
-    def _dist_generic(self, u: Elem, v: Elem) -> int:
-        return len(self.decompose(self.group.mul(self.group.inv(u), v)))
-
     def x_dist(self, u: Elem, v: Elem) -> int:
         """Exact d_X(u, v) in the base word metric."""
         return self.group.base.x_dist(u, v)

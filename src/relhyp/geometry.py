@@ -1,10 +1,14 @@
 """Hyperbolicity toolkit: Gromov products, tripod-thin triangles,
 quasigeodesicity checks, concatenation bounds, and measured constants.
 
-All quantities are exact: Gromov products are half-integers represented as
-``Fraction`` values, and thinness is the maximum diameter of a tripod point
-preimage evaluated at vertex and edge-midpoint positions (where the maxima
-of the piecewise-linear preimage distances occur).
+All quantities are exact.  Gromov products are half-integers represented as
+``Fraction`` values.  Thinness is the maximum diameter of a tripod point
+preimage at vertex and edge-midpoint positions, where the maxima of the
+piecewise-linear preimage distances occur; the scans count these positions
+as integers, in doubled arclengths.  ``thin_triangle_delta`` scans one
+triangle's canonical geodesic sides in any view.  On a free group's word
+metric every side runs along tree rays from 1, so ``measure_delta`` scans
+the whole ball with ``_tree_ball_scan``, from common-prefix lengths alone.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Optional
 
 from .cayley import Ball, BrokenLine, EdgePath, RelGraphView, word_metric_view
@@ -52,102 +57,55 @@ def is_quasigeodesic(p: EdgePath, lam, c) -> QuasigeodesicVerdict:
 # -- tripod thinness ---------------------------------------------------------
 
 
-def _same_edge(view: RelGraphView, e1, e2) -> bool:
-    """Do two traversed edges coincide geometrically (up to direction)?"""
-    (a1, b1), lab1 = e1
-    (a2, b2), lab2 = e2
-    if (a1, b1) == (a2, b2):
-        return lab1 == lab2
-    if (a1, b1) != (b2, a2):
-        return False
-    G = view.group
-    if lab1[0] != lab2[0]:
-        return False
-    if lab1[0] == "x":
-        return lab1[1] == G.inv(lab2[1])
-    return lab1[1] == lab2[1] and lab1[2] == G.inv(lab2[2])
-
-
-def _realized_dist(view: RelGraphView, p1, p2) -> Fraction:
-    """Distance between two points, each a vertex or a traversed-edge midpoint."""
-    dist = view.dist
-    kind1, data1 = p1
-    kind2, data2 = p2
-    if kind1 == "v" and kind2 == "v":
-        return Fraction(dist(data1, data2))
-    if kind1 == "v":
-        (a, b), _ = data2
-        return Fraction(1, 2) + min(dist(data1, a), dist(data1, b))
-    if kind2 == "v":
-        (a, b), _ = data1
-        return Fraction(1, 2) + min(dist(a, data2), dist(b, data2))
-    if _same_edge(view, data1, data2):
-        return Fraction(0)
-    (a1, b1), _ = data1
-    (a2, b2), _ = data2
-    return Fraction(1) + min(
-        dist(a1, a2), dist(a1, b2), dist(b1, a2), dist(b1, b2)
-    )
-
-
-def _side_point(path: EdgePath, t: Fraction):
-    """Point of ``path`` at arclength t: a vertex or an edge midpoint."""
-    if t.denominator == 1:
-        return ("v", path.vertices[int(t)])
-    k = int(t)  # floor; t = k + 1/2
-    return ("m", ((path.vertices[k], path.vertices[k + 1]), path.labels[k]))
-
-
-def _corner_scan(view: RelGraphView, leg: Fraction, side1: EdgePath, side2: EdgePath) -> Fraction:
-    """Max distance between matched points along one tripod leg."""
-    best = Fraction(0)
-    t = Fraction(0)
-    half = Fraction(1, 2)
-    while t <= leg:
-        d = _realized_dist(view, _side_point(side1, t), _side_point(side2, t))
-        if d > best:
-            best = d
-        t += half
-    return best
-
-
 def thin_triangle_delta(x, y, z, view: RelGraphView) -> Fraction:
     """Thinness of the triangle on x, y, z with canonically chosen sides.
 
     Builds the comparison tripod whose legs are the three Gromov products,
     maps each side isometrically onto it, and returns the largest diameter
-    of a point preimage.
+    of a point preimage.  Each side is the canonical geodesic between its
+    ends in sort-key order.  Matched points sit at one doubled position t:
+    two vertices (t even) at doubled distance 2 d(a, b); two edge midpoints
+    (t odd) at 0 on one edge, fixed by its unordered ends and its label less
+    the element, else at 2 + 2 min d(a, b) over their ends.
     """
-    G = view.group
-    base = G.base
-    if isinstance(base, FreeGroup) and not G.peripherals:
-        return _tree_triple_delta(x, y, z)
+    keys = {g: view.group.sort_key(g) for g in (x, y, z)}
+    memo = {}
 
-    def side(u, v):
-        if G.sort_key(u) <= G.sort_key(v):
-            return view.geodesic(u, v)
-        return view.geodesic(v, u).reverse()
+    def dist(a, b):
+        if a == b:
+            return 0
+        d = memo.get((a, b))
+        if d is None:
+            d = memo[a, b] = memo[b, a] = view.dist(a, b)
+        return d
 
-    s_xy, s_xz, s_yz = side(x, y), side(x, z), side(y, z)
-    legs = (
-        gromov_product(y, z, x, view),
-        gromov_product(x, z, y, view),
-        gromov_product(x, y, z, view),
-    )
-    best = _corner_scan(view, legs[0], s_xy, s_xz)
-    best = max(best, _corner_scan(view, legs[1], s_xy.reverse(), s_yz))
-    best = max(best, _corner_scan(view, legs[2], s_xz.reverse(), s_yz.reverse()))
-    return best
+    sides = {}
+    for pair in ((x, y), (x, z), (y, z)):
+        u, v = sorted(pair, key=keys.get)
+        path = view.geodesic(u, v)
+        verts = path.vertices
+        kinds = tuple(lab[:-1] for lab in path.labels)
+        sides[u, v] = verts, kinds
+        sides[v, u] = verts[::-1], kinds[::-1]
 
-
-# Fast exact path for free-group word metrics: every geodesic side is a
-# concatenation of prefixes of the corner words, so matched-point distances
-# reduce to integer arithmetic on common-prefix lengths.
-
-
-def _tree_triple_delta(x, y, z) -> Fraction:
-    """Tripod thinness of one free-group word-metric triangle."""
-    return _tree_ball_scan((x, y, z))[0]
+    best = 0
+    for c, p, q in ((x, y, z), (y, x, z), (z, x, y)):
+        verts1, kinds1 = sides[c, p]
+        verts2, kinds2 = sides[c, q]
+        # a side is a geodesic, so its edge count is the distance of its ends
+        leg = len(kinds1) + len(kinds2) - len(sides[p, q][1])
+        for t in range(leg + 1):
+            i = t >> 1
+            if t & 1:
+                a1, b1, a2, b2 = verts1[i], verts1[i + 1], verts2[i], verts2[i + 1]
+                if kinds1[i] == kinds2[i] and (a1, b1) in ((a2, b2), (b2, a2)):
+                    continue
+                d = 2 + 2 * min(dist(a1, a2), dist(a1, b2), dist(b1, a2), dist(b1, b2))
+            else:
+                d = 2 * dist(verts1[i], verts2[i])
+            if d > best:
+                best = d
+    return Fraction(best, 2)
 
 
 @dataclass(frozen=True)
@@ -240,15 +198,12 @@ def measure_delta(ball: Ball) -> DeltaMeasurement:
         return DeltaMeasurement(best, ball.radius, count, witness)
     best = Fraction(0)
     witness = None
-    count = 0
-    for i, j, k in combinations(range(len(elems)), 3):
-        x, y, z = elems[i], elems[j], elems[k]
+    for x, y, z in combinations(elems, 3):
         v = thin_triangle_delta(x, y, z, view)
-        count += 1
         if v > best:
             best = v
             witness = (x, y, z)
-    return DeltaMeasurement(best, ball.radius, count, witness)
+    return DeltaMeasurement(best, ball.radius, comb(len(elems), 3), witness)
 
 
 @dataclass(frozen=True)

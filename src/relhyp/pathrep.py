@@ -9,8 +9,8 @@ a budget-bounded exhaustive search whose output is exact within the budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from .cayley import BrokenLine, RelGraphView, build_ball, trivial_path
 from .components import find_components

@@ -9,10 +9,10 @@ forms reduce to finite computations in the factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..errors import DIncompatibleError, FamilyMismatchError
-from ..groups import Amalgam, Elem, FiniteGroup, GroupSpec
+from ..groups import Amalgam, Elem, FiniteGroup
 from .quotients import FiniteQuotient, perm_mul
 
 

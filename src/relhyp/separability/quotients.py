@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from ..errors import BudgetExceededError, InTargetError, UnsupportedFamilyError
 from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec, bfs, per_instance
 from .rational import RationalSubset
-from .stallings import StallingsGraph, spanning_tree, subgroup_graph
+from .stallings import StallingsGraph
 
 Perm = tuple
 
@@ -428,13 +428,15 @@ def minx_quotient_harness(
     G = Z.group
     radius = C + 2
     ball = build_ball(G, max(radius, 0), budget)
-    outsiders = [
-        g for g in ball.elements if len(g) < C and not Z.contains(g)
-    ]
     caveats = []
     parts = []
-    for u in outsiders:
-        q = find_separating_quotient(u, Z, n_max=n_max, seed=seed)
+    for u in ball.elements:
+        if len(u) >= C:
+            break  # level order: every later element is as long
+        try:
+            q = find_separating_quotient(u, Z, n_max=n_max, seed=seed)
+        except InTargetError:
+            continue
         if q is None:
             return MinxHarnessResult(
                 None, None, False, ("separation search cap exhausted at %s" % G.elem_str(u),)

@@ -11,9 +11,9 @@ simulation of its normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
-from ..groups import Elem, FreeGroup, SubgroupSpec
+from ..groups import Elem, FreeGroup
 from .stallings import StallingsGraph, subgroup_graph
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Optional, Sequence
+from typing import Optional
 
 from .cayley import BrokenLine, EdgePath, trivial_path
 from .components import (

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -29,6 +30,7 @@ from relhyp import (
 )
 from relhyp.cayley import (
     BrokenLine,
+    EdgePath,
     RelGraphView,
     build_ball,
     relative_view,
@@ -567,3 +569,97 @@ def reference_backtracking(bl, per_seg):
             if key(c) not in before and len(chain) >= 2:
                 out.append((c.nu, tuple((i, d.start, d.stop) for i, d in chain)))
     return out
+
+
+def reference_dist(view, u, v):
+    """d(u, v) as the label count of ``decompose(u^-1 v)``, the canonical
+    geodesic word, instead of the syllable walk's fused count."""
+    G = view.group
+    return len(view.decompose(G.mul(G.inv(u), v)))
+
+
+# -- tripod thinness with Fraction arclengths and tagged points ---------------
+
+
+def _same_edge(view: RelGraphView, e1, e2) -> bool:
+    """Do two traversed edges coincide geometrically (up to direction)?"""
+    (a1, b1), lab1 = e1
+    (a2, b2), lab2 = e2
+    if (a1, b1) == (a2, b2):
+        return lab1 == lab2
+    if (a1, b1) != (b2, a2):
+        return False
+    G = view.group
+    if lab1[0] != lab2[0]:
+        return False
+    if lab1[0] == "x":
+        return lab1[1] == G.inv(lab2[1])
+    return lab1[1] == lab2[1] and lab1[2] == G.inv(lab2[2])
+
+
+def _realized_dist(view: RelGraphView, p1, p2) -> Fraction:
+    """Distance between two points, each a vertex or a traversed-edge midpoint."""
+    dist = view.dist
+    kind1, data1 = p1
+    kind2, data2 = p2
+    if kind1 == "v" and kind2 == "v":
+        return Fraction(dist(data1, data2))
+    if kind1 == "v":
+        (a, b), _ = data2
+        return Fraction(1, 2) + min(dist(data1, a), dist(data1, b))
+    if kind2 == "v":
+        (a, b), _ = data1
+        return Fraction(1, 2) + min(dist(a, data2), dist(b, data2))
+    if _same_edge(view, data1, data2):
+        return Fraction(0)
+    (a1, b1), _ = data1
+    (a2, b2), _ = data2
+    return Fraction(1) + min(
+        dist(a1, a2), dist(a1, b2), dist(b1, a2), dist(b1, b2)
+    )
+
+
+def _side_point(path: EdgePath, t: Fraction):
+    """Point of ``path`` at arclength t: a vertex or an edge midpoint."""
+    if t.denominator == 1:
+        return ("v", path.vertices[int(t)])
+    k = int(t)  # floor; t = k + 1/2
+    return ("m", ((path.vertices[k], path.vertices[k + 1]), path.labels[k]))
+
+
+def _corner_scan(view: RelGraphView, leg: Fraction, side1: EdgePath, side2: EdgePath) -> Fraction:
+    """Max distance between matched points along one tripod leg."""
+    best = Fraction(0)
+    t = Fraction(0)
+    half = Fraction(1, 2)
+    while t <= leg:
+        d = _realized_dist(view, _side_point(side1, t), _side_point(side2, t))
+        if d > best:
+            best = d
+        t += half
+    return best
+
+
+def reference_thin_triangle_delta(x, y, z, view: RelGraphView) -> Fraction:
+    """``geometry.thin_triangle_delta`` as it was before it scanned doubled
+    integer positions: Fraction arclengths, tagged points, reversed
+    ``EdgePath`` sides and Gromov-product legs, on every view."""
+    from relhyp.geometry import gromov_product
+
+    G = view.group
+
+    def side(u, v):
+        if G.sort_key(u) <= G.sort_key(v):
+            return view.geodesic(u, v)
+        return view.geodesic(v, u).reverse()
+
+    s_xy, s_xz, s_yz = side(x, y), side(x, z), side(y, z)
+    legs = (
+        gromov_product(y, z, x, view),
+        gromov_product(x, z, y, view),
+        gromov_product(x, y, z, view),
+    )
+    best = _corner_scan(view, legs[0], s_xy, s_xz)
+    best = max(best, _corner_scan(view, legs[1], s_xy.reverse(), s_yz))
+    best = max(best, _corner_scan(view, legs[2], s_xz.reverse(), s_yz.reverse()))
+    return best

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from relhyp import FreeGroup, SubgroupSpec, word_to_elem
-from relhyp.cayley import BrokenLine, EdgePath, build_ball, word_metric_view
+from relhyp import FreeGroup, RelHyp, SubgroupSpec, word_to_elem
+from relhyp.cayley import BrokenLine, EdgePath, build_ball, relative_view, word_metric_view
 from relhyp.geometry import (
     ConstantsProfile,
     check_concat_lemma,
@@ -13,8 +14,11 @@ from relhyp.geometry import (
     measure_delta,
     nbhd_intersection_constant,
     thin_triangle_delta,
-    _tree_triple_delta,
+    _tree_ball_scan,
 )
+
+from conftest import reference_thin_triangle_delta
+from test_cayley import METRIC_SHAPES
 
 w = word_to_elem
 
@@ -94,6 +98,35 @@ class TestQuasigeodesic:
             assert is_quasigeodesic(p, 1, 0 + 2 * (1 + 1) * D).ok
 
 
+class TestThinTriangleReference:
+    """thin_triangle_delta against the Fraction arclength scan in conftest."""
+
+    def test_every_triple_of_pinned_delta_balls(self, z2z, amalgam46):
+        # the word-view radius-2 balls of the benchmark's generic delta inputs
+        for G, count in ((z2z.group.base, 5456), (amalgam46, 560)):
+            view = word_metric_view(G)
+            triples = list(combinations(build_ball(G, 2).elements, 3))
+            assert len(triples) == count
+            for x, y, z in triples:
+                assert thin_triangle_delta(x, y, z, view) == reference_thin_triangle_delta(
+                    x, y, z, view
+                )
+
+    @pytest.mark.parametrize(
+        "base,peripherals,radius",
+        [pytest.param(*shape[1:], id=shape[0]) for shape in METRIC_SHAPES],
+    )
+    def test_random_triples_word_and_relative(self, base, peripherals, radius):
+        elems = build_ball(base, radius).elements
+        rng = random.Random(11)
+        for view in (word_metric_view(base), relative_view(RelHyp(base, peripherals))):
+            for _ in range(150):
+                x, y, z = (rng.choice(elems) for _ in range(3))
+                assert thin_triangle_delta(x, y, z, view) == reference_thin_triangle_delta(
+                    x, y, z, view
+                )
+
+
 class TestThinTriangles:
     def test_degenerate(self, fab, fab_word):
         x = w("a b", fab)
@@ -106,40 +139,13 @@ class TestThinTriangles:
             x, y, z = (rng.choice(ball.elements) for _ in range(3))
             assert thin_triangle_delta(x, y, z, fab_word) == 0
 
-    def test_fast_path_matches_generic(self, fab):
-        # the free fast path and the generic tripod scan agree
-        from relhyp.cayley import RelGraphView
-        from relhyp.groups import RelHyp
-
+    def test_fast_path_matches_generic(self, fab, fab_word):
+        # the free ball scan and the one-triangle scan agree
         rng = random.Random(5)
         ball = build_ball(fab, 3)
-        generic_view = word_metric_view(fab)
         for _ in range(60):
             x, y, z = (rng.choice(ball.elements) for _ in range(3))
-            fast = _tree_triple_delta(x, y, z)
-            # force the generic path by faking a non-free instance check
-            from relhyp import geometry as geo
-
-            side = lambda u, v: None
-            legs = (
-                gromov_product(y, z, x, generic_view),
-                gromov_product(x, z, y, generic_view),
-                gromov_product(x, y, z, generic_view),
-            )
-
-            def cside(u, v):
-                G = generic_view.group
-                if G.sort_key(u) <= G.sort_key(v):
-                    return generic_view.geodesic(u, v)
-                return generic_view.geodesic(v, u).reverse()
-
-            s_xy, s_xz, s_yz = cside(x, y), cside(x, z), cside(y, z)
-            best = geo._corner_scan(generic_view, legs[0], s_xy, s_xz)
-            best = max(best, geo._corner_scan(generic_view, legs[1], s_xy.reverse(), s_yz))
-            best = max(
-                best, geo._corner_scan(generic_view, legs[2], s_xz.reverse(), s_yz.reverse())
-            )
-            assert fast == best
+            assert _tree_ball_scan((x, y, z))[0] == thin_triangle_delta(x, y, z, fab_word)
 
     def test_lattice_triangle_positive(self, z2):
         view = word_metric_view(z2)

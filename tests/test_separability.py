@@ -415,6 +415,26 @@ class TestMinxHarness:
         assert res.verified
         assert res.achieved_min == float("inf")
 
+    def test_each_short_outsider_decided_once(self, fab):
+        # the search's own guard decides each element shorter than C; the
+        # re-verification scan decides again only those whose image lies in
+        # the image of Z (here the 5 short members of Z, among 65 in all)
+        Z = RationalSubset(fab, (), ((w("a a", fab), w("b b", fab)),))
+        decided = []
+        contains = RationalSubset.contains
+
+        def counted(self, g):
+            decided.append(g)
+            return contains(self, g)
+
+        with mock.patch.object(RationalSubset, "contains", counted):
+            res = minx_quotient_harness(Z, 3)
+        assert res.verified
+        outsiders = [g for g in build_ball(fab, 2).elements if not Z.contains(g)]
+        assert len(outsiders) == 12
+        assert all(decided.count(g) == 1 for g in outsiders)
+        assert len(decided) == 82
+
     @settings(max_examples=25, deadline=None)
     @given(
         factors=st.lists(_run_word(2, 2, 2).map(reduce_letters_naive).filter(bool),
