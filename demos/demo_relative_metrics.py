@@ -19,7 +19,7 @@ from relhyp.cayley import build_ball, relative_view
 
 
 def show(view, word):
-    G = view.group
+    G = view.group.base
     g = word_to_elem(word, G)
     path = view.geodesic(G.identity(), g)
     labels = []

@@ -66,8 +66,6 @@ def _factor_letter_path(fac: GroupSpec, x: Elem) -> list[Elem]:
         return [((i, l),) for i, s in x for l in _factor_letter_path(factors[i], s)]
     if isinstance(fac, Amalgam):
         return [fac.embed(side, s) for side, s in x]
-    if isinstance(fac, RelHyp):
-        return _factor_letter_path(fac.base, x)
     raise UnsupportedFamilyError(type(fac).__name__)
 
 
@@ -122,7 +120,8 @@ def _runs(g, k: int) -> list:
 
 @dataclass(frozen=True)
 class RelGraphView:
-    """Metric view of Gamma(G, X u H) for a RelHyp group.
+    """Metric view of Gamma(G, X u H) for a RelHyp: ``group.base`` does the
+    arithmetic, ``group.peripherals`` add the H edges.
 
     With an empty peripheral family this is the word metric d_X.
     """
@@ -206,21 +205,22 @@ class RelGraphView:
 
     def geodesic(self, u: Elem, v: Elem) -> "EdgePath":
         """The canonical geodesic from u to v (deterministic tie-breaking)."""
-        g = self.group.mul(self.group.inv(u), v)
+        base = self.group.base
+        g = base.mul(base.inv(u), v)
         return EdgePath(self, u, tuple(self.decompose(g)))
 
     def coset_key(self, nu: int, v: Elem) -> tuple:
         """Hashable key of the left coset v H_nu: the syllables of v, as the
         syllable walk splits them, less a last one that lies in H_nu."""
         tails, prices = self._walk
-        syl = tails(self.group.identity(), v)[1]
+        syl = tails(self.group.base.identity(), v)[1]
         if syl and prices[syl[-1][0]][0] == nu:
             syl = syl[:-1]
         return tuple(syl)
 
 
 def word_metric_view(G: GroupSpec) -> RelGraphView:
-    """Word-metric view of any whitelisted group."""
+    """Word-metric view of a whitelisted group, or of a RelHyp's base."""
     if isinstance(G, RelHyp):
         return RelGraphView(RelHyp(G.base, ()))
     return RelGraphView(RelHyp(G, ()))
@@ -246,7 +246,7 @@ class EdgePath:
 
     def __post_init__(self):
         G = self.view.group
-        e = G.identity()
+        e = G.base.identity()
         for lab in self.labels:
             if lab[0] == "x":
                 if lab[1] == e:
@@ -277,23 +277,13 @@ class EdgePath:
 
     def elem(self) -> Elem:
         """The group element represented by the path label."""
-        G = self.view.group
-        return G.mul(G.inv(self.start), self.end)
+        base = self.view.group.base
+        return base.mul(base.inv(self.start), self.end)
 
     def subpath(self, i: int, j: int) -> "EdgePath":
         if not 0 <= i <= j <= len(self.labels):
             raise IndexError((i, j))
         return EdgePath(self.view, self.vertices[i], self.labels[i:j])
-
-    def reverse(self) -> "EdgePath":
-        G = self.view.group
-        labs = []
-        for lab in reversed(self.labels):
-            if lab[0] == "x":
-                labs.append(("x", G.inv(lab[1])))
-            else:
-                labs.append(("h", lab[1], G.inv(lab[2])))
-        return EdgePath(self.view, self.end, tuple(labs))
 
     def is_geodesic(self) -> bool:
         return len(self.labels) == self.view.dist(self.start, self.end)
@@ -397,8 +387,6 @@ def build_ball(G: GroupSpec, r: int, budget: Optional[int] = None) -> Ball:
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
-    if isinstance(G, RelHyp):
-        G = G.base
     if budget is None:
         budget = DEFAULT_VERTEX_BUDGET
     dist, _ = bfs(G.identity(), _ball_letters(G), G.mul, r, budget)

@@ -176,7 +176,7 @@ def parse_word(word: str, G: GroupSpec):
 def parse_path(view: RelGraphView, text: str, start: Elem) -> EdgePath:
     """Tokens 'x:<letter>' and 'h:<nu>:<word>' (word letters joined by ','),
     read from ``start``."""
-    G = view.group
+    G = view.group.base
     labels = []
     for token in text.split():
         parts = token.split(":")
@@ -184,7 +184,7 @@ def parse_path(view: RelGraphView, text: str, start: Elem) -> EdgePath:
             labels.append(("x", parse_word(parts[1], G)))
         elif parts[0] == "h" and len(parts) == 3:
             try:
-                nu = G.peripheral(int(parts[1])).nu
+                nu = view.group.peripheral(int(parts[1])).nu
             except (ValueError, KeyError):
                 raise SchemaError("no peripheral %r in path token %r" % (parts[1], token))
             labels.append(("h", nu, parse_word(parts[2].replace(",", " "), G)))
@@ -198,7 +198,7 @@ def parse_path(view: RelGraphView, text: str, start: Elem) -> EdgePath:
 
 def parse_broken_line(view: RelGraphView, sec: dict) -> BrokenLine:
     """Either 'nodes' (words separated by ';') or 'segments' (paths by '|')."""
-    G = view.group
+    G = view.group.base
     if "nodes" in sec:
         nodes = [parse_word(w.strip(), G) for w in sec["nodes"].split(";")]
         return BrokenLine.from_nodes(view, nodes)
@@ -531,7 +531,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
 
 
 def _label_strs(path: EdgePath) -> list:
-    G = path.view.group
+    G = path.view.group.base
     out = []
     for lab in path.labels:
         if lab[0] == "x":

@@ -36,7 +36,7 @@ class HComponent:
     x_length: int
 
     def elem(self):
-        G = self.path.view.group
+        G = self.path.view.group.base
         return G.mul(G.inv(self.h_minus), self.h_plus)
 
     def edge_count(self) -> int:
@@ -116,14 +116,6 @@ class BacktrackInstance:
     @property
     def kind(self) -> str:
         return "adjacent" if len(self.pairs) == 2 else "multiple"
-
-    @property
-    def first(self) -> HComponent:
-        return self.pairs[0][1]
-
-    @property
-    def last(self) -> HComponent:
-        return self.pairs[-1][1]
 
 
 @per_instance

@@ -149,10 +149,10 @@ def quasiconvexity_epsilon(
     Off free bases this fails: on Z^2 the vertex (1, 1) lies on the
     geodesic from (1, 0) to (0, 1) but on no geodesic from 0.
     """
-    G = view.group
-    if not isinstance(G.base, FreeGroup):
+    G = view.group.base
+    if not isinstance(G, FreeGroup):
         raise UnsupportedFamilyError("quasiconvexity_epsilon needs a free base")
-    ball = build_ball(G.base, radius)
+    ball = build_ball(G, radius)
     oracle = membership_oracle(G, Q.gens)
     pts = [g for g in ball.elements if oracle(g)]
     e = G.identity()

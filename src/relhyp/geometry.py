@@ -68,7 +68,7 @@ def thin_triangle_delta(x, y, z, view: RelGraphView) -> Fraction:
     (t odd) at 0 on one edge, fixed by its unordered ends and its label less
     the element, else at 2 + 2 min d(a, b) over their ends.
     """
-    keys = {g: view.group.sort_key(g) for g in (x, y, z)}
+    keys = {g: view.group.base.sort_key(g) for g in (x, y, z)}
     memo = {}
 
     def dist(a, b):

@@ -11,7 +11,9 @@ elements is equality of payloads:
 * amalgamated product: left-greedy reduced syllable form (see ``Amalgam``).
 
 Payloads are plain immutable Python values; the ``GroupSpec`` supplies the
-operations.  All operations are pure.
+operations.  All operations are pure.  A ``RelHyp`` is not a sixth family: it
+is a base group plus its peripheral subgroups, and arithmetic belongs to its
+``.base``.
 """
 
 from __future__ import annotations
@@ -593,11 +595,12 @@ class PeripheralSpec:
 
 
 @dataclass(frozen=True)
-class RelHyp(GroupSpec):
+class RelHyp:
     """A whitelisted base group together with its peripheral subgroups.
 
-    Element arithmetic is the base group's; the peripheral structure feeds the
-    relative metric (see cayley.RelGraphView).
+    This is data, not a group family: all arithmetic belongs to ``base``, and
+    the peripheral structure feeds the relative metric (see
+    cayley.RelGraphView).
     """
 
     base: GroupSpec
@@ -620,27 +623,6 @@ class RelHyp(GroupSpec):
                 raise ValueError("unknown peripheral kind %r" % p.kind)
         if len({p.nu for p in self.peripherals}) != len(self.peripherals):
             raise ValueError("peripheral indices must be distinct")
-
-    def identity(self):
-        return self.base.identity()
-
-    def mul(self, a, b):
-        return self.base.mul(a, b)
-
-    def inv(self, a):
-        return self.base.inv(a)
-
-    def x_length(self, a):
-        return self.base.x_length(a)
-
-    def sort_key(self, a):
-        return self.base.sort_key(a)
-
-    def generator_elems(self):
-        return self.base.generator_elems()
-
-    def elem_str(self, a):
-        return self.base.elem_str(a)
 
     def peripheral(self, nu: int) -> PeripheralSpec:
         for p in self.peripherals:
@@ -676,12 +658,10 @@ class SubgroupSpec:
 def validate_elem(a: Elem, G: GroupSpec) -> None:
     """Structural check that a payload belongs to the family of ``G``.
 
-    Raises FamilyMismatchError otherwise.  The GroupSpec methods skip this
+    Raises FamilyMismatchError otherwise, and when ``G`` is none of the five
+    families (a RelHyp: pass its ``.base``).  The GroupSpec methods skip this
     check; these wrappers are the validating entry points.
     """
-    if isinstance(G, RelHyp):
-        return validate_elem(a, G.base)
-    ok = True
     if isinstance(G, FreeGroup):
         ok = isinstance(a, tuple) and all(
             isinstance(x, int) and 1 <= abs(x) <= G.rank for x in a
@@ -708,6 +688,8 @@ def validate_elem(a: Elem, G: GroupSpec) -> None:
         if ok:
             for side, x in a:
                 validate_elem(x, G._sides[side])
+    else:
+        ok = False
     if not ok:
         raise FamilyMismatchError(
             "payload %r does not belong to %s" % (a, type(G).__name__)
@@ -761,7 +743,5 @@ def syllables(g: Elem, G: GroupSpec) -> list[tuple[int, Elem]]:
     """
     if isinstance(g, tuple) and isinstance(G, (FreeProduct, Amalgam)):
         return list(g)
-    if isinstance(G, RelHyp):
-        return syllables(g, G.base)
     raise FamilyMismatchError("syllables need a free product or amalgam")
 

@@ -74,10 +74,6 @@ class PathRep:
     def segment_elem(self, i: int) -> Elem:
         return self.line.segments[i].elem()
 
-    def represented(self) -> Elem:
-        G = self.line.view.group
-        return G.mul(G.inv(self.line.start), self.line.end)
-
 
 def type_of(rep: PathRep) -> RepType:
     n = len(rep.core_indices())
@@ -188,14 +184,14 @@ def minimize_type(
     The identity is represented by a single trivial segment of type (1,0,0).
     Output is labelled minimal up to the budget, never globally.
     """
-    G = view.group
+    G = view.group.base
     caveat = "minimal up to budget (%s)" % budget.describe()
     if g == G.identity():
         line = BrokenLine((trivial_path(view, G.identity()),))
         rep = PathRep("I", line, ("Q'",))
         return MinimizeResult(rep, RepType(1, 0, 0), caveat)
 
-    ball = build_ball(G.base, budget.max_len).elements
+    ball = build_ball(G, budget.max_len).elements
     pool = []
     for spec, role in ((qp, "Q'"), (rp, "R'")):
         oracle = membership_oracle(G, spec.gens)

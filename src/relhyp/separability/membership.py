@@ -11,7 +11,6 @@ from ..groups import (
     FreeAbelian,
     FreeGroup,
     GroupSpec,
-    RelHyp,
     bfs,
 )
 from .stallings import member, subgroup_graph
@@ -67,8 +66,6 @@ def lattice_contains(gens: Sequence[tuple], v: tuple) -> bool:
 
 def membership_oracle(G: GroupSpec, gens: Sequence[Elem]) -> Callable[[Elem], bool]:
     """A callable deciding membership in the subgroup generated by ``gens``."""
-    if isinstance(G, RelHyp):
-        return membership_oracle(G.base, gens)
     if isinstance(G, FreeGroup):
         graph = subgroup_graph(tuple(gens), G)
         return lambda g: member(g, graph)

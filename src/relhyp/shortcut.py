@@ -60,7 +60,7 @@ class ShortcutResult:
             for lab in whole.labels[s:t]:
                 if lab[0] == "h":
                     assert view.x_dist(
-                        view.group.identity(), lab[2]
+                        view.group.base.identity(), lab[2]
                     ) < self.theta
         for e in self.es:
             if len(e) > 0:
@@ -109,7 +109,7 @@ def shortcut(bl: BrokenLine, theta: int) -> ShortcutResult:
 
     fs = tuple(view.geodesic(verts[sk], verts[tk]) for sk, tk in V)
     es = []
-    G = view.group
+    G = view.group.base
     for k in range(len(V) - 1):
         u = verts[V[k][1]]
         w = verts[V[k + 1][0]]

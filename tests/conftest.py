@@ -488,8 +488,8 @@ def reference_quasiconvexity_epsilon(Q, view, radius):
     point.  Any base."""
     from relhyp.separability import membership_oracle
 
-    G = view.group
-    ball = build_ball(G.base, radius)
+    G = view.group.base
+    ball = build_ball(G, radius)
     oracle = membership_oracle(G, Q.gens)
     pts = [g for g in ball.elements if oracle(g)]
     need = set()
@@ -574,7 +574,7 @@ def reference_backtracking(bl, per_seg):
 def reference_dist(view, u, v):
     """d(u, v) as the label count of ``decompose(u^-1 v)``, the canonical
     geodesic word, instead of the syllable walk's fused count."""
-    G = view.group
+    G = view.group.base
     return len(view.decompose(G.mul(G.inv(u), v)))
 
 
@@ -589,7 +589,7 @@ def _same_edge(view: RelGraphView, e1, e2) -> bool:
         return lab1 == lab2
     if (a1, b1) != (b2, a2):
         return False
-    G = view.group
+    G = view.group.base
     if lab1[0] != lab2[0]:
         return False
     if lab1[0] == "x":
@@ -640,18 +640,30 @@ def _corner_scan(view: RelGraphView, leg: Fraction, side1: EdgePath, side2: Edge
     return best
 
 
+def _reverse(path: EdgePath) -> EdgePath:
+    """The same edges traversed from the end, each label inverted."""
+    G = path.view.group.base
+    labs = []
+    for lab in reversed(path.labels):
+        if lab[0] == "x":
+            labs.append(("x", G.inv(lab[1])))
+        else:
+            labs.append(("h", lab[1], G.inv(lab[2])))
+    return EdgePath(path.view, path.end, tuple(labs))
+
+
 def reference_thin_triangle_delta(x, y, z, view: RelGraphView) -> Fraction:
     """``geometry.thin_triangle_delta`` as it was before it scanned doubled
     integer positions: Fraction arclengths, tagged points, reversed
     ``EdgePath`` sides and Gromov-product legs, on every view."""
     from relhyp.geometry import gromov_product
 
-    G = view.group
+    G = view.group.base
 
     def side(u, v):
         if G.sort_key(u) <= G.sort_key(v):
             return view.geodesic(u, v)
-        return view.geodesic(v, u).reverse()
+        return _reverse(view.geodesic(v, u))
 
     s_xy, s_xz, s_yz = side(x, y), side(x, z), side(y, z)
     legs = (
@@ -660,6 +672,6 @@ def reference_thin_triangle_delta(x, y, z, view: RelGraphView) -> Fraction:
         gromov_product(x, y, z, view),
     )
     best = _corner_scan(view, legs[0], s_xy, s_xz)
-    best = max(best, _corner_scan(view, legs[1], s_xy.reverse(), s_yz))
-    best = max(best, _corner_scan(view, legs[2], s_xz.reverse(), s_yz.reverse()))
+    best = max(best, _corner_scan(view, legs[1], _reverse(s_xy), s_yz))
+    best = max(best, _corner_scan(view, legs[2], _reverse(s_xz), _reverse(s_yz)))
     return best

@@ -134,12 +134,12 @@ def _coned_oracle(view, domain_radius):
     elems = list(ball.elements)
     index = {g: i for i, g in enumerate(elems)}
     rows, cols = [], []
-    letters = [g for _, g in G.generator_elems()]
-    letters += [G.inv(g) for g in letters]
+    letters = [g for _, g in G.base.generator_elems()]
+    letters += [G.base.inv(g) for g in letters]
     for g in elems:
         gi = index[g]
         for l in letters:
-            hi = index.get(G.mul(g, l))
+            hi = index.get(G.base.mul(g, l))
             if hi is not None:
                 rows.append(gi)
                 cols.append(hi)
@@ -245,7 +245,7 @@ def test_criterion_03_geodesic_components():
 
 def _random_broken_line(rng, view, ball, max_nodes=5):
     n = rng.randint(1, max_nodes)
-    G = view.group
+    G = view.group.base
     nodes = [G.identity()]
     for _ in range(n):
         step = rng.choice(ball.elements)
@@ -487,10 +487,10 @@ def test_criterion_06_concat_lemma():
 
 
 def _flat_min_type(g, qp, rp, view, budget):
-    G = view.group
+    G = view.group.base
     if g == G.identity():
         return (1, 0, 0)  # single trivial segment, by the identity convention
-    ball = build_ball(G.base, budget.max_len)
+    ball = build_ball(G, budget.max_len)
     in_q = membership_oracle(G, qp.gens)
     in_r = membership_oracle(G, rp.gens)
     cands = [x for x in ball.elements if x != G.identity() and (in_q(x) or in_r(x))]
@@ -517,8 +517,8 @@ def _flat_min_type(g, qp, rp, view, budget):
 
 def _min_kind2_width(g, q_spec, r_spec, qp, rp, view, budget):
     """Brute-force minimal kind-II representative width, or None."""
-    G = view.group
-    ball = build_ball(G.base, budget.max_len)
+    G = view.group.base
+    ball = build_ball(G, budget.max_len)
     in_specs = {
         name: membership_oracle(G, spec.gens)
         for name, spec in (("Q", q_spec), ("R", r_spec), ("Q'", qp), ("R'", rp))

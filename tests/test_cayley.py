@@ -44,7 +44,7 @@ def coned_bfs_oracle(view, domain_radius):
     letters = _ball_letters(G.base)
     for g in elems:
         for l in letters:
-            h = G.mul(g, l)
+            h = G.base.mul(g, l)
             if h in index:
                 adj[index[g]].append(index[h])
     # peripheral edges: group domain vertices by coset

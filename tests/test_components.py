@@ -93,7 +93,7 @@ class TestConnected:
             for h in comps:
                 for k in comps:
                     same_coset = G.peripheral_contains(
-                        h.nu, G.mul(G.inv(h.h_minus), k.h_minus)
+                        h.nu, G.base.mul(G.base.inv(h.h_minus), k.h_minus)
                     )
                     assert connected(h, k) == (h.nu == k.nu and same_coset)
 

@@ -59,6 +59,14 @@ class TestFreeGroup:
         with pytest.raises(FamilyMismatchError):
             mul((3,), (1,), fab)  # letter index out of range
 
+    def test_relhyp_is_not_a_family(self, fab, fab_rel_a):
+        # a RelHyp has no arithmetic of its own: the wrappers refuse it
+        # instead of failing on a missing method
+        a = w("a", fab)
+        with pytest.raises(FamilyMismatchError):
+            mul(a, a, fab_rel_a.group)
+        assert mul(a, a, fab_rel_a.group.base) == w("a a", fab)
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_normal_form_soundness(self, data, fab):

@@ -32,3 +32,44 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = ["%s (line %d)" % (name, line) for name, line in _imported(tree) if name not in used]
     assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
+
+
+ROOT = SRC.parent.parent
+READERS = sorted(
+    p
+    for d in ("src", "tests", "demos", "perfbench")
+    for p in (ROOT / d).rglob("*.py")
+    # this file reads ast fields (name, body, attr) that would mask methods so named
+    if p != Path(__file__).resolve()
+)
+
+
+def test_no_unread_methods():
+    """Every non-dunder method or property of a class in the package is read
+    as an attribute (``obj.name``) somewhere in src, tests, demos or
+    perfbench.
+
+    The check goes by name only, so a method whose name another attribute
+    also uses escapes it, whatever object that attribute is read on:
+    ``BacktrackInstance.first`` escaped through ``ctx.first``
+    (``ConditionContext.first``) while nothing read it, and a method named
+    like a list method (``reverse``) escapes through every list.
+    """
+    read = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (
+                    isinstance(fn, ast.FunctionDef)
+                    and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                    and fn.name not in read
+                ):
+                    unread.append("%s.%s (%s)" % (cls.name, fn.name, path.relative_to(SRC)))
+    assert not unread, "methods nothing reads: %s" % ", ".join(unread)

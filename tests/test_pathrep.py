@@ -24,8 +24,8 @@ w = word_to_elem
 
 def brute_force_min_type(g, qp_gens, rp_gens, view, budget):
     """Flat enumeration over all factor sequences: the independent oracle."""
-    G = view.group
-    ball = build_ball(G.base, budget.max_len)
+    G = view.group.base
+    ball = build_ball(G, budget.max_len)
     in_q = membership_oracle(G, qp_gens)
     in_r = membership_oracle(G, rp_gens)
     cands = [x for x in ball.elements if x != G.identity() and (in_q(x) or in_r(x))]

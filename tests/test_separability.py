@@ -505,6 +505,45 @@ class TestAmalgamOps:
         for g in build_ball(A, 3).elements:
             assert amalgam_product_member(g, "BV", A, V=V) == (g in bv)
 
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "UC",
+            pytest.param(
+                "BV",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="BV answers False for every g in B \\ D, even when V meets D,"
+                    " though g = (g v^-1) v lies in B V for v in V n D; the fix"
+                    " changes the pinned amalgam-member:70 report",
+                ),
+            ),
+            "BC",
+            "UD",
+            "DV",
+        ],
+    )
+    def test_against_brute_force_products(self, amalgam46, kind):
+        """Every kind against its product set, enumerated, over the radius-3
+        ball and every U, V of at most two factor elements (edge elements
+        included)."""
+        A = amalgam46
+        B = [A.embed(0, b) for b in range(4)]
+        C = [A.embed(1, c) for c in range(6)]
+        D = [A.embed(0, d) for d in (0, 2)]
+        ball = build_ball(A, 3).elements
+        wrong = []
+        for U, V in itertools.product(
+            [u for k in range(3) for u in itertools.combinations(B, k)],
+            [v for k in range(3) for v in itertools.combinations(C, k)],
+        ):
+            X, Y = {"UC": (U, C), "BV": (B, V), "BC": (B, C), "UD": (U, D), "DV": (D, V)}[kind]
+            product = {A.mul(x, y) for x in X for y in Y}
+            for g in ball:
+                if amalgam_product_member(g, kind, A, U, V) != (g in product):
+                    wrong.append((g, U, V))
+        assert not wrong, "%d wrong answers, the first %r" % (len(wrong), wrong[0])
+
 
 class TestInducedQuotient:
     def test_identity_quotients(self, amalgam46):
