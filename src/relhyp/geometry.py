@@ -6,9 +6,13 @@ All quantities are exact.  Gromov products are half-integers represented as
 preimage at vertex and edge-midpoint positions, where the maxima of the
 piecewise-linear preimage distances occur; the scans count these positions
 as integers, in doubled arclengths.  ``thin_triangle_delta`` scans one
-triangle's canonical geodesic sides in any view.  On a free group's word
-metric every side runs along tree rays from 1, so ``measure_delta`` scans
-the whole ball with ``_tree_ball_scan``, from common-prefix lengths alone.
+triangle's canonical geodesic sides in any view.  ``measure_delta`` scans
+every triple of a ball and builds its work once per scan, not once per
+triangle: off the tree path one ``_ScanTable`` holds each side, built once
+per vertex pair, and each distance, for the scan's lifetime only.  On a free
+group's word metric every side runs along tree rays from 1, so a triple's
+thinness is a function of its three lengths and three pairwise common-prefix
+lengths; ``_tree_ball_scan`` scores each such signature once per scan.
 """
 
 from __future__ import annotations
@@ -57,7 +61,56 @@ def is_quasigeodesic(p: EdgePath, lam, c) -> QuasigeodesicVerdict:
 # -- tripod thinness ---------------------------------------------------------
 
 
-def thin_triangle_delta(x, y, z, view: RelGraphView) -> Fraction:
+class _ScanTable:
+    """What a δ scan reads again and again, in one view, for one scan.
+
+    ``sides[u, v]`` is the canonical side from u to v as ``(verts, kinds)``:
+    its vertex tuple and each edge label less its element.  A side is built
+    once per unordered pair, by ``view.geodesic`` between its ends in
+    sort-key order, and stored under both orders, the second reversed.
+    ``dists`` memoises ``view.dist`` under both orders.  A table is made by
+    ``measure_delta`` for one scan, or by a lone ``thin_triangle_delta``
+    call for its triangle, and dropped with it.
+    """
+
+    __slots__ = ("view", "keys", "sides", "dists")
+
+    def __init__(self, view: RelGraphView):
+        self.view = view
+        self.keys = {}
+        self.sides = {}
+        self.dists = {}
+
+    def key(self, g):
+        k = self.keys.get(g)
+        if k is None:
+            k = self.keys[g] = self.view.group.base.sort_key(g)
+        return k
+
+    def side(self, u, v):
+        s = self.sides.get((u, v))
+        if s is None:
+            lo, hi = (v, u) if self.key(v) < self.key(u) else (u, v)
+            path = self.view.geodesic(lo, hi)
+            verts = path.vertices
+            kinds = tuple(lab[:-1] for lab in path.labels)
+            self.sides[lo, hi] = verts, kinds
+            self.sides[hi, lo] = verts[::-1], kinds[::-1]
+            s = self.sides[u, v]
+        return s
+
+    def dist(self, a, b):
+        if a == b:
+            return 0
+        d = self.dists.get((a, b))
+        if d is None:
+            d = self.dists[a, b] = self.dists[b, a] = self.view.dist(a, b)
+        return d
+
+
+def thin_triangle_delta(
+    x, y, z, view: RelGraphView, table: Optional[_ScanTable] = None
+) -> Fraction:
     """Thinness of the triangle on x, y, z with canonically chosen sides.
 
     Builds the comparison tripod whose legs are the three Gromov products,
@@ -67,33 +120,24 @@ def thin_triangle_delta(x, y, z, view: RelGraphView) -> Fraction:
     two vertices (t even) at doubled distance 2 d(a, b); two edge midpoints
     (t odd) at 0 on one edge, fixed by its unordered ends and its label less
     the element, else at 2 + 2 min d(a, b) over their ends.
+
+    Sides and distances come from ``table``, the calling scan's
+    ``_ScanTable`` of ``view``; without one the call builds its own for this
+    triangle.  Both give the same value, since a table entry depends on its
+    pair of vertices alone.
     """
-    keys = {g: view.group.base.sort_key(g) for g in (x, y, z)}
-    memo = {}
-
-    def dist(a, b):
-        if a == b:
-            return 0
-        d = memo.get((a, b))
-        if d is None:
-            d = memo[a, b] = memo[b, a] = view.dist(a, b)
-        return d
-
-    sides = {}
-    for pair in ((x, y), (x, z), (y, z)):
-        u, v = sorted(pair, key=keys.get)
-        path = view.geodesic(u, v)
-        verts = path.vertices
-        kinds = tuple(lab[:-1] for lab in path.labels)
-        sides[u, v] = verts, kinds
-        sides[v, u] = verts[::-1], kinds[::-1]
-
+    if table is None:
+        table = _ScanTable(view)
+    side, sides, dist = table.side, table.sides, table.dist
+    xy, xz, yz = side(x, y), side(x, z), side(y, z)
+    # a side is a geodesic, so its edge count is the distance of its ends
+    dxy, dxz, dyz = len(xy[1]), len(xz[1]), len(yz[1])
     best = 0
-    for c, p, q in ((x, y, z), (y, x, z), (z, x, y)):
-        verts1, kinds1 = sides[c, p]
-        verts2, kinds2 = sides[c, q]
-        # a side is a geodesic, so its edge count is the distance of its ends
-        leg = len(kinds1) + len(kinds2) - len(sides[p, q][1])
+    for (verts1, kinds1), (verts2, kinds2), leg in (
+        (xy, xz, dxy + dxz - dyz),
+        (sides[y, x], yz, dxy + dyz - dxz),
+        (sides[z, x], sides[z, y], dxz + dyz - dxy),
+    ):
         for t in range(leg + 1):
             i = t >> 1
             if t & 1:
@@ -118,18 +162,58 @@ class DeltaMeasurement:
     witness: Optional[tuple] = None
 
 
-def _tree_ball_scan(elems):
-    """Exhaustive triple scan with precomputed prefix tables (free groups).
+def _tree_triple_points(li, lj, lk, cij, cik, cjk):
+    """Yield ``(corner, t2, d2)`` for every point pair the tree scan compares
+    on a triple of free words w_i, w_j, w_k with lengths li, lj, lk and
+    pairwise common-prefix lengths cij, cik, cjk: at corner 0, 1 or 2 (w_i,
+    w_j or w_k), the points at doubled position t2 on the two sides leaving
+    it, at doubled distance d2.  Nothing else about the words enters, so the
+    triple's doubled thinness is a function of these six integers.
 
-    All positions are doubled so midpoints are integers.  Every point the
-    scan compares is a pair (corner word w, doubled arclength a along the
-    tree ray from 1 to w), a vertex when a is even and an edge midpoint when
-    it is odd.  Two rays from 1 share exactly their first cp(w1, w2) edges
-    and then part for good, so at every position, vertex or midpoint, the
-    doubled distance is a1 + a2 - 2 min(a1, a2, 2 cp(w1, w2)); with
-    cp(w, w) = |w| this is |a1 - a2| on one ray.  The shared initial segment
-    of the two sides at a corner (where both are equal prefixes of the
-    corner word) contributes zero and is skipped wholesale.
+    All positions are doubled so midpoints are integers.  Every point is a
+    pair (corner word w, doubled arclength a along the tree ray from 1 to
+    w), a vertex when a is even and an edge midpoint when it is odd.  Two
+    rays from 1 share exactly their first cp(w1, w2) edges and then part for
+    good, so at every position, vertex or midpoint, the doubled distance is
+    a1 + a2 - 2 min(a1, a2, 2 cp(w1, w2)); with cp(w, w) = |w| this is
+    |a1 - a2| on one ray.  The shared initial segment of the two sides at a
+    corner (where both are equal prefixes of the corner word) is at
+    distance zero and is not yielded.
+    """
+    lens = (li, lj, lk)
+    cp = ((li, cij, cik), (cij, lj, cjk), (cik, cjk, lk))
+    for corner, o1, o2 in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        lc = lens[corner]
+        cp1 = cp[corner][o1]
+        cp2 = cp[corner][o2]
+        # doubled Gromov product at the corner: d(c,o1) + d(c,o2) - d(o1,o2)
+        leg2 = 2 * (lc - cp1 - cp2 + cp[o1][o2])
+        b1_2 = 2 * (lc - cp1)
+        b2_2 = 2 * (lc - cp2)
+        # doubled cp of the two points' words, indexed by
+        # (side 1 on o1's ray, side 2 on o2's ray)
+        cc2 = ((2 * lc, 2 * cp2), (2 * cp1, 2 * cp[o1][o2]))
+        for t2 in range(min(b1_2, b2_2), leg2 + 1):
+            # point on side [corner -> o_i]: (word, doubled prefix length)
+            if t2 <= b1_2:
+                w1, a1 = 0, 2 * lc - t2
+            else:
+                w1, a1 = 1, 2 * cp1 + (t2 - b1_2)
+            if t2 <= b2_2:
+                w2, a2 = 0, 2 * lc - t2
+            else:
+                w2, a2 = 1, 2 * cp2 + (t2 - b2_2)
+            yield corner, t2, a1 + a2 - 2 * min(a1, a2, cc2[w1][w2])
+
+
+def _tree_ball_scan(elems):
+    """Exhaustive triple scan of free words, one corner scan per signature.
+
+    A triple's signature is its three lengths and three pairwise
+    common-prefix lengths, read from tables built once; its doubled
+    thinness, the largest distance ``_tree_triple_points`` yields for that
+    signature, is worked out once per distinct signature in this scan.
+    Returns (thinness, first triple attaining it or None, triple count).
     """
     n = len(elems)
     lens = [len(w) for w in elems]
@@ -141,65 +225,43 @@ def _tree_ball_scan(elems):
             c = common_prefix(wi, elems[j])
             row[j] = c
             cp[j][i] = c
+    by_sig = {}
     best2 = 0
     witness = None
-    count = 0
-    rng3 = range(3)
     for i in range(n):
+        li, cpi = lens[i], cp[i]
         for j in range(i + 1, n):
-            dij = lens[i] + lens[j] - 2 * cp[i][j]
+            lj, cij, cpj = lens[j], cpi[j], cp[j]
             for k in range(j + 1, n):
-                count += 1
-                dik = lens[i] + lens[k] - 2 * cp[i][k]
-                djk = lens[j] + lens[k] - 2 * cp[j][k]
-                for corner in rng3:
-                    if corner == 0:
-                        c, o1, o2, leg2 = i, j, k, dij + dik - djk
-                    elif corner == 1:
-                        c, o1, o2, leg2 = j, i, k, dij + djk - dik
-                    else:
-                        c, o1, o2, leg2 = k, i, j, dik + djk - dij
-                    cp1 = cp[c][o1]
-                    cp2 = cp[c][o2]
-                    lc = lens[c]
-                    b1_2 = 2 * (lc - cp1)
-                    b2_2 = 2 * (lc - cp2)
-                    start = b1_2 if b1_2 < b2_2 else b2_2
-                    if start >= leg2:
-                        continue  # both sides ride the corner word for the whole leg
-                    # doubled cp of the two points' words, indexed by
-                    # (side 1 on o1's ray, side 2 on o2's ray)
-                    cc2 = ((2 * lc, 2 * cp2), (2 * cp1, 2 * cp[o1][o2]))
-                    for t2 in range(start, leg2 + 1):
-                        # point on side [corner -> o_i]: (word, doubled prefix length)
-                        if t2 <= b1_2:
-                            w1, a1 = 0, 2 * lc - t2
-                        else:
-                            w1, a1 = 1, 2 * cp1 + (t2 - b1_2)
-                        if t2 <= b2_2:
-                            w2, a2 = 0, 2 * lc - t2
-                        else:
-                            w2, a2 = 1, 2 * cp2 + (t2 - b2_2)
-                        m = a1 if a1 < a2 else a2
-                        c2 = cc2[w1][w2]
-                        d2 = a1 + a2 - 2 * (m if m < c2 else c2)
-                        if d2 > best2:
-                            best2 = d2
-                            witness = (elems[i], elems[j], elems[k])
-    return Fraction(best2, 2), witness, count
+                sig = (li, lj, lens[k], cij, cpi[k], cpj[k])
+                d2 = by_sig.get(sig)
+                if d2 is None:
+                    d2 = by_sig[sig] = max((d for _, _, d in _tree_triple_points(*sig)), default=0)
+                if d2 > best2:
+                    best2 = d2
+                    witness = (elems[i], elems[j], elems[k])
+    return Fraction(best2, 2), witness, comb(n, 3)
 
 
-def measure_delta(ball: Ball) -> DeltaMeasurement:
-    """Max of thin_triangle_delta over all vertex triples of the ball."""
-    view = word_metric_view(ball.group)
+def measure_delta(ball: Ball, view: Optional[RelGraphView] = None) -> DeltaMeasurement:
+    """Max of thin_triangle_delta over all vertex triples of the ball.
+
+    ``view`` defaults to the word metric of ``ball.group``.  On a free
+    group's word metric the ball goes to ``_tree_ball_scan``; otherwise one
+    ``_ScanTable`` serves every triple of this scan, so each side is built
+    once per vertex pair and each distance is asked of the view once.
+    """
+    if view is None:
+        view = word_metric_view(ball.group)
     elems = ball.elements
-    if isinstance(ball.group, FreeGroup):
+    if isinstance(view.group.base, FreeGroup) and not view.group.peripherals:
         best, witness, count = _tree_ball_scan(elems)
         return DeltaMeasurement(best, ball.radius, count, witness)
+    table = _ScanTable(view)
     best = Fraction(0)
     witness = None
     for x, y, z in combinations(elems, 3):
-        v = thin_triangle_delta(x, y, z, view)
+        v = thin_triangle_delta(x, y, z, view, table)
         if v > best:
             best = v
             witness = (x, y, z)

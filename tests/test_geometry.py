@@ -1,11 +1,19 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from relhyp import FreeGroup, RelHyp, SubgroupSpec, word_to_elem
-from relhyp.cayley import BrokenLine, EdgePath, build_ball, relative_view, word_metric_view
+from relhyp.cayley import (
+    BrokenLine,
+    EdgePath,
+    RelGraphView,
+    build_ball,
+    relative_view,
+    word_metric_view,
+)
 from relhyp.geometry import (
     ConstantsProfile,
     check_concat_lemma,
@@ -14,10 +22,13 @@ from relhyp.geometry import (
     measure_delta,
     nbhd_intersection_constant,
     thin_triangle_delta,
+    _ScanTable,
     _tree_ball_scan,
+    _tree_triple_points,
 )
+from relhyp.groups import common_prefix
 
-from conftest import reference_thin_triangle_delta
+from conftest import _realized_dist, _side_point, reference_thin_triangle_delta
 from test_cayley import METRIC_SHAPES
 
 w = word_to_elem
@@ -125,6 +136,106 @@ class TestThinTriangleReference:
                 assert thin_triangle_delta(x, y, z, view) == reference_thin_triangle_delta(
                     x, y, z, view
                 )
+
+
+def _distinct_views():
+    """The word view of every METRIC_SHAPES base and every relative view,
+    each once."""
+    views = {}
+    for name, base, peripherals, _ in METRIC_SHAPES:
+        views.setdefault(word_metric_view(base), name + "-word")
+        views.setdefault(relative_view(RelHyp(base, peripherals)), name)
+    return [pytest.param(view, id=name) for view, name in views.items()]
+
+
+def _plain_scan(elems, view):
+    """measure_delta's generic scan as a loop of lone thin_triangle_delta
+    calls, each building its own table."""
+    best, witness = Fraction(0), None
+    for x, y, z in combinations(elems, 3):
+        v = thin_triangle_delta(x, y, z, view)
+        if v > best:
+            best, witness = v, (x, y, z)
+    return best, witness, comb(len(elems), 3)
+
+
+class TestScanTable:
+    """One _ScanTable per measure_delta scan changes no value, witness or
+    count, and builds each side once per vertex pair."""
+
+    def test_pinned_delta_balls(self, z2z, amalgam46):
+        for G in (z2z.group.base, amalgam46):
+            ball = build_ball(G, 2)
+            m = measure_delta(ball)
+            assert (m.delta, m.witness, m.triples) == _plain_scan(
+                ball.elements, word_metric_view(G)
+            )
+
+    @pytest.mark.parametrize("view", _distinct_views())
+    def test_metric_shapes_radius_2(self, view):
+        ball = build_ball(view.group.base, 2)
+        m = measure_delta(ball, view)
+        assert (m.delta, m.witness, m.triples) == _plain_scan(ball.elements, view)
+
+    def test_one_geodesic_per_pair(self, z2z, monkeypatch):
+        calls = []
+        geodesic = RelGraphView.geodesic
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            return geodesic(self, u, v)
+
+        monkeypatch.setattr(RelGraphView, "geodesic", counted)
+        ball = build_ball(z2z.group.base, 2)
+        assert len(ball) == 33
+        measure_delta(ball)
+        assert 0 < len(calls) <= comb(33, 2)
+
+    @pytest.mark.parametrize("first,expected", [(("h", 0), 1), (("x",), 0)])
+    def test_edge_kinds_are_compared(self, fab, fab_rel_a, first, expected):
+        # In the coned graph of F(a, b) rel <a>, 1 and a are joined by the
+        # x edge a and by an h edge.  Sides from 1 to a b and to a b^-1 that
+        # reach a by those two edges have midpoints 1 apart there; by one
+        # edge, 0.
+        one = fab.identity()
+        a, ab, ab_ = (w(s, fab) for s in ("a", "a b", "a b^-1"))
+        table = _ScanTable(fab_rel_a)
+        for verts, kinds in (
+            ((one, a, ab), (first, ("x",))),
+            ((one, a, ab_), (("x",), ("x",))),
+            ((ab, a, ab_), (("x",), ("x",))),
+        ):
+            table.sides[verts[0], verts[-1]] = verts, kinds
+            table.sides[verts[-1], verts[0]] = verts[::-1], kinds[::-1]
+        assert thin_triangle_delta(one, ab, ab_, fab_rel_a, table) == expected
+
+
+class TestTreeKernelPoints:
+    def test_every_signature_of_the_f2_radius_3_ball(self, fab, fab_word):
+        # each doubled distance _tree_triple_points yields is twice the
+        # realized distance of its two points on the word view, and every
+        # position it skips is at distance 0
+        elems = build_ball(fab, 3).elements
+        firsts = {}
+        for x, y, z in combinations(elems, 3):
+            sig = (len(x), len(y), len(z),
+                   common_prefix(x, y), common_prefix(x, z), common_prefix(y, z))
+            firsts.setdefault(sig, (x, y, z))
+        assert len(firsts) == 73
+        for sig, (x, y, z) in firsts.items():
+            yielded = {(corner, t2): d2 for corner, t2, d2 in _tree_triple_points(*sig)}
+            seen = 0
+            for corner, (c, p, q) in enumerate(((x, y, z), (y, x, z), (z, x, y))):
+                side1, side2 = fab_word.geodesic(c, p), fab_word.geodesic(c, q)
+                for t2 in range(int(2 * gromov_product(p, q, c, fab_word)) + 1):
+                    t = Fraction(t2, 2)
+                    d2 = 2 * _realized_dist(fab_word, _side_point(side1, t), _side_point(side2, t))
+                    if (corner, t2) in yielded:
+                        seen += 1
+                        assert yielded[corner, t2] == d2, (sig, corner, t2)
+                    else:
+                        assert d2 == 0, (sig, corner, t2)
+            assert seen == len(yielded), sig
 
 
 class TestThinTriangles:
