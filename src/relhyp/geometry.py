@@ -122,12 +122,14 @@ def thin_triangle_delta(
     the element, else at 2 + 2 min d(a, b) over their ends.
 
     Sides and distances come from ``table``, the calling scan's
-    ``_ScanTable`` of ``view``; without one the call builds its own for this
-    triangle.  Both give the same value, since a table entry depends on its
-    pair of vertices alone.
+    ``_ScanTable``, which must be a table of ``view`` itself; without one
+    the call builds its own for this triangle.  Both give the same value,
+    since a table entry depends on its pair of vertices alone.
     """
     if table is None:
         table = _ScanTable(view)
+    elif table.view is not view:
+        raise ValueError("the table belongs to another view")
     side, sides, dist = table.side, table.sides, table.dist
     xy, xz, yz = side(x, y), side(x, z), side(y, z)
     # a side is a geodesic, so its edge count is the distance of its ends
@@ -243,18 +245,17 @@ def _tree_ball_scan(elems):
     return Fraction(best2, 2), witness, comb(n, 3)
 
 
-def measure_delta(ball: Ball, view: Optional[RelGraphView] = None) -> DeltaMeasurement:
-    """Max of thin_triangle_delta over all vertex triples of the ball.
+def measure_delta(ball: Ball) -> DeltaMeasurement:
+    """Max of thin_triangle_delta over all vertex triples of the ball, in
+    the word metric of ``ball.group``.
 
-    ``view`` defaults to the word metric of ``ball.group``.  On a free
-    group's word metric the ball goes to ``_tree_ball_scan``; otherwise one
+    A free group's ball goes to ``_tree_ball_scan``; otherwise one
     ``_ScanTable`` serves every triple of this scan, so each side is built
     once per vertex pair and each distance is asked of the view once.
     """
-    if view is None:
-        view = word_metric_view(ball.group)
+    view = word_metric_view(ball.group)
     elems = ball.elements
-    if isinstance(view.group.base, FreeGroup) and not view.group.peripherals:
+    if isinstance(ball.group, FreeGroup):
         best, witness, count = _tree_ball_scan(elems)
         return DeltaMeasurement(best, ball.radius, count, witness)
     table = _ScanTable(view)

@@ -173,9 +173,21 @@ class TestScanTable:
 
     @pytest.mark.parametrize("view", _distinct_views())
     def test_metric_shapes_radius_2(self, view):
-        ball = build_ball(view.group.base, 2)
-        m = measure_delta(ball, view)
-        assert (m.delta, m.witness, m.triples) == _plain_scan(ball.elements, view)
+        # measure_delta's loop, one table shared by every triple, on word
+        # and relative views alike
+        elems = build_ball(view.group.base, 2).elements
+        table = _ScanTable(view)
+        best, witness = Fraction(0), None
+        for x, y, z in combinations(elems, 3):
+            v = thin_triangle_delta(x, y, z, view, table)
+            if v > best:
+                best, witness = v, (x, y, z)
+        assert (best, witness, comb(len(elems), 3)) == _plain_scan(elems, view)
+
+    def test_table_of_another_view(self, fab, fab_word, fab_rel_a):
+        x, y, z = (w(s, fab) for s in ("a", "b", "a b"))
+        with pytest.raises(ValueError):
+            thin_triangle_delta(x, y, z, fab_word, _ScanTable(fab_rel_a))
 
     def test_one_geodesic_per_pair(self, z2z, monkeypatch):
         calls = []
