@@ -23,12 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-from .errors import UnsupportedFamilyError
 from .groups import (
-    Amalgam,
     Elem,
-    FiniteGroup,
-    FreeAbelian,
     FreeGroup,
     FreeProduct,
     GroupSpec,
@@ -43,46 +39,6 @@ from .groups import (
 Label = tuple
 
 DEFAULT_VERTEX_BUDGET = 2_000_000
-
-
-def _factor_letter_path(fac: GroupSpec, x: Elem) -> list[Elem]:
-    """A canonical geodesic word for ``x`` in its factor, as generator elements."""
-    if isinstance(fac, FreeGroup):
-        return [(l,) for l in x]
-    if isinstance(fac, FreeAbelian):
-        rank = fac.rank
-        pos, neg = [], []
-        for i, e in enumerate(x):
-            unit = tuple(1 if j == i else 0 for j in range(rank))
-            if e > 0:
-                pos.extend([unit] * e)
-            else:
-                neg.extend([fac.inv(unit)] * (-e))
-        return pos + neg
-    if isinstance(fac, FiniteGroup):
-        return _finite_letter_path(fac, x)
-    if isinstance(fac, FreeProduct):
-        factors = fac.factors
-        return [((i, l),) for i, s in x for l in _factor_letter_path(factors[i], s)]
-    if isinstance(fac, Amalgam):
-        return [fac.embed(side, s) for side, s in x]
-    raise UnsupportedFamilyError(type(fac).__name__)
-
-
-@per_instance
-def _finite_paths(fac: FiniteGroup):
-    return bfs(fac.identity(), _ball_letters(fac), fac.mul)[1]
-
-
-def _finite_letter_path(fac: FiniteGroup, x: Elem) -> list[Elem]:
-    parent = _finite_paths(fac)
-    out = []
-    while parent[x] is not None:
-        v, g = parent[x]
-        out.append(g)
-        x = v
-    out.reverse()
-    return out
 
 
 def _as_is(x):
@@ -175,7 +131,7 @@ class RelGraphView:
             nu, _, embed = prices[key]
             y = embed(x)
             if nu is None:
-                out += [("x", l) for l in _factor_letter_path(base, y)]
+                out += [("x", l) for l in base.geodesic_word(y)]
             else:
                 out.append(("h", nu, y))
         return out
@@ -363,21 +319,12 @@ class Ball:
     def edges(self) -> Iterator[tuple[Elem, Elem, Elem]]:
         """All labelled edges inside the ball as (source, target, generator)."""
         G = self.group
-        letters = _ball_letters(G)
+        letters = G.letters()
         for v in self.elements:
             for g in letters:
                 w = G.mul(v, g)
                 if w in self.dist:
                     yield (v, w, g)
-
-
-def _ball_letters(G: GroupSpec) -> list[Elem]:
-    """The word metric's letters: generators by index, then their inverses
-    (every nontrivial factor element for an amalgam)."""
-    if isinstance(G, Amalgam):
-        return G.nontrivial_factor_elems()
-    gens = [g for _, g in G.generator_elems()]
-    return gens + [G.inv(g) for g in gens]
 
 
 def build_ball(G: GroupSpec, r: int, budget: Optional[int] = None) -> Ball:
@@ -389,5 +336,5 @@ def build_ball(G: GroupSpec, r: int, budget: Optional[int] = None) -> Ball:
         raise ValueError("radius must be non-negative")
     if budget is None:
         budget = DEFAULT_VERTEX_BUDGET
-    dist, _ = bfs(G.identity(), _ball_letters(G), G.mul, r, budget)
+    dist, _ = bfs(G.identity(), G.letters(), G.mul, r, budget)
     return Ball(G, r, tuple(dist), dist)

@@ -462,7 +462,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
             }
         reporter.emit(command, inputs, verdict, caveats=[res.caveat])
     elif command == "check-conditions":
-        _run_conditions(cfg, view, reporter, radius)
+        _run_conditions(cfg, view, reporter, radius, budget)
     elif command == "minx":
         elems = _word_list(cfg.get("set", {}).get("elements", ""), G)
         # minx reads no radius, but a malformed one is still a schema error
@@ -541,7 +541,7 @@ def _label_strs(path: EdgePath) -> list:
     return out
 
 
-def _run_conditions(cfg, view, reporter: Reporter, radius_override) -> None:
+def _run_conditions(cfg, view, reporter: Reporter, radius_override, budget) -> None:
     G = view.group.base
     p = _params(cfg)
     conds = p.get("conditions", "").split() or list(CONDITION_IDS)
@@ -570,6 +570,7 @@ def _run_conditions(cfg, view, reporter: Reporter, radius_override) -> None:
         P_abelian=tuple(
             x == "1" for x in p.get("P-abelian", "").split()
         ),
+        budget=budget,
     )
     for cid in conds:
         rep = check_condition(cid, ctx)

@@ -81,6 +81,7 @@ class ConditionContext:
     A: int = 0
     radius: int = 6
     P_abelian: tuple[bool, ...] = ()
+    budget: Optional[int] = None  # ball vertex budget (None: build_ball's default)
 
     def __post_init__(self):
         base = self.view.group.base
@@ -92,7 +93,7 @@ class ConditionContext:
 
     @per_instance
     def ball_elements(self):
-        return build_ball(self.G, self.radius).elements
+        return build_ball(self.G, self.radius, self.budget).elements
 
     def first(self, pred: Callable[[Elem], bool]) -> Optional[Elem]:
         """The first ball element satisfying ``pred``, or None.
@@ -123,10 +124,11 @@ class ConditionContext:
 
 
 def quasiconvexity_epsilon(
-    Q: SubgroupSpec, view: RelGraphView, radius: int
+    Q: SubgroupSpec, view: RelGraphView, radius: int, budget: Optional[int] = None
 ) -> tuple[int, str]:
     """Largest d_X from a vertex of a canonical relative geodesic between
-    two points of P = Q ∩ B_r to P.  Radius-stamped.
+    two points of P = Q ∩ B_r to P.  Radius-stamped; the ball stores at most
+    ``budget`` vertices, as in build_ball.
 
     The base of ``view`` must be free (else UnsupportedFamilyError); then
     one geodesic per point suffices, |P| - 1 in all, not one per pair.  The
@@ -152,7 +154,7 @@ def quasiconvexity_epsilon(
     G = view.group.base
     if not isinstance(G, FreeGroup):
         raise UnsupportedFamilyError("quasiconvexity_epsilon needs a free base")
-    ball = build_ball(G, radius)
+    ball = build_ball(G, radius, budget)
     oracle = membership_oracle(G, Q.gens)
     pts = [g for g in ball.elements if oracle(g)]
     e = G.identity()
@@ -381,8 +383,8 @@ def _check_c5m(ctx: ConditionContext) -> Iterator[ConditionReport]:
 
 def _check_p1(ctx: ConditionContext) -> ConditionReport:
     join = ctx.join_spec()
-    eps1, _ = quasiconvexity_epsilon(join, ctx.view, ctx.radius)
-    eps2, _ = quasiconvexity_epsilon(join, ctx.view, ctx.radius + 2)
+    eps1, _ = quasiconvexity_epsilon(join, ctx.view, ctx.radius, ctx.budget)
+    eps2, _ = quasiconvexity_epsilon(join, ctx.view, ctx.radius + 2, ctx.budget)
     stable = eps1 == eps2
     return ConditionReport(
         "P1",

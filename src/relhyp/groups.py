@@ -124,6 +124,16 @@ class GroupSpec:
         """Standard generators as (symbol, element) pairs, inverses excluded."""
         raise NotImplementedError
 
+    def letters(self) -> list[Elem]:
+        """The word metric's letters: generators by index, then their inverses."""
+        gens = [g for _, g in self.generator_elems()]
+        return gens + [self.inv(g) for g in gens]
+
+    def geodesic_word(self, a: Elem) -> list[Elem]:
+        """A canonical geodesic word for ``a`` over ``letters()``: its
+        letters multiply to ``a``, and there are ``x_length(a)`` of them."""
+        raise NotImplementedError
+
     def elem_str(self, a: Elem) -> str:
         """Render an element as a word string (parseable by word_to_elem)."""
         raise NotImplementedError
@@ -195,6 +205,9 @@ class FreeGroup(GroupSpec):
     def generator_elems(self):
         return [(s, (i + 1,)) for i, s in enumerate(self.symbols)]
 
+    def geodesic_word(self, a):
+        return [(x,) for x in a]
+
     def elem_str(self, a):
         if not a:
             return "1"
@@ -241,6 +254,13 @@ class FreeAbelian(GroupSpec):
             v[i] = 1
             out.append((s, tuple(v)))
         return out
+
+    def geodesic_word(self, a):
+        """The positive unit steps by index, then the negative ones."""
+        units = [u for _, u in self.generator_elems()]
+        pos = [u for u, e in zip(units, a) for _ in range(e)]
+        neg = [self.inv(u) for u, e in zip(units, a) for _ in range(-e)]
+        return pos + neg
 
     def elem_str(self, a):
         parts = []
@@ -291,31 +311,35 @@ class FiniteGroup(GroupSpec):
                 raise ValueError("element %d has no inverse" % i)
         return tuple(inv)
 
-    def _gen_indices(self):
-        if self.gens is not None:
-            return self.gens
-        return tuple(i for i in range(self.order) if i != self.identity_index)
-
     @per_instance
-    def _dist_table(self):
-        gens = self._gen_indices()
-        dist, _ = bfs(self.identity_index, set(gens) | set(map(self.inv, gens)), self.mul)
-        if len(dist) != self.order:
+    def _bfs_tree(self):
+        """``(dist, parent)`` of the one breadth-first search over ``letters()``."""
+        tree = bfs(self.identity_index, self.letters(), self.mul)
+        if len(tree[0]) != self.order:
             raise ValueError("designated generators do not generate the group")
-        return dist
+        return tree
 
     def x_length(self, a):
-        return self._dist_table()[a]
+        return self._bfs_tree()[0][a]
+
+    def geodesic_word(self, a):
+        """The letters on the walk from the identity to ``a`` in the BFS tree."""
+        parent = self._bfs_tree()[1]
+        out = []
+        while parent[a] is not None:
+            a, g = parent[a]
+            out.append(g)
+        out.reverse()
+        return out
 
     def sort_key(self, a):
         return a
 
     def generator_elems(self):
-        out = []
-        for g in self._gen_indices():
-            name = self.names[g] if self.names else "e%d" % g
-            out.append((name, g))
-        return out
+        gens = self.gens
+        if gens is None:
+            gens = [i for i in range(self.order) if i != self.identity_index]
+        return [(self.names[g] if self.names else "e%d" % g, g) for g in gens]
 
     def elem_str(self, a):
         if self.names:
@@ -403,6 +427,10 @@ class FreeProduct(GroupSpec):
         if not a:
             return "1"
         return " ".join(self.factors[idx].elem_str(x) for idx, x in a)
+
+    def geodesic_word(self, a):
+        """Each syllable's factor word, its letters embedded."""
+        return [((i, l),) for i, x in a for l in self.factors[i].geodesic_word(x)]
 
     def embed(self, idx: int, x) -> Elem:
         """The factor element ``x`` as an element of the product."""
@@ -568,8 +596,8 @@ class Amalgam(GroupSpec):
     def embed(self, side: int, x) -> Elem:
         return self._normalize(((side, x),))
 
-    def nontrivial_factor_elems(self) -> list[Elem]:
-        """All nontrivial factor elements (requires finite factors)."""
+    def letters(self):
+        """Every nontrivial factor element (requires finite factors)."""
         out = []
         for side, fac in enumerate(self._sides):
             if not isinstance(fac, FiniteGroup):
@@ -578,6 +606,10 @@ class Amalgam(GroupSpec):
                 if x != fac.identity():
                     out.append(self.embed(side, x))
         return out
+
+    def geodesic_word(self, a):
+        """Each syllable, embedded: one letter per syllable."""
+        return [self.embed(side, x) for side, x in a]
 
 
 @dataclass(frozen=True)

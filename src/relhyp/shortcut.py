@@ -212,13 +212,10 @@ def verify_shortcut_proposition(
     no_bt = pairwise_unconnected(comps)
 
     # X-lengths of the sigma components containing each bridging edge.
+    # sigma's segments are f_0 e_1 f_1 ..., so res.es[k] starts at offsets[2k + 1].
+    offsets = [0, *accumulate(len(seg) for seg in res.sigma.segments)]
+    e_positions = [offsets[2 * k + 1] for k, e in enumerate(res.es) if len(e) == 1]
     eta_values = []
-    pos = 0
-    e_positions = []
-    for seg in res.sigma.segments:
-        if any(seg is e for e in res.es) and len(seg) == 1:
-            e_positions.append(pos)
-        pos += len(seg)
     for p in e_positions:
         for comp in comps:
             if comp.start <= p < comp.stop:

@@ -15,7 +15,6 @@ from relhyp import (
 from relhyp.cayley import (
     BrokenLine,
     EdgePath,
-    _ball_letters,
     build_ball,
     relative_view,
     word_metric_view,
@@ -41,7 +40,7 @@ def coned_bfs_oracle(view, domain_radius):
     elems = list(ball.elements)
     index = {g: i for i, g in enumerate(elems)}
     adj = [[] for _ in elems]
-    letters = _ball_letters(G.base)
+    letters = G.base.letters()
     for g in elems:
         for l in letters:
             h = G.base.mul(g, l)

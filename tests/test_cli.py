@@ -292,6 +292,20 @@ class TestMainExitCodes:
         assert "budget" in capsys.readouterr().err
         assert main(argv) == EXIT_OK
 
+    def test_budget_bounds_check_conditions_balls(self, tmp_path, capsys):
+        # radius 6 scans the 1,457-vertex ball of F2; at radius 2 the scans
+        # use its 17-vertex ball and P1 also the radius-4 ball of 161
+        cfg = self._write(tmp_path, FAB_REL_A)
+        argv = ["--config", cfg, "--command", "check-conditions"]
+        assert main(argv + ["--budget", "5"]) == EXIT_BUDGET
+        argv += ["--radius", "2"]
+        assert main(argv + ["--budget", "17"]) == EXIT_BUDGET
+        assert "budget" in capsys.readouterr().err
+        plain, bounded = tmp_path / "plain.jsonl", tmp_path / "bounded.jsonl"
+        code = main(argv + ["--out", str(plain)])
+        assert main(argv + ["--budget", "161", "--out", str(bounded)]) == code
+        assert bounded.read_bytes() == plain.read_bytes()
+
     def test_budget_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RELHYP_BUDGET", "abc")
         cfg = self._write(tmp_path, FAB_REL_A)

@@ -16,7 +16,7 @@ from relhyp import (
     syllables,
     word_to_elem,
 )
-from relhyp.cayley import _finite_letter_path, build_ball
+from relhyp.cayley import build_ball, word_metric_view
 from relhyp.errors import BudgetExceededError
 from relhyp.groups import FiniteGroup, bfs
 from relhyp.separability import membership_oracle
@@ -237,7 +237,7 @@ class TestBreadthFirstKernel:
             return
         for x in range(G.order):
             assert G.x_length(x) == lengths[x]
-            path = _finite_letter_path(G, x)
+            path = G.geodesic_word(x)
             assert all(g in letters for g in path)
             assert len(path) == lengths[x]
             prod = G.identity()
@@ -267,3 +267,48 @@ class TestBreadthFirstKernel:
             bfs(0, [1], C.mul, radius=0, budget=0)
         dist, _ = bfs(0, [1, 11], C.mul, radius=2)
         assert dist == {0: 0, 1: 1, 11: 1, 2: 2, 10: 2}
+
+
+class TestLettersAndGeodesicWords:
+    """Each family's ``letters()`` and ``geodesic_word`` against BFS distances."""
+
+    @pytest.mark.parametrize("name", ["F2", "Z2", "Z/6", "S3", "Z2*Z", "Z/4*Z/6", "amalgam46"])
+    def test_geodesic_word_over_radius_3_ball(self, name, fab, z2, amalgam46):
+        G = {
+            "F2": fab,
+            "Z2": z2,
+            "Z/6": cyclic_group(6),
+            "S3": S3,
+            "Z2*Z": FreeProduct((FreeAbelian(("x", "y")), FreeAbelian(("t",)))),
+            "Z/4*Z/6": FreeProduct((cyclic_group(4, "b"), cyclic_group(6, "c"))),
+            "amalgam46": amalgam46,
+        }[name]
+        letters = G.letters()
+        ball = build_ball(G, 3)
+        for x in ball.elements:
+            word = G.geodesic_word(x)
+            assert all(l in letters for l in word)
+            prod = G.identity()
+            for l in word:
+                prod = G.mul(prod, l)
+            assert prod == x
+            assert len(word) == G.x_length(x) == ball.dist[x]
+
+    def test_one_bfs_per_finite_group(self, monkeypatch):
+        # x_length and the geodesic words of the word metric share one tree
+        import relhyp.cayley as cayley_mod
+        import relhyp.groups as groups_mod
+
+        calls = []
+
+        def counting_bfs(*args, **kwargs):
+            calls.append(args[0])
+            return bfs(*args, **kwargs)
+
+        for mod in (groups_mod, cayley_mod):
+            monkeypatch.setattr(mod, "bfs", counting_bfs)
+        G = cyclic_group(6)
+        view = word_metric_view(G)
+        for x in G.all_elements():
+            assert len(view.decompose(x)) == G.x_length(x)
+        assert len(calls) == 1
