@@ -336,5 +336,5 @@ def build_ball(G: GroupSpec, r: int, budget: Optional[int] = None) -> Ball:
         raise ValueError("radius must be non-negative")
     if budget is None:
         budget = DEFAULT_VERTEX_BUDGET
-    dist, _ = bfs(G.identity(), G.letters(), G.mul, r, budget)
+    dist = bfs(G.identity(), G.letters(), G.mul, r, budget)
     return Ball(G, r, tuple(dist), dist)

@@ -449,7 +449,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
             _int_param(cfg, "max-factors", default=6),
             _int_param(cfg, "max-len", default=8),
         )
-        res = minimize_type(g, qp, rp, view, b)
+        res = minimize_type(g, qp, rp, view, b, budget)
         if res.rep is None:
             verdict = "not-found"
         else:

@@ -55,18 +55,15 @@ def per_instance(fn):
 def bfs(start, letters, mul, radius=None, budget=None):
     """Breadth-first closure of ``start`` under right multiplication by ``letters``.
 
-    Returns ``(dist, parent)``, both in discovery order: ``dist[w]`` is the
-    least number of letters taking ``start`` to ``w``, and ``parent[w]`` is
-    the ``(v, g)`` with ``w == mul(v, g)`` that first reached ``w`` (``None``
-    at ``start``).  ``radius`` caps the depth (None: until nothing new
-    appears); BudgetExceededError is raised before element ``budget + 1``
-    would be stored.
+    Returns ``dist`` in discovery order: ``dist[w]`` is the least number of
+    letters taking ``start`` to ``w``.  ``radius`` caps the depth (None:
+    until nothing new appears); BudgetExceededError is raised before element
+    ``budget + 1`` would be stored.
     """
     limit = sys.maxsize if budget is None else budget
     if limit < 1:
         raise BudgetExceededError("search exceeded the %d-element budget" % limit)
     dist = {start: 0}
-    parent = {start: None}
     frontier = [start]
     d = 0
     while frontier and (radius is None or d < radius):
@@ -81,10 +78,28 @@ def bfs(start, letters, mul, radius=None, budget=None):
                             "search exceeded the %d-element budget" % limit
                         )
                     dist[w] = d
-                    parent[w] = (v, g)
                     nxt.append(w)
         frontier = nxt
-    return dist, parent
+    return dist
+
+
+def bfs_tree(dist, letters, mul):
+    """The breadth-first tree behind ``dist``, as ``bfs`` with the same
+    ``letters`` and ``mul`` discovered it.
+
+    ``parent[w]`` is the ``(v, g)`` with ``w == mul(v, g)`` that first reached
+    ``w`` (``None`` at the start), in discovery order.  One pass over ``dist``
+    in its order: when ``v`` is read, every vertex up to ``v``'s level has
+    its parent already, so a ``w`` without one lies a level further down,
+    and the first ``(v, g)`` to reach it is the one the search met first.
+    """
+    parent = {next(iter(dist)): None}
+    for v in dist:
+        for g in letters:
+            w = mul(v, g)
+            if w in dist and w not in parent:
+                parent[w] = (v, g)
+    return parent
 
 
 def common_prefix(u, v) -> int:
@@ -314,10 +329,11 @@ class FiniteGroup(GroupSpec):
     @per_instance
     def _bfs_tree(self):
         """``(dist, parent)`` of the one breadth-first search over ``letters()``."""
-        tree = bfs(self.identity_index, self.letters(), self.mul)
-        if len(tree[0]) != self.order:
+        letters = self.letters()
+        dist = bfs(self.identity_index, letters, self.mul)
+        if len(dist) != self.order:
             raise ValueError("designated generators do not generate the group")
-        return tree
+        return dist, bfs_tree(dist, letters, self.mul)
 
     def x_length(self, a):
         return self._bfs_tree()[0][a]

@@ -14,6 +14,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .cayley import BrokenLine, RelGraphView, build_ball, trivial_path
 from .components import find_components
+from .errors import BudgetExceededError
 from .geometry import gromov_product
 from .groups import Elem, SubgroupSpec
 from .separability import membership_oracle
@@ -177,12 +178,16 @@ def minimize_type(
     rp: SubgroupSpec,
     view: RelGraphView,
     budget: SearchBudget = SearchBudget(),
+    node_budget: Optional[int] = None,
 ) -> MinimizeResult:
     """Exhaustive minimal-type search over factorizations g = y_1 ... y_n
     with every y_i in Q' or R', within the budget.
 
     The identity is represented by a single trivial segment of type (1,0,0).
-    Output is labelled minimal up to the budget, never globally.
+    Output is labelled minimal up to the budget, never globally.  The
+    candidate ball stores at most ``node_budget`` vertices and the search
+    visits at most ``node_budget`` nodes (None: build_ball's default for the
+    ball, no cap on the search); BudgetExceededError is raised past either.
     """
     G = view.group.base
     caveat = "minimal up to budget (%s)" % budget.describe()
@@ -191,7 +196,7 @@ def minimize_type(
         rep = PathRep("I", line, ("Q'",))
         return MinimizeResult(rep, RepType(1, 0, 0), caveat)
 
-    ball = build_ball(G, budget.max_len).elements
+    ball = build_ball(G, budget.max_len, node_budget).elements
     pool = []
     for spec, role in ((qp, "Q'"), (rp, "R'")):
         oracle = membership_oracle(G, spec.gens)
@@ -199,6 +204,7 @@ def minimize_type(
         pool += [(y, role) for y in sorted(cands, key=G.sort_key)]
 
     best: Optional[tuple[RepType, tuple]] = None
+    nodes = 0
 
     def consider(seq):
         nonlocal best
@@ -212,6 +218,12 @@ def minimize_type(
             best = (t, rep)
 
     def dfs(prefix, value, remaining):
+        nonlocal nodes
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise BudgetExceededError(
+                "type search exceeded the %d-node budget" % node_budget
+            )
         if value == g and prefix:
             consider(prefix)
         if not remaining:

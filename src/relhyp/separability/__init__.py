@@ -23,7 +23,7 @@ from .quotients import (
     subgroup_closure,
     verify_separation,
 )
-from .rational import RationalSubset, product_member
+from .rational import RationalSubset, build_chain_nfa, least_word, product_member
 from .stallings import (
     StallingsGraph,
     basis,
@@ -45,6 +45,7 @@ __all__ = [
     "amalgam_product_member",
     "amalgam_reduce",
     "basis",
+    "build_chain_nfa",
     "combine_quotients",
     "find_separating_quotient",
     "finite_index_in",
@@ -52,6 +53,7 @@ __all__ = [
     "induced_quotient",
     "is_complete",
     "lattice_contains",
+    "least_word",
     "member",
     "membership_oracle",
     "minx_quotient_harness",

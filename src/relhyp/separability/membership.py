@@ -72,7 +72,7 @@ def membership_oracle(G: GroupSpec, gens: Sequence[Elem]) -> Callable[[Elem], bo
     if isinstance(G, FreeAbelian):
         return _lattice_member(gens, G.rank)
     if isinstance(G, FiniteGroup):
-        closure, _ = bfs(G.identity(), list(gens) + [G.inv(g) for g in gens], G.mul)
+        closure = bfs(G.identity(), list(gens) + [G.inv(g) for g in gens], G.mul)
         return lambda g: g in closure
     raise UnsupportedFamilyError(
         "no membership oracle for %s subgroups" % type(G).__name__

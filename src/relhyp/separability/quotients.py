@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..errors import BudgetExceededError, InTargetError, UnsupportedFamilyError
-from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec, bfs, per_instance
+from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec, bfs, bfs_tree, per_instance
 from .rational import RationalSubset
 from .stallings import StallingsGraph
 
@@ -79,7 +79,7 @@ def perm_block_sum(p: Perm, q: Perm) -> Perm:
 def subgroup_closure(gens: Sequence[Perm], n: int, budget: int = 100_000) -> frozenset:
     """The subgroup of S_n generated by ``gens`` (breadth-first closure)."""
     letters = list(gens) + [perm_inv(g) for g in gens]
-    return frozenset(bfs(perm_identity(n), letters, perm_mul, budget=budget)[0])
+    return frozenset(bfs(perm_identity(n), letters, perm_mul, budget=budget))
 
 
 def product_set(parts: Sequence[frozenset], budget: int = 2_000_000) -> frozenset:
@@ -126,7 +126,8 @@ class FiniteQuotient:
         gens = [g for _, g in dom.generator_elems()]
         images = dict(zip(gens, self.gen_images))
         e = dom.identity()
-        _, parent = bfs(e, list(images), dom.mul)
+        letters = list(images)
+        parent = bfs_tree(bfs(e, letters, dom.mul), letters, dom.mul)
         table = {e: perm_identity(self.degree)}
         for w, (v, g) in itertools.islice(parent.items(), 1, None):
             table[w] = perm_mul(table[v], images[g])

@@ -5,20 +5,24 @@ automata behind a line for g and then saturating with epsilon moves: whenever
 the automaton can read a letter and immediately unread it, the two endpoint
 states are epsilon-connected.  After saturation the automaton accepts every
 reduced word of the subset, so membership of an element is a single
-simulation of its normal form.
+simulation of its normal form, and a least element of a Boolean
+combination of two subsets is a breadth-first search over their product
+(``least_word``).
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Optional, Sequence
 
+from ..errors import BudgetExceededError
 from ..groups import Elem, FreeGroup
 from .stallings import StallingsGraph, subgroup_graph
 
 
 @dataclass
-class _NFA:
+class NFA:
     n: int
     trans: list  # list of dict letter -> set of states
     initial: frozenset
@@ -43,7 +47,7 @@ def _nfa_for_word(word: Elem, offset: int) -> tuple:
     return trans, offset, offset + len(word)
 
 
-def build_chain_nfa(g0: Elem, graphs: Sequence[StallingsGraph]) -> _NFA:
+def build_chain_nfa(g0: Elem, graphs: Sequence[StallingsGraph]) -> NFA:
     """NFA for the unreduced language of g0 * H_1 ... H_s."""
     trans: list = []
     eps_pairs = []
@@ -72,12 +76,12 @@ def build_chain_nfa(g0: Elem, graphs: Sequence[StallingsGraph]) -> _NFA:
     eps = [set([i]) for i in range(n)]
     for a, b in eps_pairs:
         eps[a].add(b)
-    nfa = _NFA(n, trans, frozenset([initial]), frozenset([prev_final]), eps)
+    nfa = NFA(n, trans, frozenset([initial]), frozenset([prev_final]), eps)
     _close_eps(nfa)
     return nfa
 
 
-def _close_eps(nfa: _NFA) -> None:
+def _close_eps(nfa: NFA) -> None:
     changed = True
     while changed:
         changed = False
@@ -90,7 +94,7 @@ def _close_eps(nfa: _NFA) -> None:
                 changed = True
 
 
-def saturate(nfa: _NFA) -> _NFA:
+def saturate(nfa: NFA) -> NFA:
     """Close the automaton under free reduction (iterated epsilon insertion)."""
     changed = True
     while changed:
@@ -110,19 +114,108 @@ def saturate(nfa: _NFA) -> _NFA:
     return nfa
 
 
-def accepts_reduced(nfa: _NFA, word: Elem) -> bool:
-    cur = set()
+def _start(nfa: NFA) -> frozenset:
+    cur: set = set()
     for q in nfa.initial:
         cur |= nfa.eps[q]
+    return frozenset(cur)
+
+
+def _step(nfa: NFA, cur, x) -> set:
+    nxt: set = set()
+    for q in cur:
+        for m in nfa.trans[q].get(x, ()):
+            nxt |= nfa.eps[m]
+    return nxt
+
+
+def accepts_reduced(nfa: NFA, word: Elem) -> bool:
+    cur = _start(nfa)
     for x in word:
-        nxt = set()
-        for q in cur:
-            for m in nfa.trans[q].get(x, ()):
-                nxt |= nfa.eps[m]
-        cur = nxt
+        cur = _step(nfa, cur, x)
         if not cur:
             return False
-    return bool(cur & set(nfa.finals))
+    return not nfa.finals.isdisjoint(cur)
+
+
+def least_word(
+    G: FreeGroup,
+    inside: NFA,
+    outside: NFA,
+    radius: int,
+    budget: Optional[int] = None,
+    symmetric: bool = False,
+) -> Optional[Elem]:
+    """The shortlex-least reduced word of length at most ``radius`` that
+    ``inside`` accepts and ``outside`` rejects (``symmetric``: that exactly
+    one of them accepts), or None.  Shortlex is by length, then letter by
+    letter in ``G.letters()`` order.
+
+    Breadth-first search over product states (last letter, inside state
+    set, outside state set), the sets built lazily by subset construction;
+    the last letter keeps every word reduced.  Letters are expanded in
+    ``G.letters()`` order and a state is kept only when first found, so the
+    words reach the states in shortlex order.  A word whose state was found
+    before by a word u is dropped: every extension of it is accepted exactly
+    when the same extension of u is, and that one comes first.  A word no
+    extension of which can be accepted (an empty inside set, or both sets
+    empty when ``symmetric``) is dropped too.  So the first accepted word
+    found is the least.  ``build_ball``'s level order on a free group is
+    this shortlex order, so the word is also the first accepted element of
+    the radius ball.
+
+    At most ``budget`` product states are stored (None: no cap); the search
+    raises BudgetExceededError past it.  With the depth cap they are never
+    more than the radius ball's elements.
+    """
+    limit = sys.maxsize if budget is None else budget
+    if limit < 1:
+        raise BudgetExceededError("search exceeded the %d-state budget" % limit)
+    letters = [x for (x,) in G.letters()]
+    moves_in: dict = {}
+    moves_out: dict = {}
+
+    def move(nfa, moves, cur, x):
+        key = (cur, x)
+        nxt = moves.get(key)
+        if nxt is None:
+            nxt = moves[key] = frozenset(_step(nfa, cur, x))
+        return nxt
+
+    def hit(a, b) -> bool:
+        a = not inside.finals.isdisjoint(a)
+        b = not outside.finals.isdisjoint(b)
+        return a != b if symmetric else a and not b
+
+    a0, b0 = _start(inside), _start(outside)
+    if hit(a0, b0):
+        return ()
+    seen = {(0, a0, b0)}
+    frontier = [((), 0, a0, b0)]
+    for _ in range(radius):
+        nxt = []
+        for word, last, a, b in frontier:
+            for x in letters:
+                if x == -last:
+                    continue
+                a2 = move(inside, moves_in, a, x)
+                b2 = move(outside, moves_out, b, x)
+                if not a2 and (not symmetric or not b2):
+                    continue
+                key = (x, a2, b2)
+                if key in seen:
+                    continue
+                if len(seen) >= limit:
+                    raise BudgetExceededError(
+                        "search exceeded the %d-state budget" % limit
+                    )
+                seen.add(key)
+                w = word + (x,)
+                if hit(a2, b2):
+                    return w
+                nxt.append((w, x, a2, b2))
+        frontier = nxt
+    return None
 
 
 @dataclass
@@ -137,14 +230,14 @@ class RationalSubset:
     g0: Elem
     factors: tuple[tuple[Elem, ...], ...]
     graphs: tuple[StallingsGraph, ...] = field(init=False)
-    _nfa: _NFA = field(init=False, repr=False)
+    nfa: NFA = field(init=False, repr=False)
 
     def __post_init__(self):
         self.graphs = tuple(subgroup_graph(gens, self.group) for gens in self.factors)
-        self._nfa = saturate(build_chain_nfa(self.g0, self.graphs))
+        self.nfa = saturate(build_chain_nfa(self.g0, self.graphs))
 
     def contains(self, g: Elem) -> bool:
-        return accepts_reduced(self._nfa, g)
+        return accepts_reduced(self.nfa, g)
 
     def symbolic(self) -> str:
         parts = []

@@ -446,6 +446,28 @@ def reference_minx_harness(Z, C, n_max=6, seed=0, check_radius=None):
     return (degree, tuple(images)), achieved, achieved >= C
 
 
+def reference_bfs_parents(start, letters, mul, radius=None):
+    """``groups.bfs`` as it was when it built the parent map itself, without
+    the budget: ``(dist, parent)``, both in discovery order, ``parent[w]``
+    the ``(v, g)`` with ``w == mul(v, g)`` that first reached ``w``."""
+    dist = {start: 0}
+    parent = {start: None}
+    frontier = [start]
+    d = 0
+    while frontier and (radius is None or d < radius):
+        d += 1
+        nxt = []
+        for v in frontier:
+            for g in letters:
+                w = mul(v, g)
+                if w not in dist:
+                    dist[w] = d
+                    parent[w] = (v, g)
+                    nxt.append(w)
+        frontier = nxt
+    return dist, parent
+
+
 def least_hit(elements, pred):
     """(least length of an element satisfying ``pred``, the first such
     element of that length), by a full scan that keeps only a strictly
@@ -460,11 +482,12 @@ def least_hit(elements, pred):
 
 def reference_minx_condition(ctx, cond_id, inside, outside, threshold, params, caveats=()):
     """``conditions._minx_condition`` over a full scan of the ball
-    (``least_hit``), with no use of the ball's breadth-first order."""
+    (``least_hit``), with no use of the ball's breadth-first order; both
+    subsets are decided by ``contains``."""
     from relhyp.conditions import ConditionReport
 
     measured, witness = least_hit(
-        ctx.ball_elements(), lambda g: inside.contains(g) and not outside(g)
+        ctx.ball_elements(), lambda g: inside.contains(g) and not outside.contains(g)
     )
     if measured < threshold:
         return ConditionReport(

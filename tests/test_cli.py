@@ -306,6 +306,19 @@ class TestMainExitCodes:
         assert main(argv + ["--budget", "161", "--out", str(bounded)]) == code
         assert bounded.read_bytes() == plain.read_bytes()
 
+    def test_budget_bounds_minimize_type(self, tmp_path, capsys):
+        # max-len 2: the candidate ball of F2 has 17 vertices
+        cfg = self._write(tmp_path, FAB_REL_A + "max-len = 2\n")
+        argv = ["--config", cfg, "--command", "minimize-type"]
+        assert main(argv + ["--budget", "5"]) == EXIT_BUDGET
+        assert "budget" in capsys.readouterr().err
+        assert main(argv + ["--budget", "17"]) == EXIT_BUDGET  # the search
+        assert "node" in capsys.readouterr().err
+        plain, bounded = tmp_path / "plain.jsonl", tmp_path / "bounded.jsonl"
+        assert main(argv + ["--out", str(plain)]) == EXIT_OK
+        assert main(argv + ["--budget", "100000", "--out", str(bounded)]) == EXIT_OK
+        assert bounded.read_bytes() == plain.read_bytes()
+
     def test_budget_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("RELHYP_BUDGET", "abc")
         cfg = self._write(tmp_path, FAB_REL_A)

@@ -1,8 +1,7 @@
 import math
-import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relhyp import FreeGroup, PeripheralSpec, RelHyp, SubgroupSpec, word_to_elem
@@ -16,8 +15,8 @@ from relhyp.conditions import (
     preccurlyeq,
     quasiconvexity_epsilon,
 )
-from relhyp.errors import UnsupportedFamilyError
-from relhyp.separability import membership_oracle
+from relhyp.errors import BudgetExceededError, UnsupportedFamilyError
+from relhyp.separability import RationalSubset, least_word, membership_oracle
 
 from conftest import (
     least_hit,
@@ -486,13 +485,67 @@ def test_c1_c4_witness_is_the_least_disagreement(fab, fab_rel_a, q, r, qp, rp, p
             assert rep.witness == next(h for h in hits if h is not None)
 
 
-def test_first_matches_full_scan_on_random_predicates(fab, fab_rel_a):
-    ctx = make_ctx(fab, fab_rel_a, radius=4)
-    ball = ctx.ball_elements()
-    rng = random.Random(17)
-    for _ in range(200):
-        hits = set(rng.sample(ball, rng.choice((0, 1, 2, 5, 20))))
-        bound = rng.randrange(5)
-        preds = (lambda g: g in hits, lambda g: g in hits and len(g) >= bound)
-        for pred in preds:
-            assert ctx.first(pred) == least_hit(ball, pred)[1]
+_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=4).map(reduce_letters_naive)
+_subsets = st.tuples(_words, st.lists(_gens, max_size=3).map(tuple))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inside=_subsets, outside=_subsets, same=st.booleans(),
+    symmetric=st.booleans(), radius=st.integers(0, 5),
+)
+# <b^-1 a^-1 b> minus {1}: b^-1 and b^-1 a reach one state set, and only
+# the word ending in a may go on with b, to the witness b^-1 a b
+@example(inside=((), (((-2, -1, 2),),)), outside=((), ()), same=False,
+         symmetric=False, radius=4)
+# a <b^-1 a b^-1> against {a}: they first differ on a b a^-1 b, beyond
+# radius 3, and the unreduced a b b^-1 must not be read
+@example(inside=((1,), (((-2, 1, -2),),)), outside=((1,), ()), same=False,
+         symmetric=True, radius=3)
+def test_least_word_is_the_first_hit_of_the_ball(
+    fab, inside, outside, same, symmetric, radius
+):
+    # inside is g0 * F_1 ... F_s; same=True gives the empty difference
+    inside = RationalSubset(fab, *inside)
+    outside = inside if same else RationalSubset(fab, *outside)
+    if symmetric:
+        pred = lambda g: inside.contains(g) != outside.contains(g)
+    else:
+        pred = lambda g: inside.contains(g) and not outside.contains(g)
+    expected = least_hit(build_ball(fab, radius).elements, pred)[1]
+    got = least_word(fab, inside.nfa, outside.nfa, radius, symmetric=symmetric)
+    assert got == expected
+    if same:
+        assert got is None
+
+
+def test_least_word_budget(fab):
+    # the words a^k b^j of <a><b> reach five product states: the start,
+    # then one per last letter
+    inside = RationalSubset(fab, (), (((1,),), ((2,),)))
+    outside = RationalSubset(fab, (1, 2, 1), ())
+    assert least_word(fab, inside.nfa, outside.nfa, 3) == ()
+    nothing = RationalSubset(fab, (), ())
+    assert least_word(fab, nothing.nfa, nothing.nfa, 4) is None
+    with pytest.raises(BudgetExceededError):
+        least_word(fab, inside.nfa, nothing.nfa, 4, budget=0)
+    with pytest.raises(BudgetExceededError):
+        least_word(fab, inside.nfa, inside.nfa, 4, budget=4)
+    assert least_word(fab, inside.nfa, inside.nfa, 4, budget=5) is None
+
+
+def test_minx_checks_never_scan_the_ball(fab, fab_rel_a, monkeypatch):
+    # the product search replaces the ball scan; only C5's coset
+    # representatives and P1's own balls still enumerate
+    def refuse(self):
+        raise AssertionError("ball_elements was called")
+
+    monkeypatch.setattr(ConditionContext, "ball_elements", refuse)
+    holds = make_ctx(fab, fab_rel_a, k=2, radius=6)
+    fails = make_ctx(fab, fab_rel_a, k=2, B=50, C=50, A=50, radius=6)
+    fails.Rp = fails.Qp  # Q' cap R' = Q' is not S = 1: C1 and C4 fail
+    for ctx in (holds, fails):
+        for cond_id in ("C1", "C2", "C3", "C4", "C2-m", "P2", "P3"):
+            check_condition(cond_id, ctx)
+    for cond_id in ("C1", "C2", "C4"):
+        assert check_condition(cond_id, fails).verdict == "fails", cond_id

@@ -18,7 +18,7 @@ from relhyp import (
 )
 from relhyp.cayley import build_ball, word_metric_view
 from relhyp.errors import BudgetExceededError
-from relhyp.groups import FiniteGroup, bfs
+from relhyp.groups import FiniteGroup, bfs, bfs_tree
 from relhyp.separability import membership_oracle
 from relhyp.separability.quotients import perm_mul, subgroup_closure
 
@@ -28,6 +28,7 @@ from conftest import (
     fixpoint_lengths,
     random_free_letters,
     reduce_letters_naive,
+    reference_bfs_parents,
 )
 
 w = word_to_elem
@@ -257,16 +258,28 @@ class TestBreadthFirstKernel:
 
     def test_budget_and_radius(self):
         C = cyclic_group(12)
-        dist, parent = bfs(0, [1], C.mul, budget=12)
+        dist = bfs(0, [1], C.mul, budget=12)
+        parent = bfs_tree(dist, [1], C.mul)
         assert list(dist) == list(parent) == list(range(12))
         assert parent[0] is None and parent[5] == (4, 1)
         with pytest.raises(BudgetExceededError):
             bfs(0, [1], C.mul, budget=11)
-        assert bfs(0, [1], C.mul, radius=0, budget=1) == ({0: 0}, {0: None})
+        assert bfs(0, [1], C.mul, radius=0, budget=1) == {0: 0}
         with pytest.raises(BudgetExceededError):
             bfs(0, [1], C.mul, radius=0, budget=0)
-        dist, _ = bfs(0, [1, 11], C.mul, radius=2)
+        dist = bfs(0, [1, 11], C.mul, radius=2)
         assert dist == {0: 0, 1: 1, 11: 1, 2: 2, 10: 2}
+
+    @settings(max_examples=150, deadline=None)
+    @given(finite_with_gens, st.one_of(st.none(), st.integers(0, 3)))
+    def test_bfs_tree_matches_parent_search(self, case, radius):
+        # the tree rebuilt from dist is the one the parent-building search found
+        G, gens = case
+        letters = list(gens) + [G.inv(g) for g in gens]
+        dist, parent = reference_bfs_parents(G.identity(), letters, G.mul, radius)
+        got = bfs(G.identity(), letters, G.mul, radius)
+        assert list(got.items()) == list(dist.items())
+        assert list(bfs_tree(got, letters, G.mul).items()) == list(parent.items())
 
 
 class TestLettersAndGeodesicWords:

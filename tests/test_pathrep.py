@@ -6,6 +6,7 @@ import pytest
 
 from relhyp import SubgroupSpec, word_to_elem
 from relhyp.cayley import BrokenLine, build_ball, trivial_path
+from relhyp.errors import BudgetExceededError
 from relhyp.pathrep import (
     PathRep,
     RepType,
@@ -118,6 +119,17 @@ class TestMinimize:
                     assert res.rep is None
                 else:
                     assert tuple(res.rep_type) == oracle
+
+    def test_node_budget(self, fab, fab_rel_a, qprp):
+        # SearchBudget(4, 2) reads the 17-vertex ball of F2, and the search
+        # then visits 53 nodes
+        qp, rp = qprp
+        g, b = w("a a b b", fab), SearchBudget(4, 2)
+        found = minimize_type(g, qp, rp, fab_rel_a, b)
+        for too_small in (16, 17, 52):
+            with pytest.raises(BudgetExceededError):
+                minimize_type(g, qp, rp, fab_rel_a, b, node_budget=too_small)
+        assert minimize_type(g, qp, rp, fab_rel_a, b, node_budget=53) == found
 
     def test_reproducible(self, fab, fab_rel_a, qprp):
         qp, rp = qprp
