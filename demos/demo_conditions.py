@@ -28,7 +28,6 @@ def context(k, B, C, radius=7):
         C=C,
         A=B,
         radius=radius,
-        P_abelian=(True,),
     )
 
 

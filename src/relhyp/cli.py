@@ -567,9 +567,6 @@ def _run_conditions(cfg, view, reporter: Reporter, radius_override, budget) -> N
         C=_int_param(cfg, "C", default=0),
         A=_int_param(cfg, "A", default=0),
         radius=_int_param(cfg, "radius", default=6, override=radius_override),
-        P_abelian=tuple(
-            x == "1" for x in p.get("P-abelian", "").split()
-        ),
         budget=budget,
     )
     for cid in conds:

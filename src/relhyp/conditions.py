@@ -90,8 +90,7 @@ class ConditionContext:
     C: int = 0
     A: int = 0
     radius: int = 6
-    P_abelian: tuple[bool, ...] = ()
-    budget: Optional[int] = None  # ball vertex budget (None: build_ball's default)
+    budget: Optional[int] = None  # caps ball vertices and least_word's product states
 
     def __post_init__(self):
         base = self.view.group.base
@@ -116,19 +115,14 @@ class ConditionContext:
 
     # -- derived subgroups, all exact via folded automata --
 
-    @per_instance
-    def graph(self, spec: SubgroupSpec):
-        return subgroup_graph(spec.gens, self.G)
-
     def s_spec(self) -> SubgroupSpec:
-        inter = pullback(self.graph(self.Q), self.graph(self.R))
-        return SubgroupSpec(tuple(basis(inter, self.G)), role="S")
+        return self.restrict(self.Q, self.R, "S")
 
     def join_spec(self) -> SubgroupSpec:
         return SubgroupSpec(self.Qp.gens + self.Rp.gens, role="<Q',R'>")
 
     def restrict(self, spec: SubgroupSpec, P: SubgroupSpec, role: str) -> SubgroupSpec:
-        inter = pullback(self.graph(spec), self.graph(P))
+        inter = pullback(subgroup_graph(spec.gens, self.G), subgroup_graph(P.gens, self.G))
         return SubgroupSpec(tuple(basis(inter, self.G)), role=role)
 
 
@@ -251,8 +245,10 @@ def check_condition(cond_id: str, ctx: ConditionContext) -> ConditionReport:
 
 
 def _check_c1(ctx: ConditionContext) -> ConditionReport:
-    s_graph = ctx.graph(ctx.s_spec())
-    qp_rp = pullback(ctx.graph(ctx.Qp), ctx.graph(ctx.Rp))
+    s_graph = subgroup_graph(ctx.s_spec().gens, ctx.G)
+    qp_rp = pullback(
+        subgroup_graph(ctx.Qp.gens, ctx.G), subgroup_graph(ctx.Rp.gens, ctx.G)
+    )
     if subgroups_equal(qp_rp, s_graph, ctx.G):
         return ConditionReport(
             "C1", "holds", ctx.radius, None, None, (), ("exact via folded automata",)
@@ -311,8 +307,8 @@ def _check_c4(ctx: ConditionContext) -> ConditionReport:
         join_P = subgroup_graph(qp_P.gens + rp_P.gens, ctx.G)
         for big, small in ((ctx.Q, qp_P), (ctx.R, rp_P)):
             big_P = ctx.restrict(big, P, "%s_P" % (big.role or "?"))
-            lhs = pullback(ctx.graph(big_P), join_P)
-            small_graph = ctx.graph(small)
+            lhs = pullback(subgroup_graph(big_P.gens, ctx.G), join_P)
+            small_graph = subgroup_graph(small.gens, ctx.G)
             if not subgroups_equal(lhs, small_graph, ctx.G):
                 witness = ctx.disagreement(lhs, small_graph)
                 return ConditionReport(
@@ -365,9 +361,9 @@ def _c5_reports(ctx: ConditionContext, cond_id: str, P: SubgroupSpec, tails):
 
 
 def _check_c5(ctx: ConditionContext) -> Iterator[ConditionReport]:
-    abelian = ctx.P_abelian or (False,) * len(ctx.P_list)
-    for P, is_ab in zip(ctx.P_list, abelian):
-        if is_ab:
+    for P in ctx.P_list:
+        # a subgroup of a free group is abelian exactly when it is cyclic
+        if len(basis(subgroup_graph(P.gens, ctx.G), ctx.G)) <= 1:
             yield ConditionReport(
                 "C5", "vacuous", ctx.radius, None, None,
                 (("P", P.role or "?"),),

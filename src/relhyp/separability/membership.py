@@ -67,7 +67,7 @@ def lattice_contains(gens: Sequence[tuple], v: tuple) -> bool:
 def membership_oracle(G: GroupSpec, gens: Sequence[Elem]) -> Callable[[Elem], bool]:
     """A callable deciding membership in the subgroup generated by ``gens``."""
     if isinstance(G, FreeGroup):
-        graph = subgroup_graph(tuple(gens), G)
+        graph = subgroup_graph(gens, G)
         return lambda g: member(g, graph)
     if isinstance(G, FreeAbelian):
         return _lattice_member(gens, G.rank)

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..groups import Elem, FreeGroup
+from ..groups import Elem, FreeGroup, per_instance
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,14 @@ class StallingsGraph:
 
 
 def subgroup_graph(gens: Sequence[Elem], G: FreeGroup) -> StallingsGraph:
-    """Folded core graph of the subgroup generated by ``gens``."""
+    """Folded core graph of the subgroup generated by ``gens``, folded once
+    per generator tuple and ``G``: the memo lives on the ``FreeGroup``
+    instance (``per_instance``), not in the process, and dies with it."""
+    return _fold(G, tuple(gens))
+
+
+@per_instance
+def _fold(G: FreeGroup, gens: tuple) -> StallingsGraph:
     edges = []
     next_v = 1
     for w in gens:

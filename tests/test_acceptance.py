@@ -637,7 +637,6 @@ def test_criterion_08_conditions():
             B=3,
             C=3,
             radius=8,
-            P_abelian=(True,),
         )
         r1 = check_condition("C1", ctx)
         if r1.verdict != "holds":

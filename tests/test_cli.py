@@ -108,6 +108,16 @@ A5_COMPLETION = (
     "[params]\ng = a a a a a\nfactors = H0\ncap = 4\n"
 )
 
+# Two peripherals, the second not abelian: C5 fails at P1 with witness a,
+# whatever a leftover P-abelian key says (it is ignored)
+C5_TWO_PERIPHERALS = (
+    "[group]\nfamily = free\nsymbols = a b\n"
+    "[peripherals]\n0 = cyclic-generator a\n"
+    "[subgroups]\nQ = a | b a b^-1\nQ' = a\nR = b a b^-1\nR' = b a b^-1\n"
+    "P0 = a\nP1 = a | b a b^-1\n"
+    "[params]\nradius = 4\nC = 2\nconditions = C5\n"
+)
+
 
 def run_lines(cfg_text, command, **kw):
     cfg = parse_config(cfg_text)
@@ -508,6 +518,37 @@ class TestMainExitCodes:
             out = tmp_path / "s.jsonl"
             assert main(["--config", cfg, "--command", "separate", "--out", str(out)]) == rc
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("declared", ["", "P-abelian = 1\n", "P-abelian = 1 1\n"])
+    def test_c5_reads_abelian_peripherals_from_the_fold(self, tmp_path, capsys, declared):
+        cfg = self._write(tmp_path, C5_TWO_PERIPHERALS + declared)
+        assert main(["--config", cfg, "--command", "check-conditions"]) == EXIT_CHECK_FAILED
+        line = json.loads(capsys.readouterr().out)
+        assert (line["verdict"], line["witness"]) == ("fails", "a")
+
+    def test_check_conditions_folds_each_tuple_once(self, tmp_path, capsys, monkeypatch):
+        """No generator tuple reaches the fold twice in one run of all ten
+        conditions: every caller reads the graph memoised on the group."""
+        import sys
+
+        from relhyp.separability import stallings
+
+        folded = []
+        assemble = stallings._assemble
+
+        def counted(rank, n, edges):
+            caller = sys._getframe(1)
+            if caller.f_code is stallings._fold.__wrapped__.__code__:
+                folded.append((caller.f_locals["G"].symbols, caller.f_locals["gens"]))
+            return assemble(rank, n, edges)
+
+        monkeypatch.setattr(stallings, "_assemble", counted)
+        text = C5_TWO_PERIPHERALS.replace("conditions = C5\n", "").replace(
+            "P0 = a\n", "P0 = a\nT1 = b\nU1 = a b a^-1 b^-1\n")
+        cfg = self._write(tmp_path, text)
+        assert main(["--config", cfg, "--command", "check-conditions"]) == EXIT_CHECK_FAILED
+        assert len(capsys.readouterr().out.splitlines()) == 10
+        assert folded and len(folded) == len(set(folded))
 
     def test_byte_identical_reports(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A)

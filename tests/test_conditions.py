@@ -16,7 +16,13 @@ from relhyp.conditions import (
     quasiconvexity_epsilon,
 )
 from relhyp.errors import BudgetExceededError, UnsupportedFamilyError
-from relhyp.separability import RationalSubset, least_word, membership_oracle
+from relhyp.separability import (
+    RationalSubset,
+    basis,
+    least_word,
+    membership_oracle,
+    subgroup_graph,
+)
 
 from conftest import (
     least_hit,
@@ -42,7 +48,6 @@ def make_ctx(fab, fab_rel_a, k=2, B=2, C=2, A=2, radius=6, with_p=True):
         C=C,
         A=A,
         radius=radius,
-        P_abelian=(True,) if with_p else (),
     )
 
 
@@ -300,7 +305,6 @@ class TestConditions:
         # are the subgroups themselves and q ranges over ball coset reps
         ctx = make_ctx(fab, fab_rel_a, k=2, C=1, radius=4)
         ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab)), role="P"),)
-        ctx.P_abelian = (False,)
         rep = check_condition("C5", ctx)
         assert rep.verdict in ("holds-to-radius", "fails")
         assert any("coset representatives" in c for c in rep.caveats) or rep.verdict == "fails"
@@ -308,7 +312,6 @@ class TestConditions:
     def test_c5m_with_u_list(self, fab, fab_rel_a):
         ctx = make_ctx(fab, fab_rel_a, k=2, C=1, radius=4)
         ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab)), role="P"),)
-        ctx.P_abelian = (False,)
         ctx.T_list = (SubgroupSpec((w("a b", fab),), role="T1"),)
         ctx.U_list = (SubgroupSpec((w("a b", fab),), role="U1"),)
         rep = check_condition("C5-m", ctx)
@@ -337,7 +340,7 @@ class TestConditions:
 # Full reports of the minx-scan conditions on the fixtures above, pinned:
 # the CLI emits neither ``params`` nor ``measured``, so the golden replay
 # cannot see them.
-_P_WHOLE = dict(P_list=(("a", "b"), "P"), P_abelian=(False,))
+_P_WHOLE = dict(P_list=(("a", "b"), "P"))
 _T1 = dict(T_list=(("a b",), "T1"))
 _U1 = dict(U_list=(("a b",), "U1"))
 _RADIUS_CAVEAT = "pass is radius-stamped; a failure witness would be absolute"
@@ -391,6 +394,64 @@ def test_pinned_report(fab, fab_rel_a, cond_id, kwargs, extra, expected):
     assert check_condition(cond_id, ctx) == ConditionReport(cond_id, *expected)
 
 
+def test_c5m_tail_decides_the_report(fab, fab_rel_a):
+    """A non-empty tail (j = 1, U1 restricted to P0) gives the failure; the
+    empty tail alone passes, so a checker that scanned only j = 0 would
+    report holds-to-radius."""
+    S = lambda role, *words: SubgroupSpec(tuple(w(x, fab) for x in words), role=role)
+    ctx = ConditionContext(
+        view=fab_rel_a,
+        Q=S("Q", "a"),
+        R=S("R", "b"),
+        Qp=S("Q'", "a a"),
+        Rp=S("R'", "b a b^-1"),
+        P_list=(S("P0", "a", "b a b^-1"),),
+        T_list=(S("T1", "b"),),
+        U_list=(S("U1", "a b a^-1 b^-1"),),
+        B=2,
+        C=3,
+        A=2,
+        radius=4,
+    )
+    rep = check_condition("C5-m", ctx)
+    assert (rep.verdict, rep.witness) == ("fails", w("a", fab))
+    assert rep.params == (("C", 3), ("P", "P0"), ("j", 1), ("q", "1"))
+    ctx.U_list = ()
+    assert check_condition("C5-m", ctx).verdict == "holds-to-radius"
+
+
+_root_powers = st.tuples(
+    st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=3).map(
+        reduce_letters_naive
+    ),
+    st.lists(
+        st.one_of(
+            st.integers(-3, 3),
+            st.lists(st.sampled_from((1, -1, 2, -2)), max_size=4).map(reduce_letters_naive),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_root_powers)
+def test_c5_abelian_rule_matches_commuting_generators(fab, fab_rel_a, case):
+    """C5 takes P <= F2 as abelian when its folded graph has a basis of at
+    most one element; that must hold exactly when P's generators commute
+    pairwise.  A generator is a power of a shared root or a random word, so
+    both answers occur."""
+    root, picks = case
+    gens = tuple(fab.pow(root, x) if isinstance(x, int) else tuple(x) for x in picks)
+    commute = all(fab.mul(x, y) == fab.mul(y, x) for x in gens for y in gens)
+    assert (len(basis(subgroup_graph(gens, fab), fab)) <= 1) == commute
+    ctx = make_ctx(fab, fab_rel_a, radius=2)
+    ctx.P_list = (SubgroupSpec(gens, role="P"),)
+    rep = check_condition("C5", ctx)
+    assert (rep.caveats == ("abelian peripheral: the two sides coincide",)) == commute
+
+
 # -- first hit against the full scan -------------------------------------------
 
 _gens = st.lists(
@@ -434,7 +495,6 @@ def test_first_hit_reports_match_full_scan(
         C=C,
         A=A,
         radius=radius,
-        P_abelian=(False,) * len(p_list),
     )
     for cond_id in ("C2", "C3", "C5", "C2-m", "C5-m", "P2", "P3"):
         got = check_condition(cond_id, ctx)

@@ -73,3 +73,37 @@ def test_no_unread_methods():
                 ):
                     unread.append("%s.%s (%s)" % (cls.name, fn.name, path.relative_to(SRC)))
     assert not unread, "methods nothing reads: %s" % ", ".join(unread)
+
+
+def _wrapped_by_tracer():
+    """Top-level names that ``perfbench/tracer.py`` wraps by module path."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]:
+            spans = ast.literal_eval(node.value)
+    return {attr for targets in spans.values() for _, attr in targets if "." not in attr}
+
+
+def test_no_unread_functions():
+    """Every top-level function and class of the package is read by name
+    (``name`` or ``obj.name``) somewhere in src, tests, demos or perfbench.
+    An import alone is not a read, so a name that only ``__init__.py``
+    re-exports is unread.  Functions the tracer wraps are exempt: it finds
+    them by their module path."""
+    read = set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    read |= _wrapped_by_tracer()
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name not in read
+            ):
+                unread.append("%s (%s)" % (node.name, path.relative_to(SRC)))
+    assert not unread, "functions and classes nothing reads: %s" % ", ".join(unread)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from unittest import mock
 
 import pytest
@@ -108,6 +110,18 @@ class TestStallings:
             assert subgroups_equal(g1, g2, fab)
             assert len(g1) == len(g2)
 
+    def test_fold_memo_dies_with_its_group(self):
+        """Each generator tuple is folded once per group, and the graph goes
+        when the group does: a process-wide memo would keep it alive."""
+        G = FreeGroup(("a", "b"))
+        gens = ((1, 1), (2, 1, -2))
+        ref = weakref.ref(subgroup_graph(gens, G))
+        assert subgroup_graph(list(gens), G) is ref()
+        assert subgroup_graph(gens, FreeGroup(("a", "b"))) is not ref()
+        del G
+        gc.collect()
+        assert ref() is None
+
     def test_basis_roundtrip(self, fab):
         gens = (w("a a", fab), w("b b", fab), w("a b a^-1", fab))
         H = subgroup_graph(gens, fab)
@@ -131,6 +145,8 @@ def _subgroup_pair(draw):
 
 
 def _reference(fn, *args):
+    # a fresh copy of a group argument holds none of the fast fold's graphs
+    args = [FreeGroup(a.symbols) if isinstance(a, FreeGroup) else a for a in args]
     with mock.patch.object(stallings, "_assemble", reference_assemble):
         return fn(*args)
 
