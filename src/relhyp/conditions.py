@@ -2,17 +2,20 @@
 
 Conditions quantify over infinite sets, so the checkers are semi-decision
 procedures: a failure comes with a concrete short witness and is final, a
-pass is stamped with the enumeration radius.  Set memberships are exact
-(saturated product automata over free ambient groups, family arithmetic for
-peripheral cases); only the enumeration is truncated.
+pass is stamped with the enumeration radius.  Memberships are exact: each
+subgroup is read off its folded graph (C5's coset representatives and P1's
+points are its closed walks up to the radius), each product off a saturated
+automaton; no checker enumerates a ball.
 
 Each minx bound is minx(inside \\ outside) for two rational subsets of the
 free ambient.  It is read off a breadth-first search over the product of
 their automata, capped at the radius (``rational.least_word``): the first
 word found in inside and not in outside is the least element of the radius
 ball in the difference, and the search visits each product state once
-instead of each ball element.  The C1 and C4 witnesses come from the same
-search over two folded graphs, accepting the words in exactly one of them.
+instead of each ball element.  C1 and C4 run the same search, uncapped,
+over two folded graphs and accept the words in exactly one of them; the
+product is finite, so it finds the least absolute witness or proves the
+subgroups equal.
 
 C2, C3, C5, C2-m and C5-m each check one minx bound per member of a family
 (a side, a peripheral, a tail, a coset representative).  Their checkers
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Iterable, Iterator, Optional
 
-from .cayley import RelGraphView, build_ball
+from .cayley import DEFAULT_VERTEX_BUDGET, RelGraphView
 from .errors import UnsupportedFamilyError
 from .groups import Elem, FreeGroup, GroupSpec, SubgroupSpec, per_instance
 from .separability import (
@@ -39,10 +42,9 @@ from .separability import (
     build_chain_nfa,
     finite_index_in,
     least_word,
-    membership_oracle,
+    member,
     pullback,
     subgroup_graph,
-    subgroups_equal,
 )
 
 CONDITION_IDS = ("C1", "C2", "C3", "C4", "C5", "C2-m", "C5-m", "P1", "P2", "P3")
@@ -90,48 +92,43 @@ class ConditionContext:
     C: int = 0
     A: int = 0
     radius: int = 6
-    budget: Optional[int] = None  # caps ball vertices and least_word's product states
+    budget: Optional[int] = None  # caps walks and product states; None: DEFAULT_VERTEX_BUDGET
 
     def __post_init__(self):
         base = self.view.group.base
         if not isinstance(base, FreeGroup):
-            raise UnsupportedFamilyError(
-                "condition checking needs a free ambient base"
-            )
+            raise UnsupportedFamilyError("condition checking needs a free ambient base")
         self.G = base
-
-    @per_instance
-    def ball_elements(self):
-        return build_ball(self.G, self.radius, self.budget).elements
+        self.budget = DEFAULT_VERTEX_BUDGET if self.budget is None else self.budget
 
     def disagreement(self, A: StallingsGraph, B: StallingsGraph) -> Optional[Elem]:
-        """The first element of the radius ball in exactly one of the
-        subgroups of ``A`` and ``B``, or None.  A folded graph is its own
-        saturated automaton."""
+        """The shortlex-least element in exactly one of the subgroups of the
+        folded graphs ``A`` and ``B``, at any length; None when they are equal."""
         return least_word(
             self.G, build_chain_nfa((), (A,)), build_chain_nfa((), (B,)),
-            self.radius, self.budget, symmetric=True,
+            None, self.budget, symmetric=True,
         )
 
     # -- derived subgroups, all exact via folded automata --
 
     def s_spec(self) -> SubgroupSpec:
-        return self.restrict(self.Q, self.R, "S")
+        return self.restrict(self.Q, self.R)
 
     def join_spec(self) -> SubgroupSpec:
         return SubgroupSpec(self.Qp.gens + self.Rp.gens, role="<Q',R'>")
 
-    def restrict(self, spec: SubgroupSpec, P: SubgroupSpec, role: str) -> SubgroupSpec:
+    @per_instance
+    def restrict(self, spec: SubgroupSpec, P: SubgroupSpec) -> SubgroupSpec:
         inter = pullback(subgroup_graph(spec.gens, self.G), subgroup_graph(P.gens, self.G))
-        return SubgroupSpec(tuple(basis(inter, self.G)), role=role)
+        return SubgroupSpec(tuple(basis(inter, self.G)))
 
 
 def quasiconvexity_epsilon(
     Q: SubgroupSpec, view: RelGraphView, radius: int, budget: Optional[int] = None
 ) -> tuple[int, str]:
     """Largest d_X from a vertex of a canonical relative geodesic between
-    two points of P = Q ∩ B_r to P.  Radius-stamped; the ball stores at most
-    ``budget`` vertices, as in build_ball.
+    two points of P = Q ∩ B_r to P.  Radius-stamped; P is read off Q's
+    folded graph, storing at most ``budget`` walks (None: no cap).
 
     The base of ``view`` must be free (else UnsupportedFamilyError); then
     one geodesic per point suffices, |P| - 1 in all, not one per pair.  The
@@ -157,9 +154,7 @@ def quasiconvexity_epsilon(
     G = view.group.base
     if not isinstance(G, FreeGroup):
         raise UnsupportedFamilyError("quasiconvexity_epsilon needs a free base")
-    ball = build_ball(G, radius, budget)
-    oracle = membership_oracle(G, Q.gens)
-    pts = [g for g in ball.elements if oracle(g)]
+    pts = subgroup_graph(Q.gens, G).closed_words(G, radius, budget)
     e = G.identity()
     need = set()
     for u in pts:
@@ -249,12 +244,11 @@ def _check_c1(ctx: ConditionContext) -> ConditionReport:
     qp_rp = pullback(
         subgroup_graph(ctx.Qp.gens, ctx.G), subgroup_graph(ctx.Rp.gens, ctx.G)
     )
-    if subgroups_equal(qp_rp, s_graph, ctx.G):
+    witness = ctx.disagreement(qp_rp, s_graph)
+    if witness is None:
         return ConditionReport(
             "C1", "holds", ctx.radius, None, None, (), ("exact via folded automata",)
         )
-    # produce a short witness on either side of the failed inclusion
-    witness = ctx.disagreement(qp_rp, s_graph)
     return ConditionReport("C1", "fails", ctx.radius, witness)
 
 
@@ -302,15 +296,13 @@ def _check_c4(ctx: ConditionContext) -> ConditionReport:
     if not ctx.P_list:
         return ConditionReport("C4", "vacuous", ctx.radius)
     for P in ctx.P_list:
-        qp_P = ctx.restrict(ctx.Qp, P, "Q'_P")
-        rp_P = ctx.restrict(ctx.Rp, P, "R'_P")
+        qp_P = ctx.restrict(ctx.Qp, P)
+        rp_P = ctx.restrict(ctx.Rp, P)
         join_P = subgroup_graph(qp_P.gens + rp_P.gens, ctx.G)
         for big, small in ((ctx.Q, qp_P), (ctx.R, rp_P)):
-            big_P = ctx.restrict(big, P, "%s_P" % (big.role or "?"))
-            lhs = pullback(subgroup_graph(big_P.gens, ctx.G), join_P)
-            small_graph = subgroup_graph(small.gens, ctx.G)
-            if not subgroups_equal(lhs, small_graph, ctx.G):
-                witness = ctx.disagreement(lhs, small_graph)
+            lhs = pullback(subgroup_graph(ctx.restrict(big, P).gens, ctx.G), join_P)
+            witness = ctx.disagreement(lhs, subgroup_graph(small.gens, ctx.G))
+            if witness is not None:
                 return ConditionReport(
                     "C4", "fails", ctx.radius, witness, None,
                     (("P", P.role or "?"),),
@@ -321,16 +313,14 @@ def _check_c4(ctx: ConditionContext) -> ConditionReport:
 
 
 def _coset_reps_in_ball(ctx: ConditionContext, big: SubgroupSpec, small: SubgroupSpec):
-    """Representatives of small-cosets of big-elements found in the ball."""
-    in_big = membership_oracle(ctx.G, big.gens)
-    in_small = membership_oracle(ctx.G, small.gens)
+    """The first element of each small-coset among big's closed walks up to
+    the radius, in ball order."""
+    G = ctx.G
+    small_graph = subgroup_graph(small.gens, G)
     reps: list = []
-    for g in ctx.ball_elements():
-        if not in_big(g):
-            continue
-        if any(in_small(ctx.G.mul(ctx.G.inv(r), g)) for r in reps):
-            continue
-        reps.append(g)
+    for g in subgroup_graph(big.gens, G).closed_words(G, ctx.radius, ctx.budget):
+        if not any(member(G.mul(G.inv(r), g), small_graph) for r in reps):
+            reps.append(g)
     return reps
 
 
@@ -340,10 +330,10 @@ def _c5_reports(ctx: ConditionContext, cond_id: str, P: SubgroupSpec, tails):
     ``tails`` holds (params, factors) pairs: the factors extend both
     products after R_P, and the params go between P and q in the report.
     """
-    qp_P = ctx.restrict(ctx.Qp, P, "Q'_P")
-    rp_P = ctx.restrict(ctx.Rp, P, "R'_P")
-    q_P = ctx.restrict(ctx.Q, P, "Q_P")
-    r_P = ctx.restrict(ctx.R, P, "R_P")
+    qp_P = ctx.restrict(ctx.Qp, P)
+    rp_P = ctx.restrict(ctx.Rp, P)
+    q_P = ctx.restrict(ctx.Q, P)
+    r_P = ctx.restrict(ctx.R, P)
     join_gens = qp_P.gens + rp_P.gens
     reps = _coset_reps_in_ball(ctx, q_P, qp_P)
     for extra, tail in tails:
@@ -383,7 +373,7 @@ def _check_c2m(ctx: ConditionContext) -> Iterator[ConditionReport]:
 
 def _check_c5m(ctx: ConditionContext) -> Iterator[ConditionReport]:
     for P in ctx.P_list:
-        u_P = [ctx.restrict(U, P, "U_P").gens for U in ctx.U_list]
+        u_P = [ctx.restrict(U, P).gens for U in ctx.U_list]
         tails = (
             ((("j", j),), tail)
             for j in range(len(ctx.T_list) + 1)

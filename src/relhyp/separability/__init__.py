@@ -32,7 +32,6 @@ from .stallings import (
     member,
     pullback,
     subgroup_graph,
-    subgroups_equal,
 )
 
 __all__ = [
@@ -64,6 +63,5 @@ __all__ = [
     "pullback",
     "subgroup_closure",
     "subgroup_graph",
-    "subgroups_equal",
     "verify_separation",
 ]

@@ -142,14 +142,14 @@ def least_word(
     G: FreeGroup,
     inside: NFA,
     outside: NFA,
-    radius: int,
+    radius: Optional[int] = None,
     budget: Optional[int] = None,
     symmetric: bool = False,
 ) -> Optional[Elem]:
-    """The shortlex-least reduced word of length at most ``radius`` that
-    ``inside`` accepts and ``outside`` rejects (``symmetric``: that exactly
-    one of them accepts), or None.  Shortlex is by length, then letter by
-    letter in ``G.letters()`` order.
+    """The shortlex-least reduced word of length at most ``radius`` (None:
+    any length) that ``inside`` accepts and ``outside`` rejects
+    (``symmetric``: that exactly one of them accepts), or None.  Shortlex is
+    by length, then letter by letter in ``G.letters()`` order.
 
     Breadth-first search over product states (last letter, inside state
     set, outside state set), the sets built lazily by subset construction;
@@ -166,7 +166,8 @@ def least_word(
 
     At most ``budget`` product states are stored (None: no cap); the search
     raises BudgetExceededError past it.  With the depth cap they are never
-    more than the radius ball's elements.
+    more than the radius ball's elements.  Without it the search stops when
+    the frontier empties, as there are finitely many states: None is exact.
     """
     limit = sys.maxsize if budget is None else budget
     if limit < 1:
@@ -192,7 +193,9 @@ def least_word(
         return ()
     seen = {(0, a0, b0)}
     frontier = [((), 0, a0, b0)]
-    for _ in range(radius):
+    depth = 0
+    while frontier and (radius is None or depth < radius):
+        depth += 1
         nxt = []
         for word, last, a, b in frontier:
             for x in letters:

@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..groups import Elem, FreeGroup, per_instance
+from ..groups import Elem, FreeGroup, bfs, per_instance
 
 
 @dataclass(frozen=True)
@@ -55,6 +55,19 @@ class StallingsGraph:
             for x, v in trans.items():
                 if x > 0:
                     yield (u, x, v)
+
+    def closed_words(self, G: FreeGroup, radius: int, budget: Optional[int] = None) -> list:
+        """The subgroup's elements of length at most ``radius`` in
+        ``build_ball``'s order, from the reduced walks (word, end) at the
+        basepoint.  A letter the end cannot read, or one that cancels, leaves
+        the walk as it is, so ``bfs`` skips it.  ``budget`` caps the walks."""
+        def step(walk, x):
+            word, v = walk
+            u = self.out[v].get(x)
+            return walk if u is None or word[-1:] == (-x,) else (word + (x,), u)
+
+        walks = bfs(((), 0), [x for (x,) in G.letters()], step, radius, budget)
+        return [word for word, v in walks if v == 0]
 
 
 def subgroup_graph(gens: Sequence[Elem], G: FreeGroup) -> StallingsGraph:
@@ -247,12 +260,6 @@ def pullback(A: StallingsGraph, B: StallingsGraph) -> StallingsGraph:
 def is_complete(H: StallingsGraph) -> bool:
     """Complete means every vertex reads every letter: a finite cover."""
     return all(len(trans) == 2 * H.rank for trans in H.out)
-
-
-def subgroups_equal(A: StallingsGraph, B: StallingsGraph, G: FreeGroup) -> bool:
-    return all(member(g, B) for g in basis(A, G)) and all(
-        member(g, A) for g in basis(B, G)
-    )
 
 
 def finite_index_in(U: StallingsGraph, V: StallingsGraph, G: FreeGroup) -> bool:

@@ -487,7 +487,8 @@ def reference_minx_condition(ctx, cond_id, inside, outside, threshold, params, c
     from relhyp.conditions import ConditionReport
 
     measured, witness = least_hit(
-        ctx.ball_elements(), lambda g: inside.contains(g) and not outside.contains(g)
+        build_ball(ctx.G, ctx.radius).elements,
+        lambda g: inside.contains(g) and not outside.contains(g),
     )
     if measured < threshold:
         return ConditionReport(
@@ -502,6 +503,32 @@ def reference_minx_condition(ctx, cond_id, inside, outside, threshold, params, c
         params,
         caveats + ("pass is radius-stamped; a failure witness would be absolute",),
     )
+
+
+def subgroups_equal(A, B, G) -> bool:
+    """Do the folded graphs ``A`` and ``B`` have the same subgroup?  Each
+    free basis is read in the other graph."""
+    from relhyp.separability import basis, member
+
+    return all(member(g, B) for g in basis(A, G)) and all(
+        member(g, A) for g in basis(B, G)
+    )
+
+
+def reference_coset_reps_in_ball(ctx, big, small):
+    """``conditions._coset_reps_in_ball`` as it was when it scanned the
+    radius ball: each element of ``big`` is kept unless a kept r has
+    r^-1 g in ``small``, both decided by membership oracles."""
+    from relhyp.separability import membership_oracle
+
+    G = ctx.G
+    in_big = membership_oracle(G, big.gens)
+    in_small = membership_oracle(G, small.gens)
+    reps = []
+    for g in build_ball(G, ctx.radius).elements:
+        if in_big(g) and not any(in_small(G.mul(G.inv(r), g)) for r in reps):
+            reps.append(g)
+    return reps
 
 
 def reference_quasiconvexity_epsilon(Q, view, radius):

@@ -277,7 +277,7 @@ class TestMainExitCodes:
         cfg = self._write(tmp_path, FAB_REL_A)
         assert main(["--config", cfg, "--command", "ball", "--radius", "9"]) == EXIT_BUDGET
 
-    @pytest.mark.parametrize("command", ["ball", "delta"])
+    @pytest.mark.parametrize("command", ["ball", "delta", "check-conditions", "minimize-type"])
     def test_budget_zero_is_honoured(self, tmp_path, capsys, command):
         cfg = self._write(tmp_path, FAB_REL_A)
         argv = ["--config", cfg, "--command", command, "--radius", "2", "--budget", "0"]
@@ -303,8 +303,9 @@ class TestMainExitCodes:
         assert main(argv) == EXIT_OK
 
     def test_budget_bounds_check_conditions_balls(self, tmp_path, capsys):
-        # radius 6 scans the 1,457-vertex ball of F2; at radius 2 the scans
-        # use its 17-vertex ball and P1 also the radius-4 ball of 161
+        # no check enumerates a ball: the budget caps the walks of folded
+        # graphs and the product searches.  At radius 2 the most is stored by
+        # P1 at radius 4: the 33 reduced walks of <a^2, b^2>, within 161
         cfg = self._write(tmp_path, FAB_REL_A)
         argv = ["--config", cfg, "--command", "check-conditions"]
         assert main(argv + ["--budget", "5"]) == EXIT_BUDGET

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,14 +22,17 @@ from relhyp.separability import (
     basis,
     least_word,
     membership_oracle,
+    pullback,
     subgroup_graph,
 )
 
 from conftest import (
     least_hit,
     reduce_letters_naive,
+    reference_coset_reps_in_ball,
     reference_minx_condition,
     reference_quasiconvexity_epsilon,
+    subgroups_equal,
 )
 
 w = word_to_elem
@@ -268,7 +272,7 @@ class TestConditions:
             in_s = lambda g: in_q(g) and in_r(g)
             vals = [
                 fab.x_length(g)
-                for g in ctx.ball_elements()
+                for g in build_ball(ctx.G, ctx.radius).elements
                 if (in_q(g) or in_r(g)) and not in_s(g)
             ]
             assert min(vals) >= rep.measured
@@ -505,7 +509,14 @@ def test_first_hit_reports_match_full_scan(
 
 @settings(max_examples=40, deadline=None)
 @given(q=_gens, r=_gens, qp=_gens, rp=_gens, p=_gens, radius=st.integers(3, 5))
+# C4 fails on b^6 only, beyond the radius + 2 ball
+@example(q=((1,),), r=((1,),), qp=((1,),), rp=((2, 2),), p=((2, 2, 2),), radius=3)
 def test_c1_c4_witness_is_the_least_disagreement(fab, fab_rel_a, q, r, qp, rp, p, radius):
+    """C1 and C4 hold exactly when the subgroups they compare are equal by
+    the ``subgroups_equal`` reference.  Otherwise they fail at the first
+    unequal pair, with a disagreement that is the least at any length: the
+    radius + 2 ball's least hit, or longer than that ball's radius when it
+    has none, whatever the radius of the check."""
     ctx = ConditionContext(
         view=fab_rel_a,
         Q=SubgroupSpec(q, role="Q"),
@@ -515,34 +526,76 @@ def test_c1_c4_witness_is_the_least_disagreement(fab, fab_rel_a, q, r, qp, rp, p
         P_list=(SubgroupSpec(p, role="P0"),),
         radius=radius,
     )
-    ball = ctx.ball_elements()
+    ball = build_ball(fab, radius + 2).elements
+    graph = lambda gens: subgroup_graph(gens, fab)
     in_q, in_r, in_qp, in_rp, in_p = (
         membership_oracle(fab, gens) for gens in (q, r, qp, rp, p)
     )
-    rep = check_condition("C1", ctx)
-    if rep.verdict == "fails":
-        # Q' cap R' against S = Q cap R
-        expected = least_hit(
-            ball, lambda g: (in_qp(g) and in_rp(g)) != (in_q(g) and in_r(g))
-        )[1]
-        assert rep.witness == expected
-    rep = check_condition("C4", ctx)
-    if rep.verdict == "fails":
-        P = ctx.P_list[0]
-        qp_P = ctx.restrict(ctx.Qp, P, "Q'_P")
-        rp_P = ctx.restrict(ctx.Rp, P, "R'_P")
-        in_join = membership_oracle(fab, qp_P.gens + rp_P.gens)
-        hits = []
-        for in_big, small in ((in_q, qp_P), (in_r, rp_P)):
-            in_small = membership_oracle(fab, small.gens)
-            hits.append(least_hit(ball, lambda g: (
-                in_big(g) and in_p(g) and in_join(g)) != in_small(g))[1])
-        # equal subgroups never disagree, so the first pair that does in the
-        # ball is the pair the checker stopped at
-        if rep.witness is None:
-            assert hits[0] is None
+
+    def check(cond_id, pairs):
+        # pairs: (graph, graph, "g is in exactly one"), in checker order
+        rep = check_condition(cond_id, ctx)
+        unequal = [differ for A, B, differ in pairs if not subgroups_equal(A, B, fab)]
+        if not unequal:
+            assert rep.verdict == "holds", cond_id
+            return
+        assert rep.verdict == "fails" and unequal[0](rep.witness), cond_id
+        hit = least_hit(ball, unequal[0])[1]
+        if hit is None:
+            assert len(rep.witness) > radius + 2, cond_id
         else:
-            assert rep.witness == next(h for h in hits if h is not None)
+            assert rep.witness == hit, cond_id
+
+    check("C1", [(
+        pullback(graph(qp), graph(rp)), pullback(graph(q), graph(r)),
+        lambda g: (in_qp(g) and in_rp(g)) != (in_q(g) and in_r(g)),
+    )])
+    P = ctx.P_list[0]
+    qp_P, rp_P = ctx.restrict(ctx.Qp, P), ctx.restrict(ctx.Rp, P)
+    join_P = graph(qp_P.gens + rp_P.gens)
+    in_join = membership_oracle(fab, qp_P.gens + rp_P.gens)
+    pairs = []
+    for big, in_big, small in ((q, in_q, qp_P), (r, in_r, rp_P)):
+        in_small = membership_oracle(fab, small.gens)
+        pairs.append((
+            pullback(pullback(graph(big), graph(p)), join_P), graph(small.gens),
+            lambda g, in_big=in_big, in_small=in_small: (
+                in_big(g) and in_p(g) and in_join(g)) != in_small(g),
+        ))
+    check("C4", pairs)
+
+
+def test_c4_fails_beyond_the_radius(fab, fab_rel_a):
+    """Q = R = Q' = <a>, R' = <b^2>, P0 = <b^3> at radius 3: R_P is trivial
+    and R'_P = <b^6>, so C4 fails on b^6, which lies outside the radius-3
+    ball; a search capped at the radius found no witness."""
+    S = lambda role, word: SubgroupSpec((w(word, fab),), role=role)
+    ctx = ConditionContext(
+        view=fab_rel_a,
+        Q=S("Q", "a"),
+        R=S("R", "a"),
+        Qp=S("Q'", "a"),
+        Rp=S("R'", "b b"),
+        P_list=(S("P0", "b b b"),),
+        radius=3,
+    )
+    rep = check_condition("C4", ctx)
+    assert (rep.verdict, rep.witness) == ("fails", w("b b b b b b", fab))
+    assert rep.params == (("P", "P0"),)
+
+
+@settings(max_examples=60, deadline=None)
+@given(big=_gens, small=_gens, radius=st.integers(0, 5))
+def test_c5_coset_reps_match_the_ball_scan(fab, fab_rel_a, big, small, radius):
+    """C5's representatives, read off big's closed walks, are those of the
+    ball scan, in the same order, for a small subgroup of big (as C5 asks)
+    and for any small one."""
+    ctx = make_ctx(fab, fab_rel_a, radius=radius)
+    big = SubgroupSpec(big)
+    for small in (ctx.restrict(SubgroupSpec(small), big), SubgroupSpec(small)):
+        assert conditions._coset_reps_in_ball(ctx, big, small) == (
+            reference_coset_reps_in_ball(ctx, big, small)
+        )
 
 
 _words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=4).map(reduce_letters_naive)
@@ -594,18 +647,50 @@ def test_least_word_budget(fab):
     assert least_word(fab, inside.nfa, inside.nfa, 4, budget=5) is None
 
 
-def test_minx_checks_never_scan_the_ball(fab, fab_rel_a, monkeypatch):
-    # the product search replaces the ball scan; only C5's coset
-    # representatives and P1's own balls still enumerate
-    def refuse(self):
-        raise AssertionError("ball_elements was called")
+def test_restrict_pulls_back_once_per_context(fab, fab_rel_a, monkeypatch):
+    """C3, C5, C5-m and P2 ask again for S = Q cap R and for the restrictions
+    to P; each of the five pairs is pulled back once per context."""
+    calls = []
+    pullback_ = conditions.pullback
+    monkeypatch.setattr(
+        conditions, "pullback", lambda A, B: calls.append(1) or pullback_(A, B)
+    )
+    for _ in range(2):
+        ctx = make_ctx(fab, fab_rel_a, k=2, C=1, radius=4)
+        ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab)), role="P"),)
+        for _ in range(2):
+            for cond_id in ("C3", "C5", "C5-m", "P2"):
+                check_condition(cond_id, ctx)
+    assert len(calls) == 2 * 5
 
-    monkeypatch.setattr(ConditionContext, "ball_elements", refuse)
-    holds = make_ctx(fab, fab_rel_a, k=2, radius=6)
-    fails = make_ctx(fab, fab_rel_a, k=2, B=50, C=50, A=50, radius=6)
-    fails.Rp = fails.Qp  # Q' cap R' = Q' is not S = 1: C1 and C4 fail
-    for ctx in (holds, fails):
-        for cond_id in ("C1", "C2", "C3", "C4", "C2-m", "P2", "P3"):
-            check_condition(cond_id, ctx)
-    for cond_id in ("C1", "C2", "C4"):
-        assert check_condition(cond_id, fails).verdict == "fails", cond_id
+
+def test_checkers_build_no_ball(fab, fab_rel_a, monkeypatch):
+    """All ten conditions run with every ``build_ball`` and
+    ``membership_oracle`` binding under ``relhyp`` patched to raise, on a
+    context where they pass and two where C1, C2, C4, C5 and C5-m fail; C5
+    and C5-m meet a non-abelian peripheral and a tail."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a ball or a membership oracle was built")
+
+    assert not any(hasattr(conditions, a) for a in ("build_ball", "membership_oracle"))
+    for name, module in list(sys.modules.items()):
+        if name == "relhyp" or name.startswith("relhyp."):
+            for attr in ("build_ball", "membership_oracle"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    holds = make_ctx(fab, fab_rel_a, k=2, C=1, radius=4)
+    fails = make_ctx(fab, fab_rel_a, k=2, B=50, C=50, A=50, radius=4)
+    equal = make_ctx(fab, fab_rel_a, k=2, radius=4)
+    equal.Rp = equal.Qp  # Q' cap R' = Q' is not S = 1: C1 and C4 fail
+    contexts = (holds, fails, equal)
+    for ctx in contexts:
+        ctx.P_list += (SubgroupSpec((w("a", fab), w("b", fab)), role="P"),)
+        ctx.T_list = (SubgroupSpec((w("a b", fab),), role="T1"),)
+        ctx.U_list = (SubgroupSpec((w("a b", fab),), role="U1"),)
+    verdicts = {
+        c: [check_condition(c, ctx).verdict for ctx in contexts]
+        for c in conditions.CONDITION_IDS
+    }
+    for cond_id in ("C1", "C2", "C4", "C5", "C5-m"):
+        assert "fails" in verdicts[cond_id], cond_id

@@ -12,6 +12,7 @@ from conftest import (
     reference_assemble,
     reference_find_separating_quotient,
     reference_minx_harness,
+    subgroups_equal,
 )
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -35,7 +36,6 @@ from relhyp.separability import (
     pullback,
     stallings,
     subgroup_graph,
-    subgroups_equal,
     verify_separation,
 )
 from relhyp.separability.quotients import (
@@ -128,6 +128,29 @@ class TestStallings:
         B = basis(H, fab)
         H2 = subgroup_graph(tuple(B), fab)
         assert subgroups_equal(H, H2, fab)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        rank=st.integers(1, 3),
+        radius=st.integers(0, 5),
+        budget=st.integers(1, 300),
+    )
+    def test_closed_words_is_the_ball_scan(self, data, rank, radius, budget):
+        """The closed walks are the members of the radius ball, in the ball's
+        order; the budget caps the walks, which are the ball's words that
+        can be read from the basepoint."""
+        G = FreeGroup(tuple("abc"[:rank]))
+        gens = tuple(data.draw(st.lists(_free_word(rank, 4), max_size=3)))
+        H = subgroup_graph(gens, G)
+        ball = build_ball(G, radius).elements
+        assert H.closed_words(G, radius) == [g for g in ball if member(g, H)]
+        walks = sum(H.walk(g) is not None for g in ball)
+        if budget < walks:
+            with pytest.raises(BudgetExceededError):
+                H.closed_words(G, radius, budget)
+        else:
+            assert H.closed_words(G, radius, budget) == H.closed_words(G, radius)
 
 
 def _free_word(rank, max_len):
