@@ -157,10 +157,16 @@ class GroupSpec:
         """Validate the family invariants; raises ValueError on defects."""
 
     def pow(self, a: Elem, n: int) -> Elem:
+        """a^n by repeated squaring: O(log |n|) products."""
         out = self.identity()
         base = a if n >= 0 else self.inv(a)
-        for _ in range(abs(n)):
-            out = self.mul(out, base)
+        n = abs(n)
+        while n:
+            if n & 1:
+                out = self.mul(out, base)
+            n >>= 1
+            if n:
+                base = self.mul(base, base)
         return out
 
 

@@ -312,11 +312,13 @@ def find_separating_quotient(
         n = len(images[0])
         signed = _signed_images(images)
         pg = _image_runs(signed, n, g_runs)
+        probe = perm_mul(perm_inv(_image_runs(signed, n, g0_runs)), pg) if g0_runs else pg
+        if probe == perm_identity(n):
+            return None  # phi(g) = phi(g0), which lies in phi(Z)
         closures = [
             subgroup_closure([_image_runs(signed, n, r) for r in gens], n)
             for gens in factor_runs
         ]
-        probe = perm_mul(perm_inv(_image_runs(signed, n, g0_runs)), pg) if g0_runs else pg
         hit = _image_in_product(probe, closures)
         if hit is not False:
             return None

@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -36,6 +37,7 @@ from relhyp.cayley import (
     relative_view,
     word_metric_view,
 )
+from relhyp.groups import common_prefix
 
 
 def w(word, G):
@@ -725,3 +727,87 @@ def reference_thin_triangle_delta(x, y, z, view: RelGraphView) -> Fraction:
     best = max(best, _corner_scan(view, legs[1], _reverse(s_xy), s_yz))
     best = max(best, _corner_scan(view, legs[2], _reverse(s_xz), _reverse(s_yz)))
     return best
+
+
+# -- exhaustive tree-δ scan of free balls, against measure_delta's 0 ----------
+
+
+def _tree_triple_points(li, lj, lk, cij, cik, cjk):
+    """Yield ``(corner, t2, d2)`` for every point pair the tree scan compares
+    on a triple of free words w_i, w_j, w_k with lengths li, lj, lk and
+    pairwise common-prefix lengths cij, cik, cjk: at corner 0, 1 or 2 (w_i,
+    w_j or w_k), the points at doubled position t2 on the two sides leaving
+    it, at doubled distance d2.  Nothing else about the words enters, so the
+    triple's doubled thinness is a function of these six integers.
+
+    All positions are doubled so midpoints are integers.  Every point is a
+    pair (corner word w, doubled arclength a along the tree ray from 1 to
+    w), a vertex when a is even and an edge midpoint when it is odd.  Two
+    rays from 1 share exactly their first cp(w1, w2) edges and then part for
+    good, so at every position, vertex or midpoint, the doubled distance is
+    a1 + a2 - 2 min(a1, a2, 2 cp(w1, w2)); with cp(w, w) = |w| this is
+    |a1 - a2| on one ray.  The shared initial segment of the two sides at a
+    corner (where both are equal prefixes of the corner word) is at
+    distance zero and is not yielded.
+    """
+    lens = (li, lj, lk)
+    cp = ((li, cij, cik), (cij, lj, cjk), (cik, cjk, lk))
+    for corner, o1, o2 in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
+        lc = lens[corner]
+        cp1 = cp[corner][o1]
+        cp2 = cp[corner][o2]
+        # doubled Gromov product at the corner: d(c,o1) + d(c,o2) - d(o1,o2)
+        leg2 = 2 * (lc - cp1 - cp2 + cp[o1][o2])
+        b1_2 = 2 * (lc - cp1)
+        b2_2 = 2 * (lc - cp2)
+        # doubled cp of the two points' words, indexed by
+        # (side 1 on o1's ray, side 2 on o2's ray)
+        cc2 = ((2 * lc, 2 * cp2), (2 * cp1, 2 * cp[o1][o2]))
+        for t2 in range(min(b1_2, b2_2), leg2 + 1):
+            # point on side [corner -> o_i]: (word, doubled prefix length)
+            if t2 <= b1_2:
+                w1, a1 = 0, 2 * lc - t2
+            else:
+                w1, a1 = 1, 2 * cp1 + (t2 - b1_2)
+            if t2 <= b2_2:
+                w2, a2 = 0, 2 * lc - t2
+            else:
+                w2, a2 = 1, 2 * cp2 + (t2 - b2_2)
+            yield corner, t2, a1 + a2 - 2 * min(a1, a2, cc2[w1][w2])
+
+
+def _tree_ball_scan(elems):
+    """Exhaustive triple scan of free words, one corner scan per signature.
+
+    A triple's signature is its three lengths and three pairwise
+    common-prefix lengths, read from tables built once; its doubled
+    thinness, the largest distance ``_tree_triple_points`` yields for that
+    signature, is worked out once per distinct signature in this scan.
+    Returns (thinness, first triple attaining it or None, triple count).
+    """
+    n = len(elems)
+    lens = [len(w) for w in elems]
+    cp = [[0] * n for _ in range(n)]
+    for i in range(n):
+        wi = elems[i]
+        row = cp[i]
+        for j in range(i + 1, n):
+            c = common_prefix(wi, elems[j])
+            row[j] = c
+            cp[j][i] = c
+    by_sig = {}
+    best2 = 0
+    witness = None
+    for i in range(n):
+        li, cpi = lens[i], cp[i]
+        for j in range(i + 1, n):
+            lj, cij, cpj = lens[j], cpi[j], cp[j]
+            for k in range(j + 1, n):
+                sig = (li, lj, lens[k], cij, cpi[k], cpj[k])
+                d2 = by_sig.get(sig)
+                if d2 is None:
+                    d2 = by_sig[sig] = max((d for _, _, d in _tree_triple_points(*sig)), default=0)
+                if d2 > best2:
+                    best2 = d2
+                    witness = (elems[i], elems[j], elems[k])
+    return Fraction(best2, 2), witness, comb(n, 3)

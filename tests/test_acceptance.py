@@ -55,7 +55,7 @@ from relhyp.separability import (
 from relhyp.separability.quotients import FiniteQuotient
 from relhyp.errors import DIncompatibleError
 
-from conftest import amalgam_word_classes, reference_coset_key
+from conftest import _tree_ball_scan, amalgam_word_classes, reference_coset_key
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -80,11 +80,13 @@ def w(word):
 
 
 def test_criterion_01_metric_core():
-    """All radius-5 triangles 0-thin; Gromov identity on 1e4 triples;
+    """All radius-5 triangles 0-thin, by the exhaustive tree scan, and
+    measure_delta agrees with it; Gromov identity on 1e4 triples;
     geodesics exhaustively (1,0)-quasigeodesic."""
     ball5 = build_ball(FAB, 5)
+    delta, witness, triples = _tree_ball_scan(ball5.elements)
     m = measure_delta(ball5)
-    thin_ok = m.delta == 0
+    thin_ok = delta == 0 and (m.delta, m.witness, m.triples) == (delta, witness, triples)
 
     rng = random.Random(101)
     elems = ball5.elements
@@ -111,8 +113,8 @@ def test_criterion_01_metric_core():
     report(
         1,
         thin_ok and ident_ok and geo_ok,
-        "delta=%s over %d triples; identity on 1e4 triples: %s; %d^2 geodesics (1,0): %s"
-        % (m.delta, m.triples, ident_ok, len(ball3), geo_ok),
+        "delta=%s over %d triples (measure_delta: %s); identity on 1e4 triples: %s; "
+        "%d^2 geodesics (1,0): %s" % (delta, triples, m.delta, ident_ok, len(ball3), geo_ok),
     )
 
 

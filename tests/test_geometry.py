@@ -23,12 +23,16 @@ from relhyp.geometry import (
     nbhd_intersection_constant,
     thin_triangle_delta,
     _ScanTable,
-    _tree_ball_scan,
-    _tree_triple_points,
 )
 from relhyp.groups import common_prefix
 
-from conftest import _realized_dist, _side_point, reference_thin_triangle_delta
+from conftest import (
+    _realized_dist,
+    _side_point,
+    _tree_ball_scan,
+    _tree_triple_points,
+    reference_thin_triangle_delta,
+)
 from test_cayley import METRIC_SHAPES
 
 w = word_to_elem
@@ -157,6 +161,23 @@ def _plain_scan(elems, view):
         if v > best:
             best, witness = v, (x, y, z)
     return best, witness, comb(len(elems), 3)
+
+
+@pytest.mark.parametrize(
+    "rank,radius",
+    [
+        pytest.param(k, r, id="F%d-r%d" % (k, r))
+        for k, top in ((1, 5), (2, 2), (3, 2))
+        for r in range(top + 1)
+    ],
+)
+def test_free_delta_closed_form(rank, radius):
+    # measure_delta answers a free ball without a scan; a scan of lone
+    # triangles must find the same value, witness and count
+    G = FreeGroup(tuple("abc"[:rank]))
+    ball = build_ball(G, radius)
+    m = measure_delta(ball)
+    assert (m.delta, m.witness, m.triples) == _plain_scan(ball.elements, word_metric_view(G))
 
 
 class TestScanTable:

@@ -282,20 +282,27 @@ class TestBreadthFirstKernel:
         assert list(bfs_tree(got, letters, G.mul).items()) == list(parent.items())
 
 
+FAMILY_NAMES = ["F2", "Z2", "Z/6", "S3", "Z2*Z", "Z/4*Z/6", "amalgam46"]
+
+
+def _family(name, fab, z2, amalgam46):
+    return {
+        "F2": fab,
+        "Z2": z2,
+        "Z/6": cyclic_group(6),
+        "S3": S3,
+        "Z2*Z": FreeProduct((FreeAbelian(("x", "y")), FreeAbelian(("t",)))),
+        "Z/4*Z/6": FreeProduct((cyclic_group(4, "b"), cyclic_group(6, "c"))),
+        "amalgam46": amalgam46,
+    }[name]
+
+
 class TestLettersAndGeodesicWords:
     """Each family's ``letters()`` and ``geodesic_word`` against BFS distances."""
 
-    @pytest.mark.parametrize("name", ["F2", "Z2", "Z/6", "S3", "Z2*Z", "Z/4*Z/6", "amalgam46"])
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
     def test_geodesic_word_over_radius_3_ball(self, name, fab, z2, amalgam46):
-        G = {
-            "F2": fab,
-            "Z2": z2,
-            "Z/6": cyclic_group(6),
-            "S3": S3,
-            "Z2*Z": FreeProduct((FreeAbelian(("x", "y")), FreeAbelian(("t",)))),
-            "Z/4*Z/6": FreeProduct((cyclic_group(4, "b"), cyclic_group(6, "c"))),
-            "amalgam46": amalgam46,
-        }[name]
+        G = _family(name, fab, z2, amalgam46)
         letters = G.letters()
         ball = build_ball(G, 3)
         for x in ball.elements:
@@ -325,3 +332,19 @@ class TestLettersAndGeodesicWords:
         for x in G.all_elements():
             assert len(view.decompose(x)) == G.x_length(x)
         assert len(calls) == 1
+
+
+class TestPow:
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_pow_is_repeated_mul(self, name, fab, z2, amalgam46, data):
+        # pow squares; n-fold mul of a (or of a^-1 for n < 0) is the reference
+        G = _family(name, fab, z2, amalgam46)
+        a = data.draw(st.sampled_from(build_ball(G, 2).elements))
+        n = data.draw(st.integers(-70, 70))
+        step = a if n >= 0 else G.inv(a)
+        expected = G.identity()
+        for _ in range(abs(n)):
+            expected = G.mul(expected, step)
+        assert G.pow(a, n) == expected

@@ -423,6 +423,26 @@ class TestSeparation:
         with pytest.raises(ValueError):
             find_separating_quotient(w("a", fab), target)
 
+    def test_trivial_probe_closes_no_image(self, fab, monkeypatch):
+        # every element order in S_2..S_5 divides 60, so a^60 maps to 1 = the
+        # image of the empty g0 in every candidate: none can separate it, and
+        # none closes an image subgroup
+        from relhyp.separability import quotients
+
+        calls = []
+        closure = quotients.subgroup_closure
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return closure(*args, **kwargs)
+
+        monkeypatch.setattr(quotients, "subgroup_closure", counted)
+        target = RationalSubset(fab, (), ((w("b", fab),), (w("a b a^-1", fab),)))
+        g = fab.pow(w("a", fab), 60)
+        assert not target.contains(g)
+        assert find_separating_quotient(g, target, n_max=5) is None
+        assert calls == []
+
     def test_random_corpus(self, fab):
         rng = random.Random(7)
         ball = build_ball(fab, 5)
