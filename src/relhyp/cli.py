@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -354,13 +353,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
     elif command == "delta":
         r = _int_param(cfg, "radius", override=radius)
         c0 = _int_param(cfg, "c0", default=0)
-        ball = build_ball(G, r, budget)
-        triples = math.comb(len(ball), 3)
-        if budget is not None and triples > budget:
-            raise BudgetExceededError(
-                "%d vertex triples exceed the budget of %d" % (triples, budget)
-            )
-        m = measure_delta(ball)
+        m = measure_delta(build_ball(G, r, budget), budget)
         profile = ConstantsProfile(delta=m.delta, c0=Fraction(c0), ball_radius=r)
         reporter.emit(
             command,

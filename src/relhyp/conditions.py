@@ -117,9 +117,14 @@ class ConditionContext:
     def join_spec(self) -> SubgroupSpec:
         return SubgroupSpec(self.Qp.gens + self.Rp.gens, role="<Q',R'>")
 
-    @per_instance
     def restrict(self, spec: SubgroupSpec, P: SubgroupSpec) -> SubgroupSpec:
-        inter = pullback(subgroup_graph(spec.gens, self.G), subgroup_graph(P.gens, self.G))
+        """spec ∩ P, pulled back once per pair of generator tuples: the same
+        generators under another role are not pulled back again."""
+        return self._intersection(spec.gens, P.gens)
+
+    @per_instance
+    def _intersection(self, gens: tuple, p_gens: tuple) -> SubgroupSpec:
+        inter = pullback(subgroup_graph(gens, self.G), subgroup_graph(p_gens, self.G))
         return SubgroupSpec(tuple(basis(inter, self.G)))
 
 
@@ -168,7 +173,7 @@ def quasiconvexity_epsilon(
 
 def preccurlyeq(U: SubgroupSpec, V: SubgroupSpec, G: FreeGroup) -> bool:
     """Is the intersection of U and V of finite index in U?"""
-    return finite_index_in(subgroup_graph(U.gens, G), subgroup_graph(V.gens, G), G)
+    return finite_index_in(subgroup_graph(U.gens, G), subgroup_graph(V.gens, G))
 
 
 def _minx_condition(

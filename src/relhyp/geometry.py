@@ -23,6 +23,7 @@ from math import comb
 from typing import Optional
 
 from .cayley import Ball, BrokenLine, EdgePath, RelGraphView, word_metric_view
+from .errors import BudgetExceededError
 from .groups import FreeGroup, SubgroupSpec
 
 
@@ -163,7 +164,7 @@ class DeltaMeasurement:
     witness: Optional[tuple] = None
 
 
-def measure_delta(ball: Ball) -> DeltaMeasurement:
+def measure_delta(ball: Ball, budget: Optional[int] = None) -> DeltaMeasurement:
     """Max of thin_triangle_delta over all vertex triples of the ball, in
     the word metric of ``ball.group``.
 
@@ -174,12 +175,17 @@ def measure_delta(ball: Ball) -> DeltaMeasurement:
     midpoints alike, coincide: every point preimage has diameter 0 and no
     triple beats the starting 0.  Otherwise one ``_ScanTable`` serves every
     triple of this scan, so each side is built once per vertex pair and
-    each distance is asked of the view once.
+    each distance is asked of the view once.  BudgetExceededError is raised
+    before a scan of more than ``budget`` triples (None: no cap).
     """
     elems = ball.elements
     count = comb(len(elems), 3)
     if isinstance(ball.group, FreeGroup):
         return DeltaMeasurement(Fraction(0), ball.radius, count)
+    if budget is not None and count > budget:
+        raise BudgetExceededError(
+            "%d vertex triples exceed the budget of %d" % (count, budget)
+        )
     view = word_metric_view(ball.group)
     table = _ScanTable(view)
     best = Fraction(0)

@@ -28,7 +28,6 @@ from .stallings import (
     StallingsGraph,
     basis,
     finite_index_in,
-    is_complete,
     member,
     pullback,
     subgroup_graph,
@@ -50,7 +49,6 @@ __all__ = [
     "finite_index_in",
     "image_of_rational_subset",
     "induced_quotient",
-    "is_complete",
     "lattice_contains",
     "least_word",
     "member",

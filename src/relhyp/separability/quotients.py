@@ -250,8 +250,10 @@ def _image_in_product(pg: Perm, closures, budget: int = 400_000):
     one set, and pg is walked back through the first half, h_1^-1 pg, then
     h_2^-1 h_1^-1 pg and so on, until a walk lands in that set.  Returns
     True/False, or None when a product or walk would exceed the budget (the
-    candidate is then skipped, never trusted).
+    candidate is then skipped, never trusted).  The empty product is {1}.
     """
+    if not closures:
+        return pg == perm_identity(len(pg))
     if len(closures) == 1:
         return pg in closures[0]
     half = (len(closures) + 1) // 2

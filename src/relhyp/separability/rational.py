@@ -30,53 +30,20 @@ class NFA:
     eps: list  # list of sets, closed reachability (reflexive)
 
 
-def _nfa_for_graph(H: StallingsGraph, offset: int) -> tuple:
-    trans = []
-    for v in range(len(H)):
-        d: dict = {}
-        for x, w in H.out[v].items():
-            d.setdefault(x, set()).add(w + offset)
-        trans.append(d)
-    return trans, offset + H.basepoint, offset + H.basepoint
-
-
-def _nfa_for_word(word: Elem, offset: int) -> tuple:
-    trans = [{} for _ in range(len(word) + 1)]
-    for i, x in enumerate(word):
-        trans[i].setdefault(x, set()).add(offset + i + 1)
-    return trans, offset, offset + len(word)
-
-
 def build_chain_nfa(g0: Elem, graphs: Sequence[StallingsGraph]) -> NFA:
-    """NFA for the unreduced language of g0 * H_1 ... H_s."""
-    trans: list = []
-    eps_pairs = []
-    prev_final = None
-    initial = None
-    pieces = []
-    if g0:
-        pieces.append(("w", g0))
+    """NFA for the unreduced language of g0 * H_1 ... H_s: a line of states
+    spelling g0 from state 0 (one state when g0 is empty), then each graph,
+    its basepoint joined to the previous end by an epsilon move."""
+    trans: list = [{x: {i + 1}} for i, x in enumerate(g0)] + [{}]
+    eps = [{i} for i in range(len(trans))]
+    end = len(g0)
     for H in graphs:
-        pieces.append(("g", H))
-    if not pieces:
-        pieces.append(("w", ()))
-    for kind, data in pieces:
         offset = len(trans)
-        if kind == "w":
-            t, ini, fin = _nfa_for_word(data, offset)
-        else:
-            t, ini, fin = _nfa_for_graph(data, offset)
-        trans.extend(t)
-        if initial is None:
-            initial = ini
-        if prev_final is not None:
-            eps_pairs.append((prev_final, ini))
-        prev_final = fin
-    n = len(trans)
-    eps = [set([i]) for i in range(n)]
-    for a, b in eps_pairs:
-        eps[a].add(b)
-    nfa = NFA(n, trans, frozenset([initial]), frozenset([prev_final]), eps)
+        eps[end].add(offset + H.basepoint)
+        end = offset + H.basepoint
+        trans += ({x: {offset + w} for x, w in out.items()} for out in H.out)
+        eps += ({offset + v} for v in range(len(H)))
+    nfa = NFA(len(trans), trans, frozenset([0]), frozenset([end]), eps)
     _close_eps(nfa)
     return nfa
 
@@ -162,7 +129,8 @@ def least_word(
     empty when ``symmetric``) is dropped too.  So the first accepted word
     found is the least.  ``build_ball``'s level order on a free group is
     this shortlex order, so the word is also the first accepted element of
-    the radius ball.
+    the radius ball.  The search keeps its own level loop, not
+    ``groups.bfs``, because it stops at the first hit.
 
     At most ``budget`` product states are stored (None: no cap); the search
     raises BudgetExceededError past it.  With the depth cap they are never

@@ -11,17 +11,19 @@ input size.  The fold partition is unique, and the output does not depend on
 merge order because of two invariants: each class is rooted at its smallest
 input label, and the final rebuild walks the input edges in their given
 order.  So vertex numbers, and the key order of each transition dict, are a
-function of the input edge list alone; ``basis``, ``chord_alphabet`` and
-``rewrite`` read them in that order.
+function of the input edge list alone; ``basis`` reads them in that order.
+
+Every traversal is ``groups.bfs`` over the letters 1, -1, 2, -2, ...: the
+spanning tree of ``basis``, the product graph of ``pullback``, and the cover
+that ``finite_index_in`` reads its answer off.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..groups import Elem, FreeGroup, bfs, per_instance
+from ..groups import Elem, FreeGroup, bfs, bfs_tree, per_instance
 
 
 @dataclass(frozen=True)
@@ -135,16 +137,7 @@ def _assemble(rank: int, n: int, edges) -> StallingsGraph:
         out_map.setdefault(find(v), {})[-x] = find(u)
     base = find(0)
     out_map.setdefault(base, {})
-    hanging = [v for v in out_map if v != base and len(out_map[v]) <= 1]
-    while hanging:
-        v = hanging.pop()
-        if v not in out_map:
-            continue
-        for x, w in out_map.pop(v).items():
-            trans_w = out_map[w]
-            del trans_w[-x]
-            if w != base and len(trans_w) <= 1:
-                hanging.append(w)
+    _trim(out_map, base)
 
     order = sorted(out_map, key=lambda v: (v != base, v))
     index = {v: i for i, v in enumerate(order)}
@@ -152,134 +145,94 @@ def _assemble(rank: int, n: int, edges) -> StallingsGraph:
     return StallingsGraph(rank, out)
 
 
+def _trim(out_map: dict, keep=None) -> dict:
+    """Drop vertices of degree at most 1, other than ``keep``, until none is
+    left: the core of the graph ``out_map`` (vertex -> letter -> vertex), in
+    place."""
+    hanging = [v for v in out_map if v != keep and len(out_map[v]) <= 1]
+    while hanging:
+        v = hanging.pop()
+        if v not in out_map:
+            continue
+        for x, w in out_map.pop(v).items():
+            trans_w = out_map[w]
+            del trans_w[-x]
+            if w != keep and len(trans_w) <= 1:
+                hanging.append(w)
+    return out_map
+
+
 def member(g: Elem, H: StallingsGraph) -> bool:
     """Is the reduced word ``g`` in the subgroup of ``H``?"""
     return H.walk(g) == H.basepoint
 
 
-def spanning_tree(H: StallingsGraph):
-    """BFS tree from the basepoint; returns (parent edges, access words)."""
-    parent: dict = {0: None}
-    word: dict = {0: ()}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for x in sorted(H.out[v], key=lambda l: (abs(l), l < 0)):
-            w = H.out[v][x]
-            if w not in parent:
-                parent[w] = (v, x)
-                word[w] = word[v] + (x,)
-                queue.append(w)
-    return parent, word
-
-
-def _tree_edges(H: StallingsGraph):
-    """Edges of the BFS spanning tree in both directions, and the access words."""
-    parent, access = spanning_tree(H)
-    tree_edges = set()
-    for w, pe in parent.items():
-        if pe is not None:
-            v, x = pe
-            tree_edges.add((v, x, w))
-            tree_edges.add((w, -x, v))
-    return tree_edges, access
+def _letters(rank: int) -> list:
+    """The letters 1, -1, 2, -2, ... of a free group of rank ``rank``."""
+    return [s * i for i in range(1, rank + 1) for s in (1, -1)]
 
 
 def basis(H: StallingsGraph, G: FreeGroup) -> list[Elem]:
-    """Free basis of the subgroup: one generator per non-tree edge."""
-    tree_edges, access = _tree_edges(H)
-    out = []
-    for (u, x, v) in H.edges():
-        if (u, x, v) in tree_edges:
-            continue
-        out.append(G.mul(G.mul(access[u], (x,)), G.inv(access[v])))
-    return out
+    """Free basis of the subgroup: one generator per edge off the BFS
+    spanning tree from the basepoint.  A letter a vertex cannot read leaves
+    it where it is, so ``bfs`` skips it."""
+    letters = _letters(H.rank)
+
+    def step(v, x):
+        return H.out[v].get(x, v)
+
+    access = {0: ()}
+    tree = set()
+    for w, pe in bfs_tree(bfs(0, letters, step), letters, step).items():
+        if pe is not None:
+            v, x = pe
+            access[w] = access[v] + (x,)
+            tree |= {(v, x, w), (w, -x, v)}
+    return [
+        G.mul(G.mul(access[u], (x,)), G.inv(access[v]))
+        for (u, x, v) in H.edges()
+        if (u, x, v) not in tree
+    ]
 
 
-def chord_alphabet(H: StallingsGraph):
-    """The non-tree edges in canonical order; index i stands for chord i+1."""
-    tree_edges, _ = _tree_edges(H)
-    chords = [e for e in sorted(H.edges()) if e not in tree_edges]
-    return chords, tree_edges
+def _product(A: StallingsGraph, B: StallingsGraph) -> dict:
+    """The based component of the product graph of ``A`` and ``B``: its
+    vertices (a, b) in discovery order.  A letter that one side cannot read
+    leaves the pair where it is."""
+    def step(v, x):
+        a, b = v
+        a2, b2 = A.out[a].get(x), B.out[b].get(x)
+        return v if a2 is None or b2 is None else (a2, b2)
 
-
-def rewrite(H: StallingsGraph, g: Elem) -> Optional[tuple[int, ...]]:
-    """Express a subgroup element as a word over the chord basis.
-
-    Returns None when ``g`` is not in the subgroup.  Chord i (1-based) is
-    the i-th non-tree edge; a reversed crossing contributes ``-i``.
-    """
-    chords, tree_edges = chord_alphabet(H)
-    chord_index = {}
-    for i, (u, x, v) in enumerate(chords):
-        chord_index[(u, x, v)] = i + 1
-        chord_index[(v, -x, u)] = -(i + 1)
-    v = H.basepoint
-    out: list[int] = []
-    for x in g:
-        w = H.out[v].get(x)
-        if w is None:
-            return None
-        e = (v, x, w)
-        if e not in tree_edges:
-            c = chord_index[e]
-            if out and out[-1] == -c:
-                out.pop()
-            else:
-                out.append(c)
-        v = w
-    if v != H.basepoint:
-        return None
-    return tuple(out)
+    return bfs((0, 0), _letters(A.rank), step)
 
 
 def pullback(A: StallingsGraph, B: StallingsGraph) -> StallingsGraph:
-    """Core of the based component of the product graph: the intersection."""
-    rank = A.rank
-    start = (0, 0)
-    seen = {start: 0}
-    order = [start]
-    queue = deque([start])
-    edges = []
-    while queue:
-        (u1, u2) = queue.popleft()
-        for x, v1 in A.out[u1].items():
-            v2 = B.out[u2].get(x)
-            if v2 is None:
-                continue
-            tgt = (v1, v2)
-            if tgt not in seen:
-                seen[tgt] = len(order)
-                order.append(tgt)
-                queue.append(tgt)
-            if x > 0:
-                edges.append((seen[(u1, u2)], x, seen[tgt]))
-    return _assemble(rank, len(order), edges)
+    """Core of the based component of the product graph: the intersection.
+
+    The edges are read in one pass over the product's vertices, so a
+    self-loop, which the search skips, is kept."""
+    index = {v: i for i, v in enumerate(_product(A, B))}
+    edges = [
+        (i, x, index[(a2, B.out[b][x])])
+        for (a, b), i in index.items()
+        for x, a2 in A.out[a].items()
+        if x > 0 and x in B.out[b]
+    ]
+    return _assemble(A.rank, len(index), edges)
 
 
-def is_complete(H: StallingsGraph) -> bool:
-    """Complete means every vertex reads every letter: a finite cover."""
-    return all(len(trans) == 2 * H.rank for trans in H.out)
-
-
-def finite_index_in(U: StallingsGraph, V: StallingsGraph, G: FreeGroup) -> bool:
+def finite_index_in(U: StallingsGraph, V: StallingsGraph) -> bool:
     """Is the index of the intersection of U and V finite in U?
 
-    The intersection is rewritten over a free basis of U; the index is
-    finite exactly when the rewritten subgroup's core graph is complete.
+    Let K be U's graph without its stem (its core with nothing kept).  The
+    based component of the product graph covers K exactly when the index is
+    finite: when it has a vertex over K, and each such vertex (a, b) reads
+    in V every letter that a reads inside K.  A finite cover of K has no
+    vertex of degree 1, so it lies in V's core.  A trivial U has index 1.
     """
-    chords, _ = chord_alphabet(U)
-    u_rank = len(chords)
-    if u_rank == 0:
-        return True  # U is trivial
-    inter = pullback(U, V)
-    inter_words = basis(inter, G)
-    rewritten = []
-    for w in inter_words:
-        rw = rewrite(U, w)
-        if rw is None:
-            raise AssertionError("intersection element fell outside U")
-        rewritten.append(rw)
-    F_u = FreeGroup(tuple("c%d" % i for i in range(u_rank)))
-    H = subgroup_graph(rewritten, F_u)
-    return is_complete(H)
+    core = _trim({v: dict(trans) for v, trans in enumerate(U.out)})
+    if not core:
+        return True
+    over = [(a, b) for a, b in _product(U, V) if a in core]
+    return bool(over) and all(core[a].keys() <= V.out[b].keys() for a, b in over)

@@ -14,8 +14,10 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from math import comb
+from typing import Optional
 
 import pytest
 
@@ -811,3 +813,114 @@ def _tree_ball_scan(elems):
                     best2 = d2
                     witness = (elems[i], elems[j], elems[k])
     return Fraction(best2, 2), witness, comb(n, 3)
+
+
+# -- the deque spanning tree and the chord-rewriting finite-index test -------
+# stallings.basis and stallings.finite_index_in as they were before both ran
+# on groups.bfs; finite_index_in now reads the answer off the product cover.
+
+
+def spanning_tree(H):
+    """BFS tree from the basepoint; returns (parent edges, access words)."""
+    parent: dict = {0: None}
+    word: dict = {0: ()}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for x in sorted(H.out[v], key=lambda l: (abs(l), l < 0)):
+            w = H.out[v][x]
+            if w not in parent:
+                parent[w] = (v, x)
+                word[w] = word[v] + (x,)
+                queue.append(w)
+    return parent, word
+
+
+def _tree_edges(H):
+    """Edges of the BFS spanning tree in both directions, and the access words."""
+    parent, access = spanning_tree(H)
+    tree_edges = set()
+    for w, pe in parent.items():
+        if pe is not None:
+            v, x = pe
+            tree_edges.add((v, x, w))
+            tree_edges.add((w, -x, v))
+    return tree_edges, access
+
+
+def reference_basis(H, G):
+    """Free basis of the subgroup: one generator per non-tree edge."""
+    tree_edges, access = _tree_edges(H)
+    out = []
+    for (u, x, v) in H.edges():
+        if (u, x, v) in tree_edges:
+            continue
+        out.append(G.mul(G.mul(access[u], (x,)), G.inv(access[v])))
+    return out
+
+
+def chord_alphabet(H):
+    """The non-tree edges in canonical order; index i stands for chord i+1."""
+    tree_edges, _ = _tree_edges(H)
+    chords = [e for e in sorted(H.edges()) if e not in tree_edges]
+    return chords, tree_edges
+
+
+def rewrite(H, g) -> Optional[tuple[int, ...]]:
+    """Express a subgroup element as a word over the chord basis.
+
+    Returns None when ``g`` is not in the subgroup.  Chord i (1-based) is
+    the i-th non-tree edge; a reversed crossing contributes ``-i``.
+    """
+    chords, tree_edges = chord_alphabet(H)
+    chord_index = {}
+    for i, (u, x, v) in enumerate(chords):
+        chord_index[(u, x, v)] = i + 1
+        chord_index[(v, -x, u)] = -(i + 1)
+    v = H.basepoint
+    out: list[int] = []
+    for x in g:
+        w = H.out[v].get(x)
+        if w is None:
+            return None
+        e = (v, x, w)
+        if e not in tree_edges:
+            c = chord_index[e]
+            if out and out[-1] == -c:
+                out.pop()
+            else:
+                out.append(c)
+        v = w
+    if v != H.basepoint:
+        return None
+    return tuple(out)
+
+
+def is_complete(H) -> bool:
+    """Complete means every vertex reads every letter: a finite cover."""
+    return all(len(trans) == 2 * H.rank for trans in H.out)
+
+
+def reference_finite_index_in(U, V, G) -> bool:
+    """Is the index of the intersection of U and V finite in U?
+
+    The intersection is rewritten over a free basis of U; the index is
+    finite exactly when the rewritten subgroup's core graph is complete.
+    """
+    from relhyp.separability.stallings import basis, pullback, subgroup_graph
+
+    chords, _ = chord_alphabet(U)
+    u_rank = len(chords)
+    if u_rank == 0:
+        return True  # U is trivial
+    inter = pullback(U, V)
+    inter_words = basis(inter, G)
+    rewritten = []
+    for w in inter_words:
+        rw = rewrite(U, w)
+        if rw is None:
+            raise AssertionError("intersection element fell outside U")
+        rewritten.append(rw)
+    F_u = FreeGroup(tuple("c%d" % i for i in range(u_rank)))
+    H = subgroup_graph(rewritten, F_u)
+    return is_complete(H)

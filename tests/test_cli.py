@@ -284,8 +284,9 @@ class TestMainExitCodes:
         assert main(argv) == EXIT_BUDGET
 
     def test_budget_bounds_delta_triples(self, tmp_path, capsys):
-        # radius 5: 485 vertices fit the budget, their C(485, 3) triples do not
-        cfg = self._write(tmp_path, FAB_REL_A)
+        # Z^2 at radius 5: 61 vertices fit the budget, their C(61, 3) = 35,990
+        # triples do not
+        cfg = self._write(tmp_path, FREE_ABELIAN)
         start = time.perf_counter()
         argv = ["--config", cfg, "--command", "delta", "--radius", "5", "--budget", "1000"]
         assert main(argv) == EXIT_BUDGET
@@ -293,6 +294,15 @@ class TestMainExitCodes:
         assert "triples" in capsys.readouterr().err
         argv = ["--config", cfg, "--command", "delta", "--radius", "3", "--budget", "100000"]
         assert main(argv) == EXIT_OK
+
+    def test_budget_admits_free_delta(self, tmp_path, capsys):
+        # a free ball is answered without a scan: F(a, b) at radius 5 has 485
+        # vertices, within the budget, and C(485, 3) triples, far past it
+        cfg = self._write(tmp_path, FAB_REL_A)
+        out = tmp_path / "d.jsonl"
+        argv = ["--config", cfg, "--command", "delta", "--radius", "5", "--budget", "1000"]
+        assert main(argv + ["--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["verdict"]["delta"] == 0
 
     def test_budget_bounds_minx_harness_ball(self, tmp_path, capsys):
         # C = 2 checks the radius-4 ball of F2: 161 vertices
@@ -486,6 +496,15 @@ class TestMainExitCodes:
             frontier = {act(pt, h) for pt in frontier for h in gens} - orbit
             orbit |= frontier
         assert act(0, (1, 1, 1, 1, 1)) not in orbit
+
+    def test_separate_from_empty_product(self, tmp_path, capsys):
+        # no factors: the target is {1}, and the sign map on a separates a
+        cfg = self._write(tmp_path, "[group]\nfamily = free\nsymbols = a b\n"
+                          "[params]\ng = a\ncap = 4\n")
+        out = tmp_path / "s.jsonl"
+        assert main(["--config", cfg, "--command", "separate", "--out", str(out)]) == EXIT_OK
+        cert = json.loads(out.read_text())["verdict"]
+        assert cert["degree"] == 2 and cert["generator_images"][0] == [1, 0]
 
     def test_separate_element_of_target(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A.replace("g = b a", "g = a a b"))

@@ -664,6 +664,31 @@ def test_restrict_pulls_back_once_per_context(fab, fab_rel_a, monkeypatch):
     assert len(calls) == 2 * 5
 
 
+def test_restrict_keys_on_generators(fab, fab_rel_a, monkeypatch):
+    """Q, R and Q' share the generator a, so their restrictions to P0 are
+    one pullback: the ten conditions make C1's two (S = Q cap R and
+    Q' cap R'), C4's two restrictions (a and b^2 to b^3) and C4's two
+    left-hand sides, 6 in all; a memo keyed by role makes 8."""
+    calls = []
+    pullback_ = conditions.pullback
+    monkeypatch.setattr(
+        conditions, "pullback", lambda A, B: calls.append(1) or pullback_(A, B)
+    )
+    a, b2, b3 = w("a", fab), w("b b", fab), w("b b b", fab)
+    ctx = ConditionContext(
+        view=fab_rel_a,
+        Q=SubgroupSpec((a,), role="Q"),
+        R=SubgroupSpec((a,), role="R"),
+        Qp=SubgroupSpec((a,), role="Q'"),
+        Rp=SubgroupSpec((b2,), role="R'"),
+        P_list=(SubgroupSpec((b3,), role="P0"),),
+        radius=3,
+    )
+    for cond_id in conditions.CONDITION_IDS:
+        check_condition(cond_id, ctx)
+    assert len(calls) == 6
+
+
 def test_checkers_build_no_ball(fab, fab_rel_a, monkeypatch):
     """All ten conditions run with every ``build_ball`` and
     ``membership_oracle`` binding under ``relhyp`` patched to raise, on a

@@ -107,3 +107,26 @@ def test_no_unread_functions():
             ):
                 unread.append("%s (%s)" % (node.name, path.relative_to(SRC)))
     assert not unread, "functions and classes nothing reads: %s" % ", ".join(unread)
+
+
+def test_one_bfs_kernel():
+    """Every breadth-first traversal of the package runs on ``groups.bfs``:
+    no module imports ``collections.deque`` (``from collections import
+    deque``, or ``import collections`` and then ``collections.deque``).
+    ``rational.least_word`` keeps its own level loop, as it stops at the
+    first hit."""
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "collections":
+                hit = any(alias.name == "deque" for alias in node.names)
+            else:
+                hit = (
+                    isinstance(node, ast.Attribute)
+                    and node.attr == "deque"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "collections"
+                )
+            if hit:
+                found.append("%s (line %d)" % (path.relative_to(SRC), node.lineno))
+    assert not found, "deque traversals outside groups.bfs: %s" % ", ".join(found)

@@ -10,7 +10,9 @@ from conftest import (
     naive_perm_word,
     reduce_letters_naive,
     reference_assemble,
+    reference_basis,
     reference_find_separating_quotient,
+    reference_finite_index_in,
     reference_minx_harness,
     subgroups_equal,
 )
@@ -27,6 +29,7 @@ from relhyp.separability import (
     amalgam_reduce,
     basis,
     find_separating_quotient,
+    finite_index_in,
     induced_quotient,
     lattice_contains,
     member,
@@ -212,6 +215,129 @@ class TestFoldAgainstReference:
         assert _same_graph(H, R)
 
 
+def _stabiliser_gens(G, perms):
+    """Generators of the stabiliser of the point 0 when letter i acts by
+    ``perms[i - 1]``: a subgroup of finite index.  Each point p of the orbit
+    gets an access word t_p by breadth-first search, and t_p x t_q^-1 for
+    every edge p -x-> q generates."""
+    def act(p, x):
+        return perms[x - 1][p] if x > 0 else perms[-x - 1].index(p)
+
+    access, queue = {0: ()}, [0]
+    for p in queue:
+        for x in _letters(G.rank):
+            q = act(p, x)
+            if q not in access:
+                access[q] = G.mul(access[p], (x,))
+                queue.append(q)
+    return tuple(
+        G.mul(G.mul(access[p], (x,)), G.inv(access[act(p, x)]))
+        for p in access
+        for x in range(1, G.rank + 1)
+    )
+
+
+@st.composite
+def _graph_pair(draw):
+    """(G, A's gens, B's gens, probes).  B is, a third of the time each, a
+    random subgroup, a stabiliser of finite index, or the intersection of A
+    with one; either side is conjugated half the time, which gives its
+    graph a stem.  The probes are random words and powers of A's and B's
+    generators, so some lie in both."""
+    rank = draw(st.integers(1, 3))
+    G = FreeGroup(tuple("abc"[:rank]))
+    a = tuple(draw(st.lists(_free_word(rank, 5), min_size=1, max_size=3)))
+    kind = draw(st.sampled_from(("random", "stabiliser", "meet")))
+    if kind == "random":
+        b = tuple(draw(st.lists(_free_word(rank, 5), max_size=4)))
+    else:
+        degree = draw(st.integers(1, 4))
+        perm = st.permutations(range(degree)).map(tuple)
+        b = _stabiliser_gens(G, draw(st.lists(perm, min_size=rank, max_size=rank)))
+        if kind == "meet":
+            b = tuple(basis(pullback(subgroup_graph(a, G), subgroup_graph(b, G)), G))
+    sides = []
+    for gens in (a, b):
+        if draw(st.booleans()):
+            c = draw(_free_word(rank, 3).filter(bool))
+            gens = tuple(G.mul(G.mul(c, g), G.inv(c)) for g in gens)
+        sides.append(gens)
+    probes = draw(st.lists(_free_word(rank, 8), max_size=6))
+    probes += [G.pow(g, k) for g in sides[0] + sides[1] for k in (1, 2, 3, 4, 6, 12)]
+    return G, sides[0], sides[1], probes
+
+
+def _folded_core(H):
+    """Each letter x from u to v has its inverse -x from v to u (a second
+    edge with the same letter at a vertex would break this), and every
+    vertex but the basepoint has degree at least 2."""
+    for u, trans in enumerate(H.out):
+        for x, v in trans.items():
+            assert H.out[v].get(-x) == u
+        assert u == H.basepoint or len(trans) >= 2
+
+
+class TestTraversals:
+    """Basis, pullback and finite index on ``groups.bfs``, against the deque
+    spanning tree and the chord-rewriting finite-index test."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_pair())
+    def test_pullback_is_the_intersection(self, case):
+        G, a, b, probes = case
+        A, B = subgroup_graph(a, G), subgroup_graph(b, G)
+        inter = pullback(A, B)
+        _folded_core(inter)
+        for g in probes:
+            assert member(g, inter) == (member(g, A) and member(g, B))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_pair())
+    def test_basis_matches_deque_tree(self, case):
+        G, a, b, _ = case
+        A, B = subgroup_graph(a, G), subgroup_graph(b, G)
+        for H in (A, B, pullback(A, B)):
+            assert basis(H, G) == reference_basis(H, G)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_pair())
+    def test_finite_index_matches_chord_rewriting(self, case):
+        G, a, b, _ = case
+        U, V = subgroup_graph(a, G), subgroup_graph(b, G)
+        assert finite_index_in(U, V) == reference_finite_index_in(U, V, G)
+
+    @pytest.mark.parametrize(
+        "u,v,finite",
+        [
+            ("a b a^-1", "a b b a^-1", True),  # the stems agree
+            ("b a b^-1", "a", False),  # V cannot read U's stem
+            ("", "a", True),  # the trivial subgroup
+            ("", "", True),
+            ("a", "", False),
+            ("b a b^-1", "b a a a b^-1", True),
+            ("b a b^-1 | a", "a", False),
+            ("a b a^-1", "a b a^-1 | b", True),
+        ],
+    )
+    def test_stems(self, fab, u, v, finite):
+        def graph(text):
+            return subgroup_graph(tuple(w(x, fab) for x in text.split(" | ") if x), fab)
+
+        U, V = graph(u), graph(v)
+        assert finite_index_in(U, V) == finite
+        assert reference_finite_index_in(U, V, fab) == finite
+
+    def test_self_loop_edges_kept(self, fab):
+        # a is a self-loop at the basepoint of both graphs: the search skips
+        # it, the edge pass keeps it
+        A = subgroup_graph((w("a", fab), w("b a b^-1", fab)), fab)
+        B = subgroup_graph((w("a", fab), w("b b", fab)), fab)
+        inter = pullback(A, B)
+        assert inter.out[0][1] == 0
+        assert member(w("a", fab), inter)
+        assert not member(w("b a b^-1", fab), inter)
+
+
 def _det(rows):
     """Leibniz determinant of a small square integer matrix."""
     n = len(rows)
@@ -276,6 +402,10 @@ class TestImageInProduct:
                 closures.append(subgroup_closure(gens, n))
             pg = tuple(rng.sample(range(n), n))
             assert _image_in_product(pg, closures) == (pg in product_set(closures))
+
+    def test_empty_product_is_trivial(self):
+        assert _image_in_product(perm_identity(3), []) is True
+        assert _image_in_product((1, 0, 2), []) is False
 
     def test_over_budget_is_skipped(self):
         s4 = subgroup_closure([(1, 2, 3, 0), (1, 0, 2, 3)], 4)
@@ -384,6 +514,33 @@ class TestProductMember:
         H2 = (w("b a a", fab),)
         assert product_member(w("a a a a", fab), [H1, H2], fab)
 
+    def test_nonempty_g0_examples(self, fab):
+        b_a = RationalSubset(fab, w("b", fab), ((w("a", fab),),))
+        assert b_a.contains(w("b a a a", fab)) and b_a.contains(w("b", fab))
+        assert not b_a.contains(w("a b", fab)) and not b_a.contains(())
+        # a^-1 . (a b)^k: the line for g0 cancels into the graph
+        line = RationalSubset(fab, w("a^-1", fab), ((w("a b", fab),), (w("b", fab),)))
+        assert line.contains(w("b b b", fab)) and line.contains(w("a^-1", fab))
+        assert not line.contains(w("a", fab))
+        lone = RationalSubset(fab, w("a b^-1", fab), ())
+        assert lone.contains(w("a b^-1", fab)) and not lone.contains(())
+
+    def test_nonempty_g0_against_translate(self, fab):
+        # g lies in g0 H_1 ... H_s exactly when g0^-1 g lies in H_1 ... H_s
+        rng = random.Random(61)
+        ball = build_ball(fab, 4).elements
+        gen_words = ["a", "b", "a a", "b b", "a b", "b a^-1", "a b a^-1"]
+        for trial in range(60):
+            factor_gens = tuple(
+                tuple(w(x, fab) for x in rng.sample(gen_words, rng.randint(1, 2)))
+                for _ in range(rng.randint(0, 2))
+            )
+            g0 = rng.choice(ball[1:])
+            subset = RationalSubset(fab, g0, factor_gens)
+            for g in rng.sample(ball, 20) + [g0]:
+                expected = product_member(fab.mul(fab.inv(g0), g), factor_gens, fab)
+                assert subset.contains(g) == expected, (trial, g0, g, factor_gens)
+
     def test_against_brute_force(self, fab):
         from relhyp.separability import membership_oracle
 
@@ -442,6 +599,14 @@ class TestSeparation:
         assert not target.contains(g)
         assert find_separating_quotient(g, target, n_max=5) is None
         assert calls == []
+
+    @pytest.mark.parametrize("g0", ["", "b"])
+    def test_empty_product(self, fab, g0):
+        # no factors: the target is {g0}, and the sign map on a separates a
+        target = RationalSubset(fab, w(g0, fab), ())
+        q = find_separating_quotient(w("a", fab), target)
+        assert q is not None and q.degree == 2
+        assert verify_separation(q, w("a", fab), target)
 
     def test_random_corpus(self, fab):
         rng = random.Random(7)
