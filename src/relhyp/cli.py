@@ -575,17 +575,20 @@ def _run_conditions(cfg, view, reporter: Reporter, radius_override, budget) -> N
         )
 
 
+# built once per process: parse_args keeps no state between calls
+_PARSER = argparse.ArgumentParser(
+    prog="relhyp", description="relative-metric and separability workbench"
+)
+_PARSER.add_argument("--config", required=True, help="path to a run configuration")
+_PARSER.add_argument("--command", required=True)
+_PARSER.add_argument("--seed", type=int, default=0)
+_PARSER.add_argument("--budget", type=int, default=None)
+_PARSER.add_argument("--radius", type=int, default=None)
+_PARSER.add_argument("--out", default=None, help="report destination (default stdout)")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="relhyp", description="relative-metric and separability workbench"
-    )
-    parser.add_argument("--config", required=True, help="path to a run configuration")
-    parser.add_argument("--command", required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--radius", type=int, default=None)
-    parser.add_argument("--out", default=None, help="report destination (default stdout)")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     budget = args.budget
     if budget is None and os.environ.get("RELHYP_BUDGET"):

@@ -7,10 +7,13 @@ preimage at vertex and edge-midpoint positions, where the maxima of the
 piecewise-linear preimage distances occur; the scans count these positions
 as integers, in doubled arclengths.  ``thin_triangle_delta`` scans one
 triangle's canonical geodesic sides in any view.  ``measure_delta`` scans
-every triple of a ball and builds its work once per scan, not once per
-triangle: one ``_ScanTable`` holds each side, built once per vertex pair,
-and each distance, for the scan's lifetime only.  A free group's word
-metric is a tree, whose triangles are tripods (0-thin), so there
+every triple of a ball with one ``_ScanTable`` for the scan's lifetime.
+The scan is pruned exactly by the triangle inequality behind the tripod
+definition (Bridson–Haefliger III.H.1.17): matched points at doubled
+position t are each t/2 from their corner, so at doubled distance at most
+2t, and t runs up to the corner's doubled Gromov product L.  A triple or
+position that cannot beat the running maximum is skipped.  A free group's
+word metric is a tree, whose triangles are tripods (0-thin), so there
 ``measure_delta`` returns 0 without a scan.
 """
 
@@ -68,9 +71,10 @@ class _ScanTable:
     its vertex tuple and each edge label less its element.  A side is built
     once per unordered pair, by ``view.geodesic`` between its ends in
     sort-key order, and stored under both orders, the second reversed.
-    ``dists`` memoises ``view.dist`` under both orders.  A table is made by
-    ``measure_delta`` for one scan, or by a lone ``thin_triangle_delta``
-    call for its triangle, and dropped with it.
+    ``dists`` memoises ``view.dist`` under both orders, every pair first in
+    ``measure_delta``; a side is built only when a scanned corner reads it.
+    A table is made by ``measure_delta`` for one scan, or by a lone
+    ``thin_triangle_delta`` call for its triangle, and dropped with it.
     """
 
     __slots__ = ("view", "keys", "sides", "dists")
@@ -109,9 +113,9 @@ class _ScanTable:
 
 
 def thin_triangle_delta(
-    x, y, z, view: RelGraphView, table: Optional[_ScanTable] = None
+    x, y, z, view: RelGraphView, table: Optional[_ScanTable] = None, floor=0
 ) -> Fraction:
-    """Thinness of the triangle on x, y, z with canonically chosen sides.
+    """max(floor, thinness) of the triangle on x, y, z with canonical sides.
 
     Builds the comparison tripod whose legs are the three Gromov products,
     maps each side isometrically onto it, and returns the largest diameter
@@ -119,7 +123,10 @@ def thin_triangle_delta(
     ends in sort-key order.  Matched points sit at one doubled position t:
     two vertices (t even) at doubled distance 2 d(a, b); two edge midpoints
     (t odd) at 0 on one edge, fixed by its unordered ends and its label less
-    the element, else at 2 + 2 min d(a, b) over their ends.
+    the element, else at 2 + 2 min d(a, b) over their ends.  Both points are
+    t/2 from their corner, so that doubled distance is at most 2t: only
+    t > floor (an int or a Fraction) is read, and a corner whose doubled
+    Gromov product is at most floor is skipped before its sides are built.
 
     Sides and distances come from ``table``, the calling scan's
     ``_ScanTable``, which must be a table of ``view`` itself; without one
@@ -130,17 +137,18 @@ def thin_triangle_delta(
         table = _ScanTable(view)
     elif table.view is not view:
         raise ValueError("the table belongs to another view")
-    side, sides, dist = table.side, table.sides, table.dist
-    xy, xz, yz = side(x, y), side(x, z), side(y, z)
-    # a side is a geodesic, so its edge count is the distance of its ends
-    dxy, dxz, dyz = len(xy[1]), len(xz[1]), len(yz[1])
-    best = 0
-    for (verts1, kinds1), (verts2, kinds2), leg in (
-        (xy, xz, dxy + dxz - dyz),
-        (sides[y, x], yz, dxy + dyz - dxz),
-        (sides[z, x], sides[z, y], dxz + dyz - dxy),
+    side, dist = table.side, table.dist
+    dxy, dxz, dyz = dist(x, y), dist(x, z), dist(y, z)
+    best = bar = 2 * floor.numerator // floor.denominator  # d beats floor iff d > bar
+    for c, p, q, leg in (
+        (x, y, z, dxy + dxz - dyz),
+        (y, x, z, dxy + dyz - dxz),
+        (z, x, y, dxz + dyz - dxy),
     ):
-        for t in range(leg + 1):
+        if 2 * leg <= best:  # d <= 2t <= 2 leg cannot beat best
+            continue
+        (verts1, kinds1), (verts2, kinds2) = side(c, p), side(c, q)
+        for t in range(best // 2 + 1, leg + 1):
             i = t >> 1
             if t & 1:
                 a1, b1, a2, b2 = verts1[i], verts1[i + 1], verts2[i], verts2[i + 1]
@@ -151,7 +159,7 @@ def thin_triangle_delta(
                 d = 2 * dist(verts1[i], verts2[i])
             if d > best:
                 best = d
-    return Fraction(best, 2)
+    return Fraction(best, 2) if best > bar else Fraction(floor)
 
 
 @dataclass(frozen=True)
@@ -168,15 +176,16 @@ def measure_delta(ball: Ball, budget: Optional[int] = None) -> DeltaMeasurement:
     """Max of thin_triangle_delta over all vertex triples of the ball, in
     the word metric of ``ball.group``.
 
-    On a free group the answer is 0 with no witness, without a scan.  The
-    vertices are reduced words on a free basis, so the Cayley graph is a
-    tree.  The three sides of a triangle in a tree meet at one branch
-    point, and the points the tripod map matches, vertices and edge
-    midpoints alike, coincide: every point preimage has diameter 0 and no
-    triple beats the starting 0.  Otherwise one ``_ScanTable`` serves every
-    triple of this scan, so each side is built once per vertex pair and
-    each distance is asked of the view once.  BudgetExceededError is raised
-    before a scan of more than ``budget`` triples (None: no cap).
+    On a free group the answer is 0 with no witness, without a scan: the
+    Cayley graph of a free basis is a tree, where the three sides of a
+    triangle meet at one branch point and the points the tripod map
+    matches coincide.  Otherwise one ``_ScanTable`` serves every triple,
+    holding all n² distances first.  A triangle's thinness is at most its
+    largest doubled Gromov product L, so a triple with 2L <= 2 best is
+    skipped with no call and the rest run with ``floor=best``: the value,
+    the first witness and the count are those of the full scan.
+    BudgetExceededError is raised before a scan of more than ``budget``
+    triples (None: no cap).
     """
     elems = ball.elements
     count = comb(len(elems), 3)
@@ -188,13 +197,15 @@ def measure_delta(ball: Ball, budget: Optional[int] = None) -> DeltaMeasurement:
         )
     view = word_metric_view(ball.group)
     table = _ScanTable(view)
-    best = Fraction(0)
-    witness = None
-    for x, y, z in combinations(elems, 3):
-        v = thin_triangle_delta(x, y, z, view, table)
+    dist = [[table.dist(a, b) for b in elems] for a in elems]
+    best, bound, witness = Fraction(0), 0, None  # bound = 2 best
+    for i, j, k in combinations(range(len(elems)), 3):
+        dij, dik, djk = dist[i][j], dist[i][k], dist[j][k]
+        if 2 * (dij + dik + djk - 2 * min(dij, dik, djk)) <= bound:  # 2 * largest L
+            continue
+        v = thin_triangle_delta(elems[i], elems[j], elems[k], view, table, floor=best)
         if v > best:
-            best = v
-            witness = (x, y, z)
+            best, bound, witness = v, int(2 * v), (elems[i], elems[j], elems[k])
     return DeltaMeasurement(best, ball.radius, count, witness)
 
 

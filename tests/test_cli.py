@@ -295,6 +295,32 @@ class TestMainExitCodes:
         argv = ["--config", cfg, "--command", "delta", "--radius", "3", "--budget", "100000"]
         assert main(argv) == EXIT_OK
 
+    def test_parser_keeps_no_state_between_calls(self, tmp_path, capsys):
+        # the parser is built once per process: a call without --budget,
+        # --radius, --seed and --out reads their defaults, whatever the call
+        # before it passed
+        cfg = self._write(tmp_path, FREE_ABELIAN + "[params]\nradius = 2\n")
+        argv = ["--config", cfg, "--command", "delta"]
+        assert main(argv) == EXIT_OK
+        plain = capsys.readouterr().out
+        assert json.loads(plain)["inputs"]["radius"] == 2
+        out = tmp_path / "d.jsonl"
+        flags = ["--radius", "5", "--budget", "1000", "--seed", "3", "--out", str(out)]
+        assert main(argv + flags) == EXIT_BUDGET
+        assert "triples" in capsys.readouterr().err
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out == plain
+
+    def test_bad_flag_exits_2(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, FAB_REL_A)
+        for argv in (["--config", cfg, "--command", "rel-dist", "--budget", "x"],
+                     ["--command", "rel-dist"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert capsys.readouterr().err.startswith("usage: relhyp ")
+        assert main(["--config", cfg, "--command", "rel-dist"]) == EXIT_OK
+
     def test_budget_admits_free_delta(self, tmp_path, capsys):
         # a free ball is answered without a scan: F(a, b) at radius 5 has 485
         # vertices, within the budget, and C(485, 3) triples, far past it

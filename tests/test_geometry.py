@@ -4,8 +4,18 @@ from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from relhyp import FreeGroup, RelHyp, SubgroupSpec, word_to_elem
+from relhyp import (
+    FreeGroup,
+    FreeProduct,
+    RelHyp,
+    SubgroupSpec,
+    cyclic_group,
+    geometry,
+    word_to_elem,
+)
 from relhyp.cayley import (
     BrokenLine,
     EdgePath,
@@ -163,6 +173,36 @@ def _plain_scan(elems, view):
     return best, witness, comb(len(elems), 3)
 
 
+@pytest.fixture(scope="module")
+def floor_cases(z2z, amalgam46, z2, fab_rel_a):
+    """(view, ball elements, one table for the view) on word and relative
+    views of Z^2 * Z, the amalgam, Z^2 and F(a, b) rel <a>."""
+    return [
+        (view, build_ball(view.group.base, radius).elements, _ScanTable(view))
+        for view, radius in (
+            (z2z, 2),
+            (word_metric_view(z2z.group.base), 2),
+            (word_metric_view(amalgam46), 3),
+            (word_metric_view(z2), 3),
+            (fab_rel_a, 3),
+        )
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_floor_is_a_lower_bound(data, floor_cases):
+    # thin_triangle_delta(..., floor=f) == max(f, thinness); the floor call
+    # shares its view's table across examples, so it also reads sides and
+    # distances that other triangles built
+    view, elems, table = data.draw(st.sampled_from(floor_cases))
+    x, y, z = data.draw(st.lists(st.sampled_from(elems), min_size=3, max_size=3))
+    f = data.draw(st.sampled_from([Fraction(k, 2) for k in range(11)]))
+    assert thin_triangle_delta(x, y, z, view, table, floor=f) == max(
+        f, thin_triangle_delta(x, y, z, view)
+    )
+
+
 @pytest.mark.parametrize(
     "rank,radius",
     [
@@ -181,26 +221,50 @@ def test_free_delta_closed_form(rank, radius):
 
 
 class TestScanTable:
-    """One _ScanTable per measure_delta scan changes no value, witness or
-    count, and builds each side once per vertex pair."""
+    """One _ScanTable per measure_delta scan, and the bound that skips
+    triples and positions unable to beat the running maximum, change no
+    value, witness or count, and build each side at most once per vertex
+    pair."""
 
-    def test_pinned_delta_balls(self, z2z, amalgam46):
-        for G in (z2z.group.base, amalgam46):
-            ball = build_ball(G, 2)
+    def test_pinned_delta_balls(self, z2z, z2, amalgam46):
+        # the two benchmark balls, then Z^2, a free product of two finite
+        # cyclic groups and the amalgam at larger radii
+        c3c4 = FreeProduct((cyclic_group(3, "u"), cyclic_group(4, "v")))
+        for G, radius in (
+            (z2z.group.base, 2), (amalgam46, 2), (amalgam46, 3),
+            (z2, 1), (z2, 2), (z2, 3), (c3c4, 1), (c3c4, 2), (c3c4, 3),
+        ):
+            ball = build_ball(G, radius)
             m = measure_delta(ball)
             assert (m.delta, m.witness, m.triples) == _plain_scan(
                 ball.elements, word_metric_view(G)
-            )
+            ), (G, radius)
+
+    def test_bound_skips_most_triples(self, z2z, monkeypatch):
+        # Z^2 * Z at radius 2: 5,456 triples, of which fewer than half can
+        # beat the running maximum when they are reached
+        calls = []
+        thin = geometry.thin_triangle_delta
+
+        def counted(*args, **kwargs):
+            calls.append(args[:3])
+            return thin(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "thin_triangle_delta", counted)
+        m = measure_delta(build_ball(z2z.group.base, 2))
+        assert (m.delta, m.triples) == (4, 5456)
+        assert m.witness in calls
+        assert len(calls) < 5456 // 2
 
     @pytest.mark.parametrize("view", _distinct_views())
     def test_metric_shapes_radius_2(self, view):
-        # measure_delta's loop, one table shared by every triple, on word
-        # and relative views alike
+        # measure_delta's loop, one table shared by every triple and the
+        # running maximum as floor, on word and relative views alike
         elems = build_ball(view.group.base, 2).elements
         table = _ScanTable(view)
         best, witness = Fraction(0), None
         for x, y, z in combinations(elems, 3):
-            v = thin_triangle_delta(x, y, z, view, table)
+            v = thin_triangle_delta(x, y, z, view, table, floor=best)
             if v > best:
                 best, witness = v, (x, y, z)
         assert (best, witness, comb(len(elems), 3)) == _plain_scan(elems, view)
