@@ -9,6 +9,7 @@ witness, 3 budget exceeded, 4 schema violation, 5 unsupported family.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -605,7 +606,9 @@ def main(argv=None) -> int:
         print("cannot read config: %s" % e, file=sys.stderr)
         return EXIT_SCHEMA
 
-    out = open(args.out, "w") if args.out else sys.stdout
+    # an --out report is buffered and written only when the run completes,
+    # so a run that fails leaves an existing report as it was
+    out = io.StringIO() if args.out else sys.stdout
     reporter = Reporter(out, timing_enabled=os.environ.get("RELHYP_TIMING") == "1")
     try:
         run(cfg, args.command, reporter, seed=args.seed, budget=budget, radius=args.radius)
@@ -618,9 +621,9 @@ def main(argv=None) -> int:
     except UnsupportedFamilyError as e:
         print("unsupported family: %s" % e, file=sys.stderr)
         return EXIT_UNSUPPORTED
-    finally:
-        if args.out:
-            out.close()
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(out.getvalue())
     return EXIT_CHECK_FAILED if reporter.any_failed else EXIT_OK
 
 

@@ -49,14 +49,18 @@ def is_quasigeodesic(p: EdgePath, lam, c) -> QuasigeodesicVerdict:
 
     Returns a failing subpath as witness when the bound is violated.
     """
-    view = p.view
+    dist = p.view.dist
     lam = Fraction(lam)
     c = Fraction(c)
+    # with lam = a/b and c = r/s: span > (a/b) d + r/s  iff  span b s > a s d + r b
+    a, b, r, s = lam.numerator, lam.denominator, c.numerator, c.denominator
+    a_s, r_b = a * s, r * b
     verts = p.vertices
     n = len(p.labels)
     for span in range(1, n + 1):
+        lhs = span * b * s
         for i in range(0, n - span + 1):
-            if span > lam * view.dist(verts[i], verts[i + span]) + c:
+            if lhs > a_s * dist(verts[i], verts[i + span]) + r_b:
                 return QuasigeodesicVerdict(False, p.subpath(i, i + span))
     return QuasigeodesicVerdict(True)
 

@@ -7,8 +7,13 @@ direct image computation before returning it.
 Searches run up to simultaneous conjugacy.  Conjugation by c is an
 automorphism of S_n that carries every image and image subgroup along, so
 generator images c^-1 p_i c separate (or exceed a budget) exactly when the
-p_i do.  A candidate conjugate to a failed one is skipped; the first success
-in the search order never is, so certificates do not depend on the skip.
+p_i do.  One search serves a batch of words: each candidate is tried once
+against every word still pending, and a candidate conjugate to a tried one,
+which failed for every word still pending, is skipped.  A word's first
+success in the search order never is, so certificates depend neither on the
+skip nor on the batch.  The minx harness separates all its short outsiders
+in one search and walks the ball's images under the block sum of the
+distinct quotients, which has the kernel of the block sum of them all.
 """
 
 from __future__ import annotations
@@ -71,11 +76,6 @@ def _image_runs(signed: dict, degree: int, runs) -> Perm:
     return tuple(out)
 
 
-def perm_block_sum(p: Perm, q: Perm) -> Perm:
-    n = len(p)
-    return p + tuple(v + n for v in q)
-
-
 def subgroup_closure(gens: Sequence[Perm], n: int, budget: int = 100_000) -> frozenset:
     """The subgroup of S_n generated by ``gens`` (breadth-first closure)."""
     letters = list(gens) + [perm_inv(g) for g in gens]
@@ -83,19 +83,14 @@ def subgroup_closure(gens: Sequence[Perm], n: int, budget: int = 100_000) -> fro
 
 
 def product_set(parts: Sequence[frozenset], budget: int = 2_000_000) -> frozenset:
-    cur = None
-    for part in parts:
-        if cur is None:
-            cur = frozenset(part)
-            continue
-        nxt = set()
+    if not parts:
+        return frozenset()
+    cur = frozenset(parts[0])
+    for part in parts[1:]:
         if len(cur) * len(part) > budget:
             raise BudgetExceededError("permutation product set too large")
-        for p in cur:
-            for q in part:
-                nxt.add(perm_mul(p, q))
-        cur = frozenset(nxt)
-    return cur if cur is not None else frozenset()
+        cur = frozenset({perm_mul(p, q) for p in cur for q in part})
+    return cur
 
 
 @dataclass(frozen=True)
@@ -210,7 +205,7 @@ def _completion_quotient(G: FreeGroup, graph: StallingsGraph, g: Elem) -> Finite
 
 def _orbit(images: tuple, conjugators) -> set:
     """The simultaneous conjugates c^-1 images c, for c given as pairs (c, c^-1)."""
-    return {tuple(tuple([c[p[j]] for j in ci]) for p in images) for c, ci in conjugators}
+    return {tuple([tuple([c[p[j]] for j in ci]) for p in images]) for c, ci in conjugators}
 
 
 def _conjugators(blocks: Sequence[int]) -> list:
@@ -220,26 +215,18 @@ def _conjugators(blocks: Sequence[int]) -> list:
             if len({(blk[i], blk[x]) for i, x in enumerate(c)}) == len(blocks)]
 
 
-def _cycle_type(p: Perm) -> tuple:
-    seen = [False] * len(p)
-    out = []
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        l = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            l += 1
-        out.append(l)
-    return tuple(sorted(out))
-
-
 def _conjugacy_reps(n: int) -> list:
+    """The lexicographically first permutation of each cycle type."""
     reps: dict = {}
     for p in itertools.permutations(range(n)):
-        reps.setdefault(_cycle_type(p), p)
+        seen, lengths = [False] * n, []
+        for i in range(n):
+            j, l = i, 0
+            while not seen[j]:
+                seen[j], j, l = True, p[j], l + 1
+            if l:
+                lengths.append(l)
+        reps.setdefault(tuple(sorted(lengths)), p)
     return list(reps.values())
 
 
@@ -272,119 +259,143 @@ def _image_in_product(pg: Perm, closures, budget: int = 400_000):
 
 
 def _assignments_blocks(rank: int, blocks: Sequence[int]):
-    pools = [list(itertools.permutations(range(b))) for b in blocks]
+    # block k moves the points from the sum of the earlier sizes on
+    offsets = itertools.accumulate(blocks[:-1], initial=0)
+    pools = [[tuple(v + o for v in p) for p in itertools.permutations(range(b))]
+             for b, o in zip(blocks, offsets)]
     for combo in itertools.product(*[itertools.product(pool, repeat=rank) for pool in pools]):
-        images = []
-        for i in range(rank):
-            img = combo[0][i]
-            for blk in combo[1:]:
-                img = perm_block_sum(img, blk[i])
-            images.append(img)
-        yield tuple(images)
+        yield tuple(sum(imgs, ()) for imgs in zip(*combo))
 
 
-def find_separating_quotient(
-    g: Elem,
-    target: RationalSubset,
-    n_max: int = 6,
-    seed: int = 0,
-    random_tries: int = 200,
-) -> Optional[FiniteQuotient]:
-    """A finite quotient in which the image of g avoids the image of the
-    target subset, or None when the search cap is exhausted.  Raises
-    InTargetError when g lies in the target.
+def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max: int = 6,
+                              seed: int = 0, random_tries: int = 200) -> list:
+    """One search for all of ``gs``, none of them in the target.  Entry i is
+    the first quotient of the search order in which the image of gs[i]
+    avoids the image of the target, None when the search cap is exhausted,
+    or the BudgetExceededError of the first candidate whose factor images
+    pass the closure budget while gs[i] is pending.
 
     Search order: exhaustive images in S_2..S_4, block sums filling up to
     n_max points, the basepoint-stabiliser completion for single subgroups,
     seeded random images, and finally (rank 2) an exhaustive scan of S_5 and
     S_6 up to simultaneous conjugacy, which decides degrees <= n_max
-    outright apart from budget-skipped three-factor candidates.  The
+    outright apart from budget-skipped three-factor candidates.  Each
+    assignment is tried once, with its factor images closed once, against
+    every word still pending; a word leaves when it is decided.  The
     exhaustive, block-sum and scan stages skip assignments conjugate to a
-    failed one (by any c, by c permuting the blocks, by c centralising the
-    first image), which fail too: the result is that of the full order.
+    tried one (by any c, by c permuting the blocks, by c centralising the
+    first image).  A tried assignment failed for every word still pending,
+    and a conjugate fails for each word exactly when it does, so each entry
+    is that of the word's own search through the full order.
     """
     G = target.group
-    if target.contains(g):
-        raise InTargetError("element is in the target subset; nothing to separate")
     rank = G.rank
-    g_runs, g0_runs = _runs(g), _runs(target.g0)
+    g0_runs = _runs(target.g0)
     factor_runs = [[_runs(x) for x in gens] for gens in target.factors]
+    out: list = [None] * len(gs)
+    pending = {i: _runs(g) for i, g in enumerate(gs)}
 
-    def candidate(images) -> Optional[FiniteQuotient]:
+    def candidate(images) -> None:
         n = len(images[0])
         signed = _signed_images(images)
-        pg = _image_runs(signed, n, g_runs)
-        probe = perm_mul(perm_inv(_image_runs(signed, n, g0_runs)), pg) if g0_runs else pg
-        if probe == perm_identity(n):
-            return None  # phi(g) = phi(g0), which lies in phi(Z)
-        closures = [
-            subgroup_closure([_image_runs(signed, n, r) for r in gens], n)
-            for gens in factor_runs
-        ]
-        hit = _image_in_product(probe, closures)
-        if hit is not False:
-            return None
-        q = FiniteQuotient(G, n, tuple(images))
-        if verify_separation(q, g, target):
-            return q
-        return None
+        back = perm_inv(_image_runs(signed, n, g0_runs)) if g0_runs else None
+        identity = perm_identity(n)
+        probes = []
+        for i, runs in pending.items():
+            probe = _image_runs(signed, n, runs)
+            if back:
+                probe = perm_mul(back, probe)
+            if probe != identity:  # else phi(g) = phi(g0), which lies in phi(Z)
+                probes.append((i, probe))
+        if not probes:
+            return
+        try:
+            closures = [subgroup_closure([_image_runs(signed, n, r) for r in gens], n)
+                        for gens in factor_runs]
+        except BudgetExceededError as e:
+            closures = e  # the outcome of every word that reached the closures
+        for i, probe in probes:
+            if isinstance(closures, BudgetExceededError):
+                out[i] = closures
+            elif _image_in_product(probe, closures) is False:
+                q = FiniteQuotient(G, n, tuple(images))
+                if verify_separation(q, gs[i], target):
+                    out[i] = q
+            if out[i] is not None:
+                del pending[i]
 
-    def first(assignments, conjugators) -> Optional[FiniteQuotient]:
-        """The first separating assignment, skipping conjugates of failed ones."""
+    def first(assignments, conjugators) -> None:
+        """Try assignments in order until none is pending, skipping conjugates of tried ones."""
         tried = set()
         for images in assignments:
             if images in tried:
                 continue
-            q = candidate(images)
-            if q:
-                return q
+            candidate(images)
+            if not pending:
+                return
             tried |= _orbit(images, conjugators)
-        return None
 
     for n in range(2, min(4, n_max) + 1):
-        perms = list(itertools.permutations(range(n)))
-        q = first(itertools.product(perms, repeat=rank), _conjugators((n,)))
-        if q:
-            return q
+        if pending:
+            perms = list(itertools.permutations(range(n)))
+            first(itertools.product(perms, repeat=rank), _conjugators((n,)))
     # (2, 2) block sums are degree-4 assignments, all tried above.
     for blocks in ((2, 3), (3, 3), (2, 2, 2)):
-        if sum(blocks) > n_max:
-            continue
-        q = first(_assignments_blocks(rank, blocks), _conjugators(blocks))
-        if q:
-            return q
+        if pending and sum(blocks) <= n_max:
+            first(_assignments_blocks(rank, blocks), _conjugators(blocks))
     if len(target.factors) == 1 and not target.g0:
-        comp = _completion_quotient(G, target.graphs[0], g)
         # checked by direct images, not by closing the image subgroup (which
         # can pass the closure budget): every factor generator fixes the
         # basepoint b, so the image subgroup does, and g moves b
         b = target.graphs[0].basepoint
-        if comp.image_of(g)[b] != b and all(comp.image_of(h)[b] == b for h in target.factors[0]):
-            return comp
+        for i in list(pending):
+            comp = _completion_quotient(G, target.graphs[0], gs[i])
+            if comp.image_of(gs[i])[b] != b and all(comp.image_of(h)[b] == b
+                                                    for h in target.factors[0]):
+                out[i] = comp
+                del pending[i]
+    if not pending:
+        return out
     rng = random.Random(seed)
     for n in range(5, n_max + 1):
         pool = list(range(n))
         for _ in range(random_tries):
+            if not pending:
+                return out
             images = []
             for _ in range(rank):
                 p = pool[:]
                 rng.shuffle(p)
                 images.append(tuple(p))
-            q = candidate(images)
-            if q:
-                return q
-    if rank == 2:
-        for n in range(5, n_max + 1):
-            pairs = _conjugators((n,))
-            for pa in _conjugacy_reps(n):
-                # (pa, pb) and (pa, c^-1 pb c) are conjugate when c centralises pa
-                centraliser = [
-                    (c, ci) for c, ci in pairs if all(c[pa[i]] == pa[x] for i, x in enumerate(c))
-                ]
-                q = first(((pa, pb) for pb, _ in pairs), centraliser)
-                if q:
-                    return q
-    return None
+            candidate(images)
+    if rank != 2 or not pending:
+        return out
+    for n in range(5, n_max + 1):
+        pairs = _conjugators((n,))
+        for pa in _conjugacy_reps(n):
+            # (pa, pb) and (pa, c^-1 pb c) are conjugate when c centralises pa
+            centraliser = [
+                (c, ci) for c, ci in pairs if all(c[pa[i]] == pa[x] for i, x in enumerate(c))
+            ]
+            first(((pa, pb) for pb, _ in pairs), centraliser)
+            if not pending:
+                return out
+    return out
+
+
+def find_separating_quotient(g: Elem, target: RationalSubset, n_max: int = 6, seed: int = 0,
+                             random_tries: int = 200) -> Optional[FiniteQuotient]:
+    """A finite quotient in which the image of g avoids the image of the
+    target subset, or None when the search cap is exhausted: the one-word
+    case of ``find_separating_quotients``.  Raises InTargetError when g lies
+    in the target, and BudgetExceededError where a closure passes its budget.
+    """
+    if target.contains(g):
+        raise InTargetError("element is in the target subset; nothing to separate")
+    (found,) = find_separating_quotients([g], target, n_max, seed, random_tries)
+    if isinstance(found, BudgetExceededError):
+        raise found
+    return found
 
 
 @dataclass(frozen=True)
@@ -397,18 +408,13 @@ class MinxHarnessResult:
 
 def combine_quotients(G: FreeGroup, quotients: Sequence[FiniteQuotient]) -> FiniteQuotient:
     """Direct sum on disjoint points; the kernel is the intersection of kernels."""
-    images = None
-    degree = 0
-    for q in quotients:
-        degree += q.degree
-        if images is None:
-            images = list(q.gen_images)
-        else:
-            images = [perm_block_sum(a, b) for a, b in zip(images, q.gen_images)]
-    if images is None:
-        images = [(0,) for _ in range(G.rank)]
-        degree = 1
-    return FiniteQuotient(G, degree, tuple(images))
+    if not quotients:
+        return FiniteQuotient(G, 1, ((0,),) * G.rank)
+    # quotient k moves the points from the sum of the earlier degrees on
+    offsets = itertools.accumulate([q.degree for q in quotients], initial=0)
+    parts = [[tuple(v + o for v in p) for p in q.gen_images] for q, o in zip(quotients, offsets)]
+    return FiniteQuotient(G, sum(q.degree for q in quotients),
+                          tuple(sum(ps, ()) for ps in zip(*parts)))
 
 
 def minx_quotient_harness(
@@ -433,37 +439,38 @@ def minx_quotient_harness(
     G = Z.group
     radius = C + 2
     ball = build_ball(G, max(radius, 0), budget)
-    caveats = []
-    parts = []
-    for u in ball.elements:
-        if len(u) >= C:
-            break  # level order: every later element is as long
-        try:
-            q = find_separating_quotient(u, Z, n_max=n_max, seed=seed)
-        except InTargetError:
-            continue
+    # level order: the elements shorter than C come first
+    outsiders = [u for u in itertools.takewhile(lambda u: len(u) < C, ball.elements)
+                 if not Z.contains(u)]
+    parts = find_separating_quotients(outsiders, Z, n_max=n_max, seed=seed)
+    for u, q in zip(outsiders, parts):
         if q is None:
             return MinxHarnessResult(
                 None, None, False, ("separation search cap exhausted at %s" % G.elem_str(u),)
             )
-        parts.append(q)
+        if isinstance(q, BudgetExceededError):
+            raise q
     combined = combine_quotients(G, parts)
-    z_image = image_of_rational_subset(combined, Z)
+    # The kernel of a block sum is the intersection of its blocks' kernels, so
+    # a repeated block leaves N, and so ZN, unchanged: the check runs on the
+    # block sum of the distinct parts, a fraction of the degree.
+    distinct = combine_quotients(G, list(dict.fromkeys(parts)))
+    z_image = image_of_rational_subset(distinct, Z)
     achieved = math.inf
     ok = True
-    signed = _signed_images(combined.gen_images)
+    signed = _signed_images(distinct.gen_images)
     image = {}
     for g in ball.elements:
         if ball.dist[g] > radius:
             break
         # build_ball lists every reduced word after its prefix g[:-1]; only
         # words inside the radius are kept, as prefixes of words to come
-        pg = perm_mul(image[g[:-1]], signed[g[-1]]) if g else perm_identity(combined.degree)
+        pg = perm_mul(image[g[:-1]], signed[g[-1]]) if g else perm_identity(distinct.degree)
         if ball.dist[g] < radius:
             image[g] = pg
         if pg in z_image and not Z.contains(g):
             achieved = min(achieved, len(g))
             if len(g) < C:
                 ok = False
-    caveats.append("ZN membership checked through images on the radius-%d ball" % radius)
-    return MinxHarnessResult(combined, achieved, ok and achieved >= C, tuple(caveats))
+    caveat = "ZN membership checked through images on the radius-%d ball" % radius
+    return MinxHarnessResult(combined, achieved, ok and achieved >= C, (caveat,))

@@ -311,6 +311,24 @@ class TestMainExitCodes:
         assert main(argv) == EXIT_OK
         assert capsys.readouterr().out == plain
 
+    def test_failed_run_keeps_an_existing_report(self, tmp_path, capsys):
+        # --out is written only when the run completes: exit 3 (budget) and
+        # exit 4 (schema) leave the report of an earlier run byte-identical
+        cfg = self._write(tmp_path, FREE_ABELIAN + "[params]\nradius = 2\n")
+        out = tmp_path / "d.jsonl"
+        argv = ["--config", cfg, "--out", str(out)]
+        assert main(argv + ["--command", "delta"]) == EXIT_OK
+        report = out.read_bytes()
+        assert json.loads(report)["verdict"]["delta"] is not None
+        failing = [(["--command", "delta", "--radius", "5", "--budget", "1000"], EXIT_BUDGET),
+                   (["--command", "bogus"], EXIT_SCHEMA)]
+        for flags, code in failing:
+            assert main(argv + flags) == code
+            assert out.read_bytes() == report
+        missing = tmp_path / "none.jsonl"
+        assert main(["--config", cfg, "--out", str(missing), "--command", "bogus"]) == EXIT_SCHEMA
+        assert not missing.exists()
+
     def test_bad_flag_exits_2(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A)
         for argv in (["--config", cfg, "--command", "rel-dist", "--budget", "x"],

@@ -44,6 +44,9 @@ from relhyp.separability import (
 from relhyp.separability.quotients import (
     FiniteQuotient,
     _image_in_product,
+    combine_quotients,
+    find_separating_quotients,
+    image_of_rational_subset,
     perm_identity,
     product_set,
     subgroup_closure,
@@ -500,6 +503,61 @@ class TestSearchMatchesReference:
         self._check(w(g, fab), target, 5, 0, 0)
 
 
+@st.composite
+def _batch_case(draw):
+    """A separation case with up to five more words to separate in the same search."""
+    G, g, factors, n_max, tries, seed = draw(_separation_case())
+    more = draw(st.lists(_run_word(G.rank, 3, 6).map(reduce_letters_naive).map(tuple),
+                         max_size=5))
+    return G, [g] + more, factors, n_max, tries, seed
+
+
+def _outcome(found):
+    if isinstance(found, BudgetExceededError):
+        return "over budget"
+    return None if found is None else (found.degree, found.gen_images)
+
+
+class TestBatchedSearch:
+    """One search over several words gives each word its own search's outcome."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(_batch_case())
+    def test_matches_reference_per_word(self, case):
+        G, gs, factors, n_max, tries, seed = case
+        target = RationalSubset(G, (), factors)
+        gs = [g for g in gs if not target.contains(g)]
+        assume(gs)
+        got = [_outcome(q) for q in find_separating_quotients(gs, target, n_max, seed, tries)]
+        expected = []
+        for g in gs:
+            try:
+                expected.append(reference_find_separating_quotient(g, target, n_max, seed, tries))
+            except BudgetExceededError:
+                expected.append("over budget")
+        assert got == expected
+
+    def test_earlier_none_wins_over_later_budget_error(self, fab, monkeypatch):
+        # every element order in S_2..S_5 divides 60: the identity's probe
+        # phi(g0)^-1 = phi(a^60)^-1 is trivial in every candidate, so it ends
+        # None without a closure, while a reaches a closure, over a budget of 0
+        from relhyp.separability import quotients
+
+        closure = quotients.subgroup_closure
+        monkeypatch.setattr(quotients, "subgroup_closure",
+                            lambda gens, n, budget=None: closure(gens, n, budget=0))
+        Z = RationalSubset(fab, fab.pow(w("a", fab), 60), ((w("b", fab),),))
+        with pytest.raises(BudgetExceededError):
+            find_separating_quotient(w("a", fab), Z, n_max=5)
+        assert find_separating_quotient((), Z, n_max=5) is None
+        outcomes = find_separating_quotients([(), w("a", fab)], Z, n_max=5)
+        assert outcomes[0] is None and isinstance(outcomes[1], BudgetExceededError)
+        # the harness meets the identity first, as a per-word loop would
+        res = minx_quotient_harness(Z, 2, n_max=5)
+        assert res.quotient is None and not res.verified
+        assert res.caveats == ("separation search cap exhausted at 1",)
+
+
 class TestProductMember:
     def test_spec_examples(self, fab):
         A = (w("a", fab),)
@@ -658,6 +716,29 @@ class TestMinxHarness:
         assert len(outsiders) == 12
         assert all(decided.count(g) == 1 for g in outsiders)
         assert len(decided) == 82
+
+    def test_distinct_blocks_pinned_case(self, fab):
+        # the pinned minx-harness-4 job: the reported quotient is the block
+        # sum of every part, though only a few parts are distinct
+        Z = RationalSubset(fab, (), ((w("a^-1 a^-1", fab),), (w("b^-1 b^-1", fab),)))
+        res = minx_quotient_harness(Z, 4, n_max=5, seed=38)
+        assert (res.quotient.degree, res.achieved_min, res.verified) == (96, 4, True)
+
+    @pytest.mark.parametrize("C", [1, 2, 3])
+    def test_distinct_blocks_decide_zn_as_the_full_sum(self, fab, C):
+        # repeated blocks leave the kernel, so membership in ZN, unchanged
+        Z = RationalSubset(fab, (), ((w("a^-1 a^-1", fab),), (w("b^-1 b^-1", fab),)))
+        ball = build_ball(fab, C + 2)
+        outsiders = [u for u in ball.elements if len(u) < C and not Z.contains(u)]
+        parts = find_separating_quotients(outsiders, Z, n_max=5, seed=38)
+        full = combine_quotients(fab, parts)
+        distinct = combine_quotients(fab, list(dict.fromkeys(parts)))
+        if C > 1:
+            assert distinct.degree < full.degree
+        z_full = image_of_rational_subset(full, Z)
+        z_distinct = image_of_rational_subset(distinct, Z)
+        for g in ball.elements:
+            assert (full.image_of(g) in z_full) == (distinct.image_of(g) in z_distinct), g
 
     @settings(max_examples=25, deadline=None)
     @given(
