@@ -28,6 +28,7 @@ from typing import Optional
 from .cayley import Ball, BrokenLine, EdgePath, RelGraphView, word_metric_view
 from .errors import BudgetExceededError
 from .groups import FreeGroup, SubgroupSpec
+from .separability import membership_oracle
 
 
 def gromov_product(x, y, z, view: RelGraphView) -> Fraction:
@@ -298,8 +299,6 @@ def nbhd_intersection_constant(
     All three subgroup traces are enumerated inside the ball, so the value
     carries the ball-radius caveat.
     """
-    from .separability import membership_oracle
-
     G = ball.group
     view = word_metric_view(G)
     in_a = membership_oracle(G, A.gens)

@@ -8,7 +8,12 @@ elements is equality of payloads:
 * free abelian group: exponent vector, a tuple of ints;
 * finite group: index into the multiplication table;
 * free product: alternating tuple of ``(factor_index, payload)`` syllables;
-* amalgamated product: left-greedy reduced syllable form (see ``Amalgam``).
+* amalgamated product: left-greedy reduced syllable form, built in one
+  left-to-right pass (see ``Amalgam._normalize``).
+
+Products of syllable forms (free group, free product, amalgam) take their
+left operand as a normal form and work only where the operands meet, so
+``validate_elem`` accepts a payload only when it is its family's normal form.
 
 Payloads are plain immutable Python values; the ``GroupSpec`` supplies the
 operations.  All operations are pure.  A ``RelHyp`` is not a sixth family: it
@@ -512,10 +517,8 @@ class Amalgam(GroupSpec):
     def _coset_rep(self, side: int, x: Elem):
         """Canonical representative of the left coset xD plus its D-remainder."""
         fac = self._sides[side]
-        d_side = sorted(self.d_sets()[side], key=fac.sort_key)
-        rep = min((fac.mul(x, d) for d in d_side), key=fac.sort_key)
-        rem = fac.mul(fac.inv(rep), x)
-        return rep, rem
+        rep = min((fac.mul(x, d) for d in self.d_sets()[side]), key=fac.sort_key)
+        return rep, fac.mul(fac.inv(rep), x)
 
     def spot_check(self):
         to_right, _ = self._edge_maps()
@@ -534,63 +537,55 @@ class Amalgam(GroupSpec):
     def identity(self):
         return ()
 
-    def _reduce(self, sylls) -> tuple:
-        """Merge to an alternating form with no interior D-syllables.
+    def _normalize(self, sylls, out=()) -> tuple:
+        """The normal form of ``out`` times the syllables ``sylls``.
 
-        Invariant: apart from a lone first syllable, nothing on ``out`` lies
-        in D, so D-crossing only ever happens at the top.
+        ``out`` must be a normal form; ``sylls`` are (side, factor element)
+        pairs, any of them trivial or in D.  One push from left to right
+        keeps ``out`` a normal form: its top is the last syllable, and
+        everything below it is a canonical coset representative.
+
+        * A syllable from the top's factor merges with the top; a merge that
+          lands in D crosses over and merges with the syllable below.
+        * A syllable in D joins the top.
+        * A lone D element at the bottom is absorbed into the next syllable.
+        * Any other syllable first turns the top into its canonical left-coset
+          representative and absorbs the remainder.
         """
-        out: list = []
-        for side, x in sylls:
-            stack = [(side, x)]
-            while stack:
-                s, y = stack.pop()
-                fac = self._sides[s]
-                if y == fac.identity():
-                    continue
-                if out and out[-1][0] == s:
-                    _, py = out.pop()
-                    stack.append((s, fac.mul(py, y)))
-                elif out and self.in_d(out[-1][0], out[-1][1]):
-                    ps, py = out.pop()
-                    stack.append((s, y))
-                    stack.append((1 - ps, self.cross(ps, py)))
-                elif out and self.in_d(s, y):
-                    stack.append((1 - s, self.cross(s, y)))
-                else:
-                    out.append((s, y))
-        return tuple(out)
-
-    def _normalize(self, sylls) -> tuple:
-        red = self._reduce(sylls)
-        if not red:
-            return ()
-        if len(red) == 1:
-            side, x = red[0]
-            if self.in_d(side, x) and side == 1:
-                return ((0, self.cross(1, x)),)
-            return (red[0],)
-        out = []
-        carry = None  # D-remainder, as an element of the previous side
-        prev_side = None
-        for i, (side, x) in enumerate(red):
-            if carry is not None:
-                x = self._sides[side].mul(self.cross(prev_side, carry), x)
-            if i < len(red) - 1:
-                rep, carry = self._coset_rep(side, x)
-                out.append((side, rep))
-                prev_side = side
-            else:
-                out.append((side, x))
+        sides = self._sides
+        d_sets = self.d_sets()
+        cross = self._edge_maps()  # cross[s][d]: d of side s, read on the other side
+        out = list(out)
+        for s, y in sylls:
+            if out:
+                t, x = out[-1]
+                if t != s:
+                    if y in d_sets[s]:
+                        s, y = t, cross[s][y]
+                    elif x in d_sets[t]:
+                        out[-1] = (s, sides[s].mul(cross[t][x], y))
+                        continue
+                    else:
+                        rep, rem = self._coset_rep(t, x)
+                        out[-1] = (t, rep)
+                        out.append((s, sides[s].mul(cross[t][rem], y)))
+                        continue
+                out.pop()
+                y = sides[s].mul(x, y)
+            if y not in d_sets[s]:
+                out.append((s, y))
+            elif out:
+                t, x = out[-1]
+                out[-1] = (t, sides[t].mul(x, cross[s][y]))
+            elif y != sides[s].identity():
+                out.append((0, y if s == 0 else cross[1][y]))
         return tuple(out)
 
     def mul(self, a, b):
-        return self._normalize(a + b)
+        return self._normalize(b, a)
 
     def inv(self, a):
-        return self._normalize(
-            tuple((side, self._sides[side].inv(x)) for side, x in reversed(a))
-        )
+        return self._normalize((side, self._sides[side].inv(x)) for side, x in reversed(a))
 
     def x_length(self, a):
         # Generating set: all nontrivial factor elements, so the length of a
@@ -734,7 +729,9 @@ def validate_elem(a: Elem, G: GroupSpec) -> None:
         if ok:
             for idx, x in a:
                 validate_elem(x, G.factors[idx])
-            ok = all(p[0] != q[0] for p, q in zip(a, a[1:]))
+            ok = all(x != G.factors[idx].identity() for idx, x in a) and all(
+                p[0] != q[0] for p, q in zip(a, a[1:])
+            )
     elif isinstance(G, Amalgam):
         ok = isinstance(a, tuple) and all(
             isinstance(s, tuple) and len(s) == 2 and s[0] in (0, 1) for s in a
@@ -742,6 +739,7 @@ def validate_elem(a: Elem, G: GroupSpec) -> None:
         if ok:
             for side, x in a:
                 validate_elem(x, G._sides[side])
+            ok = a == G._normalize(a)
     else:
         ok = False
     if not ok:

@@ -33,10 +33,7 @@ class AmalgamNF:
 
 def amalgam_reduce(word: Sequence[tuple[int, Elem]], A: Amalgam) -> AmalgamNF:
     """Reduced form of a product of factor elements, given as (side, element)."""
-    elem = A.identity()
-    for side, x in word:
-        elem = A.mul(elem, A.embed(side, x))
-    return AmalgamNF(elem)
+    return AmalgamNF(A._normalize(tuple(word)))
 
 
 def _factor_payload(A: Amalgam, g: Elem, side: int) -> Optional[Elem]:
@@ -154,13 +151,8 @@ class InducedQuotient:
     phi_right: FiniteQuotient
 
     def apply(self, g: Elem) -> Elem:
-        out = self.image.identity()
         phis = (self.phi_left, self.phi_right)
-        for side, x in g:
-            out = self.image.mul(
-                out, self.image.embed(side, _perm_index(phis[side], x))
-            )
-        return out
+        return self.image._normalize((side, _perm_index(phis[side], x)) for side, x in g)
 
 
 def _perm_index(phi: FiniteQuotient, x: Elem) -> int:

@@ -189,6 +189,72 @@ def amalgam_word_classes(A: Amalgam, max_syllables: int):
     return words, index, find
 
 
+def reference_amalgam_normalize(A: Amalgam, sylls) -> tuple:
+    """The normal form of a syllable list, built in two passes from scratch.
+
+    ``_reduce`` merges to an alternating form with no interior D-syllables;
+    a coset pass then replaces every syllable but the last by the least
+    element of its left D-coset and carries the D-remainder rightward.  This
+    is ``Amalgam._normalize`` as it stood before it became a single push.
+    """
+
+    def _coset_rep(side, x):
+        fac = A._sides[side]
+        d_side = sorted(A.d_sets()[side], key=fac.sort_key)
+        rep = min((fac.mul(x, d) for d in d_side), key=fac.sort_key)
+        rem = fac.mul(fac.inv(rep), x)
+        return rep, rem
+
+    def _reduce(sylls):
+        """Merge to an alternating form with no interior D-syllables.
+
+        Invariant: apart from a lone first syllable, nothing on ``out`` lies
+        in D, so D-crossing only ever happens at the top.
+        """
+        out: list = []
+        for side, x in sylls:
+            stack = [(side, x)]
+            while stack:
+                s, y = stack.pop()
+                fac = A._sides[s]
+                if y == fac.identity():
+                    continue
+                if out and out[-1][0] == s:
+                    _, py = out.pop()
+                    stack.append((s, fac.mul(py, y)))
+                elif out and A.in_d(out[-1][0], out[-1][1]):
+                    ps, py = out.pop()
+                    stack.append((s, y))
+                    stack.append((1 - ps, A.cross(ps, py)))
+                elif out and A.in_d(s, y):
+                    stack.append((1 - s, A.cross(s, y)))
+                else:
+                    out.append((s, y))
+        return tuple(out)
+
+    red = _reduce(sylls)
+    if not red:
+        return ()
+    if len(red) == 1:
+        side, x = red[0]
+        if A.in_d(side, x) and side == 1:
+            return ((0, A.cross(1, x)),)
+        return (red[0],)
+    out = []
+    carry = None  # D-remainder, as an element of the previous side
+    prev_side = None
+    for i, (side, x) in enumerate(red):
+        if carry is not None:
+            x = A._sides[side].mul(A.cross(prev_side, carry), x)
+        if i < len(red) - 1:
+            rep, carry = _coset_rep(side, x)
+            out.append((side, rep))
+            prev_side = side
+        else:
+            out.append((side, x))
+    return tuple(out)
+
+
 def fixpoint_lengths(letters, mul, identity):
     """Word lengths in a finite group by set products, with no search.
 

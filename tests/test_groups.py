@@ -18,7 +18,7 @@ from relhyp import (
 )
 from relhyp.cayley import build_ball, word_metric_view
 from relhyp.errors import BudgetExceededError
-from relhyp.groups import FiniteGroup, bfs, bfs_tree
+from relhyp.groups import FiniteGroup, bfs, bfs_tree, validate_elem
 from relhyp.separability import membership_oracle
 from relhyp.separability.quotients import perm_mul, subgroup_closure
 
@@ -28,6 +28,7 @@ from conftest import (
     fixpoint_lengths,
     random_free_letters,
     reduce_letters_naive,
+    reference_amalgam_normalize,
     reference_bfs_parents,
 )
 
@@ -132,6 +133,12 @@ class TestFreeProduct:
         G = z2z.group.base
         assert G.x_length(w("x y t x", G)) == 4
 
+    def test_trivial_syllable_rejected(self, z2z):
+        # equal elements have equal payloads: the identity's payload is ()
+        G = z2z.group.base
+        with pytest.raises(FamilyMismatchError):
+            mul(((0, (0, 0)),), G.identity(), G)
+
 
 class TestAmalgam:
     def test_edge_identification(self, amalgam46):
@@ -181,11 +188,75 @@ class TestAmalgam:
         for root, nf in cls_of_nf.items():
             assert seen.setdefault(nf, root) == root, "normal form in two classes"
 
+    def test_validate_rejects_non_normal_forms(self, amalgam46):
+        # c^3 is the edge element b^2, stored on the left; b b is one syllable
+        A = amalgam46
+        for bad in (((1, 3),), ((0, 1), (0, 1))):
+            with pytest.raises(FamilyMismatchError):
+                mul(bad, A.identity(), A)
+        assert mul(((0, 2),), ((0, 2),), A) == A.identity()
+
     def test_bad_edge_rejected(self):
         B = cyclic_group(4, "b")
         C = cyclic_group(6, "c")
         with pytest.raises(ValueError):
             Amalgam(B, C, ((0, 0), (1, 3))).spot_check()  # b has order 4, c^3 order 2
+
+
+def cyclic_amalgam(m, n, d):
+    """Z/m *_{Z/d} Z/n, with b^(m/d) identified with c^(n/d)."""
+    edge = tuple((k * (m // d), k * (n // d)) for k in range(d))
+    return Amalgam(cyclic_group(m, "b"), cyclic_group(n, "c"), edge)
+
+
+NF_AMALGAMS = {
+    "Z/4*Z/6": cyclic_amalgam(4, 6, 2),  # the amalgam46 fixture
+    "Z/60*Z/45": cyclic_amalgam(60, 45, 15),
+    "Z/6*Z/9": cyclic_amalgam(6, 9, 3),
+    "Z2*Z/5": Amalgam(FreeAbelian(("x", "y")), cyclic_group(5, "c"), (((0, 0), 0),)),
+}
+
+
+def syllable_lists(A):
+    """Syllables of either factor, edge elements (the identity too) often."""
+
+    def syllable(side):
+        fac = A._sides[side]
+        if isinstance(fac, FreeAbelian):
+            anything = st.tuples(*[st.integers(-2, 2)] * fac.rank)
+        else:
+            anything = st.integers(0, fac.order - 1)
+        in_d = st.sampled_from(sorted(A.d_sets()[side]))
+        return st.tuples(st.just(side), st.one_of(in_d, anything))
+
+    return st.lists(st.one_of(syllable(0), syllable(1)), max_size=10).map(tuple)
+
+
+class TestAmalgamNormalForm:
+    """The one-pass ``_normalize`` and what rests on it, against the two-pass
+    reference."""
+
+    @pytest.mark.parametrize("name", list(NF_AMALGAMS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_two_pass_reference(self, name, data):
+        A = NF_AMALGAMS[name]
+        sylls = data.draw(syllable_lists(A))
+        nf = reference_amalgam_normalize(A, sylls)
+        assert A._normalize(sylls) == nf
+        k = data.draw(st.integers(0, len(sylls)))
+        a = reference_amalgam_normalize(A, sylls[:k])
+        b = reference_amalgam_normalize(A, sylls[k:])
+        assert A.mul(a, b) == nf
+        inverse = tuple((s, A._sides[s].inv(x)) for s, x in reversed(sylls))
+        assert A.inv(nf) == reference_amalgam_normalize(A, inverse)
+        for s, x in sylls:
+            assert A.embed(s, x) == reference_amalgam_normalize(A, ((s, x),))
+        # validate_elem accepts exactly the normal forms
+        validate_elem(nf, A)
+        if sylls != nf:
+            with pytest.raises(FamilyMismatchError):
+                validate_elem(sylls, A)
 
 
 def symmetric_group(n):

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, or imports
+inside a function.
 
 No linter ships with the project, so this reads each module's syntax tree:
 every name bound by a top-level import must be read somewhere in the module.
@@ -32,6 +33,22 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = ["%s (line %d)" % (name, line) for name, line in _imported(tree) if name not in used]
     assert not unused, "unused imports in %s: %s" % (path.name, ", ".join(unused))
+
+
+def test_no_function_level_imports():
+    """Every import of the package sits at a module's top, where a reader
+    sees what the module depends on (and an import cycle shows at once)."""
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [
+                    "%s.%s (line %d)" % (path.relative_to(SRC), fn.name, node.lineno)
+                    for node in ast.walk(fn)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert not found, "imports inside functions: %s" % ", ".join(found)
 
 
 ROOT = SRC.parent.parent
