@@ -12,8 +12,9 @@ elements is equality of payloads:
   left-to-right pass (see ``Amalgam._normalize``).
 
 Products of syllable forms (free group, free product, amalgam) take their
-left operand as a normal form and work only where the operands meet, so
-``validate_elem`` accepts a payload only when it is its family's normal form.
+left operand as a normal form and merge syllables only where the operands
+meet; the free group and the free product take the right one as a normal
+form too.  So ``validate_elem`` accepts only its family's normal forms.
 
 Payloads are plain immutable Python values; the ``GroupSpec`` supplies the
 operations.  All operations are pure.  A ``RelHyp`` is not a sixth family: it
@@ -325,16 +326,12 @@ class FiniteGroup(GroupSpec):
 
     @per_instance
     def _inverses(self):
-        n = self.order
         e = self.identity_index
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == e:
-                    inv[i] = j
-                    break
-            if inv[i] is None:
+        inv = []
+        for i, row in enumerate(self.table):
+            if e not in row:
                 raise ValueError("element %d has no inverse" % i)
+            inv.append(row.index(e))
         return tuple(inv)
 
     @per_instance
@@ -394,10 +391,13 @@ class FiniteGroup(GroupSpec):
 
 
 def cyclic_group(n: int, symbol: str = "g") -> FiniteGroup:
-    """Z/n with one designated generator named ``symbol``."""
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+    """Z/n with one designated generator named ``symbol`` (none for Z/1)."""
+    if n < 1:
+        raise ValueError("a cyclic group needs order >= 1, not %d" % n)
+    row = tuple(range(n))
+    table = tuple(row[i:] + row[:i] for i in range(n))
     names = tuple("1" if i == 0 else (symbol if i == 1 else "%s%d" % (symbol, i)) for i in range(n))
-    return FiniteGroup(table=table, identity_index=0, names=names, gens=(1,))
+    return FiniteGroup(table=table, identity_index=0, names=names, gens=(1,) if n > 1 else ())
 
 
 @dataclass(frozen=True)
@@ -414,21 +414,19 @@ class FreeProduct(GroupSpec):
     def identity(self):
         return ()
 
-    def _push(self, out: list, idx: int, x) -> None:
-        fac = self.factors[idx]
-        if x == fac.identity():
-            return
-        if out and out[-1][0] == idx:
-            _, prev = out.pop()
-            self._push(out, idx, fac.mul(prev, x))
-        else:
-            out.append((idx, x))
-
     def mul(self, a, b):
-        out = list(a)
-        for idx, x in b:
-            self._push(out, idx, x)
-        return tuple(out)
+        i = len(a)
+        j = 0
+        nb = len(b)
+        while i > 0 and j < nb and a[i - 1][0] == b[j][0]:
+            idx = b[j][0]
+            fac = self.factors[idx]
+            x = fac.mul(a[i - 1][1], b[j][1])
+            if x != fac.identity():
+                return a[:i - 1] + ((idx, x),) + b[j + 1:]
+            i -= 1
+            j += 1
+        return a[:i] + b[j:]
 
     def inv(self, a):
         return tuple((idx, self.factors[idx].inv(x)) for idx, x in reversed(a))
@@ -447,7 +445,8 @@ class FreeProduct(GroupSpec):
         out = []
         for idx, fac in enumerate(self.factors):
             for sym, g in fac.generator_elems():
-                out.append((sym, ((idx, g),)))
+                # a finite factor may designate its identity, a syllable no normal form has
+                out.append((sym, ((idx, g),) if g != fac.identity() else ()))
         return out
 
     def elem_str(self, a):
@@ -458,12 +457,6 @@ class FreeProduct(GroupSpec):
     def geodesic_word(self, a):
         """Each syllable's factor word, its letters embedded."""
         return [((i, l),) for i, x in a for l in self.factors[i].geodesic_word(x)]
-
-    def embed(self, idx: int, x) -> Elem:
-        """The factor element ``x`` as an element of the product."""
-        if x == self.factors[idx].identity():
-            return ()
-        return ((idx, x),)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ distinct quotients, which has the kernel of the block sum of them all.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -210,26 +211,27 @@ def _orbit(images: tuple, conjugators) -> set:
     return {tuple([tuple([c[p[j]] for j in ci]) for p in images]) for c, ci in conjugators}
 
 
-def _conjugators(blocks: Sequence[int]) -> list:
-    """Pairs (c, c^-1) for the c in S_n that map blocks of points onto blocks."""
+@functools.lru_cache(maxsize=None)
+def _conjugators(blocks: tuple) -> tuple:
+    """Pairs (c, c^-1) for the c in S_n that map blocks of points onto blocks
+    (memoised, like the classes below: every search asks for the same few)."""
     blk = [k for k, b in enumerate(blocks) for _ in range(b)]
-    return [(c, perm_inv(c)) for c in itertools.permutations(range(len(blk)))
-            if len({(blk[i], blk[x]) for i, x in enumerate(c)}) == len(blocks)]
+    return tuple((c, perm_inv(c)) for c in itertools.permutations(range(len(blk)))
+                 if len({(blk[i], blk[x]) for i, x in enumerate(c)}) == len(blocks))
 
 
-def _conjugacy_reps(n: int) -> list:
-    """The lexicographically first permutation of each cycle type."""
-    reps: dict = {}
-    for p in itertools.permutations(range(n)):
-        seen, lengths = [False] * n, []
-        for i in range(n):
-            j, l = i, 0
-            while not seen[j]:
-                seen[j], j, l = True, p[j], l + 1
-            if l:
-                lengths.append(l)
-        reps.setdefault(tuple(sorted(lengths)), p)
-    return list(reps.values())
+@functools.lru_cache(maxsize=None)
+def _conjugacy_classes(n: int) -> tuple:
+    """(p, pairs (c, c^-1) for the c centralising p) for the lexicographically
+    first permutation p of each conjugacy class of S_n, in order.  (p, *rest)
+    and (p, *c^-1 rest c) are simultaneously conjugate when c centralises p."""
+    pairs, seen, out = _conjugators((n,)), set(), []
+    for p, _ in pairs:
+        if (p,) not in seen:
+            seen |= _orbit((p,), pairs)
+            out.append((p, tuple((c, ci) for c, ci in pairs
+                                 if all(c[p[i]] == p[x] for i, x in enumerate(c)))))
+    return tuple(out)
 
 
 def _image_in_product(pg: Perm, closures, budget: int = 400_000):
@@ -280,15 +282,18 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
     Search order: exhaustive images in S_2..S_4, block sums filling up to
     n_max points, the basepoint-stabiliser completion for single subgroups,
     seeded random images, and finally (rank 2) an exhaustive scan of S_5 and
-    S_6 up to simultaneous conjugacy, which decides degrees <= n_max
-    outright apart from budget-skipped three-factor candidates.  Each
-    assignment is tried once, with its factor images closed once, against
-    every word still pending; a word leaves when it is decided.  The
-    exhaustive, block-sum and scan stages skip assignments conjugate to a
-    tried one (by any c, by c permuting the blocks, by c centralising the
-    first image).  A tried assignment failed for every word still pending,
-    and a conjugate fails for each word exactly when it does, so each entry
-    is that of the word's own search through the full order.
+    S_6, which decides degrees <= n_max outright apart from budget-skipped
+    three-factor candidates.  Each assignment is tried once, with its factor
+    images closed once, against every word still pending; a word leaves when
+    it is decided.  The exhaustive stages try the lexicographically first
+    assignment of each simultaneous-conjugacy class, in lexicographic order:
+    its first image is the first permutation of its cycle type, and its
+    other images come first among their conjugates by the centraliser of
+    that image.  The block-sum stage skips assignments conjugate to a tried
+    one by a c permuting the blocks.  A tried assignment failed for every
+    word still pending, and a conjugate fails for each word exactly when it
+    does, so each entry is that of the word's own search through the full
+    order.
     """
     G = target.group
     rank = G.rank
@@ -337,11 +342,19 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
                 return
             tried |= _orbit(images, conjugators)
 
-    for n in range(2, min(4, n_max) + 1):
-        if pending:
+    def scan(degrees) -> None:
+        """Try every assignment in S_n, n in degrees, up to simultaneous conjugacy."""
+        for n in degrees:
             perms = list(itertools.permutations(range(n)))
-            first(itertools.product(perms, repeat=rank), _conjugators((n,)))
-    # (2, 2) block sums are degree-4 assignments, all tried above.
+            for pa, centraliser in _conjugacy_classes(n):
+                first(((pa,) + rest for rest in itertools.product(perms, repeat=rank - 1)),
+                      centraliser)
+                if not pending:
+                    return
+
+    if pending:
+        scan(range(2, min(4, n_max) + 1))
+    # (2, 2) block sums are degree-4 assignments, each conjugate to one tried above.
     for blocks in ((2, 3), (3, 3), (2, 2, 2)):
         if pending and sum(blocks) <= n_max:
             first(_assignments_blocks(rank, blocks), _conjugators(blocks))
@@ -370,18 +383,8 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
                 rng.shuffle(p)
                 images.append(tuple(p))
             candidate(images)
-    if rank != 2 or not pending:
-        return out
-    for n in range(5, n_max + 1):
-        pairs = _conjugators((n,))
-        for pa in _conjugacy_reps(n):
-            # (pa, pb) and (pa, c^-1 pb c) are conjugate when c centralises pa
-            centraliser = [
-                (c, ci) for c, ci in pairs if all(c[pa[i]] == pa[x] for i, x in enumerate(c))
-            ]
-            first(((pa, pb) for pb, _ in pairs), centraliser)
-            if not pending:
-                return out
+    if rank == 2 and pending:
+        scan(range(5, n_max + 1))
     return out
 
 

@@ -255,6 +255,31 @@ def reference_amalgam_normalize(A: Amalgam, sylls) -> tuple:
     return tuple(out)
 
 
+def reference_free_product_reduce(G: FreeProduct, sylls) -> tuple:
+    """The normal form of a syllable list in a free product, by pushing.
+
+    Each syllable is pushed onto a stack: an identity syllable vanishes, one
+    from the top's factor merges with the top and is pushed again, any other
+    is stacked.  This is ``FreeProduct.mul`` as it stood before it became a
+    loop over the junction, and it accepts any syllable list.
+    """
+    out: list = []
+
+    def push(idx, x):
+        fac = G.factors[idx]
+        if x == fac.identity():
+            return
+        if out and out[-1][0] == idx:
+            _, prev = out.pop()
+            push(idx, fac.mul(prev, x))
+        else:
+            out.append((idx, x))
+
+    for idx, x in sylls:
+        push(idx, x)
+    return tuple(out)
+
+
 def fixpoint_lengths(letters, mul, identity):
     """Word lengths in a finite group by set products, with no search.
 

@@ -507,6 +507,18 @@ class TestMainExitCodes:
                     bad.append((command, "\n".join(mutant), rc))
         assert not bad, "%d runs broke the exit-code contract; first: %r" % (len(bad), bad[0])
 
+    @pytest.mark.parametrize("order", [1, 0, -3])
+    @pytest.mark.parametrize("command", ["ball", "delta", "geodesic", "shortcut"])
+    def test_degenerate_cyclic_order(self, tmp_path, capsys, order, command):
+        """Z/1 has no generator and runs; an order below 1 is a schema error."""
+        cfg = self._write(tmp_path, (
+            "[group]\nfamily = finite-cyclic\norder = %d\nsymbol = g\n"
+            "[paths]\nnodes = 1 ; 1\n"
+            "[params]\nu = 1\nv = 1\ntheta = 1\nradius = 2\n" % order
+        ))
+        rc = main(["--config", cfg, "--command", command])
+        assert rc == (EXIT_OK if order == 1 else EXIT_SCHEMA)
+
     def test_check_conditions_radius_zero(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A)
         out = tmp_path / "c.jsonl"

@@ -30,6 +30,7 @@ from conftest import (
     reduce_letters_naive,
     reference_amalgam_normalize,
     reference_bfs_parents,
+    reference_free_product_reduce,
 )
 
 w = word_to_elem
@@ -132,6 +133,14 @@ class TestFreeProduct:
     def test_x_length(self, z2z):
         G = z2z.group.base
         assert G.x_length(w("x y t x", G)) == 4
+
+    def test_identity_generator_is_the_identity(self):
+        # letters are right operands of mul, which must be normal forms
+        C = cyclic_group(3, "u")
+        G = FreeProduct((FiniteGroup(C.table, 0, C.names, gens=(0, 1)), FreeAbelian(("t",))))
+        for g in G.letters():
+            validate_elem(g, G)
+        assert G.mul(G.identity(), G.letters()[0]) == G.identity()
 
     def test_trivial_syllable_rejected(self, z2z):
         # equal elements have equal payloads: the identity's payload is ()
@@ -257,6 +266,65 @@ class TestAmalgamNormalForm:
         if sylls != nf:
             with pytest.raises(FamilyMismatchError):
                 validate_elem(sylls, A)
+
+
+NF_FREE_PRODUCTS = {
+    "Z2*Z": FreeProduct((FreeAbelian(("x", "y")), FreeAbelian(("t",)))),
+    "Z/4*Z/6": FreeProduct((cyclic_group(4, "b"), cyclic_group(6, "c"))),
+    "C3*Z*F2": FreeProduct(
+        (cyclic_group(3, "u"), FreeAbelian(("t",)), FreeGroup(("p", "q")))
+    ),
+}
+
+
+def free_product_syllable_lists(G):
+    """Syllables of any factor, the identity and same-factor neighbours often."""
+
+    def syllable(idx):
+        fac = G.factors[idx]
+        if isinstance(fac, FreeAbelian):
+            anything = st.tuples(*[st.integers(-1, 1)] * fac.rank)
+        elif isinstance(fac, FreeGroup):
+            letter = st.sampled_from([x for g in range(1, fac.rank + 1) for x in (g, -g)])
+            anything = st.lists(letter, max_size=3).map(reduce_letters_naive)
+        else:
+            anything = st.integers(0, fac.order - 1)
+        return st.tuples(st.just(idx), st.one_of(st.just(fac.identity()), anything))
+
+    factor = st.sampled_from(range(len(G.factors)))
+    # a run of syllables from one factor, so neighbours often share it
+    runs = factor.flatmap(lambda idx: st.lists(syllable(idx), min_size=1, max_size=3))
+    return st.lists(runs, max_size=5).map(lambda rs: tuple(s for r in rs for s in r))
+
+
+class TestFreeProductNormalForm:
+    """The junction loop of ``FreeProduct.mul`` against the push reference."""
+
+    @pytest.mark.parametrize("name", list(NF_FREE_PRODUCTS))
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_push_reference(self, name, data):
+        G = NF_FREE_PRODUCTS[name]
+
+        def inverse(sylls):
+            return tuple((i, G.factors[i].inv(x)) for i, x in reversed(sylls))
+
+        head = data.draw(free_product_syllable_lists(G))
+        # head, the inverse of a tail of head, then anything: split after
+        # head, cancellation cascades across the junction
+        m = data.draw(st.integers(0, len(head)))
+        sylls = head + inverse(head[m:]) + data.draw(free_product_syllable_lists(G))
+        nf = reference_free_product_reduce(G, sylls)
+        k = data.draw(st.one_of(st.just(len(head)), st.integers(0, len(sylls))))
+        a = reference_free_product_reduce(G, sylls[:k])
+        b = reference_free_product_reduce(G, sylls[k:])
+        assert G.mul(a, b) == nf
+        assert G.inv(nf) == reference_free_product_reduce(G, inverse(sylls))
+        # validate_elem accepts exactly the normal forms
+        validate_elem(nf, G)
+        if sylls != nf:
+            with pytest.raises(FamilyMismatchError):
+                validate_elem(sylls, G)
 
 
 def symmetric_group(n):
