@@ -11,6 +11,7 @@ components of one coset over consecutive segments form a run
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Optional
 
@@ -23,8 +24,8 @@ class HComponent:
     """A maximal run of H_nu-labelled edges of one path.
 
     ``start``/``stop`` delimit the edge index range [start, stop) in the
-    owning path; endpoints and the X-length of the represented peripheral
-    element are precomputed.
+    owning path; endpoints are precomputed, and the X-length of the
+    represented peripheral element is computed when first read.
     """
 
     path: EdgePath
@@ -33,7 +34,10 @@ class HComponent:
     nu: int
     h_minus: object
     h_plus: object
-    x_length: int
+
+    @cached_property
+    def x_length(self) -> int:
+        return self.path.view.x_dist(self.h_minus, self.h_plus)
 
     def elem(self):
         G = self.path.view.group.base
@@ -47,7 +51,6 @@ def find_components(p: EdgePath) -> list[HComponent]:
     """Ordered maximal components; adjacent same-subgroup edges merge."""
     out: list[HComponent] = []
     verts = p.vertices
-    view = p.view
     i, n = 0, len(p.labels)
     while i < n:
         lab = p.labels[i]
@@ -58,17 +61,7 @@ def find_components(p: EdgePath) -> list[HComponent]:
         j = i + 1
         while j < n and p.labels[j][0] == "h" and p.labels[j][1] == nu:
             j += 1
-        out.append(
-            HComponent(
-                path=p,
-                start=i,
-                stop=j,
-                nu=nu,
-                h_minus=verts[i],
-                h_plus=verts[j],
-                x_length=view.x_dist(verts[i], verts[j]),
-            )
-        )
+        out.append(HComponent(p, i, j, nu, verts[i], verts[j]))
         i = j
     return out
 

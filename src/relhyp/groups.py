@@ -63,13 +63,15 @@ def bfs(start, letters, mul, radius=None, budget=None):
 
     Returns ``dist`` in discovery order: ``dist[w]`` is the least number of
     letters taking ``start`` to ``w``.  ``radius`` caps the depth (None:
-    until nothing new appears); BudgetExceededError is raised before element
-    ``budget + 1`` would be stored.
+    until nothing new appears); BudgetExceededError is raised as soon as
+    more than ``budget`` elements are stored.
     """
     limit = sys.maxsize if budget is None else budget
     if limit < 1:
         raise BudgetExceededError("search exceeded the %d-element budget" % limit)
     dist = {start: 0}
+    setdefault = dist.setdefault
+    n = 1
     frontier = [start]
     d = 0
     while frontier and (radius is None or d < radius):
@@ -78,12 +80,13 @@ def bfs(start, letters, mul, radius=None, budget=None):
         for v in frontier:
             for g in letters:
                 w = mul(v, g)
-                if w not in dist:
-                    if len(dist) >= limit:
+                setdefault(w, d)
+                if len(dist) > n:
+                    n += 1
+                    if n > limit:
                         raise BudgetExceededError(
                             "search exceeded the %d-element budget" % limit
                         )
-                    dist[w] = d
                     nxt.append(w)
         frontier = nxt
     return dist
@@ -208,8 +211,10 @@ class FreeGroup(GroupSpec):
             return b
         if not b:
             return a
-        i = len(a)
-        j = 0
+        if a[-1] != -b[0]:
+            return a + b
+        i = len(a) - 1
+        j = 1
         nb = len(b)
         while i > 0 and j < nb and a[i - 1] == -b[j]:
             i -= 1
@@ -557,6 +562,9 @@ class Amalgam(GroupSpec):
                         s, y = t, cross[s][y]
                     elif x in d_sets[t]:
                         out[-1] = (s, sides[s].mul(cross[t][x], y))
+                        continue
+                    elif len(d_sets[t]) == 1:  # trivial D: x is its own representative
+                        out.append((s, y))
                         continue
                     else:
                         rep, rem = self._coset_rep(t, x)

@@ -70,18 +70,24 @@ class TestFreeGroup:
             mul(a, a, fab_rel_a.group)
         assert mul(a, a, fab_rel_a.group.base) == w("a a", fab)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_normal_form_soundness(self, data, fab):
-        # word_to_elem(u v) == mul(word_to_elem(u), word_to_elem(v))
-        letters = st.lists(
+        # word_to_elem(u v) == mul(word_to_elem(u), word_to_elem(v)), through
+        # the junction test and the cancelling loop both
+        reduced = st.lists(
             st.sampled_from([1, -1, 2, -2]), min_size=0, max_size=12
+        ).map(reduce_letters_naive)
+        a = data.draw(reduced)
+        k = data.draw(st.integers(0, len(a)))
+        b = data.draw(
+            st.one_of(
+                reduced,  # empty, or cancelling at random
+                st.just(fab.inv(a)),  # full cancellation
+                reduced.map(lambda t: reduce_letters_naive(fab.inv(a[k:]) + t)),
+            )
         )
-        u = data.draw(letters)
-        v = data.draw(letters)
-        lhs = reduce_letters_naive(u + v)
-        rhs = fab.mul(reduce_letters_naive(u), reduce_letters_naive(v))
-        assert lhs == rhs
+        assert fab.mul(a, b) == reduce_letters_naive(a + b)
 
     def test_inverse_law_on_ball(self, fab):
         for g in build_ball(fab, 4).elements:
@@ -210,6 +216,23 @@ class TestAmalgam:
         C = cyclic_group(6, "c")
         with pytest.raises(ValueError):
             Amalgam(B, C, ((0, 0), (1, 3))).spot_check()  # b has order 4, c^3 order 2
+
+    def test_trivial_edge_group_stores_no_coset_reps(self):
+        # over D = {1} a syllable is its own coset representative
+        A = Amalgam(FreeAbelian(("x", "y")), cyclic_group(5, "c"), (((0, 0), 0),))
+        rng = random.Random(11)
+        g = A.identity()
+        for _ in range(2000):
+            if rng.random() < 0.5:
+                h = A.embed(0, (rng.randint(-9, 9), rng.randint(-9, 9)))
+            else:
+                h = A.embed(1, rng.randrange(5))
+            g = A.mul(g, h)
+        assert not A.__dict__.get("_memo__coset_rep")
+        # over a nontrivial D the same memo is filled
+        B = cyclic_amalgam(4, 6, 2)
+        B.mul(B.embed(0, 1), B.embed(1, 1))
+        assert B.__dict__.get("_memo__coset_rep")
 
 
 def cyclic_amalgam(m, n, d):
@@ -345,6 +368,13 @@ finite_with_gens = st.sampled_from(
     st.just(G), st.lists(st.integers(0, G.order - 1), min_size=1, max_size=3)))
 
 
+INFINITE_BALL_GROUPS = {
+    "F2": FreeGroup(("a", "b")),
+    "Z2": FreeAbelian(("x", "y")),
+    "Z2*Z": FreeProduct((FreeAbelian(("x", "y")), FreeAbelian(("t",)))),
+}
+
+
 class TestBreadthFirstKernel:
     """``groups.bfs`` through each of its callers, against set-product fixpoints."""
 
@@ -408,6 +438,22 @@ class TestBreadthFirstKernel:
             bfs(0, [1], C.mul, radius=0, budget=0)
         dist = bfs(0, [1, 11], C.mul, radius=2)
         assert dist == {0: 0, 1: 1, 11: 1, 2: 2, 10: 2}
+
+    @pytest.mark.parametrize("name", ["F2", "Z2", "Z2*Z"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_infinite_ball_order_and_budget(self, name, data):
+        # discovery order, and the budget met exactly at the ball's size
+        G = INFINITE_BALL_GROUPS[name]
+        letters = data.draw(st.permutations(G.letters()))
+        radius = data.draw(st.integers(0, 4))
+        dist, _ = reference_bfs_parents(G.identity(), letters, G.mul, radius)
+        got = bfs(G.identity(), letters, G.mul, radius)
+        assert list(got.items()) == list(dist.items())
+        full = bfs(G.identity(), letters, G.mul, radius, budget=len(dist))
+        assert list(full.items()) == list(dist.items())
+        with pytest.raises(BudgetExceededError):
+            bfs(G.identity(), letters, G.mul, radius, budget=len(dist) - 1)
 
     @settings(max_examples=150, deadline=None)
     @given(finite_with_gens, st.one_of(st.none(), st.integers(0, 3)))
