@@ -511,12 +511,15 @@ class Amalgam(GroupSpec):
     def in_d(self, side: int, x: Elem) -> bool:
         return x in self.d_sets()[side]
 
-    @per_instance
     def _coset_rep(self, side: int, x: Elem):
         """Canonical representative of the left coset xD plus its D-remainder."""
         fac = self._sides[side]
         rep = min((fac.mul(x, d) for d in self.d_sets()[side]), key=fac.sort_key)
         return rep, fac.mul(fac.inv(rep), x)
+
+    # Memoised over a finite factor only, whose order bounds the memo; over an
+    # infinite one each new syllable would add an entry for the group's life.
+    _finite_coset_rep = per_instance(_coset_rep)
 
     def spot_check(self):
         to_right, _ = self._edge_maps()
@@ -567,7 +570,10 @@ class Amalgam(GroupSpec):
                         out.append((s, y))
                         continue
                     else:
-                        rep, rem = self._coset_rep(t, x)
+                        if isinstance(sides[t], FiniteGroup):
+                            rep, rem = self._finite_coset_rep(t, x)
+                        else:
+                            rep, rem = self._coset_rep(t, x)
                         out[-1] = (t, rep)
                         out.append((s, sides[s].mul(cross[t][rem], y)))
                         continue
@@ -764,26 +770,26 @@ def word_to_elem(word: str, G: GroupSpec) -> Elem:
     """Parse a whitespace-separated word over the generators of ``G``.
 
     A letter is a generator symbol, optionally suffixed by ``^<int>`` (the
-    configuration format uses ``^-1``).  The empty word is the identity.
+    configuration format uses ``^-1``).  The token ``1`` and the empty word
+    are the identity.  Each distinct token is parsed and raised once.
     """
-    lookup = {}
-    for sym, g in G.generator_elems():
-        lookup[sym] = g
+    lookup = dict(G.generator_elems())
+    letters = {}
     out = G.identity()
     for token in word.split():
-        if token == "1":
-            continue
-        if "^" in token:
-            sym, _, exp = token.partition("^")
+        g = letters.get(token)
+        if g is None:
+            if token == "1":
+                continue
+            sym, hat, exp = token.partition("^")
             try:
-                n = int(exp)
+                n = int(exp) if hat else 1
             except ValueError:
                 raise FamilyMismatchError("bad exponent in letter %r" % token)
-        else:
-            sym, n = token, 1
-        if sym not in lookup:
-            raise FamilyMismatchError("unknown letter %r" % sym)
-        out = G.mul(out, G.pow(lookup[sym], n))
+            if sym not in lookup:
+                raise FamilyMismatchError("unknown letter %r" % sym)
+            g = letters[token] = G.pow(lookup[sym], n)
+        out = G.mul(out, g)
     return out
 
 

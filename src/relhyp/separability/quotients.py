@@ -8,12 +8,17 @@ Searches run up to simultaneous conjugacy.  Conjugation by c is an
 automorphism of S_n that carries every image and image subgroup along, so
 generator images c^-1 p_i c separate (or exceed a budget) exactly when the
 p_i do.  One search serves a batch of words: each candidate is tried once
-against every word still pending, and a candidate conjugate to a tried one,
-which failed for every word still pending, is skipped.  A word's first
-success in the search order never is, so certificates depend neither on the
-skip nor on the batch.  The minx harness separates all its short outsiders
-in one search and walks the ball's images under the block sum of the
-distinct quotients, which has the kernel of the block sum of them all.
+against every word still pending, and a candidate conjugate to a tried one
+is skipped.  The tried one decided some words, which left the batch, and
+failed for the rest, so a conjugate would fail for every word still
+pending: a word's first success in the search order is never skipped, and
+certificates depend neither on the skip nor on the batch.  Nor do the
+candidates depend on the words: an exhaustive stage tries the first
+assignment of each conjugacy orbit, in order, until nothing is pending.  So
+each stage's representatives are memoised once per process, drawn lazily as
+far as some search has read them.  The minx harness separates all its short
+outsiders in one search and walks the ball's images under the block sum of
+the distinct quotients, which has the kernel of the block sum of them all.
 """
 
 from __future__ import annotations
@@ -234,6 +239,49 @@ def _conjugacy_classes(n: int) -> tuple:
     return tuple(out)
 
 
+class _Lazy:
+    """The items of ``source``, drawn from it only as far as some reader has read."""
+
+    def __init__(self, source):
+        self.source, self.items = source, []
+
+    def __iter__(self):
+        items = self.items
+        for i in itertools.count():
+            if i == len(items):
+                try:
+                    items.append(next(self.source))
+                except StopIteration:
+                    return
+                except BaseException:  # the source is dead: rebuild every stage on demand
+                    _stage.cache_clear()
+                    raise
+            yield items[i]
+
+
+def _first_of_orbits(assignments, conjugators):
+    """The first assignment of each simultaneous-conjugacy orbit, in order, with
+    its signed images; an orbit is closed only when the next one is asked for."""
+    tried = set()
+    for images in assignments:
+        if images not in tried:
+            yield images, _signed_images(images)
+            tried |= _orbit(images, conjugators)
+
+
+@functools.lru_cache(maxsize=None)
+def _stage(rank: int, blocks: tuple, k: Optional[int] = None) -> _Lazy:
+    """The representatives an exhaustive stage tries, once per process: the
+    block sums of ``blocks`` or, for k, the assignments of S_n (blocks = (n,))
+    whose first image is that of the k-th conjugacy class."""
+    if k is None:
+        return _Lazy(_first_of_orbits(_assignments_blocks(rank, blocks), _conjugators(blocks)))
+    (n,) = blocks
+    pa, centraliser = _conjugacy_classes(n)[k]
+    rests = itertools.product(itertools.permutations(range(n)), repeat=rank - 1)
+    return _Lazy(_first_of_orbits(((pa,) + rest for rest in rests), centraliser))
+
+
 def _image_in_product(pg: Perm, closures, budget: int = 400_000):
     """Is pg in the setwise product of the image subgroups?
 
@@ -289,11 +337,13 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
     assignment of each simultaneous-conjugacy class, in lexicographic order:
     its first image is the first permutation of its cycle type, and its
     other images come first among their conjugates by the centraliser of
-    that image.  The block-sum stage skips assignments conjugate to a tried
-    one by a c permuting the blocks.  A tried assignment failed for every
-    word still pending, and a conjugate fails for each word exactly when it
-    does, so each entry is that of the word's own search through the full
-    order.
+    that image.  The block-sum stages try the first assignment of each class
+    under the c permuting the blocks.  A tried assignment failed for every
+    word still pending or decided it, and a conjugate fails for each word
+    exactly when it does, so each entry is that of the word's own search
+    through the full order.  Which assignments a stage tries depends on the
+    stage alone, never on the words or the target, so they come from the
+    process-wide memo ``_stage``, with their signed images.
     """
     G = target.group
     rank = G.rank
@@ -302,9 +352,8 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
     out: list = [None] * len(gs)
     pending = {i: _runs(g) for i, g in enumerate(gs)}
 
-    def candidate(images) -> None:
+    def candidate(images, signed) -> None:
         n = len(images[0])
-        signed = _signed_images(images)
         back = perm_inv(_image_runs(signed, n, g0_runs)) if g0_runs else None
         identity = perm_identity(n)
         probes = []
@@ -331,24 +380,18 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
             if out[i] is not None:
                 del pending[i]
 
-    def first(assignments, conjugators) -> None:
-        """Try assignments in order until none is pending, skipping conjugates of tried ones."""
-        tried = set()
-        for images in assignments:
-            if images in tried:
-                continue
-            candidate(images)
+    def first(stage) -> None:
+        """Try the stage's representatives in order until none is pending."""
+        for images, signed in stage:
+            candidate(images, signed)
             if not pending:
                 return
-            tried |= _orbit(images, conjugators)
 
     def scan(degrees) -> None:
         """Try every assignment in S_n, n in degrees, up to simultaneous conjugacy."""
         for n in degrees:
-            perms = list(itertools.permutations(range(n)))
-            for pa, centraliser in _conjugacy_classes(n):
-                first(((pa,) + rest for rest in itertools.product(perms, repeat=rank - 1)),
-                      centraliser)
+            for k in range(len(_conjugacy_classes(n))):
+                first(_stage(rank, (n,), k))
                 if not pending:
                     return
 
@@ -357,7 +400,7 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
     # (2, 2) block sums are degree-4 assignments, each conjugate to one tried above.
     for blocks in ((2, 3), (3, 3), (2, 2, 2)):
         if pending and sum(blocks) <= n_max:
-            first(_assignments_blocks(rank, blocks), _conjugators(blocks))
+            first(_stage(rank, blocks))
     if len(target.factors) == 1 and not target.g0:
         # checked by direct images, not by closing the image subgroup (which
         # can pass the closure budget): every factor generator fixes the
@@ -382,7 +425,7 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
                 p = pool[:]
                 rng.shuffle(p)
                 images.append(tuple(p))
-            candidate(images)
+            candidate(images, _signed_images(images))
     if rank == 2 and pending:
         scan(range(5, n_max + 1))
     return out

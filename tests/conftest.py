@@ -101,6 +101,32 @@ def reduce_letters_naive(letters):
     return tuple(out)
 
 
+def reference_word_to_elem(word: str, G):
+    """``groups.word_to_elem`` as it was before it read each distinct token
+    once: every token is parsed and raised again, then multiplied on."""
+    from relhyp import FamilyMismatchError
+
+    lookup = {}
+    for sym, g in G.generator_elems():
+        lookup[sym] = g
+    out = G.identity()
+    for token in word.split():
+        if token == "1":
+            continue
+        if "^" in token:
+            sym, _, exp = token.partition("^")
+            try:
+                n = int(exp)
+            except ValueError:
+                raise FamilyMismatchError("bad exponent in letter %r" % token)
+        else:
+            sym, n = token, 1
+        if sym not in lookup:
+            raise FamilyMismatchError("unknown letter %r" % sym)
+        out = G.mul(out, G.pow(lookup[sym], n))
+    return out
+
+
 def random_free_letters(rng: random.Random, rank: int, max_len: int):
     return [
         rng.choice([s * i for i in range(1, rank + 1) for s in (1, -1)])
@@ -507,6 +533,22 @@ def reference_find_separating_quotient(g, target, n_max=6, seed=0, random_tries=
                 if found:
                     return found
     return None
+
+
+def reference_first_of_orbits(assignments, conjugators):
+    """The candidates ``find_separating_quotients.first`` tried in one
+    exhaustive stage before the stages were memoised: each assignment not in
+    the simultaneous-conjugacy orbit of a tried one, in order, each orbit
+    closed by ``_orbit`` only once the next candidate is asked for (the
+    search stopped asking when nothing was pending)."""
+    from relhyp.separability import quotients
+
+    tried = set()
+    for images in assignments:
+        if images in tried:
+            continue
+        yield images
+        tried |= quotients._orbit(images, conjugators)
 
 
 def reference_minx_harness(Z, C, n_max=6, seed=0, check_radius=None):

@@ -31,6 +31,7 @@ from conftest import (
     reference_amalgam_normalize,
     reference_bfs_parents,
     reference_free_product_reduce,
+    reference_word_to_elem,
 )
 
 w = word_to_elem
@@ -233,6 +234,25 @@ class TestAmalgam:
         B = cyclic_amalgam(4, 6, 2)
         B.mul(B.embed(0, 1), B.embed(1, 1))
         assert B.__dict__.get("_memo__coset_rep")
+
+    def test_coset_memo_bounded_over_an_infinite_factor(self):
+        # (Z/2 * Z) *_{Z/2} Z/4: a representative over the infinite left
+        # factor is computed each time; only those over Z/4 are memoised
+        L = FreeProduct((cyclic_group(2, "s"), FreeGroup(("t",))))
+        (_, s), (_, t) = L.generator_elems()
+        A = Amalgam(L, cyclic_group(4, "c"), ((L.identity(), 0), (s, 2)))
+        A.spot_check()
+        rng = random.Random(5)
+        g = A.identity()
+        for _ in range(20000):
+            if rng.random() < 0.5:
+                x = L.pow(t, rng.randint(-5, 5))
+                h = A.embed(0, L.mul(x, s) if rng.random() < 0.5 else x)
+            else:
+                h = A.embed(1, rng.randrange(4))
+            g = A.mul(g, h)
+        assert len(g) > 1000
+        assert len(A.__dict__.get("_memo__coset_rep", {})) <= 4
 
 
 def cyclic_amalgam(m, n, d):
@@ -533,3 +553,30 @@ class TestPow:
         for _ in range(abs(n)):
             expected = G.mul(expected, step)
         assert G.pow(a, n) == expected
+
+
+class TestWordReader:
+    """``word_to_elem`` parses and raises each distinct token once; it reads
+    every word as the token-by-token reference does, errors included."""
+
+    @pytest.mark.parametrize("name", FAMILY_NAMES)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_token_loop(self, name, fab, z2, amalgam46, data):
+        G = _family(name, fab, z2, amalgam46)
+        syms = [s for s, _ in G.generator_elems()]
+        exps = st.sampled_from(["", "^0", "^1", "^-1", "^-3", "^2", "^37", "^-60"])
+        token = st.builds(str.__add__, st.sampled_from(syms), exps) | st.just("1")
+        pool = data.draw(st.lists(token, min_size=1, max_size=4))  # so tokens repeat
+        tokens = data.draw(st.lists(st.sampled_from(pool), max_size=12))
+        if data.draw(st.booleans()):
+            bad = data.draw(st.sampled_from(["q", "q^-1", "1^2", syms[0] + "^x", syms[0] + "^"]))
+            tokens.insert(data.draw(st.integers(0, len(tokens))), bad)
+
+        def outcome(read):
+            try:
+                return read(" ".join(tokens), G)
+            except FamilyMismatchError as e:
+                return "error: %s" % e
+
+        assert outcome(word_to_elem) == outcome(reference_word_to_elem)

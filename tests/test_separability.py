@@ -12,6 +12,7 @@ from conftest import (
     reference_assemble,
     reference_basis,
     reference_find_separating_quotient,
+    reference_first_of_orbits,
     reference_finite_index_in,
     reference_minx_harness,
     subgroups_equal,
@@ -41,9 +42,15 @@ from relhyp.separability import (
     subgroup_graph,
     verify_separation,
 )
+from relhyp.separability import quotients
 from relhyp.separability.quotients import (
     FiniteQuotient,
+    _assignments_blocks,
+    _conjugacy_classes,
+    _conjugators,
     _image_in_product,
+    _signed_images,
+    _stage,
     combine_quotients,
     find_separating_quotients,
     image_of_rational_subset,
@@ -556,6 +563,100 @@ class TestBatchedSearch:
         res = minx_quotient_harness(Z, 2, n_max=5)
         assert res.quotient is None and not res.verified
         assert res.caveats == ("separation search cap exhausted at 1",)
+
+
+def _stage_source(rank, blocks, k=None):
+    """(assignments, conjugators) of an exhaustive stage, in search order."""
+    if k is None:
+        return _assignments_blocks(rank, blocks), _conjugators(blocks)
+    (n,) = blocks
+    pa, centraliser = _conjugacy_classes(n)[k]
+    perms = list(itertools.permutations(range(n)))
+    return (((pa,) + rest for rest in itertools.product(perms, repeat=rank - 1)), centraliser)
+
+
+def _stage_keys(rank, n_max):
+    """Every stage that a search of the given rank reaches with this n_max."""
+    degrees = list(range(2, min(4, n_max) + 1))
+    if rank == 2:
+        degrees += range(5, n_max + 1)
+    keys = [(rank, (n,), k) for n in degrees for k in range(len(_conjugacy_classes(n)))]
+    return keys + [(rank, b, None) for b in ((2, 3), (3, 3), (2, 2, 2)) if sum(b) <= n_max]
+
+
+def _count_orbits(monkeypatch):
+    calls = []
+    orbit = quotients._orbit
+
+    def counting(images, conjugators):
+        calls.append(images)
+        return orbit(images, conjugators)
+
+    monkeypatch.setattr(quotients, "_orbit", counting)
+    return calls
+
+
+# g conjugates a^-60, trivial in every S_n with n <= 5: a separate-scan job
+SCAN_G, SCAN_FACTORS = "a b^-1 a^-60 b a^-1", ("b^-1 a^-1 b^-1", "b^-1 a^-1 b^-1")
+
+
+class TestStageMemo:
+    """Each exhaustive stage's representatives are read from one lazy
+    process-wide memo, which yields what the tried-set loop tried."""
+
+    @pytest.mark.parametrize("rank,n_max", [(2, 6), (3, 5)])
+    def test_memo_is_the_tried_set_loop(self, rank, n_max):
+        _stage.cache_clear()
+        for key in _stage_keys(rank, n_max):
+            stage = _stage(*key)
+            head = list(itertools.islice(iter(stage), 3))  # a partial read first
+            got = list(stage)
+            assert got[:3] == head
+            assert [images for images, _ in got] == list(
+                reference_first_of_orbits(*_stage_source(*key)))
+            assert all(signed == _signed_images(images) for images, signed in got)
+
+    def test_second_scan_search_closes_no_orbit(self, fab, monkeypatch):
+        target = RationalSubset(fab, (), tuple((w(f, fab),) for f in SCAN_FACTORS))
+        g = w(SCAN_G, fab)
+        assert find_separating_quotient(g, target, n_max=5) is None
+        calls = _count_orbits(monkeypatch)
+        assert find_separating_quotient(g, target, n_max=5) is None
+        assert calls == []
+
+    def test_cold_search_reads_only_what_it_needs(self, fab, monkeypatch):
+        # b a b^-1 meets <a> in every image in S_2 and is separated in S_3
+        target = RationalSubset(fab, (), ((w("a", fab),),))
+        g = w("b a b^-1", fab)
+        for n in (2, 3, 4):
+            _conjugacy_classes(n)
+        calls = _count_orbits(monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(quotients, "_stage", lambda *key: (
+                (images, _signed_images(images))
+                for images in reference_first_of_orbits(*_stage_source(*key))))
+            expected = find_separating_quotient(g, target, n_max=6)
+        parent_calls = len(calls)
+        del calls[:]
+        _stage.cache_clear()
+        q = find_separating_quotient(g, target, n_max=6)
+        assert (q.degree, q.gen_images) == (expected.degree, expected.gen_images)
+        assert q.degree == 3
+        assert len(calls) <= parent_calls
+        # only the stages of S_2 and S_3 are built: none of S_4, S_5 or the block sums
+        assert _stage.cache_info().currsize <= len(_conjugacy_classes(2)) + len(_conjugacy_classes(3))
+
+    def test_dead_source_is_rebuilt(self, monkeypatch):
+        # an exception inside a stage's source drops the memo: no stage is left cut short
+        key = (2, (3,), 0)
+        _conjugacy_classes(3)
+        _stage.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(quotients, "_orbit", mock.Mock(side_effect=KeyboardInterrupt))
+            with pytest.raises(KeyboardInterrupt):
+                list(_stage(*key))
+        assert [images for images, _ in _stage(*key)] == list(
+            reference_first_of_orbits(*_stage_source(*key)))
 
 
 class TestProductMember:
