@@ -17,8 +17,9 @@ candidates depend on the words: an exhaustive stage tries the first
 assignment of each conjugacy orbit, in order, until nothing is pending.  So
 each stage's representatives are memoised once per process, drawn lazily as
 far as some search has read them.  The minx harness separates all its short
-outsiders in one search and walks the ball's images under the block sum of
-the distinct quotients, which has the kernel of the block sum of them all.
+outsiders in one search, then finds the least word of ZN \\ Z by one product
+search of Z's automaton with the images under the block sum of the distinct
+quotients, which has the kernel of the block sum of them all.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..cayley import build_ball
+from ..cayley import DEFAULT_VERTEX_BUDGET, build_ball
 from ..errors import BudgetExceededError, InTargetError, UnsupportedFamilyError
 from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec, bfs, bfs_tree, per_instance
-from .rational import RationalSubset
+from .rational import RationalSubset, least_word
 from .stallings import StallingsGraph
 
 Perm = tuple
@@ -149,8 +150,13 @@ class FiniteQuotient:
                     if table[self.domain.mul(a, b)] != perm_mul(table[a], table[b]):
                         raise ValueError("images do not respect the table")
 
-    def subgroup_image(self, gens: Sequence[Elem]) -> frozenset:
-        return subgroup_closure([self.image_of(g) for g in gens], self.degree)
+    @per_instance
+    def _rational_image(self, g0: Elem, factors: tuple) -> frozenset:
+        """The image of g0 * <factors[0]> ... <factors[-1]>, once per instance."""
+        parts = [frozenset([self.image_of(g0)])] if g0 else []
+        parts += [subgroup_closure([self.image_of(g) for g in gens], self.degree)
+                  for gens in factors]
+        return product_set(parts or [frozenset([perm_identity(self.degree)])])
 
     @per_instance
     def _image_index_map(self) -> dict:
@@ -169,17 +175,31 @@ class FiniteQuotient:
 
 
 def image_of_rational_subset(q: FiniteQuotient, Z: RationalSubset) -> frozenset:
-    parts = [frozenset([q.image_of(Z.g0)])] if Z.g0 else []
-    for gens in Z.factors:
-        parts.append(q.subgroup_image(gens))
-    if not parts:
-        parts = [frozenset([perm_identity(q.degree)])]
-    return product_set(parts)
+    return q._rational_image(Z.g0, Z.factors)
 
 
 def verify_separation(q: FiniteQuotient, g: Elem, Z: RationalSubset) -> bool:
-    """Independent re-verification: compute images from scratch."""
+    """Independent re-check from the quotient's own images, not the search's."""
     return q.image_of(g) not in image_of_rational_subset(q, Z)
+
+
+@dataclass(frozen=True)
+class _ImageAction:
+    """A quotient's images as an automaton that steps (``least_word``): a
+    word's state is its image, accepted when it lies in ``accepting``."""
+
+    signed: dict
+    degree: int
+    accepting: frozenset
+
+    def start(self) -> Perm:
+        return perm_identity(self.degree)
+
+    def step(self, p: Perm, x: int) -> Perm:
+        return perm_mul(p, self.signed[x])
+
+    def accepts(self, p: Perm) -> bool:
+        return p in self.accepting
 
 
 def _completion_quotient(G: FreeGroup, graph: StallingsGraph, g: Elem) -> FiniteQuotient:
@@ -370,11 +390,12 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
                         for gens in factor_runs]
         except BudgetExceededError as e:
             closures = e  # the outcome of every word that reached the closures
+        q = None
         for i, probe in probes:
             if isinstance(closures, BudgetExceededError):
                 out[i] = closures
             elif _image_in_product(probe, closures) is False:
-                q = FiniteQuotient(G, n, tuple(images))
+                q = q or FiniteQuotient(G, n, tuple(images))
                 if verify_separation(q, gs[i], target):
                     out[i] = q
             if out[i] is not None:
@@ -475,17 +496,18 @@ def minx_quotient_harness(
     """Find a quotient whose kernel N satisfies minx(ZN \\ Z) >= C.
 
     Every element shorter than C outside Z gets a separating quotient; the
-    block sum of those quotients has the required kernel.  Membership in ZN
-    is decided through images, and the bound is re-verified on the ball of
-    radius C + 2, of at most ``budget`` vertices (None: the default vertex
-    budget of ``build_ball``).
+    block sum of those quotients has the required kernel.  The bound is
+    re-verified up to radius C + 2 by one product search of Z's automaton
+    with the images (``least_word``): its first word whose image lies in the
+    image of Z and which Z rejects is the least element of ZN \\ Z.  The
+    outsider ball (radius C - 1) has at most ``budget`` vertices and the
+    search stores at most ``budget`` states (None: DEFAULT_VERTEX_BUDGET).
     """
     G = Z.group
     radius = C + 2
-    ball = build_ball(G, max(radius, 0), budget)
-    # level order: the elements shorter than C come first
-    outsiders = [u for u in itertools.takewhile(lambda u: len(u) < C, ball.elements)
-                 if not Z.contains(u)]
+    budget = DEFAULT_VERTEX_BUDGET if budget is None else budget
+    ball = build_ball(G, max(C - 1, 0), budget)
+    outsiders = [u for u in ball.elements if len(u) < C and not Z.contains(u)]
     parts = find_separating_quotients(outsiders, Z, n_max=n_max, seed=seed)
     for u, q in zip(outsiders, parts):
         if q is None:
@@ -499,17 +521,9 @@ def minx_quotient_harness(
     # a repeated block leaves N, and so ZN, unchanged: the check runs on the
     # block sum of the distinct parts, a fraction of the degree.
     distinct = combine_quotients(G, list(dict.fromkeys(parts)))
-    z_image = image_of_rational_subset(distinct, Z)
-    achieved = math.inf
-    signed = _signed_images(distinct.gen_images)
-    image = {}
-    for g in ball.elements:
-        # build_ball lists every reduced word after its prefix g[:-1]; only
-        # words inside the radius are kept, as prefixes of words to come
-        pg = perm_mul(image[g[:-1]], signed[g[-1]]) if g else perm_identity(distinct.degree)
-        if ball.dist[g] < radius:
-            image[g] = pg
-        if pg in z_image and not Z.contains(g):
-            achieved = min(achieved, len(g))
+    images = _ImageAction(_signed_images(distinct.gen_images), distinct.degree,
+                          image_of_rational_subset(distinct, Z))
+    least = least_word(G, images, Z.nfa, max(radius, 0), budget)
+    achieved = math.inf if least is None else len(least)
     caveat = "ZN membership checked through images on the radius-%d ball" % radius
     return MinxHarnessResult(combined, achieved, achieved >= C, (caveat,))

@@ -7,7 +7,8 @@ states are epsilon-connected.  After saturation the automaton accepts every
 reduced word of the subset, so membership of an element is a single
 simulation of its normal form, and a least element of a Boolean
 combination of two subsets is a breadth-first search over their product
-(``least_word``).
+(``least_word``, which takes any two automata that step, such as a subset's
+automaton and a finite quotient's permutation images).
 """
 
 from __future__ import annotations
@@ -28,6 +29,19 @@ class NFA:
     initial: frozenset
     finals: frozenset
     eps: list  # list of sets, closed reachability (reflexive)
+
+    def start(self) -> frozenset:
+        return frozenset().union(*(self.eps[q] for q in self.initial))
+
+    def step(self, cur, x) -> frozenset:
+        nxt: set = set()
+        for q in cur:
+            for m in self.trans[q].get(x, ()):
+                nxt |= self.eps[m]
+        return frozenset(nxt)
+
+    def accepts(self, cur) -> bool:
+        return not self.finals.isdisjoint(cur)
 
 
 def build_chain_nfa(g0: Elem, graphs: Sequence[StallingsGraph]) -> NFA:
@@ -81,34 +95,10 @@ def saturate(nfa: NFA) -> NFA:
     return nfa
 
 
-def _start(nfa: NFA) -> frozenset:
-    cur: set = set()
-    for q in nfa.initial:
-        cur |= nfa.eps[q]
-    return frozenset(cur)
-
-
-def _step(nfa: NFA, cur, x) -> set:
-    nxt: set = set()
-    for q in cur:
-        for m in nfa.trans[q].get(x, ()):
-            nxt |= nfa.eps[m]
-    return nxt
-
-
-def accepts_reduced(nfa: NFA, word: Elem) -> bool:
-    cur = _start(nfa)
-    for x in word:
-        cur = _step(nfa, cur, x)
-        if not cur:
-            return False
-    return not nfa.finals.isdisjoint(cur)
-
-
 def least_word(
     G: FreeGroup,
-    inside: NFA,
-    outside: NFA,
+    inside,
+    outside,
     radius: Optional[int] = None,
     budget: Optional[int] = None,
     symmetric: bool = False,
@@ -118,19 +108,25 @@ def least_word(
     (``symmetric``: that exactly one of them accepts), or None.  Shortlex is
     by length, then letter by letter in ``G.letters()`` order.
 
-    Breadth-first search over product states (last letter, inside state
-    set, outside state set), the sets built lazily by subset construction;
-    the last letter keeps every word reduced.  Letters are expanded in
-    ``G.letters()`` order and a state is kept only when first found, so the
-    words reach the states in shortlex order.  A word whose state was found
-    before by a word u is dropped: every extension of it is accepted exactly
-    when the same extension of u is, and that one comes first.  A word no
-    extension of which can be accepted (an empty inside set, or both sets
-    empty when ``symmetric``) is dropped too.  So the first accepted word
-    found is the least.  ``build_ball``'s level order on a free group is
-    this shortlex order, so the word is also the first accepted element of
-    the radius ball.  The search keeps its own level loop, not
-    ``groups.bfs``, because it stops at the first hit.
+    Both are automata that step: ``start()`` is the empty word's state,
+    ``step(state, x)`` the state after the letter x, and ``accepts(state)``
+    whether a word ending there is accepted.  States are hashable, and an
+    empty one accepts no extension.  An ``NFA`` steps by subset construction,
+    a quotient's images (``quotients._ImageAction``) by permutation.
+
+    Breadth-first search over product states (last letter, inside state,
+    outside state), each step computed once per search; the last letter
+    keeps every word reduced.  Letters are expanded in ``G.letters()`` order
+    and a state is kept only when first found, so the words reach the
+    states in shortlex order.  A word whose state was found before by a word
+    u is dropped: every extension of it is accepted exactly when the same
+    extension of u is, and that one comes first.  A word no extension of
+    which can be accepted (an empty inside state, or both empty when
+    ``symmetric``) is dropped too.  So the first accepted word found is the
+    least.  ``build_ball``'s level order on a free group is this shortlex
+    order, so the word is also the first accepted element of the radius
+    ball.  The search keeps its own level loop, not ``groups.bfs``, because
+    it stops at the first hit.
 
     At most ``budget`` product states are stored (None: no cap); the search
     raises BudgetExceededError past it.  With the depth cap they are never
@@ -144,19 +140,18 @@ def least_word(
     moves_in: dict = {}
     moves_out: dict = {}
 
-    def move(nfa, moves, cur, x):
+    def move(aut, moves, cur, x):
         key = (cur, x)
         nxt = moves.get(key)
         if nxt is None:
-            nxt = moves[key] = frozenset(_step(nfa, cur, x))
+            nxt = moves[key] = aut.step(cur, x)
         return nxt
 
     def hit(a, b) -> bool:
-        a = not inside.finals.isdisjoint(a)
-        b = not outside.finals.isdisjoint(b)
+        a, b = inside.accepts(a), outside.accepts(b)
         return a != b if symmetric else a and not b
 
-    a0, b0 = _start(inside), _start(outside)
+    a0, b0 = inside.start(), outside.start()
     if hit(a0, b0):
         return ()
     seen = {(0, a0, b0)}
@@ -208,7 +203,12 @@ class RationalSubset:
         self.nfa = saturate(build_chain_nfa(self.g0, self.graphs))
 
     def contains(self, g: Elem) -> bool:
-        return accepts_reduced(self.nfa, g)
+        cur = self.nfa.start()
+        for x in g:
+            cur = self.nfa.step(cur, x)
+            if not cur:
+                return False
+        return self.nfa.accepts(cur)
 
     def symbolic(self) -> str:
         parts = []

@@ -583,6 +583,24 @@ def reference_minx_harness(Z, C, n_max=6, seed=0, check_radius=None):
     return (degree, tuple(images)), achieved, achieved >= C
 
 
+def reference_image_walk(G, images, degree, accepting, Z, radius):
+    """The first element of the radius ball, in ``build_ball``'s level order,
+    whose image lies in ``accepting`` and which Z rejects, or None: the ball
+    walk that ``minx_quotient_harness`` made before its product search.  Each
+    image is one letter's permutation composed onto its prefix's image, as
+    ``build_ball`` lists every reduced word after its prefix."""
+    signed = {}
+    for i, p in enumerate(images, 1):
+        signed[i], signed[-i] = p, tuple(p.index(j) for j in range(degree))
+    image = {(): tuple(range(degree))}
+    for g in build_ball(G, radius).elements:
+        if g:
+            image[g] = _compose(image[g[:-1]], signed[g[-1]])
+        if image[g] in accepting and not Z.contains(g):
+            return g
+    return None
+
+
 def reference_bfs_parents(start, letters, mul, radius=None):
     """``groups.bfs`` as it was when it built the parent map itself, without
     the budget: ``(dist, parent)``, both in discovery order, ``parent[w]``

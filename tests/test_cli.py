@@ -349,12 +349,28 @@ class TestMainExitCodes:
         assert json.loads(out.read_text())["verdict"]["delta"] == 0
 
     def test_budget_bounds_minx_harness_ball(self, tmp_path, capsys):
-        # C = 2 checks the radius-4 ball of F2: 161 vertices
+        # C = 2: the outsiders come from the radius-1 ball of F2 (5 vertices),
+        # and the product search that re-checks the bound to radius 4 stores
+        # 6 states, the start included, up to its first hit
         cfg = self._write(tmp_path, FAB_REL_A)
         argv = ["--config", cfg, "--command", "minx-harness"]
         assert main(argv + ["--budget", "5"]) == EXIT_BUDGET
         assert "budget" in capsys.readouterr().err
         assert main(argv) == EXIT_OK
+
+    def test_budget_bounds_minx_harness_search(self, tmp_path, capsys):
+        # the budget bounds both: 4 stops the outsider ball, 5 admits it but
+        # stops the search, and 6 admits both and changes nothing
+        cfg = self._write(tmp_path, FAB_REL_A)
+        argv = ["--config", cfg, "--command", "minx-harness"]
+        assert main(argv + ["--budget", "4"]) == EXIT_BUDGET
+        assert "4-element budget" in capsys.readouterr().err
+        assert main(argv + ["--budget", "5"]) == EXIT_BUDGET
+        assert "5-state budget" in capsys.readouterr().err
+        plain, bounded = tmp_path / "plain.jsonl", tmp_path / "bounded.jsonl"
+        assert main(argv + ["--out", str(plain)]) == EXIT_OK
+        assert main(argv + ["--budget", "6", "--out", str(bounded)]) == EXIT_OK
+        assert bounded.read_bytes() == plain.read_bytes()
 
     def test_budget_bounds_check_conditions_balls(self, tmp_path, capsys):
         # no check enumerates a ball: the budget caps the walks of folded

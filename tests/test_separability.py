@@ -14,10 +14,11 @@ from conftest import (
     reference_find_separating_quotient,
     reference_first_of_orbits,
     reference_finite_index_in,
+    reference_image_walk,
     reference_minx_harness,
     subgroups_equal,
 )
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from relhyp import DIncompatibleError, FreeGroup, cyclic_group, word_to_elem
@@ -33,6 +34,7 @@ from relhyp.separability import (
     finite_index_in,
     induced_quotient,
     lattice_contains,
+    least_word,
     member,
     membership_oracle,
     minx_quotient_harness,
@@ -45,6 +47,7 @@ from relhyp.separability import (
 from relhyp.separability import quotients
 from relhyp.separability.quotients import (
     FiniteQuotient,
+    _ImageAction,
     _assignments_blocks,
     _conjugacy_classes,
     _conjugators,
@@ -799,9 +802,9 @@ class TestMinxHarness:
         assert res.achieved_min == float("inf")
 
     def test_each_short_outsider_decided_once(self, fab):
-        # the search's own guard decides each element shorter than C; the
-        # re-verification scan decides again only those whose image lies in
-        # the image of Z (here the 5 short members of Z, among 65 in all)
+        # contains decides each of the 17 elements of the radius-(C - 1) ball
+        # once; the product search that re-verifies the bound reads Z's
+        # automaton itself and decides nothing through contains
         Z = RationalSubset(fab, (), ((w("a a", fab), w("b b", fab)),))
         decided = []
         contains = RationalSubset.contains
@@ -810,13 +813,15 @@ class TestMinxHarness:
             decided.append(g)
             return contains(self, g)
 
-        with mock.patch.object(RationalSubset, "contains", counted):
+        with mock.patch.object(RationalSubset, "contains", counted), \
+                mock.patch.object(quotients, "build_ball", wraps=build_ball) as ball:
             res = minx_quotient_harness(Z, 3)
         assert res.verified
+        assert [call.args[1] for call in ball.call_args_list] == [2]
         outsiders = [g for g in build_ball(fab, 2).elements if not Z.contains(g)]
         assert len(outsiders) == 12
         assert all(decided.count(g) == 1 for g in outsiders)
-        assert len(decided) == 82
+        assert len(decided) == 17
 
     def test_distinct_blocks_pinned_case(self, fab):
         # the pinned minx-harness-4 job: the reported quotient is the block
@@ -845,14 +850,35 @@ class TestMinxHarness:
     @given(
         factors=st.lists(_run_word(2, 2, 2).map(reduce_letters_naive).filter(bool),
                          min_size=1, max_size=2),
-        C=st.integers(1, 3),
+        C=st.integers(1, 4),
         n_max=st.integers(4, 5),
     )
+    @example(factors=[(-1, -1), (-2, -2)], C=4, n_max=5)  # the minx-harness-4 shape
     def test_matches_per_element_reference(self, fab, factors, C, n_max):
         Z = RationalSubset(fab, (), tuple((f,) for f in factors))
         res = minx_quotient_harness(Z, C, n_max=n_max)
         got = None if res.quotient is None else (res.quotient.degree, res.quotient.gen_images)
         assert (got, res.achieved_min, res.verified) == reference_minx_harness(Z, C, n_max)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        degree=st.integers(1, 6),
+        factors=st.lists(st.lists(_run_word(2, 2, 2).map(reduce_letters_naive).filter(bool),
+                                  min_size=1, max_size=2).map(tuple), max_size=2),
+        radius=st.integers(0, 5),
+    )
+    def test_least_word_on_images_is_the_first_hit_of_the_walk(
+        self, fab, data, degree, factors, radius
+    ):
+        # the harness's search: images of random generators, accepted in the
+        # image of a random Z (of {1} when Z has no factor), Z rejecting
+        images = tuple(tuple(data.draw(st.permutations(range(degree)))) for _ in range(2))
+        Z = RationalSubset(fab, (), tuple(factors))
+        accepting = image_of_rational_subset(FiniteQuotient(fab, degree, images), Z)
+        action = _ImageAction(_signed_images(images), degree, accepting)
+        assert least_word(fab, action, Z.nfa, radius) == reference_image_walk(
+            fab, images, degree, accepting, Z, radius)
 
 
 class TestAmalgamOps:
