@@ -1,7 +1,7 @@
 """Batch front end: structured-text configs in, JSON-lines reports out.
 
 One report object per line: {command, inputs, verdict, witness, caveats,
-timing}.  Reports are byte-identical for identical (config, seed); timing is
+timing}.  Reports are byte-identical for identical config; timing is
 null unless RELHYP_TIMING=1.  Exit codes: 0 success, 2 check failed with
 witness, 3 budget exceeded, 4 schema violation, 5 unsupported family.
 """
@@ -321,7 +321,7 @@ _BASE_FAMILY = {
 }
 
 
-def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
+def run(cfg: dict, command: str, reporter: Reporter,
         budget: Optional[int] = None, radius: Optional[int] = None) -> None:
     """Execute one named check against a parsed configuration."""
     group = build_group(cfg)
@@ -482,7 +482,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         target = RationalSubset(G, (), _factor_gens(cfg, G)[1])
         cap = _int_param(cfg, "cap", default=6)
         try:
-            q = find_separating_quotient(g, target, n_max=cap, seed=seed)
+            q = find_separating_quotient(g, target, n_max=cap, budget=budget)
         except InTargetError:
             reporter.any_failed = True
             reporter.emit(command, inputs, "in-target", witness=G.elem_str(g),
@@ -496,7 +496,7 @@ def run(cfg: dict, command: str, reporter: Reporter, seed: int = 0,
         Z = RationalSubset(G, (), _factor_gens(cfg, G)[1])
         C = _int_param(cfg, "C")
         cap = _int_param(cfg, "cap", default=6)
-        res = minx_quotient_harness(Z, C, n_max=cap, seed=seed, budget=budget)
+        res = minx_quotient_harness(Z, C, n_max=cap, budget=budget)
         reporter.emit(
             command,
             {"C": C, "Z": Z.symbolic()},
@@ -582,7 +582,8 @@ _PARSER = argparse.ArgumentParser(
 )
 _PARSER.add_argument("--config", required=True, help="path to a run configuration")
 _PARSER.add_argument("--command", required=True)
-_PARSER.add_argument("--seed", type=int, default=0)
+# every search is deterministic: --seed is accepted for old command lines and ignored
+_PARSER.add_argument("--seed", type=int, default=0, help="accepted and ignored")
 _PARSER.add_argument("--budget", type=int, default=None)
 _PARSER.add_argument("--radius", type=int, default=None)
 _PARSER.add_argument("--out", default=None, help="report destination (default stdout)")
@@ -611,7 +612,7 @@ def main(argv=None) -> int:
     out = io.StringIO() if args.out else sys.stdout
     reporter = Reporter(out, timing_enabled=os.environ.get("RELHYP_TIMING") == "1")
     try:
-        run(cfg, args.command, reporter, seed=args.seed, budget=budget, radius=args.radius)
+        run(cfg, args.command, reporter, budget=budget, radius=args.radius)
     except SchemaError as e:
         print("schema error: %s" % e, file=sys.stderr)
         return EXIT_SCHEMA

@@ -2,7 +2,8 @@
 
 A certificate is a homomorphism to a symmetric group, given by generator
 images in one-line notation.  Every search re-verifies its candidate by
-direct image computation before returning it.
+direct image computation before returning it.  The search is exhaustive up
+to its degree cap at every rank, and a budget bounds the candidates it tries.
 
 Searches run up to simultaneous conjugacy.  Conjugation by c is an
 automorphism of S_n that carries every image and image subgroup along, so
@@ -27,7 +28,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -231,32 +231,37 @@ def _completion_quotient(G: FreeGroup, graph: StallingsGraph, g: Elem) -> Finite
     return FiniteQuotient(G, n, tuple(images))
 
 
-def _orbit(images: tuple, conjugators) -> set:
-    """The simultaneous conjugates c^-1 images c, for c given as pairs (c, c^-1)."""
-    return {tuple([tuple([c[p[j]] for j in ci]) for p in images]) for c, ci in conjugators}
+def _orbit(p: Perm, conjugators) -> set:
+    """The conjugates c^-1 p c, for c given as pairs (c, c^-1)."""
+    return {tuple([c[p[j]] for j in ci]) for c, ci in conjugators}
 
 
 @functools.lru_cache(maxsize=None)
-def _conjugators(blocks: tuple) -> tuple:
-    """Pairs (c, c^-1) for the c in S_n that map blocks of points onto blocks
-    (memoised, like the classes below: every search asks for the same few)."""
-    blk = [k for k, b in enumerate(blocks) for _ in range(b)]
-    return tuple((c, perm_inv(c)) for c in itertools.permutations(range(len(blk)))
-                 if len({(blk[i], blk[x]) for i, x in enumerate(c)}) == len(blocks))
+def _conjugators(n: int) -> tuple:
+    """Pairs (c, c^-1) for the c in S_n, once per process."""
+    return tuple((c, perm_inv(c)) for c in itertools.permutations(range(n)))
 
 
-@functools.lru_cache(maxsize=None)
-def _conjugacy_classes(n: int) -> tuple:
-    """(p, pairs (c, c^-1) for the c centralising p) for the lexicographically
-    first permutation p of each conjugacy class of S_n, in order.  (p, *rest)
-    and (p, *c^-1 rest c) are simultaneously conjugate when c centralises p."""
-    pairs, seen, out = _conjugators((n,)), set(), []
-    for p, _ in pairs:
-        if (p,) not in seen:
-            seen |= _orbit((p,), pairs)
-            out.append((p, tuple((c, ci) for c, ci in pairs
-                                 if all(c[p[i]] == p[x] for i, x in enumerate(c)))))
-    return tuple(out)
+def _centraliser(p: Perm, conjugators) -> tuple:
+    """The pairs (c, c^-1) of ``conjugators`` whose c commutes with p."""
+    return tuple((c, ci) for c, ci in conjugators
+                 if all(c[p[i]] == p[x] for i, x in enumerate(c)))
+
+
+def _firsts(rank: int, n: int, conjugators):
+    """The first ``rank``-tuple of permutations of n points in each orbit under
+    simultaneous conjugation by the group ``conjugators``, in lexicographic
+    order: its first entry p is first in p's orbit, and its rest is first
+    under the centraliser of p.  Each level holds a set of permutations only."""
+    if not rank:
+        yield ()
+        return
+    seen = set()
+    for p in itertools.permutations(range(n)):
+        if p not in seen:
+            for rest in _firsts(rank - 1, n, _centraliser(p, conjugators) if rank > 1 else ()):
+                yield (p,) + rest
+            seen |= _orbit(p, conjugators)  # closed only once the next is asked for
 
 
 class _Lazy:
@@ -279,27 +284,32 @@ class _Lazy:
             yield items[i]
 
 
-def _first_of_orbits(assignments, conjugators):
-    """The first assignment of each simultaneous-conjugacy orbit, in order, with
-    its signed images; an orbit is closed only when the next one is asked for."""
-    tried = set()
-    for images in assignments:
-        if images not in tried:
-            yield images, _signed_images(images)
-            tried |= _orbit(images, conjugators)
+def _block_sums(rank: int, blocks: tuple):
+    """The first block sum in each orbit under the c mapping blocks onto
+    blocks, in lexicographic order.  Such a c conjugates each block's images
+    and swaps blocks of equal size (adjacent here), so a first block sum has
+    first images on each block, in nondecreasing order across equal sizes.
+    Block k moves the points from the sum of the earlier sizes on."""
+    runs = [itertools.combinations_with_replacement(list(_firsts(rank, b, _conjugators(b))),
+                                                    len(list(run)))
+            for b, run in itertools.groupby(blocks)]
+    offsets = list(itertools.accumulate(blocks[:-1], initial=0))
+    for combo in itertools.product(*runs):
+        parts = [[tuple(v + o for v in p) for p in images]
+                 for images, o in zip(itertools.chain(*combo), offsets)]
+        yield tuple(sum(ps, ()) for ps in zip(*parts))
 
 
 @functools.lru_cache(maxsize=None)
-def _stage(rank: int, blocks: tuple, k: Optional[int] = None) -> _Lazy:
-    """The representatives an exhaustive stage tries, once per process: the
-    block sums of ``blocks`` or, for k, the assignments of S_n (blocks = (n,))
-    whose first image is that of the k-th conjugacy class."""
-    if k is None:
-        return _Lazy(_first_of_orbits(_assignments_blocks(rank, blocks), _conjugators(blocks)))
-    (n,) = blocks
-    pa, centraliser = _conjugacy_classes(n)[k]
-    rests = itertools.product(itertools.permutations(range(n)), repeat=rank - 1)
-    return _Lazy(_first_of_orbits(((pa,) + rest for rest in rests), centraliser))
+def _stage(rank: int, blocks: tuple) -> _Lazy:
+    """The representatives an exhaustive stage tries, with their signed
+    images, once per process: the assignments of S_n for blocks = (n,), else
+    the block sums of ``blocks``, the first of each conjugacy orbit."""
+    if len(blocks) == 1:
+        assignments = _firsts(rank, blocks[0], _conjugators(blocks[0]))
+    else:
+        assignments = _block_sums(rank, blocks)
+    return _Lazy((images, _signed_images(images)) for images in assignments)
 
 
 def _image_in_product(pg: Perm, closures, budget: int = 400_000):
@@ -330,35 +340,30 @@ def _image_in_product(pg: Perm, closures, budget: int = 400_000):
         mids = {perm_mul(x, m) for m in mids for x in h}
 
 
-def _assignments_blocks(rank: int, blocks: Sequence[int]):
-    # block k moves the points from the sum of the earlier sizes on
-    offsets = itertools.accumulate(blocks[:-1], initial=0)
-    pools = [[tuple(v + o for v in p) for p in itertools.permutations(range(b))]
-             for b, o in zip(blocks, offsets)]
-    for combo in itertools.product(*[itertools.product(pool, repeat=rank) for pool in pools]):
-        yield tuple(sum(imgs, ()) for imgs in zip(*combo))
+# Candidates one separating search may try: a pinned job tries at most 263, a
+# rank-3 search at cap 5 at most 15,851 (README, --budget).
+DEFAULT_CANDIDATE_BUDGET = 50_000
 
 
 def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max: int = 6,
-                              seed: int = 0, random_tries: int = 200) -> list:
+                              budget: Optional[int] = None) -> list:
     """One search for all of ``gs``, none of them in the target.  Entry i is
     the first quotient of the search order in which the image of gs[i]
     avoids the image of the target, None when the search cap is exhausted,
-    or the BudgetExceededError of the first candidate whose factor images
-    pass the closure budget while gs[i] is pending.
+    or a BudgetExceededError: that of the first candidate whose factor
+    images pass the closure budget while gs[i] is pending, or the search's
+    own when gs[i] is still pending after ``budget`` candidates (None:
+    DEFAULT_CANDIDATE_BUDGET).
 
     Search order: exhaustive images in S_2..S_4, block sums filling up to
     n_max points, the basepoint-stabiliser completion for single subgroups,
-    seeded random images, and finally (rank 2) an exhaustive scan of S_5 and
-    S_6, which decides degrees <= n_max outright apart from budget-skipped
-    three-factor candidates.  Each assignment is tried once, with its factor
-    images closed once, against every word still pending; a word leaves when
-    it is decided.  The exhaustive stages try the lexicographically first
-    assignment of each simultaneous-conjugacy class, in lexicographic order:
-    its first image is the first permutation of its cycle type, and its
-    other images come first among their conjugates by the centraliser of
-    that image.  The block-sum stages try the first assignment of each class
-    under the c permuting the blocks.  A tried assignment failed for every
+    and finally an exhaustive scan of S_5 and S_6, which decides degrees
+    <= n_max outright apart from budget-skipped three-factor candidates.
+    Each assignment is tried once, with its factor images closed once,
+    against every word still pending; a word leaves when it is decided.
+    Every stage tries the lexicographically first assignment of each
+    simultaneous-conjugacy class (under the c permuting the blocks, for a
+    block sum), in lexicographic order.  A tried assignment failed for every
     word still pending or decided it, and a conjugate fails for each word
     exactly when it does, so each entry is that of the word's own search
     through the full order.  Which assignments a stage tries depends on the
@@ -371,6 +376,8 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
     factor_runs = [[_runs(x) for x in gens] for gens in target.factors]
     out: list = [None] * len(gs)
     pending = {i: _runs(g) for i, g in enumerate(gs)}
+    budget = DEFAULT_CANDIDATE_BUDGET if budget is None else budget
+    tried = itertools.count(1)
 
     def candidate(images, signed) -> None:
         n = len(images[0])
@@ -402,24 +409,21 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
                 del pending[i]
 
     def first(stage) -> None:
-        """Try the stage's representatives in order until none is pending."""
+        """Try the stage's representatives in order until none is pending;
+        past the budget, every word still pending is over it."""
         for images, signed in stage:
+            if next(tried) > budget:
+                over = BudgetExceededError("search passed its %d-candidate budget" % budget)
+                for i in pending:
+                    out[i] = over
+                pending.clear()
+                return
             candidate(images, signed)
             if not pending:
                 return
 
-    def scan(degrees) -> None:
-        """Try every assignment in S_n, n in degrees, up to simultaneous conjugacy."""
-        for n in degrees:
-            for k in range(len(_conjugacy_classes(n))):
-                first(_stage(rank, (n,), k))
-                if not pending:
-                    return
-
-    if pending:
-        scan(range(2, min(4, n_max) + 1))
-    # (2, 2) block sums are degree-4 assignments, each conjugate to one tried above.
-    for blocks in ((2, 3), (3, 3), (2, 2, 2)):
+    # S_2..S_4, then block sums: a (2, 2) one is conjugate to one tried in S_4
+    for blocks in ((2,), (3,), (4,), (2, 3), (3, 3), (2, 2, 2)):
         if pending and sum(blocks) <= n_max:
             first(_stage(rank, blocks))
     if len(target.factors) == 1 and not target.g0:
@@ -433,27 +437,14 @@ def find_separating_quotients(gs: Sequence[Elem], target: RationalSubset, n_max:
                                                     for h in target.factors[0]):
                 out[i] = comp
                 del pending[i]
-    if not pending:
-        return out
-    rng = random.Random(seed)
     for n in range(5, n_max + 1):
-        pool = list(range(n))
-        for _ in range(random_tries):
-            if not pending:
-                return out
-            images = []
-            for _ in range(rank):
-                p = pool[:]
-                rng.shuffle(p)
-                images.append(tuple(p))
-            candidate(images, _signed_images(images))
-    if rank == 2 and pending:
-        scan(range(5, n_max + 1))
+        if pending:
+            first(_stage(rank, (n,)))
     return out
 
 
-def find_separating_quotient(g: Elem, target: RationalSubset, n_max: int = 6, seed: int = 0,
-                             random_tries: int = 200) -> Optional[FiniteQuotient]:
+def find_separating_quotient(g: Elem, target: RationalSubset, n_max: int = 6,
+                             budget: Optional[int] = None) -> Optional[FiniteQuotient]:
     """A finite quotient in which the image of g avoids the image of the
     target subset, or None when the search cap is exhausted: the one-word
     case of ``find_separating_quotients``.  Raises InTargetError when g lies
@@ -461,7 +452,7 @@ def find_separating_quotient(g: Elem, target: RationalSubset, n_max: int = 6, se
     """
     if target.contains(g):
         raise InTargetError("element is in the target subset; nothing to separate")
-    (found,) = find_separating_quotients([g], target, n_max, seed, random_tries)
+    (found,) = find_separating_quotients([g], target, n_max, budget)
     if isinstance(found, BudgetExceededError):
         raise found
     return found
@@ -490,7 +481,6 @@ def minx_quotient_harness(
     Z: RationalSubset,
     C: int,
     n_max: int = 6,
-    seed: int = 0,
     budget: Optional[int] = None,
 ) -> MinxHarnessResult:
     """Find a quotient whose kernel N satisfies minx(ZN \\ Z) >= C.
@@ -501,14 +491,16 @@ def minx_quotient_harness(
     with the images (``least_word``): its first word whose image lies in the
     image of Z and which Z rejects is the least element of ZN \\ Z.  The
     outsider ball (radius C - 1) has at most ``budget`` vertices and the
-    search stores at most ``budget`` states (None: DEFAULT_VERTEX_BUDGET).
+    product search stores at most ``budget`` states (None:
+    DEFAULT_VERTEX_BUDGET); the separating search tries at most ``budget``
+    candidates (None: DEFAULT_CANDIDATE_BUDGET).
     """
     G = Z.group
     radius = C + 2
-    budget = DEFAULT_VERTEX_BUDGET if budget is None else budget
-    ball = build_ball(G, max(C - 1, 0), budget)
+    vertices = DEFAULT_VERTEX_BUDGET if budget is None else budget
+    ball = build_ball(G, max(C - 1, 0), vertices)
     outsiders = [u for u in ball.elements if len(u) < C and not Z.contains(u)]
-    parts = find_separating_quotients(outsiders, Z, n_max=n_max, seed=seed)
+    parts = find_separating_quotients(outsiders, Z, n_max, budget)
     for u, q in zip(outsiders, parts):
         if q is None:
             return MinxHarnessResult(
@@ -523,7 +515,7 @@ def minx_quotient_harness(
     distinct = combine_quotients(G, list(dict.fromkeys(parts)))
     images = _ImageAction(_signed_images(distinct.gen_images), distinct.degree,
                           image_of_rational_subset(distinct, Z))
-    least = least_word(G, images, Z.nfa, max(radius, 0), budget)
+    least = least_word(G, images, Z.nfa, max(radius, 0), vertices)
     achieved = math.inf if least is None else len(least)
     caveat = "ZN membership checked through images on the radius-%d ball" % radius
     return MinxHarnessResult(combined, achieved, achieved >= C, (caveat,))

@@ -109,10 +109,12 @@ def _assemble(rank: int, n: int, edges) -> StallingsGraph:
     trans = [{} for _ in range(n)]
     pending = []
     for (u, x, v) in edges:
-        for (a, l, b) in ((u, x, v), (v, -x, u)):
-            t = trans[a].setdefault(l, b)
-            if t != b:
-                pending.append((t, b))
+        t = trans[u].setdefault(x, v)
+        if t != v:
+            pending.append((t, v))
+        t = trans[v].setdefault(-x, u)
+        if t != u:
+            pending.append((t, u))
     while pending:
         a, b = pending.pop()
         ra, rb = find(a), find(b)
@@ -130,12 +132,15 @@ def _assemble(rank: int, n: int, edges) -> StallingsGraph:
             if s != t:
                 pending.append((s, t))
 
-    # Rebuild on representatives, in input edge order, then trim to the core.
+    # Rebuild on representatives, each resolved once, in input edge order,
+    # then trim to the core.
+    root = [find(v) for v in range(n)]
     out_map: dict = {}
     for (u, x, v) in edges:
-        out_map.setdefault(find(u), {})[x] = find(v)
-        out_map.setdefault(find(v), {})[-x] = find(u)
-    base = find(0)
+        ru, rv = root[u], root[v]
+        out_map.setdefault(ru, {})[x] = rv
+        out_map.setdefault(rv, {})[-x] = ru
+    base = root[0]
     out_map.setdefault(base, {})
     _trim(out_map, base)
 

@@ -400,6 +400,59 @@ def reference_assemble(rank, n, edges):
     return StallingsGraph(rank, out)
 
 
+def reference_union_find_assemble(rank, n, edges):
+    """``stallings._assemble`` as it was before the rebuild resolved each
+    vertex's representative once: the union-find fold, its first pass a
+    loop over each edge's two ends, then a rebuild that calls ``find`` four
+    times per input edge, then the core trim."""
+    from relhyp.separability.stallings import StallingsGraph, _trim
+
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    trans = [{} for _ in range(n)]
+    pending = []
+    for (u, x, v) in edges:
+        for (a, l, b) in ((u, x, v), (v, -x, u)):
+            t = trans[a].setdefault(l, b)
+            if t != b:
+                pending.append((t, b))
+    while pending:
+        a, b = pending.pop()
+        ra, rb = find(a), find(b)
+        if ra == rb:
+            continue
+        if rb < ra:
+            ra, rb = rb, ra
+        parent[rb] = ra
+        big, small = trans[ra], trans[rb]
+        if len(big) < len(small):
+            big, small = small, big
+        trans[ra], trans[rb] = big, None
+        for l, t in small.items():
+            s = big.setdefault(l, t)
+            if s != t:
+                pending.append((s, t))
+
+    out_map: dict = {}
+    for (u, x, v) in edges:
+        out_map.setdefault(find(u), {})[x] = find(v)
+        out_map.setdefault(find(v), {})[-x] = find(u)
+    base = find(0)
+    out_map.setdefault(base, {})
+    _trim(out_map, base)
+
+    order = sorted(out_map, key=lambda v: (v != base, v))
+    index = {v: i for i, v in enumerate(order)}
+    out = tuple({x: index[w] for x, w in out_map[v].items()} for v in order)
+    return StallingsGraph(rank, out)
+
+
 def naive_perm_word(images, degree, word):
     """Image of a free word under generator images, one letter at a time:
     letter i+1 applies ``images[i]`` and -(i+1) its inverse, found by
@@ -417,13 +470,14 @@ def _compose(p, q):
     return tuple(q[i] for i in p)
 
 
-def reference_find_separating_quotient(g, target, n_max=6, seed=0, random_tries=200):
+def reference_find_separating_quotient(g, target, n_max=6):
     """``quotients.find_separating_quotient`` as it was before it skipped
-    simultaneously conjugate candidates: every assignment in the search
-    order is tried, every image is composed letter by letter
-    (``naive_perm_word``) and every subgroup is closed by products with its
-    generators until nothing new appears (the completion stage instead
-    checks where the basepoint goes).
+    simultaneously conjugate candidates, without its candidate budget: every
+    assignment in the search order (S_2..S_4, block sums, the completion,
+    then S_5 and S_6 at every rank) is tried, every image is composed letter
+    by letter (``naive_perm_word``) and every subgroup is closed by products
+    with its generators until nothing new appears (the completion stage
+    instead checks where the basepoint goes).
     Returns (degree, generator images) of the first separating assignment,
     or None; raises BudgetExceededError where a subgroup image exceeds the
     closure budget."""
@@ -469,6 +523,8 @@ def reference_find_separating_quotient(g, target, n_max=6, seed=0, random_tries=
         if target.g0:
             p0 = naive_perm_word(images, n, target.g0)
             pg = _compose(tuple(p0.index(i) for i in range(n)), pg)
+        if pg == tuple(range(n)):  # every product of subgroups holds the identity
+            return False
         return in_product(pg, closures(images, n)) is False
 
     def first(assignments):
@@ -505,53 +561,75 @@ def reference_find_separating_quotient(g, target, n_max=6, seed=0, random_tries=
                  for x in target.factors[0]]
         if all(fixes) and naive_perm_word(comp.gen_images, comp.degree, g)[0] != 0:
             return comp.degree, comp.gen_images
-    rng = random.Random(seed)
     for n in range(5, n_max + 1):
-        pool = list(range(n))
-        for _ in range(random_tries):
-            images = []
-            for _ in range(rank):
-                p = pool[:]
-                rng.shuffle(p)
-                images.append(tuple(p))
-            if separates(images):
-                return n, tuple(images)
-    if rank == 2:
-        for n in range(5, n_max + 1):
-            reps = {}  # the lex-least permutation of each cycle type
-            for p in itertools.permutations(range(n)):
-                cycles = set()
-                for i in range(n):
-                    cycle, j = {i}, p[i]
-                    while j != i:
-                        cycle.add(j)
-                        j = p[j]
-                    cycles.add(frozenset(cycle))
-                reps.setdefault(tuple(sorted(map(len, cycles))), p)
-            for pa in reps.values():
-                found = first((pa, pb) for pb in itertools.permutations(range(n)))
-                if found:
-                    return found
+        perms = list(itertools.permutations(range(n)))
+        for pa in reference_class_firsts(n):
+            found = first((pa,) + rest for rest in itertools.product(perms, repeat=rank - 1))
+            if found:
+                return found
     return None
+
+
+def reference_class_firsts(n):
+    """The lexicographically least permutation of each cycle type of S_n, in
+    lexicographic order."""
+    reps = {}
+    for p in itertools.permutations(range(n)):
+        cycles = set()
+        for i in range(n):
+            cycle, j = {i}, p[i]
+            while j != i:
+                cycle.add(j)
+                j = p[j]
+            cycles.add(frozenset(cycle))
+        reps.setdefault(tuple(sorted(map(len, cycles))), p)
+    return list(reps.values())
 
 
 def reference_first_of_orbits(assignments, conjugators):
     """The candidates ``find_separating_quotients.first`` tried in one
     exhaustive stage before the stages were memoised: each assignment not in
-    the simultaneous-conjugacy orbit of a tried one, in order, each orbit
-    closed by ``_orbit`` only once the next candidate is asked for (the
-    search stopped asking when nothing was pending)."""
-    from relhyp.separability import quotients
-
+    the simultaneous-conjugacy orbit c^-1 images c of a tried one, for c
+    given as pairs (c, c^-1), in order."""
     tried = set()
     for images in assignments:
-        if images in tried:
-            continue
-        yield images
-        tried |= quotients._orbit(images, conjugators)
+        if images not in tried:
+            yield images
+            tried |= {tuple(tuple(c[p[j]] for j in ci) for p in images) for c, ci in conjugators}
 
 
-def reference_minx_harness(Z, C, n_max=6, seed=0, check_radius=None):
+def reference_stage(rank, blocks):
+    """The representatives of an exhaustive search stage, in search order,
+    as the stages were built before they enumerated orbit representatives
+    directly: the first of each simultaneous-conjugacy orbit, found by a loop
+    over every assignment with a set of tried orbits
+    (``reference_first_of_orbits``).  A block sum's orbits are those under
+    the c in S_n that map blocks onto blocks.  S_n's assignments (blocks =
+    (n,)) come class by class of their first image, each class's least
+    permutation pa in lexicographic order, with orbits under the c
+    centralising pa.  Conjugators are pairs (c, c^-1)."""
+    from relhyp.separability.quotients import perm_inv
+
+    n = sum(blocks)
+    blk = [j for j, b in enumerate(blocks) for _ in range(b)]
+    conjugators = [(c, perm_inv(c)) for c in itertools.permutations(range(n))
+                   if len({(blk[i], blk[x]) for i, x in enumerate(c)}) == len(blocks)]
+    if len(blocks) > 1:
+        offsets = itertools.accumulate(blocks[:-1], initial=0)
+        pools = [[tuple(v + o for v in p) for p in itertools.permutations(range(b))]
+                 for b, o in zip(blocks, offsets)]
+        combos = itertools.product(*[itertools.product(pool, repeat=rank) for pool in pools])
+        return reference_first_of_orbits(
+            (tuple(sum(imgs, ()) for imgs in zip(*combo)) for combo in combos), conjugators)
+    perms = list(itertools.permutations(range(n)))
+    return itertools.chain.from_iterable(
+        reference_first_of_orbits(
+            ((pa,) + rest for rest in itertools.product(perms, repeat=rank - 1)),
+            [(c, ci) for c, ci in conjugators if _compose(c, pa) == _compose(pa, c)])
+        for pa in reference_class_firsts(n))
+
+
+def reference_minx_harness(Z, C, n_max=6, check_radius=None):
     """``quotients.minx_quotient_harness`` with every quotient found by
     ``reference_find_separating_quotient`` and every ball element's image
     composed on its own by ``naive_perm_word``.  Returns (degree, generator
@@ -562,7 +640,7 @@ def reference_minx_harness(Z, C, n_max=6, seed=0, check_radius=None):
     images, degree = [()] * G.rank, 0
     for u in ball.elements:
         if len(u) < C and not Z.contains(u):
-            found = reference_find_separating_quotient(u, Z, n_max, seed)
+            found = reference_find_separating_quotient(u, Z, n_max)
             if found is None:
                 return None, None, False
             n, gens = found

@@ -1,7 +1,9 @@
+import gzip
 import io
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -49,6 +51,24 @@ C = 2
 A = 2
 P-abelian = 1
 """
+
+# g conjugates a^-60 against <b^-1 a^-1 b^-1>^2 at cap 5: a separate-scan job
+SEPARATE_SCAN = """
+[group]
+family = free
+symbols = a b
+
+[subgroups]
+H0 = b^-1 a^-1 b^-1
+H1 = b^-1 a^-1 b^-1
+
+[params]
+factors = H0 H1
+g = a b^-1 a^-60 b a^-1
+cap = 5
+"""
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
 
 Z2Z = """
 [group]
@@ -161,7 +181,7 @@ class TestCommands:
         assert lines[0]["verdict"] == "+inf"
 
     def test_separate_replayable(self):
-        lines, _ = run_lines(FAB_REL_A, "separate", seed=3)
+        lines, _ = run_lines(FAB_REL_A, "separate")
         cert = lines[0]["verdict"]
         assert set(cert) == {"degree", "generator_images"}
         # replay: the certificate separates by direct image computation
@@ -277,7 +297,8 @@ class TestMainExitCodes:
         cfg = self._write(tmp_path, FAB_REL_A)
         assert main(["--config", cfg, "--command", "ball", "--radius", "9"]) == EXIT_BUDGET
 
-    @pytest.mark.parametrize("command", ["ball", "delta", "check-conditions", "minimize-type"])
+    @pytest.mark.parametrize("command",
+                             ["ball", "delta", "check-conditions", "minimize-type", "separate"])
     def test_budget_zero_is_honoured(self, tmp_path, capsys, command):
         cfg = self._write(tmp_path, FAB_REL_A)
         argv = ["--config", cfg, "--command", command, "--radius", "2", "--budget", "0"]
@@ -371,6 +392,36 @@ class TestMainExitCodes:
         assert main(argv + ["--out", str(plain)]) == EXIT_OK
         assert main(argv + ["--budget", "6", "--out", str(bounded)]) == EXIT_OK
         assert bounded.read_bytes() == plain.read_bytes()
+
+    def test_budget_bounds_separate(self, tmp_path, capsys):
+        # the separate-scan shape: g conjugates a^-60, trivial in every S_n
+        # with n <= 5, so at cap 5 the search ends not-found after trying
+        # all 263 candidates, the S_5 scan included
+        cfg = self._write(tmp_path, SEPARATE_SCAN)
+        argv = ["--config", cfg, "--command", "separate"]
+        assert main(argv + ["--budget", "1"]) == EXIT_BUDGET
+        assert "1-candidate budget" in capsys.readouterr().err
+        assert main(argv + ["--budget", "262"]) == EXIT_BUDGET
+        plain, bounded = tmp_path / "plain.jsonl", tmp_path / "bounded.jsonl"
+        assert main(argv + ["--out", str(plain)]) == EXIT_OK
+        assert main(argv + ["--budget", "263", "--out", str(bounded)]) == EXIT_OK
+        assert bounded.read_bytes() == plain.read_bytes()
+        assert json.loads(plain.read_text())["verdict"] == "not-found"
+
+    def test_seed_changes_no_report(self, tmp_path, capsys):
+        # every search is deterministic: --seed still parses and is ignored,
+        # so each pinned job that passes it gives its pinned report under any seed
+        with gzip.open(REFERENCE / "separability.json.gz", "rt") as fh:
+            entries = [e for e in json.load(fh)["entries"] if "--seed" in e["args"]]
+        assert len(entries) == 144
+        cfg = tmp_path / "job.cfg"
+        for entry in entries:
+            cfg.write_text(entry["config"])
+            i = entry["args"].index("--seed")
+            for seed in ("0", "99"):
+                args = entry["args"][:i + 1] + [seed] + entry["args"][i + 2:]
+                rc = main(["--config", str(cfg), "--command", entry["command"]] + args)
+                assert (rc, capsys.readouterr().out) == (entry["exit"], entry["stdout"]), entry["id"]
 
     def test_budget_bounds_check_conditions_balls(self, tmp_path, capsys):
         # no check enumerates a ball: the budget caps the walks of folded

@@ -12,10 +12,11 @@ from conftest import (
     reference_assemble,
     reference_basis,
     reference_find_separating_quotient,
-    reference_first_of_orbits,
     reference_finite_index_in,
     reference_image_walk,
     reference_minx_harness,
+    reference_stage,
+    reference_union_find_assemble,
     subgroups_equal,
 )
 from hypothesis import assume, example, given, settings
@@ -46,10 +47,9 @@ from relhyp.separability import (
 )
 from relhyp.separability import quotients
 from relhyp.separability.quotients import (
+    DEFAULT_CANDIDATE_BUDGET,
     FiniteQuotient,
     _ImageAction,
-    _assignments_blocks,
-    _conjugacy_classes,
     _conjugators,
     _image_in_product,
     _signed_images,
@@ -351,6 +351,31 @@ class TestTraversals:
         assert not member(w("b a b^-1", fab), inter)
 
 
+class TestFoldRebuild:
+    """``_assemble`` resolves each vertex's representative once and gives
+    the graph of the union-find fold that resolved it per edge end, with the
+    same vertex numbers and the same key order in every transition dict."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graph_pair())
+    def test_matches_union_find_reference(self, case):
+        G, a, b, _ = case
+        calls = []
+        assemble = stallings._assemble
+
+        def recording(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        with mock.patch.object(stallings, "_assemble", recording):
+            G = FreeGroup(G.symbols)  # a fresh group holds no folded graph
+            pullback(subgroup_graph(a, G), subgroup_graph(b, G))
+        assert len(calls) == (3 if a != b else 2)  # the folds and the pullback
+        for rank, n, edges in calls:
+            assert _same_graph(assemble(rank, n, edges),
+                               reference_union_find_assemble(rank, n, edges))
+
+
 def _det(rows):
     """Leibniz determinant of a small square integer matrix."""
     n = len(rows)
@@ -470,8 +495,10 @@ def _separation_case(draw):
     # The reference alone tries 7,920 candidates in the rank-2 S_6 scan and
     # 46,656 rank-3 (3, 3) block sums.  So only single-factor rank-2 targets
     # go up to S_6: the completion quotient settles them before the scan.
+    # No case reaches the search's candidate budget (rank-3 S_5 has 14,721
+    # orbit representatives), which the reference does not model.
     n_max = draw(st.integers(4, 6 if rank == 2 and len(factors) == 1 else 5))
-    return G, g, tuple(factors), n_max, draw(st.sampled_from((0, 200))), draw(st.integers(0, 99))
+    return G, g, tuple(factors), n_max
 
 
 class TestSearchMatchesReference:
@@ -479,25 +506,26 @@ class TestSearchMatchesReference:
     conjugates of failed candidates never skips the first success."""
 
     @staticmethod
-    def _check(g, target, n_max, tries, seed):
+    def _check(g, target, n_max):
         try:
-            q = find_separating_quotient(g, target, n_max=n_max, seed=seed, random_tries=tries)
+            q = find_separating_quotient(g, target, n_max=n_max)
             got = None if q is None else (q.degree, q.gen_images)
         except BudgetExceededError:
             got = "over budget"
         try:
-            expected = reference_find_separating_quotient(g, target, n_max, seed, tries)
+            expected = reference_find_separating_quotient(g, target, n_max)
         except BudgetExceededError:
             expected = "over budget"
         assert got == expected
+        return got
 
     @settings(max_examples=40, deadline=None)
     @given(_separation_case())
     def test_random_targets(self, case):
-        G, g, factors, n_max, tries, seed = case
+        G, g, factors, n_max = case
         target = RationalSubset(G, (), factors)
         assume(not target.contains(g))
-        self._check(g, target, n_max, tries, seed)
+        self._check(g, target, n_max)
 
     @pytest.mark.parametrize(
         "g,factors",
@@ -510,16 +538,27 @@ class TestSearchMatchesReference:
     )
     def test_scan_targets(self, fab, g, factors):
         target = RationalSubset(fab, (), tuple((w(f, fab),) for f in factors))
-        self._check(w(g, fab), target, 5, 0, 0)
+        self._check(w(g, fab), target, 5)
+
+    @pytest.mark.parametrize("n_max", [5, 6])
+    def test_rank_3_scan_target(self, n_max):
+        # b a^12 b^-1 against <bc><bc> in F(a, b, c): a^12 dies in every S_n
+        # with n <= 4 and in every block sum, so the S_5 scan finds the first
+        # certificate, a 5-cycle for a, after 12,952 candidates at cap 5 and
+        # 14,297 at cap 6, where the (3, 3) and (2, 2, 2) block sums come first
+        G = FreeGroup(("a", "b", "c"))
+        target = RationalSubset(G, (), ((w("b c", G),), (w("b c", G),)))
+        got = self._check(w("b a^12 b^-1", G), target, n_max)
+        assert got == (5, ((1, 2, 3, 4, 0), (0, 1, 2, 3, 4), (0, 1, 2, 3, 4)))
 
 
 @st.composite
 def _batch_case(draw):
     """A separation case with up to five more words to separate in the same search."""
-    G, g, factors, n_max, tries, seed = draw(_separation_case())
+    G, g, factors, n_max = draw(_separation_case())
     more = draw(st.lists(_run_word(G.rank, 3, 6).map(reduce_letters_naive).map(tuple),
                          max_size=5))
-    return G, [g] + more, factors, n_max, tries, seed
+    return G, [g] + more, factors, n_max
 
 
 def _outcome(found):
@@ -534,15 +573,15 @@ class TestBatchedSearch:
     @settings(max_examples=25, deadline=None)
     @given(_batch_case())
     def test_matches_reference_per_word(self, case):
-        G, gs, factors, n_max, tries, seed = case
+        G, gs, factors, n_max = case
         target = RationalSubset(G, (), factors)
         gs = [g for g in gs if not target.contains(g)]
         assume(gs)
-        got = [_outcome(q) for q in find_separating_quotients(gs, target, n_max, seed, tries)]
+        got = [_outcome(q) for q in find_separating_quotients(gs, target, n_max)]
         expected = []
         for g in gs:
             try:
-                expected.append(reference_find_separating_quotient(g, target, n_max, seed, tries))
+                expected.append(reference_find_separating_quotient(g, target, n_max))
             except BudgetExceededError:
                 expected.append("over budget")
         assert got == expected
@@ -568,32 +607,20 @@ class TestBatchedSearch:
         assert res.caveats == ("separation search cap exhausted at 1",)
 
 
-def _stage_source(rank, blocks, k=None):
-    """(assignments, conjugators) of an exhaustive stage, in search order."""
-    if k is None:
-        return _assignments_blocks(rank, blocks), _conjugators(blocks)
-    (n,) = blocks
-    pa, centraliser = _conjugacy_classes(n)[k]
-    perms = list(itertools.permutations(range(n)))
-    return (((pa,) + rest for rest in itertools.product(perms, repeat=rank - 1)), centraliser)
-
-
 def _stage_keys(rank, n_max):
     """Every stage that a search of the given rank reaches with this n_max."""
-    degrees = list(range(2, min(4, n_max) + 1))
-    if rank == 2:
-        degrees += range(5, n_max + 1)
-    keys = [(rank, (n,), k) for n in degrees for k in range(len(_conjugacy_classes(n)))]
-    return keys + [(rank, b, None) for b in ((2, 3), (3, 3), (2, 2, 2)) if sum(b) <= n_max]
+    degrees = range(2, n_max + 1)
+    return [(rank, (n,)) for n in degrees] + [
+        (rank, b) for b in ((2, 3), (3, 3), (2, 2, 2)) if sum(b) <= n_max]
 
 
 def _count_orbits(monkeypatch):
     calls = []
     orbit = quotients._orbit
 
-    def counting(images, conjugators):
-        calls.append(images)
-        return orbit(images, conjugators)
+    def counting(p, conjugators):
+        calls.append(p)
+        return orbit(p, conjugators)
 
     monkeypatch.setattr(quotients, "_orbit", counting)
     return calls
@@ -615,8 +642,7 @@ class TestStageMemo:
             head = list(itertools.islice(iter(stage), 3))  # a partial read first
             got = list(stage)
             assert got[:3] == head
-            assert [images for images, _ in got] == list(
-                reference_first_of_orbits(*_stage_source(*key)))
+            assert [images for images, _ in got] == list(reference_stage(*key))
             assert all(signed == _signed_images(images) for images, signed in got)
 
     def test_second_scan_search_closes_no_orbit(self, fab, monkeypatch):
@@ -628,38 +654,87 @@ class TestStageMemo:
         assert calls == []
 
     def test_cold_search_reads_only_what_it_needs(self, fab, monkeypatch):
-        # b a b^-1 meets <a> in every image in S_2 and is separated in S_3
+        # b a b^-1 meets <a> in every image in S_2 and is separated in S_3:
+        # only the stages of S_2 and S_3 are built, none of S_4, S_5 or the
+        # block sums, and S_3's is drawn up to the certificate, no further.
+        # An orbit is closed only when the next representative is asked for:
+        # at most one per representative drawn, and one per first image.
         target = RationalSubset(fab, (), ((w("a", fab),),))
-        g = w("b a b^-1", fab)
-        for n in (2, 3, 4):
-            _conjugacy_classes(n)
-        calls = _count_orbits(monkeypatch)
-        with monkeypatch.context() as m:
-            m.setattr(quotients, "_stage", lambda *key: (
-                (images, _signed_images(images))
-                for images in reference_first_of_orbits(*_stage_source(*key))))
-            expected = find_separating_quotient(g, target, n_max=6)
-        parent_calls = len(calls)
-        del calls[:]
+        _conjugators(3)
         _stage.cache_clear()
-        q = find_separating_quotient(g, target, n_max=6)
-        assert (q.degree, q.gen_images) == (expected.degree, expected.gen_images)
+        calls = _count_orbits(monkeypatch)
+        q = find_separating_quotient(w("b a b^-1", fab), target, n_max=6)
         assert q.degree == 3
-        assert len(calls) <= parent_calls
-        # only the stages of S_2 and S_3 are built: none of S_4, S_5 or the block sums
-        assert _stage.cache_info().currsize <= len(_conjugacy_classes(2)) + len(_conjugacy_classes(3))
+        assert _stage.cache_info().currsize == 2
+        drawn = [[images for images, _ in _stage(2, (n,)).items] for n in (2, 3)]
+        assert drawn[0] == list(reference_stage(2, (2,)))
+        assert drawn[1][-1] == q.gen_images
+        assert drawn[1] == list(itertools.islice(reference_stage(2, (3,)), len(drawn[1])))
+        firsts = {images[0] for images in drawn[0] + drawn[1]}
+        assert len(calls) <= len(drawn[0]) + len(drawn[1]) + len(firsts)
 
     def test_dead_source_is_rebuilt(self, monkeypatch):
         # an exception inside a stage's source drops the memo: no stage is left cut short
-        key = (2, (3,), 0)
-        _conjugacy_classes(3)
+        key = (2, (3,))
+        _conjugators(3)
         _stage.cache_clear()
         with monkeypatch.context() as m:
             m.setattr(quotients, "_orbit", mock.Mock(side_effect=KeyboardInterrupt))
             with pytest.raises(KeyboardInterrupt):
                 list(_stage(*key))
-        assert [images for images, _ in _stage(*key)] == list(
-            reference_first_of_orbits(*_stage_source(*key)))
+        assert [images for images, _ in _stage(*key)] == list(reference_stage(*key))
+
+    @pytest.mark.parametrize("key", [
+        (1, (2, 3)), (1, (3, 3)), (1, (2, 2, 2)), (3, (3, 3)), (3, (2, 2, 2)), (4, (2, 3)),
+        (4, (2, 2, 2)), (4, (3,)),
+    ])
+    def test_block_sums_and_high_ranks_are_the_tried_set_loop(self, key):
+        # the blocks of equal size swap under conjugation; rank 4 nests one
+        # more centraliser
+        assert [images for images, _ in _stage(*key)] == list(reference_stage(*key))
+
+
+class TestCandidateBudget:
+    """The budget counts the candidates a search tries, the orbit
+    representatives of its stages in order; a word still pending past it
+    gets a BudgetExceededError."""
+
+    def test_counts_every_stage_representative(self):
+        # at rank 3 the separate-scan shape ends not-found at cap 5 after
+        # every representative of every stage, the S_5 scan included
+        G = FreeGroup(("a", "b", "c"))
+        h = (w(SCAN_FACTORS[0], G),)
+        target = RationalSubset(G, (), (h, h))
+        g = w(SCAN_G, G)
+        total = sum(len(list(_stage(*key))) for key in _stage_keys(3, 5))
+        assert total == 15_851
+        assert find_separating_quotient(g, target, n_max=5, budget=total) is None
+        with pytest.raises(BudgetExceededError, match="15850-candidate"):
+            find_separating_quotient(g, target, n_max=5, budget=total - 1)
+        assert find_separating_quotient(g, target, n_max=5) is None  # within the default
+
+    def test_default_stops_a_rank_3_search_at_cap_6(self):
+        # rank-3 S_6 alone has about 518,000 representatives
+        G = FreeGroup(("a", "b", "c"))
+        h = (w(SCAN_FACTORS[0], G),)
+        target = RationalSubset(G, (), (h, h))
+        try:
+            with pytest.raises(BudgetExceededError, match="%d-candidate" % DEFAULT_CANDIDATE_BUDGET):
+                find_separating_quotient(w(SCAN_G, G), target, n_max=6)
+        finally:
+            _stage.cache_clear()  # the memo holds what it read: do not keep it
+
+    def test_batch_keeps_each_words_outcome(self, fab):
+        # a is separated by the 10th candidate, in S_3; the scan word is
+        # still pending when a budget of 10 runs out
+        target = RationalSubset(fab, (), tuple((w(f, fab),) for f in SCAN_FACTORS))
+        a, g = w("a", fab), w(SCAN_G, fab)
+        out = find_separating_quotients([g, a], target, n_max=5, budget=10)
+        assert isinstance(out[0], BudgetExceededError)
+        assert out[1] == find_separating_quotient(a, target, n_max=5)
+        assert out[1].degree == 3
+        out = find_separating_quotients([g, a], target, n_max=5, budget=9)
+        assert all(isinstance(found, BudgetExceededError) for found in out)
 
 
 class TestProductMember:
@@ -782,7 +857,7 @@ class TestSeparation:
             g = rng.choice(ball.elements)
             if target.contains(g):
                 continue
-            q = find_separating_quotient(g, target, seed=11)
+            q = find_separating_quotient(g, target)
             assert q is not None, (g, factor_gens)
             assert verify_separation(q, g, target)
 
@@ -827,7 +902,7 @@ class TestMinxHarness:
         # the pinned minx-harness-4 job: the reported quotient is the block
         # sum of every part, though only a few parts are distinct
         Z = RationalSubset(fab, (), ((w("a^-1 a^-1", fab),), (w("b^-1 b^-1", fab),)))
-        res = minx_quotient_harness(Z, 4, n_max=5, seed=38)
+        res = minx_quotient_harness(Z, 4, n_max=5)
         assert (res.quotient.degree, res.achieved_min, res.verified) == (96, 4, True)
 
     @pytest.mark.parametrize("C", [1, 2, 3])
@@ -836,7 +911,7 @@ class TestMinxHarness:
         Z = RationalSubset(fab, (), ((w("a^-1 a^-1", fab),), (w("b^-1 b^-1", fab),)))
         ball = build_ball(fab, C + 2)
         outsiders = [u for u in ball.elements if len(u) < C and not Z.contains(u)]
-        parts = find_separating_quotients(outsiders, Z, n_max=5, seed=38)
+        parts = find_separating_quotients(outsiders, Z, n_max=5)
         full = combine_quotients(fab, parts)
         distinct = combine_quotients(fab, list(dict.fromkeys(parts)))
         if C > 1:
