@@ -31,6 +31,7 @@ from .groups import (
     RelHyp,
     bfs,
     common_prefix,
+    letter,
     per_instance,
 )
 
@@ -105,9 +106,9 @@ class RelGraphView:
                 for i, fac in enumerate(base.factors)
             }
         if isinstance(base, FreeGroup) and G.peripherals and not whole:
-            nus = {base.symbols.index(p.arg) + 1: p.nu for p in G.peripherals}
+            nus = {letter(base.symbols.index(p.arg)): p.nu for p in G.peripherals}
             return _run_tails, {
-                i: (nus.get(i), base, _as_is) for i in range(1, base.rank + 1)
+                i: (nus.get(i), base, _as_is) for i in map(letter, range(base.rank))
             }
         # no peripherals, or the whole group: each element is one syllable
         e = base.identity()

@@ -3,9 +3,11 @@
 Every supported family carries a terminating normal form, so equality of
 elements is equality of payloads:
 
-* free group: reduced word, a tuple of nonzero signed letter indices
-  (``+i``/``-i`` for the i-th generator and its inverse, 1-based);
-* free abelian group: exponent vector, a tuple of ints;
+* free group: reduced word, a tuple of signed codes ``letter(i)`` (0-based i)
+  and their negations (inverses); codes start at 2, as hash(-1) == hash(-2)
+  would give words that differ only by a^-1 <-> b^-1 one hash;
+* free abelian group: exponent vector, a tuple of ints; vectors keep that
+  collision, in classes of at most 4 on the radius-40 ball of Z^2;
 * finite group: index into the multiplication table;
 * free product: alternating tuple of ``(factor_index, payload)`` syllables;
 * amalgamated product: left-greedy reduced syllable form, built in one
@@ -179,6 +181,11 @@ class GroupSpec:
         return out
 
 
+def letter(i: int) -> int:
+    """The free-group code of generator ``i`` (0-based); ``-letter(i)`` is its inverse."""
+    return i + 2
+
+
 def _reduce_free(letters: Sequence[int]) -> tuple[int, ...]:
     out: list[int] = []
     for x in letters:
@@ -235,7 +242,7 @@ class FreeGroup(GroupSpec):
         return (len(a), a)
 
     def generator_elems(self):
-        return [(s, (i + 1,)) for i, s in enumerate(self.symbols)]
+        return [(s, (letter(i),)) for i, s in enumerate(self.symbols)]
 
     def geodesic_word(self, a):
         return [(x,) for x in a]
@@ -245,7 +252,7 @@ class FreeGroup(GroupSpec):
             return "1"
         parts = []
         for x in a:
-            s = self.symbols[abs(x) - 1]
+            s = self.symbols[abs(x) - letter(0)]
             parts.append(s if x > 0 else s + "^-1")
         return " ".join(parts)
 
@@ -692,7 +699,7 @@ class RelHyp:
         if p.kind == "whole-group":
             return True
         if p.kind == "cyclic-generator":
-            i = self.base.symbols.index(p.arg) + 1
+            i = letter(self.base.symbols.index(p.arg))
             return g.count(i) + g.count(-i) == len(g)  # letters a^{+-1} only
         # free-factor
         if g == self.base.identity():
@@ -720,7 +727,7 @@ def validate_elem(a: Elem, G: GroupSpec) -> None:
     """
     if isinstance(G, FreeGroup):
         ok = isinstance(a, tuple) and all(
-            isinstance(x, int) and 1 <= abs(x) <= G.rank for x in a
+            isinstance(x, int) and letter(0) <= abs(x) < letter(G.rank) for x in a
         ) and a == _reduce_free(a)
     elif isinstance(G, FreeAbelian):
         ok = isinstance(a, tuple) and len(a) == G.rank and all(

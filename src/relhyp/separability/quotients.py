@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 
 from ..cayley import DEFAULT_VERTEX_BUDGET, build_ball
 from ..errors import BudgetExceededError, InTargetError, UnsupportedFamilyError
-from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec, bfs, bfs_tree, per_instance
+from ..groups import Elem, FiniteGroup, FreeGroup, GroupSpec, bfs, bfs_tree, letter, per_instance
 from .rational import RationalSubset, least_word
 from .stallings import StallingsGraph
 
@@ -62,11 +62,10 @@ def _runs(w: Elem) -> tuple:
 
 
 def _signed_images(images: Sequence[Perm]) -> dict:
-    """Generator i+1 maps to ``images[i]`` and its inverse letter -(i+1) to the inverse."""
+    """Generator ``letter(i)`` maps to ``images[i]`` and its inverse to the inverse."""
     signed = {}
-    for i, p in enumerate(images, 1):
-        signed[i] = p
-        signed[-i] = perm_inv(p)
+    for i, p in enumerate(images):
+        signed[letter(i)], signed[-letter(i)] = p, perm_inv(p)
     return signed
 
 
@@ -218,8 +217,7 @@ def _completion_quotient(G: FreeGroup, graph: StallingsGraph, g: Elem) -> Finite
         v = w
     n = len(out)
     images = []
-    for i in range(G.rank):
-        x = i + 1
+    for x in map(letter, range(G.rank)):
         mapped = {u: out[u][x] for u in range(n) if x in out[u]}
         sources = [u for u in range(n) if u not in mapped]
         targets = [u for u in range(n) if u not in set(mapped.values())]

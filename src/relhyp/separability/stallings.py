@@ -1,9 +1,9 @@
 """Folded core graphs for finitely generated subgroups of free groups.
 
-A letter is a nonzero signed generator index, matching the free-group word
-payloads.  Graphs are stored with transitions in both directions, so after
-folding each vertex reads each letter at most once and membership is a
-deterministic walk from the basepoint.
+A letter is a signed generator code ``groups.letter(i)``, matching the
+free-group word payloads.  Graphs are stored with transitions in both
+directions, so after folding each vertex reads each letter at most once and
+membership is a deterministic walk from the basepoint.
 
 Folding is union-find driven by a stack of pending merges (Touikan, "A fast
 algorithm for Stallings' folding process", IJAC 2006), near-linear in the
@@ -13,9 +13,9 @@ input label, and the final rebuild walks the input edges in their given
 order.  So vertex numbers, and the key order of each transition dict, are a
 function of the input edge list alone; ``basis`` reads them in that order.
 
-Every traversal is ``groups.bfs`` over the letters 1, -1, 2, -2, ...: the
-spanning tree of ``basis``, the product graph of ``pullback``, and the cover
-that ``finite_index_in`` reads its answer off.
+Every traversal is ``groups.bfs`` over ``_letters``, each generator's code
+and then its inverse: the spanning tree of ``basis``, the product graph of
+``pullback``, and the cover that ``finite_index_in`` reads its answer off.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..groups import Elem, FreeGroup, bfs, bfs_tree, per_instance
+from ..groups import Elem, FreeGroup, bfs, bfs_tree, letter, per_instance
 
 
 @dataclass(frozen=True)
@@ -173,8 +173,8 @@ def member(g: Elem, H: StallingsGraph) -> bool:
 
 
 def _letters(rank: int) -> list:
-    """The letters 1, -1, 2, -2, ... of a free group of rank ``rank``."""
-    return [s * i for i in range(1, rank + 1) for s in (1, -1)]
+    """Each generator's code, then its inverse, in generator order."""
+    return [s * letter(i) for i in range(rank) for s in (1, -1)]
 
 
 def basis(H: StallingsGraph, G: FreeGroup) -> list[Elem]:

@@ -40,11 +40,22 @@ from relhyp.cayley import (
     relative_view,
     word_metric_view,
 )
-from relhyp.groups import common_prefix
+from relhyp.groups import common_prefix, letter
 
 
 def w(word, G):
     return word_to_elem(word, G)
+
+
+def signed_letters(rank: int) -> list:
+    """The free-group letter codes of rank ``rank``: each generator's code
+    (``relhyp.groups.letter``), then its inverse's, in generator order."""
+    return [s * letter(i) for i in range(rank) for s in (1, -1)]
+
+
+def gen_index(x: int) -> int:
+    """The 0-based generator index of the free-group letter ``x`` or ``-x``."""
+    return abs(x) - letter(0)
 
 
 @pytest.fixture(scope="session")
@@ -130,7 +141,7 @@ def reference_word_to_elem(word: str, G):
 
 def random_free_letters(rng: random.Random, rank: int, max_len: int):
     return [
-        rng.choice([s * i for i in range(1, rank + 1) for s in (1, -1)])
+        rng.choice(signed_letters(rank))
         for _ in range(rng.randrange(max_len + 1))
     ]
 
@@ -456,11 +467,12 @@ def reference_union_find_assemble(rank, n, edges):
 
 def naive_perm_word(images, degree, word):
     """Image of a free word under generator images, one letter at a time:
-    letter i+1 applies ``images[i]`` and -(i+1) its inverse, found by
-    ``index``.  Permutations compose left to right (apply p, then q)."""
+    the letter of generator i applies ``images[i]`` and its inverse the
+    inverse, found by ``index``.  Permutations compose left to right
+    (apply p, then q)."""
     out = tuple(range(degree))
     for x in word:
-        p = images[abs(x) - 1]
+        p = images[gen_index(x)]
         if x < 0:
             p = tuple(p.index(i) for i in range(degree))
         out = tuple(p[i] for i in out)
@@ -471,13 +483,13 @@ def naive_perm_word_rows(images, word):
     """``naive_perm_word`` under many assignments at once: ``images`` is a
     numpy array of shape (assignments, rank, degree), and row k of the
     returned array is the image of ``word`` under assignment k, composed one
-    letter at a time, a letter -(i+1) by the inverse (``argsort``) of
-    image i."""
+    letter at a time, the inverse of generator i by the inverse
+    (``argsort``) of image i."""
     import numpy as np
 
     out = np.broadcast_to(np.arange(images.shape[2]), images.shape[::2])
     for x in word:
-        p = images[:, abs(x) - 1]
+        p = images[:, gen_index(x)]
         if x < 0:
             p = np.argsort(p, axis=1)
         out = np.take_along_axis(p, out, axis=1)
@@ -729,8 +741,9 @@ def reference_image_walk(G, images, degree, accepting, Z, radius):
     image is one letter's permutation composed onto its prefix's image, as
     ``build_ball`` lists every reduced word after its prefix."""
     signed = {}
-    for i, p in enumerate(images, 1):
-        signed[i], signed[-i] = p, tuple(p.index(j) for j in range(degree))
+    for i, p in enumerate(images):
+        x = letter(i)
+        signed[x], signed[-x] = p, tuple(p.index(j) for j in range(degree))
     image = {(): tuple(range(degree))}
     for g in build_ball(G, radius).elements:
         if g:
@@ -869,7 +882,7 @@ def reference_coset_key(G: RelHyp, nu, v):
     if p.kind == "whole-group":
         return ()
     if p.kind == "cyclic-generator":
-        i = G.base.symbols.index(p.arg) + 1
+        i = letter(G.base.symbols.index(p.arg))
         k = len(v)
         while k > 0 and abs(v[k - 1]) == i:
             k -= 1
@@ -1150,7 +1163,7 @@ def reference_basis(H, G):
 
 
 def chord_alphabet(H):
-    """The non-tree edges in canonical order; index i stands for chord i+1."""
+    """The non-tree edges in canonical order; chord i is the letter ``letter(i)``."""
     tree_edges, _ = _tree_edges(H)
     chords = [e for e in sorted(H.edges()) if e not in tree_edges]
     return chords, tree_edges
@@ -1159,14 +1172,15 @@ def chord_alphabet(H):
 def rewrite(H, g) -> Optional[tuple[int, ...]]:
     """Express a subgroup element as a word over the chord basis.
 
-    Returns None when ``g`` is not in the subgroup.  Chord i (1-based) is
-    the i-th non-tree edge; a reversed crossing contributes ``-i``.
+    Returns None when ``g`` is not in the subgroup.  Chord i (0-based), the
+    i-th non-tree edge, is the letter ``letter(i)``; a reversed crossing
+    contributes its inverse.
     """
     chords, tree_edges = chord_alphabet(H)
     chord_index = {}
     for i, (u, x, v) in enumerate(chords):
-        chord_index[(u, x, v)] = i + 1
-        chord_index[(v, -x, u)] = -(i + 1)
+        chord_index[(u, x, v)] = letter(i)
+        chord_index[(v, -x, u)] = -letter(i)
     v = H.basepoint
     out: list[int] = []
     for x in g:

@@ -55,7 +55,7 @@ from relhyp.separability import (
 from relhyp.separability.quotients import FiniteQuotient
 from relhyp.errors import DIncompatibleError
 
-from conftest import _tree_ball_scan, amalgam_word_classes, reference_coset_key
+from conftest import _tree_ball_scan, amalgam_word_classes, reference_coset_key, signed_letters
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -253,7 +253,7 @@ def _random_broken_line(rng, view, ball, max_nodes=5):
         step = rng.choice(ball.elements)
         if rng.random() < 0.4:
             # bias towards peripheral travel so chains actually appear
-            a_run = (rng.choice([1, -1]),) * rng.randint(1, 9)
+            a_run = rng.choice((w("a"), w("a^-1"))) * rng.randint(1, 9)
             step = G.mul(step, a_run)
         nodes.append(G.mul(nodes[-1], step))
     return BrokenLine.from_nodes(view, nodes)
@@ -299,9 +299,9 @@ def _tamable_corpus(rng, count=1200):
         n = rng.randint(2, 4)
         nodes = [FAB.identity()]
         for _ in range(n):
-            a_run = (1,) * rng.randint(5, 12) if rng.random() < 0.8 else ()
-            b_run = (2 * rng.choice([1, -1]),) * rng.randint(3, 8)
-            tail = (rng.choice([1, -1]),) * rng.randint(0, 9)
+            a_run = w("a") * rng.randint(5, 12) if rng.random() < 0.8 else ()
+            b_run = rng.choice((w("b"), w("b^-1"))) * rng.randint(3, 8)
+            tail = rng.choice((w("a"), w("a^-1"))) * rng.randint(0, 9)
             step = FAB.mul(FAB.mul(a_run, b_run), tail)
             if rng.random() < 0.3:
                 step = FAB.inv(step)
@@ -370,7 +370,7 @@ def test_criterion_06_concat_lemma():
 
     words = []  # nonempty reduced words of length <= 4, as tuples
     for n in range(1, 5):
-        for letters in itertools.product((1, -1, 2, -2), repeat=n):
+        for letters in itertools.product(signed_letters(2), repeat=n):
             red = []
             ok = True
             for x in letters:

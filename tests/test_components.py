@@ -72,7 +72,7 @@ class TestConnected:
         for _ in range(120):
             v = rng.choice(ball.elements)
             k = rng.choice([1, 2, 3])
-            p = EdgePath(fab_rel_a, v, (("h", 0, (1,) * k),))
+            p = EdgePath(fab_rel_a, v, (("h", 0, w("a", fab) * k),))
             comps.append(find_components(p)[0])
         for _ in range(400):
             x, y, z = (rng.choice(comps) for _ in range(3))

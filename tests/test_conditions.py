@@ -32,10 +32,13 @@ from conftest import (
     reference_coset_reps_in_ball,
     reference_minx_condition,
     reference_quasiconvexity_epsilon,
+    signed_letters,
     subgroups_equal,
 )
 
 w = word_to_elem
+# the fab fixture's group, for payloads spelled at module level
+_F2 = FreeGroup(("a", "b"))
 
 
 def make_ctx(fab, fab_rel_a, k=2, B=2, C=2, A=2, radius=6, with_p=True):
@@ -91,7 +94,7 @@ class TestQuasiconvexity:
         admits: none, the whole group, a set of cyclic generators."""
         rank = data.draw(st.sampled_from((2, 3)))
         F = FreeGroup(("a", "b", "c")[:rank])
-        letter = st.sampled_from([s * i for i in range(1, rank + 1) for s in (1, -1)])
+        letter = st.sampled_from(signed_letters(rank))
         word = st.lists(letter, min_size=1, max_size=4).map(reduce_letters_naive)
         gens = data.draw(st.lists(word.filter(bool), min_size=1, max_size=2))
         shape = data.draw(st.sampled_from(("none", "whole-group", "cyclic-generator")))
@@ -353,12 +356,12 @@ PINNED_REPORTS = [
     ("C2", dict(k=4, B=3, radius=8), {},
      ("holds-to-radius", 8, None, 4, (("B", 3), ("side", "Q")), (_RADIUS_CAVEAT,))),
     ("C2", dict(k=2, B=50, radius=6), {},
-     ("fails", 6, (2, 2), 2, (("B", 50), ("side", "Q")), ())),
+     ("fails", 6, w("b b", _F2), 2, (("B", 50), ("side", "Q")), ())),
     ("C3", dict(k=2, C=2, radius=6), {},
      ("holds-to-radius", 6, None, 2, (("C", 2), ("P", "P0"), ("half", "R'")),
       (_RADIUS_CAVEAT,))),
     ("C3", dict(k=2, C=50, radius=6), {},
-     ("fails", 6, (2, 2), 2, (("C", 50), ("P", "P0"), ("half", "R'")), ())),
+     ("fails", 6, w("b b", _F2), 2, (("C", 50), ("P", "P0"), ("half", "R'")), ())),
     ("C5", dict(), {},
      ("vacuous", 6, None, None, (("P", "P0"),),
       ("abelian peripheral: the two sides coincide",))),
@@ -366,13 +369,14 @@ PINNED_REPORTS = [
      ("holds-to-radius", 4, None, 4, (("C", 1), ("P", "P"), ("q", "1")),
       (_COSET_CAVEAT, _RADIUS_CAVEAT))),
     ("C5", dict(k=2, C=50, radius=4), _P_WHOLE,
-     ("fails", 4, (2, 2, 1, 1), 4, (("C", 50), ("P", "P"), ("q", "1")), (_COSET_CAVEAT,))),
+     ("fails", 4, w("b b a a", _F2), 4, (("C", 50), ("P", "P"), ("q", "1")),
+      (_COSET_CAVEAT,))),
     ("C2-m", dict(k=2, B=2, radius=6), {},
      ("holds-to-radius", 6, None, 2, (("B", 2), ("j", 0)), (_RADIUS_CAVEAT,))),
     ("C2-m", dict(k=2, B=2, radius=6), _T1,
-     ("fails", 6, (1,), 1, (("B", 2), ("j", 1)), ())),
+     ("fails", 6, w("a", _F2), 1, (("B", 2), ("j", 1)), ())),
     ("C2-m", dict(k=2, B=50, radius=6), _T1,
-     ("fails", 6, (1, 1), 2, (("B", 50), ("j", 0)), ())),
+     ("fails", 6, w("a a", _F2), 2, (("B", 50), ("j", 0)), ())),
     ("C5-m", dict(with_p=False), {},
      ("vacuous", 6, None, None, (), ())),
     ("C5-m", dict(), {},
@@ -382,7 +386,7 @@ PINNED_REPORTS = [
      ("holds-to-radius", 4, None, 3, (("C", 1), ("P", "P"), ("j", 1), ("q", "1")),
       (_COSET_CAVEAT, _RADIUS_CAVEAT))),
     ("C5-m", dict(k=2, C=50, radius=4), {**_P_WHOLE, **_T1, **_U1},
-     ("fails", 4, (2, 2, 1, 1), 4, (("C", 50), ("P", "P"), ("j", 0), ("q", "1")),
+     ("fails", 4, w("b b a a", _F2), 4, (("C", 50), ("P", "P"), ("j", 0), ("q", "1")),
       (_COSET_CAVEAT,))),
 ]
 
@@ -425,13 +429,13 @@ def test_c5m_tail_decides_the_report(fab, fab_rel_a):
 
 
 _root_powers = st.tuples(
-    st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=3).map(
+    st.lists(st.sampled_from(signed_letters(2)), min_size=1, max_size=3).map(
         reduce_letters_naive
     ),
     st.lists(
         st.one_of(
             st.integers(-3, 3),
-            st.lists(st.sampled_from((1, -1, 2, -2)), max_size=4).map(reduce_letters_naive),
+            st.lists(st.sampled_from(signed_letters(2)), max_size=4).map(reduce_letters_naive),
         ),
         min_size=1,
         max_size=3,
@@ -459,7 +463,7 @@ def test_c5_abelian_rule_matches_commuting_generators(fab, fab_rel_a, case):
 # -- first hit against the full scan -------------------------------------------
 
 _gens = st.lists(
-    st.lists(st.sampled_from((1, -1, 2, -2)), min_size=1, max_size=3)
+    st.lists(st.sampled_from(signed_letters(2)), min_size=1, max_size=3)
     .map(reduce_letters_naive)
     .filter(bool),
     min_size=1,
@@ -510,7 +514,8 @@ def test_first_hit_reports_match_full_scan(
 @settings(max_examples=40, deadline=None)
 @given(q=_gens, r=_gens, qp=_gens, rp=_gens, p=_gens, radius=st.integers(3, 5))
 # C4 fails on b^6 only, beyond the radius + 2 ball
-@example(q=((1,),), r=((1,),), qp=((1,),), rp=((2, 2),), p=((2, 2, 2),), radius=3)
+@example(q=(w("a", _F2),), r=(w("a", _F2),), qp=(w("a", _F2),), rp=(w("b b", _F2),),
+         p=(w("b b b", _F2),), radius=3)
 def test_c1_c4_witness_is_the_least_disagreement(fab, fab_rel_a, q, r, qp, rp, p, radius):
     """C1 and C4 hold exactly when the subgroups they compare are equal by
     the ``subgroups_equal`` reference.  Otherwise they fail at the first
@@ -598,7 +603,7 @@ def test_c5_coset_reps_match_the_ball_scan(fab, fab_rel_a, big, small, radius):
         )
 
 
-_words = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=4).map(reduce_letters_naive)
+_words = st.lists(st.sampled_from(signed_letters(2)), max_size=4).map(reduce_letters_naive)
 _subsets = st.tuples(_words, st.lists(_gens, max_size=3).map(tuple))
 
 
@@ -609,12 +614,12 @@ _subsets = st.tuples(_words, st.lists(_gens, max_size=3).map(tuple))
 )
 # <b^-1 a^-1 b> minus {1}: b^-1 and b^-1 a reach one state set, and only
 # the word ending in a may go on with b, to the witness b^-1 a b
-@example(inside=((), (((-2, -1, 2),),)), outside=((), ()), same=False,
+@example(inside=((), ((w("b^-1 a^-1 b", _F2),),)), outside=((), ()), same=False,
          symmetric=False, radius=4)
 # a <b^-1 a b^-1> against {a}: they first differ on a b a^-1 b, beyond
 # radius 3, and the unreduced a b b^-1 must not be read
-@example(inside=((1,), (((-2, 1, -2),),)), outside=((1,), ()), same=False,
-         symmetric=True, radius=3)
+@example(inside=(w("a", _F2), ((w("b^-1 a b^-1", _F2),),)), outside=(w("a", _F2), ()),
+         same=False, symmetric=True, radius=3)
 def test_least_word_is_the_first_hit_of_the_ball(
     fab, inside, outside, same, symmetric, radius
 ):
@@ -635,8 +640,8 @@ def test_least_word_is_the_first_hit_of_the_ball(
 def test_least_word_budget(fab):
     # the words a^k b^j of <a><b> reach five product states: the start,
     # then one per last letter
-    inside = RationalSubset(fab, (), (((1,),), ((2,),)))
-    outside = RationalSubset(fab, (1, 2, 1), ())
+    inside = RationalSubset(fab, (), ((w("a", fab),), (w("b", fab),)))
+    outside = RationalSubset(fab, w("a b a", fab), ())
     assert least_word(fab, inside.nfa, outside.nfa, 3) == ()
     nothing = RationalSubset(fab, (), ())
     assert least_word(fab, nothing.nfa, nothing.nfa, 4) is None

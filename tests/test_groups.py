@@ -18,7 +18,7 @@ from relhyp import (
 )
 from relhyp.cayley import build_ball, word_metric_view
 from relhyp.errors import BudgetExceededError
-from relhyp.groups import FiniteGroup, bfs, bfs_tree, validate_elem
+from relhyp.groups import FiniteGroup, bfs, bfs_tree, letter, validate_elem
 from relhyp.separability import membership_oracle
 from relhyp.separability.quotients import perm_mul, subgroup_closure
 
@@ -32,6 +32,7 @@ from conftest import (
     reference_bfs_parents,
     reference_free_product_reduce,
     reference_word_to_elem,
+    signed_letters,
 )
 
 w = word_to_elem
@@ -46,12 +47,14 @@ class TestFreeGroup:
         # mul(ab, b^-1 a) = aa, by the hand reduction oracle
         left = w("a b", fab)
         right = w("b^-1 a", fab)
-        expected = reduce_letters_naive((1, 2, -2, 1))
-        assert fab.mul(left, right) == expected == (1, 1)
+        (a,), (b,) = w("a", fab), w("b", fab)
+        expected = reduce_letters_naive((a, b, -b, a))
+        assert fab.mul(left, right) == expected == (a, a)
 
     def test_word_parsing(self, fab):
         assert w("", fab) == fab.identity()
-        assert w("a b b^-1", fab) == reduce_letters_naive((1, 2, -2)) == (1,)
+        (a,), (b,) = w("a", fab), w("b", fab)
+        assert w("a b b^-1", fab) == reduce_letters_naive((a, b, -b)) == (a,)
         with pytest.raises(FamilyMismatchError):
             w("z", fab)
 
@@ -61,7 +64,7 @@ class TestFreeGroup:
         with pytest.raises(FamilyMismatchError):
             mul((1, 0), w("x", z2), fab)
         with pytest.raises(FamilyMismatchError):
-            mul((3,), (1,), fab)  # letter index out of range
+            mul((letter(fab.rank),), w("a", fab), fab)  # letter index out of range
 
     def test_relhyp_is_not_a_family(self, fab, fab_rel_a):
         # a RelHyp has no arithmetic of its own: the wrappers refuse it
@@ -77,7 +80,7 @@ class TestFreeGroup:
         # word_to_elem(u v) == mul(word_to_elem(u), word_to_elem(v)), through
         # the junction test and the cancelling loop both
         reduced = st.lists(
-            st.sampled_from([1, -1, 2, -2]), min_size=0, max_size=12
+            st.sampled_from(signed_letters(2)), min_size=0, max_size=12
         ).map(reduce_letters_naive)
         a = data.draw(reduced)
         k = data.draw(st.integers(0, len(a)))
@@ -94,6 +97,40 @@ class TestFreeGroup:
         for g in build_ball(fab, 4).elements:
             assert fab.mul(g, fab.inv(g)) == fab.identity()
 
+
+class TestLetterCodes:
+    """Generator i is coded letter(i) = i + 2 and its inverse -letter(i): no
+    code is -1, and in CPython hash(-1) == hash(-2), so the old codes +-(i+1)
+    gave every word over {a^-1, b^-1} of one length the same hash."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_letter_hashes_are_distinct(self, rank):
+        codes = [x for (x,) in FreeGroup(tuple("abc"[:rank])).letters()]
+        assert len(set(map(hash, codes))) == len(codes) == 2 * rank
+
+    @pytest.mark.parametrize("rank,radius", [(2, 8), (3, 6)])
+    def test_ball_hashes_are_distinct(self, rank, radius):
+        ball = build_ball(FreeGroup(tuple("abc"[:rank])), radius)
+        assert len(set(map(hash, ball.elements))) == len(ball.elements)
+
+    def test_validate_rejects_zero_and_unit_codes(self, fab):
+        for x in (0, 1, -1):
+            with pytest.raises(FamilyMismatchError):
+                validate_elem((x,), fab)
+        validate_elem((letter(0), -letter(1)), fab)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rank=st.integers(1, 3), data=st.data())
+    def test_word_round_trip(self, rank, data):
+        F = FreeGroup(tuple("abc"[:rank]))
+        tokens = data.draw(st.lists(
+            st.tuples(st.integers(0, rank - 1), st.integers(-3, 3)), max_size=8))
+        word = " ".join("%s^%d" % (F.symbols[i], e) for i, e in tokens)
+        g = w(word, F)
+        letters = [letter(i) if e > 0 else -letter(i) for i, e in tokens for _ in range(abs(e))]
+        assert g == reduce_letters_naive(letters)
+        validate_elem(g, F)
+        assert w(F.elem_str(g), F) == g
 
 class TestFreeAbelian:
     def test_arithmetic(self, z2):
@@ -328,8 +365,8 @@ def free_product_syllable_lists(G):
         if isinstance(fac, FreeAbelian):
             anything = st.tuples(*[st.integers(-1, 1)] * fac.rank)
         elif isinstance(fac, FreeGroup):
-            letter = st.sampled_from([x for g in range(1, fac.rank + 1) for x in (g, -g)])
-            anything = st.lists(letter, max_size=3).map(reduce_letters_naive)
+            letters = st.sampled_from(signed_letters(fac.rank))
+            anything = st.lists(letters, max_size=3).map(reduce_letters_naive)
         else:
             anything = st.integers(0, fac.order - 1)
         return st.tuples(st.just(idx), st.one_of(st.just(fac.identity()), anything))
@@ -438,9 +475,9 @@ class TestBreadthFirstKernel:
     @pytest.mark.parametrize("rank,radius", [(1, 5), (2, 4), (3, 3)])
     def test_free_ball_is_every_reduced_word(self, rank, radius):
         F = FreeGroup(tuple("abc"[:rank]))
-        signed = [s * i for i in range(1, rank + 1) for s in (1, -1)]
         words = {reduce_letters_naive(word)
-                 for k in range(radius + 1) for word in itertools.product(signed, repeat=k)}
+                 for k in range(radius + 1)
+                 for word in itertools.product(signed_letters(rank), repeat=k)}
         ball = build_ball(F, radius)
         assert len(ball.elements) == len(words) and set(ball.elements) == words
         assert all(ball.dist[g] == len(g) for g in words)

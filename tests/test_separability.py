@@ -7,6 +7,7 @@ from unittest import mock
 import pytest
 from conftest import (
     fixpoint_closure,
+    gen_index,
     naive_perm_word,
     reduce_letters_naive,
     reference_assemble,
@@ -17,6 +18,7 @@ from conftest import (
     reference_minx_harness,
     reference_stage,
     reference_union_find_assemble,
+    signed_letters,
     subgroups_equal,
 )
 from hypothesis import assume, example, given, settings
@@ -130,7 +132,7 @@ class TestStallings:
         """Each generator tuple is folded once per group, and the graph goes
         when the group does: a process-wide memo would keep it alive."""
         G = FreeGroup(("a", "b"))
-        gens = ((1, 1), (2, 1, -2))
+        gens = (w("a a", G), w("b a b^-1", G))
         ref = weakref.ref(subgroup_graph(gens, G))
         assert subgroup_graph(list(gens), G) is ref()
         assert subgroup_graph(gens, FreeGroup(("a", "b"))) is not ref()
@@ -170,8 +172,8 @@ class TestStallings:
 
 
 def _free_word(rank, max_len):
-    letters = [s * i for i in range(1, rank + 1) for s in (1, -1)]
-    return st.lists(st.sampled_from(letters), max_size=max_len).map(reduce_letters_naive)
+    letters = st.sampled_from(signed_letters(rank))
+    return st.lists(letters, max_size=max_len).map(reduce_letters_naive)
 
 
 @st.composite
@@ -217,9 +219,9 @@ class TestFoldAgainstReference:
         rng = random.Random(7)
         gens = []
         for _ in range(60):
-            g = [rng.choice((1, -1, 2, -2))]
+            g = [rng.choice(signed_letters(2))]
             while len(g) < 30:
-                g.append(rng.choice([x for x in (1, -1, 2, -2) if x != -g[-1]]))
+                g.append(rng.choice([x for x in signed_letters(2) if x != -g[-1]]))
             gens.append(tuple(g))
         H = subgroup_graph(gens, fab)
         R = _reference(subgroup_graph, gens, fab)
@@ -229,16 +231,16 @@ class TestFoldAgainstReference:
 
 
 def _stabiliser_gens(G, perms):
-    """Generators of the stabiliser of the point 0 when letter i acts by
-    ``perms[i - 1]``: a subgroup of finite index.  Each point p of the orbit
+    """Generators of the stabiliser of the point 0 when generator i acts by
+    ``perms[i]``: a subgroup of finite index.  Each point p of the orbit
     gets an access word t_p by breadth-first search, and t_p x t_q^-1 for
     every edge p -x-> q generates."""
     def act(p, x):
-        return perms[x - 1][p] if x > 0 else perms[-x - 1].index(p)
+        return perms[gen_index(x)][p] if x > 0 else perms[gen_index(x)].index(p)
 
     access, queue = {0: ()}, [0]
     for p in queue:
-        for x in _letters(G.rank):
+        for x in signed_letters(G.rank):
             q = act(p, x)
             if q not in access:
                 access[q] = G.mul(access[p], (x,))
@@ -246,7 +248,7 @@ def _stabiliser_gens(G, perms):
     return tuple(
         G.mul(G.mul(access[p], (x,)), G.inv(access[act(p, x)]))
         for p in access
-        for x in range(1, G.rank + 1)
+        for _, (x,) in G.generator_elems()
     )
 
 
@@ -346,7 +348,8 @@ class TestTraversals:
         A = subgroup_graph((w("a", fab), w("b a b^-1", fab)), fab)
         B = subgroup_graph((w("a", fab), w("b b", fab)), fab)
         inter = pullback(A, B)
-        assert inter.out[0][1] == 0
+        (a,) = w("a", fab)
+        assert inter.out[0][a] == 0
         assert member(w("a", fab), inter)
         assert not member(w("b a b^-1", fab), inter)
 
@@ -458,14 +461,10 @@ class TestImageInProduct:
         assert q is not None and verify_separation(q, g, target)
 
 
-def _letters(rank):
-    return [s * i for i in range(1, rank + 1) for s in (1, -1)]
-
-
 def _run_word(rank, max_runs, max_exp):
     """Words made of up to ``max_runs`` runs x^k, k <= ``max_exp``, as drawn
     (not reduced)."""
-    run = st.tuples(st.sampled_from(_letters(rank)), st.integers(1, max_exp))
+    run = st.tuples(st.sampled_from(signed_letters(rank)), st.integers(1, max_exp))
     return st.lists(run, max_size=max_runs).map(
         lambda runs: tuple(x for x, k in runs for _ in range(k))
     )
@@ -928,7 +927,8 @@ class TestMinxHarness:
         C=st.integers(1, 4),
         n_max=st.integers(4, 5),
     )
-    @example(factors=[(-1, -1), (-2, -2)], C=4, n_max=5)  # the minx-harness-4 shape
+    @example(factors=[w(x, FreeGroup(("a", "b"))) for x in ("a^-2", "b^-2")],
+             C=4, n_max=5)  # the minx-harness-4 shape
     def test_matches_per_element_reference(self, fab, factors, C, n_max):
         Z = RationalSubset(fab, (), tuple((f,) for f in factors))
         res = minx_quotient_harness(Z, C, n_max=n_max)
