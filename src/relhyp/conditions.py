@@ -5,7 +5,9 @@ procedures: a failure comes with a concrete short witness and is final, a
 pass is stamped with the enumeration radius.  Memberships are exact: each
 subgroup is read off its folded graph (C5's coset representatives and P1's
 points are its closed walks up to the radius), each product off a saturated
-automaton; no checker enumerates a ball.
+automaton; no checker enumerates a ball.  Each rational subset is chained
+and saturated once per context (``ConditionContext.subset``), so checks
+that share a product, such as C2 and C2-m at j = 0, share its automaton.
 
 Each minx bound is minx(inside \\ outside) for two rational subsets of the
 free ambient.  It is read off a breadth-first search over the product of
@@ -126,6 +128,11 @@ class ConditionContext:
     def _intersection(self, gens: tuple, p_gens: tuple) -> SubgroupSpec:
         inter = pullback(subgroup_graph(gens, self.G), subgroup_graph(p_gens, self.G))
         return SubgroupSpec(tuple(basis(inter, self.G)))
+
+    @per_instance
+    def subset(self, g0: Elem, factors: tuple) -> RationalSubset:
+        """The rational subset g0 * F_1 ... F_s, saturated once per context."""
+        return RationalSubset(self.G, g0, factors)
 
 
 def quasiconvexity_epsilon(
@@ -268,8 +275,8 @@ def _c2_reports(ctx: ConditionContext, cond_id: str, side: SubgroupSpec, tails):
         yield _minx_condition(
             ctx,
             cond_id,
-            RationalSubset(ctx.G, (), (side.gens, join_gens, side.gens) + tail),
-            RationalSubset(ctx.G, (), (side.gens,) + tail),
+            ctx.subset((), (side.gens, join_gens, side.gens) + tail),
+            ctx.subset((), (side.gens,) + tail),
             ctx.B,
             params=(("B", ctx.B),) + extra,
         )
@@ -285,12 +292,12 @@ def _check_c3(ctx: ConditionContext) -> Iterator[ConditionReport]:
         return
     s = ctx.s_spec()
     for P in ctx.P_list:
-        ps = RationalSubset(ctx.G, (), (P.gens, s.gens))
+        ps = ctx.subset((), (P.gens, s.gens))
         for half in (ctx.Qp, ctx.Rp):
             yield _minx_condition(
                 ctx,
                 "C3",
-                RationalSubset(ctx.G, (), (P.gens, half.gens)),
+                ctx.subset((), (P.gens, half.gens)),
                 ps,
                 ctx.C,
                 params=(("C", ctx.C), ("P", P.role or "?"), ("half", half.role or "?")),
@@ -346,8 +353,8 @@ def _c5_reports(ctx: ConditionContext, cond_id: str, P: SubgroupSpec, tails):
             yield _minx_condition(
                 ctx,
                 cond_id,
-                RationalSubset(ctx.G, q, (join_gens, r_P.gens) + tail),
-                RationalSubset(ctx.G, q, (qp_P.gens, r_P.gens) + tail),
+                ctx.subset(q, (join_gens, r_P.gens) + tail),
+                ctx.subset(q, (qp_P.gens, r_P.gens) + tail),
                 ctx.C,
                 params=(("C", ctx.C), ("P", P.role or "?")) + extra
                 + (("q", ctx.G.elem_str(q)),),
@@ -406,13 +413,13 @@ def _check_p1(ctx: ConditionContext) -> ConditionReport:
 def _check_p2(ctx: ConditionContext) -> ConditionReport:
     join = ctx.join_spec()
     s = ctx.s_spec()
-    inside = RationalSubset(ctx.G, (), (join.gens,))
-    outside = RationalSubset(ctx.G, (), (s.gens,))
+    inside = ctx.subset((), (join.gens,))
+    outside = ctx.subset((), (s.gens,))
     return _minx_condition(ctx, "P2", inside, outside, ctx.A, params=(("A", ctx.A),))
 
 
 def _check_p3(ctx: ConditionContext) -> ConditionReport:
     join = ctx.join_spec()
-    inside = RationalSubset(ctx.G, (), (ctx.Q.gens, join.gens, ctx.R.gens))
-    outside = RationalSubset(ctx.G, (), (ctx.Q.gens, ctx.R.gens))
+    inside = ctx.subset((), (ctx.Q.gens, join.gens, ctx.R.gens))
+    outside = ctx.subset((), (ctx.Q.gens, ctx.R.gens))
     return _minx_condition(ctx, "P3", inside, outside, ctx.A, params=(("A", ctx.A),))

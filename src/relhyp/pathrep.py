@@ -184,31 +184,33 @@ def minimize_type(
     with every y_i in Q' or R', within the budget.
 
     The identity is represented by a single trivial segment of type (1,0,0).
-    Output is labelled minimal up to the budget, never globally.  The
+    Output is labelled minimal up to the budget, never globally.  The pool
+    of factors is the ball of radius ``budget.max_len`` filtered once per
+    subgroup by the family's membership oracle, less the identity.  The
     candidate ball stores at most ``node_budget`` vertices and the search
     visits at most ``node_budget`` nodes (None: build_ball's default for the
     ball, no cap on the search); BudgetExceededError is raised past either.
     """
     G = view.group.base
+    e = G.identity()
     caveat = "minimal up to budget (%s)" % budget.describe()
-    if g == G.identity():
-        line = BrokenLine((trivial_path(view, G.identity()),))
+    if g == e:
+        line = BrokenLine((trivial_path(view, e),))
         rep = PathRep("I", line, ("Q'",))
         return MinimizeResult(rep, RepType(1, 0, 0), caveat)
 
     ball = build_ball(G, budget.max_len, node_budget).elements
     pool = []
     for spec, role in ((qp, "Q'"), (rp, "R'")):
-        oracle = membership_oracle(G, spec.gens)
-        cands = [y for y in ball if y != G.identity() and oracle(y)]
-        pool += [(y, role) for y in sorted(cands, key=G.sort_key)]
+        cands = filter(membership_oracle(G, spec.gens), ball)
+        pool += [(y, role) for y in sorted(cands, key=G.sort_key) if y != e]
 
     best: Optional[tuple[RepType, tuple]] = None
     nodes = 0
 
     def consider(seq):
         nonlocal best
-        nodes = [G.identity()]
+        nodes = [e]
         for y, _ in seq:
             nodes.append(G.mul(nodes[-1], y))
         line = BrokenLine.from_nodes(view, nodes)
@@ -239,7 +241,7 @@ def minimize_type(
             dfs(prefix, G.mul(value, y), remaining - 1)
             prefix.pop()
 
-    dfs([], G.identity(), budget.max_factors)
+    dfs([], e, budget.max_factors)
     if best is None:
         return MinimizeResult(None, None, "not found within budget (%s)" % budget.describe())
     return MinimizeResult(best[1], best[0], caveat)

@@ -13,7 +13,7 @@ from ..groups import (
     GroupSpec,
     bfs,
 )
-from .stallings import member, subgroup_graph
+from .stallings import subgroup_graph
 
 
 def _row_lattice_basis(rows: Sequence[Sequence[int]], cols: int):
@@ -67,8 +67,7 @@ def lattice_contains(gens: Sequence[tuple], v: tuple) -> bool:
 def membership_oracle(G: GroupSpec, gens: Sequence[Elem]) -> Callable[[Elem], bool]:
     """A callable deciding membership in the subgroup generated by ``gens``."""
     if isinstance(G, FreeGroup):
-        graph = subgroup_graph(gens, G)
-        return lambda g: member(g, graph)
+        return subgroup_graph(gens, G).accepts
     if isinstance(G, FreeAbelian):
         return _lattice_member(gens, G.rank)
     if isinstance(G, FiniteGroup):

@@ -44,13 +44,15 @@ class StallingsGraph:
     def __len__(self) -> int:
         return len(self.out)
 
-    def walk(self, word: Elem) -> Optional[int]:
+    def accepts(self, word: Elem) -> bool:
+        """Is the reduced word ``word`` a closed walk at the basepoint?"""
+        out = self.out
         v = 0
         for x in word:
-            v = self.out[v].get(x)
+            v = out[v].get(x)
             if v is None:
-                return None
-        return v
+                return False
+        return v == 0
 
     def edges(self):
         for u, trans in enumerate(self.out):
@@ -169,7 +171,7 @@ def _trim(out_map: dict, keep=None) -> dict:
 
 def member(g: Elem, H: StallingsGraph) -> bool:
     """Is the reduced word ``g`` in the subgroup of ``H``?"""
-    return H.walk(g) == H.basepoint
+    return H.accepts(g)
 
 
 def _letters(rank: int) -> list:

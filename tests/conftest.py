@@ -349,6 +349,17 @@ def fixpoint_closure(gens, mul, identity):
         elems |= new
 
 
+def reference_walk(H, word) -> Optional[int]:
+    """The vertex that the folded graph ``H`` reaches from its basepoint by
+    reading ``word``, or None when some letter cannot be read."""
+    v = 0
+    for x in word:
+        v = H.out[v].get(x)
+        if v is None:
+            return None
+    return v
+
+
 def reference_assemble(rank, n, edges):
     """The original quadratic fold, kept as an oracle for ``stallings._assemble``.
 

@@ -25,6 +25,7 @@ from relhyp.separability import (
     pullback,
     subgroup_graph,
 )
+from relhyp.separability import rational
 
 from conftest import (
     least_hit,
@@ -724,3 +725,81 @@ def test_checkers_build_no_ball(fab, fab_rel_a, monkeypatch):
     }
     for cond_id in ("C1", "C2", "C4", "C5", "C5-m"):
         assert "fails" in verdicts[cond_id], cond_id
+
+
+# -- one saturated automaton per subset per context ----------------------------
+
+_SWEEP = ("C1", "C2", "C3", "C4", "C5", "C2-m", "C5-m", "P2", "P3")
+_NONABELIAN = ("C5", "C2-m", "C5-m")
+_two_letters = (
+    st.lists(st.sampled_from(signed_letters(2)), min_size=2, max_size=2)
+    .map(reduce_letters_naive)
+    .filter(lambda x: len(x) == 2)
+)
+
+
+def _nonabelian_ctx(fab, fab_rel_a, k, B, C, radius, t0, t1, u1):
+    """The non-abelian peripheral P0 = <a, b a b^-1> with tails T0, T1 and
+    U0 = <a>, U1 = <u1>, over the Q, R, Q', R' of ``make_ctx``."""
+    ctx = make_ctx(fab, fab_rel_a, k=k, B=B, C=C, A=B, radius=radius)
+    ctx.P_list = (SubgroupSpec((w("a", fab), w("b a b^-1", fab)), role="P0"),)
+    ctx.T_list = (SubgroupSpec((t0,), role="T0"), SubgroupSpec((t1,), role="T1"))
+    ctx.U_list = (SubgroupSpec((w("a", fab),), role="U0"), SubgroupSpec((u1,), role="U1"))
+    return ctx
+
+
+@st.composite
+def _shared_case(draw):
+    """A sweep-shaped context (k in 1..5, all but P1) or a non-abelian one
+    (k in 2..3, C5, C2-m and C5-m), radius 4, as a builder of fresh copies."""
+    B, C = draw(st.sampled_from((2, 3))), draw(st.sampled_from((2, 3)))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 5))
+        return _SWEEP, lambda fab, view: make_ctx(fab, view, k=k, B=B, C=C, A=B, radius=4)
+    k = draw(st.integers(2, 3))
+    t0, t1 = draw(_two_letters), draw(_two_letters)
+    u1 = w(draw(st.sampled_from(("b a b^-1", "a b a^-1"))), _F2)
+    return _NONABELIAN, lambda fab, view: _nonabelian_ctx(fab, view, k, B, C, 4, t0, t1, u1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_shared_case())
+def test_shared_context_reports_match_fresh_contexts(fab, fab_rel_a, case):
+    """Each condition reports the same on one context shared by all of them,
+    where later checks read the automata that earlier ones saturated, as on
+    a fresh context of its own."""
+    cond_ids, make = case
+    shared = make(fab, fab_rel_a)
+    for cond_id in cond_ids:
+        assert check_condition(cond_id, shared) == check_condition(
+            cond_id, make(fab, fab_rel_a)
+        ), cond_id
+
+
+def test_nonabelian_saturates_each_subset_once(fab, fab_rel_a, monkeypatch):
+    """C5, C2-m and C5-m on the non-abelian shape ask for some rational
+    subsets more than once (C5 and C5-m at j = 0 share theirs), and each
+    distinct (g0, factors) is chained and saturated once."""
+    built, asked, saturated = [], [], []
+    subset_ = conditions.RationalSubset
+    saturate_ = rational.saturate
+    minx_ = conditions._minx_condition
+
+    def subset(G, g0, factors):
+        built.append((g0, factors))
+        return subset_(G, g0, factors)
+
+    def minx_condition(ctx, cond_id, inside, outside, *args, **kwargs):
+        asked.extend([(inside.g0, inside.factors), (outside.g0, outside.factors)])
+        return minx_(ctx, cond_id, inside, outside, *args, **kwargs)
+
+    monkeypatch.setattr(conditions, "RationalSubset", subset)
+    monkeypatch.setattr(rational, "saturate", lambda nfa: saturated.append(1) or saturate_(nfa))
+    monkeypatch.setattr(conditions, "_minx_condition", minx_condition)
+    ctx = _nonabelian_ctx(
+        fab, fab_rel_a, 2, 2, 2, 4, w("a b", fab), w("b^-1 a", fab), w("b a b^-1", fab)
+    )
+    for cond_id in _NONABELIAN:
+        check_condition(cond_id, ctx)
+    assert len(saturated) == len(built) == len(set(built)) == len(set(asked))
+    assert len(asked) > len(set(asked))

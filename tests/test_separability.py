@@ -18,6 +18,7 @@ from conftest import (
     reference_minx_harness,
     reference_stage,
     reference_union_find_assemble,
+    reference_walk,
     signed_letters,
     subgroups_equal,
 )
@@ -163,12 +164,32 @@ class TestStallings:
         H = subgroup_graph(gens, G)
         ball = build_ball(G, radius).elements
         assert H.closed_words(G, radius) == [g for g in ball if member(g, H)]
-        walks = sum(H.walk(g) is not None for g in ball)
+        walks = sum(reference_walk(H, g) is not None for g in ball)
         if budget < walks:
             with pytest.raises(BudgetExceededError):
                 H.closed_words(G, radius, budget)
         else:
             assert H.closed_words(G, radius, budget) == H.closed_words(G, radius)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), rank=st.integers(2, 3))
+    @example(data=None, rank=2)
+    @example(data=None, rank=3)
+    def test_oracle_is_the_graph_and_the_automaton(self, data, rank):
+        """On the radius-4 ball the free oracle (the folded graph's
+        ``accepts``), ``member`` and the saturated one-factor automaton
+        agree, and accept exactly the closed walks at the basepoint.
+        ``data`` None is the trivial subgroup."""
+        G = FreeGroup(tuple("abc"[:rank]))
+        gens = () if data is None else tuple(
+            data.draw(st.lists(_free_word(rank, 4), max_size=3))
+        )
+        oracle = membership_oracle(G, gens)
+        H = subgroup_graph(gens, G)
+        automaton = RationalSubset(G, (), (gens,))
+        for g in build_ball(G, 4).elements:
+            expected = reference_walk(H, g) == 0
+            assert oracle(g) == member(g, H) == automaton.contains(g) == expected, g
 
 
 def _free_word(rank, max_len):
