@@ -15,6 +15,11 @@ syllables of v less a last syllable in H_nu.
 
 A view with no peripherals is the plain word metric, so the same path and
 geodesic machinery serves both metrics.
+
+Balls are built by ``groups.bfs``, except a free group's: its Cayley graph
+is a tree, so a word's products by letters are its parent and its children,
+and the ball is enumerated level by level as reduced words, its exact size
+checked against the vertex budget before any word is built.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
+from .errors import BudgetExceededError
 from .groups import (
     Elem,
     FreeGroup,
@@ -328,14 +334,55 @@ class Ball:
                     yield (v, w, g)
 
 
+def _free_ball(G: FreeGroup, r: int, budget: int) -> dict:
+    """``bfs(G.identity(), G.letters(), G.mul, r, budget)`` on a free group,
+    item for item, as a walk down the Cayley tree.
+
+    Every product v y of a reduced word v by a letter is v's parent (y
+    cancels v's last letter) or a new reduced word, so level d + 1 is each
+    word of level d, in order, followed by each letter in ``letters()`` order
+    but the inverse of its last.  With n letters level d holds n (n-1)^(d-1)
+    words, so the budget is checked, with bfs's message, before any is built.
+    """
+    letters = G.letters()
+    n = len(letters)
+    size = 1 + n * r
+    if n > 2:
+        size, width = 1, n
+        for _ in range(r):
+            size += width
+            if size > budget:
+                break
+            width *= n - 1
+    if size > budget:
+        raise BudgetExceededError("search exceeded the %d-element budget" % budget)
+    succ = {x: [y for y in letters if y[0] != -x] for (x,) in letters}
+    dist = {G.identity(): 0}
+    level = letters if r else []
+    for w in level:
+        dist[w] = 1
+    for d in range(2, r + 1):
+        level = [v + y for v in level for y in succ[v[-1]]]
+        for w in level:
+            dist[w] = d
+    return dist
+
+
 def build_ball(G: GroupSpec, r: int, budget: Optional[int] = None) -> Ball:
     """Complete radius-r ball of the word metric; |g|_X is exact on it.
 
-    At most ``budget`` vertices (None: DEFAULT_VERTEX_BUDGET) are stored.
+    At most ``budget`` vertices (None: DEFAULT_VERTEX_BUDGET) are stored;
+    BudgetExceededError is raised past that.  A free group's ball is a walk
+    down its Cayley tree (``_free_ball``): no product is formed, and the
+    exact ball size is checked against the budget before any vertex is
+    built.  Every other family runs the generic ``bfs``.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
     if budget is None:
         budget = DEFAULT_VERTEX_BUDGET
-    dist = bfs(G.identity(), G.letters(), G.mul, r, budget)
+    if isinstance(G, FreeGroup):
+        dist = _free_ball(G, r, budget)
+    else:
+        dist = bfs(G.identity(), G.letters(), G.mul, r, budget)
     return Ball(G, r, tuple(dist), dist)

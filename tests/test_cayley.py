@@ -20,7 +20,7 @@ from relhyp.cayley import (
     word_metric_view,
 )
 from relhyp.components import find_components, is_without_backtracking
-from relhyp.groups import FreeAbelian, GroupSpec
+from relhyp.groups import FreeAbelian, GroupSpec, bfs
 
 from conftest import reference_coset_key, reference_dist
 
@@ -90,6 +90,34 @@ class TestBall:
     def test_budget(self, fab):
         with pytest.raises(BudgetExceededError):
             build_ball(fab, 8, budget=100)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_free_ball_is_bfs_item_for_item(self, rank):
+        # the tree walk gives the generic kernel's dist: same order, same distances
+        F = FreeGroup(("a", "b", "c")[:rank])
+        for r in range(8):
+            ref = bfs(F.identity(), F.letters(), F.mul, r)
+            assert list(build_ball(F, r).dist.items()) == list(ref.items())
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_free_ball_budget_is_bfs_budget(self, rank):
+        # raised exactly when bfs raises, with its message, although the free
+        # ball checks the exact size before it builds anything
+        F = FreeGroup(("a", "b", "c")[:rank])
+
+        def error(build):
+            try:
+                build()
+            except BudgetExceededError as e:
+                return str(e)
+            return None
+
+        for r in range(6):
+            n = len(bfs(F.identity(), F.letters(), F.mul, r))
+            for budget in (0, 1, n - 1, n, n + 1):
+                expect = error(lambda: bfs(F.identity(), F.letters(), F.mul, r, budget))
+                assert error(lambda: build_ball(F, r, budget)) == expect
+                assert (expect is not None) == (n > budget)
 
     def test_edge_inversion_closure(self, fab):
         ball = build_ball(fab, 3)

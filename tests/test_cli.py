@@ -287,6 +287,20 @@ class TestMainExitCodes:
             == EXIT_BUDGET
         )
 
+    def test_budget_stops_free_ball_of_radius_13(self, tmp_path, capsys):
+        # F(a, b) at radius 13 has 3,188,645 vertices, over the default budget
+        cfg = self._write(tmp_path, FAB_REL_A)
+        assert main(["--config", cfg, "--command", "ball", "--radius", "13"]) == EXIT_BUDGET
+        assert "budget" in capsys.readouterr().err
+
+    def test_budget_admits_free_ball_exactly(self, tmp_path, capsys):
+        # F(a, b) at radius 9 has 39,365 vertices
+        cfg = self._write(tmp_path, FAB_REL_A)
+        argv = ["--config", cfg, "--command", "ball", "--radius", "9", "--budget"]
+        assert main(argv + ["39365"]) == EXIT_OK
+        assert main(argv + ["39364"]) == EXIT_BUDGET
+        assert "39364-element budget" in capsys.readouterr().err
+
     def test_unsupported(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A + "\n[params]\nkind = BC\n")
         code = main(["--config", cfg, "--command", "amalgam-reduce"])

@@ -100,21 +100,20 @@ class TestStallings:
         assert member(w("a a b^-1 a^-1 a^-1", fab), H)
 
     def test_membership_matches_brute_force(self, fab):
-        rng = random.Random(3)
         gens = (w("a a", fab), w("b a b^-1", fab))
         H = subgroup_graph(gens, fab)
         from relhyp.separability import membership_oracle
 
         oracle = membership_oracle(fab, gens)
-        # brute force: products of generators up to length 3
+        # brute force: products of at most 4 generators.  A member of length
+        # <= 4 is a^(2i) (|i| <= 2) or b a^j b^-1 (|j| <= 2), a product of at
+        # most 2 of them, so depth 4 reaches every member of the ball
         products = {fab.identity()}
         gens_pm = list(gens) + [fab.inv(g) for g in gens]
         for _ in range(4):
             products |= {fab.mul(p, g) for p in products for g in gens_pm}
         for g in build_ball(fab, 4).elements:
-            if g in products:
-                assert member(g, H)
-            # membership implies brute-force reachable for short elements
+            assert member(g, H) == oracle(g) == (g in products)
         for p in products:
             assert member(p, H)
 
