@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceededError
 from .groups import (
@@ -322,16 +322,6 @@ class Ball:
 
     def __len__(self) -> int:
         return len(self.elements)
-
-    def edges(self) -> Iterator[tuple[Elem, Elem, Elem]]:
-        """All labelled edges inside the ball as (source, target, generator)."""
-        G = self.group
-        letters = G.letters()
-        for v in self.elements:
-            for g in letters:
-                w = G.mul(v, g)
-                if w in self.dist:
-                    yield (v, w, g)
 
 
 def _free_ball(G: FreeGroup, r: int, budget: int) -> dict:

@@ -348,6 +348,8 @@ def run(cfg: dict, command: str, reporter: Reporter,
         reporter.emit(command, inputs, {"length": len(path), "labels": _label_strs(path)})
     elif command == "gromov":
         metric = _params(cfg).get("metric", "relative")
+        if metric not in ("relative", "word"):
+            raise SchemaError("metric must be 'relative' or 'word', not %r" % metric)
         mview = view if metric == "relative" else word_metric_view(group)
         _, (x, y, z) = _word_params(cfg, G, "x", "y", "z")
         reporter.emit(command, {"metric": metric}, gromov_product(x, y, z, mview))
@@ -545,7 +547,8 @@ def _run_conditions(cfg, view, reporter: Reporter, radius_override, budget) -> N
 
     def opt_subgroups(prefix):
         sec = cfg.get("subgroups", {})
-        names = sorted(n for n in sec if n.startswith(prefix) and n[len(prefix):].isdigit())
+        names = [n for n in sec if n.startswith(prefix) and n[len(prefix):].isdecimal()]
+        names.sort(key=lambda n: int(n[len(prefix):]))
         return tuple(subgroup_from_config(cfg, n, G) for n in names)
 
     ctx = ConditionContext(

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from typing import Optional
 
 from .cayley import BrokenLine, EdgePath
 from .groups import per_instance
@@ -39,10 +38,6 @@ class HComponent:
     def x_length(self) -> int:
         return self.path.view.x_dist(self.h_minus, self.h_plus)
 
-    def elem(self):
-        G = self.path.view.group.base
-        return G.mul(G.inv(self.h_minus), self.h_plus)
-
     def edge_count(self) -> int:
         return self.stop - self.start
 
@@ -66,12 +61,6 @@ def find_components(p: EdgePath) -> list[HComponent]:
     return out
 
 
-def connected(h: HComponent, k: HComponent) -> bool:
-    """Same peripheral subgroup and start vertices in the same left coset."""
-    key = h.path.view.coset_key
-    return h.nu == k.nu and key(h.nu, h.h_minus) == key(k.nu, k.h_minus)
-
-
 def is_without_backtracking(p: EdgePath) -> bool:
     return pairwise_unconnected(find_components(p))
 
@@ -85,14 +74,6 @@ def pairwise_unconnected(comps: list[HComponent]) -> bool:
             return False
         seen.add(key)
     return True
-
-
-def phase_vertices(p: EdgePath) -> set[int]:
-    """Vertex indices not interior to any multi-edge component."""
-    out = set(range(len(p.labels) + 1))
-    for c in find_components(p):
-        out -= set(range(c.start + 1, c.stop))
-    return out
 
 
 @dataclass(frozen=True)
@@ -155,19 +136,3 @@ def run_suffixes(bl: BrokenLine) -> dict[int, list[tuple[int, HComponent]]]:
             for edge in range(offsets[si] + c.start, offsets[si] + c.stop):
                 out[edge] = list(run[k:])
     return out
-
-
-def x_length_of_path(p: EdgePath, theta: Optional[int] = None) -> int:
-    """|p|_X from endpoint normal forms.
-
-    When ``theta`` is given, every component must satisfy |h|_X <= theta and
-    the bound |p|_X <= theta * len(p) is asserted.
-    """
-    view = p.view
-    val = view.x_dist(p.start, p.end)
-    if theta is not None:
-        for c in find_components(p):
-            if c.x_length > theta:
-                raise ValueError("component of X-length %d exceeds theta" % c.x_length)
-        assert val <= theta * len(p.labels)
-    return val

@@ -42,7 +42,6 @@ from .separability import (
     StallingsGraph,
     basis,
     build_chain_nfa,
-    finite_index_in,
     least_word,
     member,
     pullback,
@@ -176,11 +175,6 @@ def quasiconvexity_epsilon(
     for v in need.difference(pts):  # a point of P is at distance 0
         eps = max(eps, min(view.x_dist(v, q) for q in pts))
     return eps, "measured on the radius-%d ball" % radius
-
-
-def preccurlyeq(U: SubgroupSpec, V: SubgroupSpec, G: FreeGroup) -> bool:
-    """Is the intersection of U and V of finite index in U?"""
-    return finite_index_in(subgroup_graph(U.gens, G), subgroup_graph(V.gens, G))
 
 
 def _minx_condition(

@@ -27,8 +27,7 @@ from typing import Optional
 
 from .cayley import Ball, BrokenLine, EdgePath, RelGraphView, word_metric_view
 from .errors import BudgetExceededError
-from .groups import FreeGroup, SubgroupSpec
-from .separability import membership_oracle
+from .groups import FreeGroup
 
 
 def gromov_product(x, y, z, view: RelGraphView) -> Fraction:
@@ -288,36 +287,3 @@ def check_concat_lemma(bl: BrokenLine, c0, profile: ConstantsProfile) -> ConcatR
         strong and products_ok and concl2 is not None and not concl2.ok
     )
     return ConcatReport(hyp, strong and products_ok, concl3, concl2, violation)
-
-
-def nbhd_intersection_constant(
-    A: SubgroupSpec, B: SubgroupSpec, K: int, ball: Ball
-) -> tuple[int, str]:
-    """Smallest K' such that, inside the ball, being K-close to both A and B
-    implies being K'-close to the intersection.
-
-    All three subgroup traces are enumerated inside the ball, so the value
-    carries the ball-radius caveat.
-    """
-    G = ball.group
-    view = word_metric_view(G)
-    in_a = membership_oracle(G, A.gens)
-    in_b = membership_oracle(G, B.gens)
-    a_pts = [g for g in ball.elements if in_a(g)]
-    b_pts = [g for g in ball.elements if in_b(g)]
-    ab_pts = [g for g in a_pts if in_b(g)]
-
-    def dset(v, pts):
-        return min((view.x_dist(v, p) for p in pts), default=None)
-
-    worst = 0
-    for v in ball.elements:
-        da = dset(v, a_pts)
-        db = dset(v, b_pts)
-        if da is None or db is None or da > K or db > K:
-            continue
-        dc = dset(v, ab_pts)
-        if dc is None:
-            raise ValueError("intersection has no points inside the ball")
-        worst = max(worst, dc)
-    return worst, "measured inside the radius-%d ball" % ball.radius

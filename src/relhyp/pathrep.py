@@ -8,14 +8,12 @@ a budget-bounded exhaustive search whose output is exact within the budget.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .cayley import BrokenLine, RelGraphView, build_ball, trivial_path
 from .components import find_components
 from .errors import BudgetExceededError
-from .geometry import gromov_product
 from .groups import Elem, SubgroupSpec
 from .separability import membership_oracle
 
@@ -69,15 +67,9 @@ class PathRep:
     def core_indices(self) -> list[int]:
         return [i for i, r in enumerate(self.roles) if r in CORE_ROLES]
 
-    def tail_indices(self) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if r.startswith("T")]
-
-    def segment_elem(self, i: int) -> Elem:
-        return self.line.segments[i].elem()
-
 
 def type_of(rep: PathRep) -> RepType:
-    n = len(rep.core_indices())
+    n = width(rep)
     if rep.kind == "I":
         n = max(n, 1)  # the identity keeps one trivial segment
     total = rep.line.length()
@@ -90,70 +82,6 @@ def type_of(rep: PathRep) -> RepType:
 
 def width(rep: PathRep) -> int:
     return len(rep.core_indices())
-
-
-def tail_height(rep: PathRep):
-    """min(|r|_X, |t_1|_X, ..., |t_{m-1}|_X); +inf when there is no tail."""
-    if rep.kind != "III":
-        raise ValueError("tail height is defined for kind III")
-    view = rep.line.view
-    tails = rep.tail_indices()
-    m = len(tails)
-    if m == 0:
-        return math.inf
-    r_pos = rep.roles.index("R")
-    vals = [view.x_dist(rep.line.segments[r_pos].start, rep.line.segments[r_pos].end)]
-    for i in tails[:-1]:
-        seg = rep.line.segments[i]
-        vals.append(view.x_dist(seg.start, seg.end))
-    return min(vals)
-
-
-def check_alternation(
-    rep: PathRep,
-    in_qp: Callable[[Elem], bool],
-    in_rp: Callable[[Elem], bool],
-    in_s: Callable[[Elem], bool],
-) -> bool:
-    """Do the core segments alternate between Q'-only and R'-only elements?
-
-    For kinds II/III the core must start in R', end in Q', and have even
-    width whenever it is nonempty.
-    """
-    core = rep.core_indices()
-    if not core:
-        return True
-    elems = [rep.segment_elem(i) for i in core]
-    if len(elems) == 1 and rep.kind == "I":
-        return in_qp(elems[0]) or in_rp(elems[0])
-    sides = []
-    for x in elems:
-        if in_s(x):
-            return False
-        q, r = in_qp(x), in_rp(x)
-        if not (q or r):
-            return False
-        sides.append("Q'" if q else "R'")
-    if any(a == b for a, b in zip(sides, sides[1:])):
-        return False
-    if rep.kind in ("II", "III"):
-        if sides[0] != "R'" or sides[-1] != "Q'":
-            return False
-        if len(sides) % 2 != 0:
-            return False
-    return True
-
-
-def node_products_bounded(rep: PathRep, c0) -> tuple[bool, object, tuple]:
-    """Relative Gromov products at the interior nodes, compared against c0."""
-    view = rep.line.view
-    nodes = rep.line.nodes
-    prods = tuple(
-        gromov_product(nodes[i - 1], nodes[i + 1], nodes[i], view)
-        for i in range(1, len(nodes) - 1)
-    )
-    worst = max(prods, default=0)
-    return all(p <= c0 for p in prods), worst, prods
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from .amalgams import (
     amalgam_reduce,
     induced_quotient,
 )
-from .membership import lattice_contains, membership_oracle
+from .membership import membership_oracle
 from .quotients import (
     FiniteQuotient,
     MinxHarnessResult,
@@ -27,7 +27,6 @@ from .rational import RationalSubset, build_chain_nfa, least_word, product_membe
 from .stallings import (
     StallingsGraph,
     basis,
-    finite_index_in,
     member,
     pullback,
     subgroup_graph,
@@ -46,10 +45,8 @@ __all__ = [
     "build_chain_nfa",
     "combine_quotients",
     "find_separating_quotient",
-    "finite_index_in",
     "image_of_rational_subset",
     "induced_quotient",
-    "lattice_contains",
     "least_word",
     "member",
     "membership_oracle",

@@ -59,11 +59,6 @@ def _lattice_member(gens: Sequence[tuple], cols: int) -> Callable[[tuple], bool]
     return contains
 
 
-def lattice_contains(gens: Sequence[tuple], v: tuple) -> bool:
-    """Is the integer vector v in the lattice spanned by ``gens``?"""
-    return _lattice_member(gens, len(v))(v)
-
-
 def membership_oracle(G: GroupSpec, gens: Sequence[Elem]) -> Callable[[Elem], bool]:
     """A callable deciding membership in the subgroup generated by ``gens``."""
     if isinstance(G, FreeGroup):

@@ -14,8 +14,8 @@ order.  So vertex numbers, and the key order of each transition dict, are a
 function of the input edge list alone; ``basis`` reads them in that order.
 
 Every traversal is ``groups.bfs`` over ``_letters``, each generator's code
-and then its inverse: the spanning tree of ``basis``, the product graph of
-``pullback``, and the cover that ``finite_index_in`` reads its answer off.
+and then its inverse: the spanning tree of ``basis`` and the product graph
+of ``pullback``.
 """
 
 from __future__ import annotations
@@ -227,19 +227,3 @@ def pullback(A: StallingsGraph, B: StallingsGraph) -> StallingsGraph:
         if x > 0 and x in B.out[b]
     ]
     return _assemble(A.rank, len(index), edges)
-
-
-def finite_index_in(U: StallingsGraph, V: StallingsGraph) -> bool:
-    """Is the index of the intersection of U and V finite in U?
-
-    Let K be U's graph without its stem (its core with nothing kept).  The
-    based component of the product graph covers K exactly when the index is
-    finite: when it has a vertex over K, and each such vertex (a, b) reads
-    in V every letter that a reads inside K.  A finite cover of K has no
-    vertex of degree 1, so it lies in V's core.  A trivial U has index 1.
-    """
-    core = _trim({v: dict(trans) for v, trans in enumerate(U.out)})
-    if not core:
-        return True
-    over = [(a, b) for a, b in _product(U, V) if a in core]
-    return bool(over) and all(core[a].keys() <= V.out[b].keys() for a, b in over)

@@ -180,15 +180,6 @@ class ShortcutPropositionReport:
     tamable: Optional[TamabilityVerdict]
     violation: bool
 
-    @property
-    def conclusion_holds(self) -> bool:
-        return (
-            self.all_e_nontrivial
-            and self.quasigeodesic.ok
-            and self.without_backtracking
-            and self.eta_ok
-        )
-
 
 def verify_shortcut_proposition(
     bl: BrokenLine,

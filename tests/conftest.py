@@ -946,6 +946,60 @@ def reference_dist(view, u, v):
     return len(view.decompose(G.mul(G.inv(u), v)))
 
 
+# -- predicates on components and path representatives -----------------------
+# The paper's definitions, which tests measure the library's output with.
+
+
+def connected(h, k) -> bool:
+    """Two H-components are connected: same peripheral subgroup, and start
+    vertices in the same left coset."""
+    key = h.path.view.coset_key
+    return h.nu == k.nu and key(h.nu, h.h_minus) == key(k.nu, k.h_minus)
+
+
+def check_alternation(rep, in_qp, in_rp, in_s) -> bool:
+    """Do the core segments of a path representative alternate between
+    Q'-only and R'-only elements?
+
+    For kinds II/III the core must start in R', end in Q', and have even
+    width whenever it is nonempty.
+    """
+    core = rep.core_indices()
+    if not core:
+        return True
+    elems = [rep.line.segments[i].elem() for i in core]
+    if len(elems) == 1 and rep.kind == "I":
+        return in_qp(elems[0]) or in_rp(elems[0])
+    sides = []
+    for x in elems:
+        if in_s(x):
+            return False
+        q, r = in_qp(x), in_rp(x)
+        if not (q or r):
+            return False
+        sides.append("Q'" if q else "R'")
+    if any(a == b for a, b in zip(sides, sides[1:])):
+        return False
+    if rep.kind in ("II", "III"):
+        if sides[0] != "R'" or sides[-1] != "Q'":
+            return False
+        if len(sides) % 2 != 0:
+            return False
+    return True
+
+
+def node_products(line) -> tuple:
+    """The relative Gromov products <prev, next>_node at the interior nodes
+    of a broken line."""
+    from relhyp.geometry import gromov_product
+
+    nodes = line.nodes
+    return tuple(
+        gromov_product(nodes[i - 1], nodes[i + 1], nodes[i], line.view)
+        for i in range(1, len(nodes) - 1)
+    )
+
+
 # -- tripod thinness with Fraction arclengths and tagged points ---------------
 
 
@@ -1129,9 +1183,10 @@ def _tree_ball_scan(elems):
     return Fraction(best2, 2), witness, comb(n, 3)
 
 
-# -- the deque spanning tree and the chord-rewriting finite-index test -------
-# stallings.basis and stallings.finite_index_in as they were before both ran
-# on groups.bfs; finite_index_in now reads the answer off the product cover.
+# -- the deque spanning tree and two finite-index tests -----------------------
+# stallings.basis and the chord-rewriting finite-index test as they were
+# before both ran on groups.bfs, and the product-cover test that replaced the
+# latter; no command reads a finite index yet.
 
 
 def spanning_tree(H):
@@ -1239,3 +1294,21 @@ def reference_finite_index_in(U, V, G) -> bool:
     F_u = FreeGroup(tuple("c%d" % i for i in range(u_rank)))
     H = subgroup_graph(rewritten, F_u)
     return is_complete(H)
+
+
+def finite_index_in(U, V) -> bool:
+    """Is the index of the intersection of U and V finite in U?
+
+    Let K be U's graph without its stem (its core with nothing kept).  The
+    based component of the product graph covers K exactly when the index is
+    finite: when it has a vertex over K, and each such vertex (a, b) reads
+    in V every letter that a reads inside K.  A finite cover of K has no
+    vertex of degree 1, so it lies in V's core.  A trivial U has index 1.
+    """
+    from relhyp.separability.stallings import _product, _trim
+
+    core = _trim({v: dict(trans) for v, trans in enumerate(U.out)})
+    if not core:
+        return True
+    over = [(a, b) for a, b in _product(U, V) if a in core]
+    return bool(over) and all(core[a].keys() <= V.out[b].keys() for a, b in over)

@@ -121,9 +121,8 @@ class TestBall:
 
     def test_edge_inversion_closure(self, fab):
         ball = build_ball(fab, 3)
-        edges = set()
-        for u, v, g in ball.edges():
-            edges.add((u, v))
+        steps = ((v, fab.mul(v, x)) for v in ball.dist for x in fab.letters())
+        edges = {(u, v) for u, v in steps if v in ball.dist}
         for (u, v) in edges:
             assert (v, u) in edges
 

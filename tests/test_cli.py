@@ -213,6 +213,21 @@ class TestCommands:
         c2 = [l for l in lines if l["inputs"]["condition"] == "C2"][0]
         assert c2["verdict"] == "fails" and c2["witness"]
 
+    def test_tails_in_index_order(self):
+        """C2-m's j-th product reads the tails T_1..T_j in index order, so
+        T10 comes after T2.  Here the order decides the verdict: tails a, a b
+        hold, and a b, a fail with witness a."""
+        cfg = (
+            "[group]\nfamily = free\nsymbols = a b\n"
+            "[subgroups]\nQ = a\nR = b\nQ' = a a\nR' = b b\n%s"
+            "[params]\nradius = 5\nB = 2\nconditions = C2-m\n"
+        )
+        lines, failed = run_lines(cfg % "T1 = a\nT2 = a b\n", "check-conditions")
+        assert not failed
+        swapped, failed = run_lines(cfg % "T1 = a b\nT2 = a\n", "check-conditions")
+        assert failed and swapped[0]["witness"] == "a"
+        assert run_lines(cfg % "T10 = a b\nT2 = a\n", "check-conditions") == (lines, False)
+
     def test_amalgam_commands(self):
         lines, _ = run_lines(AMALGAM, "amalgam-reduce")
         assert lines[0]["verdict"]["length"] == 0
@@ -535,13 +550,15 @@ class TestMainExitCodes:
             (FAB_REL_A, "[paths]\n", "[paths]\npath = x:b h:0:b\n", "components"),
             (FAB_REL_A, "nodes = 1 ; a a a a a ; a a a a a a a a a a", "segments = x:a x:a",
              "shortcut"),
+            (FAB_REL_A, "u = 1\n", "u = 1\nx = a\ny = b\nz = 1\nmetric = wrod\n", "gromov"),
         ],
         ids=["duplicate-symbols", "missing-symbols", "non-integer-B",
              "unknown-peripheral", "unknown-letter", "free-product-without-factors",
              "amalgam-without-edge", "edge-without-identity", "empty-peripheral",
              "cyclic-generator-without-letter", "free-factor-not-an-index",
              "negative-radius-ball", "negative-radius-conditions", "negative-theta",
-             "unknown-amalgam-kind", "h-label-outside-peripheral", "non-geodesic-segment"],
+             "unknown-amalgam-kind", "h-label-outside-peripheral", "non-geodesic-segment",
+             "unknown-gromov-metric"],
     )
     def test_malformed_config_is_schema_error(self, tmp_path, capsys, base, old, new, command):
         assert old in base

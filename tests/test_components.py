@@ -3,17 +3,14 @@ import random
 import pytest
 
 from relhyp import word_to_elem
-from relhyp.cayley import BrokenLine, EdgePath, build_ball, word_metric_view
+from relhyp.cayley import BrokenLine, EdgePath, build_ball
 from relhyp.components import (
-    connected,
     find_components,
     find_consecutive_backtracking,
     is_without_backtracking,
-    phase_vertices,
-    x_length_of_path,
 )
 
-from conftest import random_broken_line
+from conftest import connected, random_broken_line
 
 w = word_to_elem
 
@@ -26,7 +23,6 @@ class TestFindComponents:
     def test_all_x_path(self, fab_rel_a, fab):
         p = _path(fab_rel_a, fab, [("x", w("b", fab)), ("x", w("b", fab))])
         assert find_components(p) == []
-        assert phase_vertices(p) == {0, 1, 2}
 
     def test_two_components(self, fab_rel_a, fab):
         p = _path(
@@ -44,8 +40,6 @@ class TestFindComponents:
         assert len(comps) == 1
         assert comps[0].edge_count() == 2
         assert comps[0].x_length == 3
-        # the interior vertex is non-phase
-        assert phase_vertices(p) == {0, 2}
 
 
 class TestConnected:
@@ -132,29 +126,6 @@ class TestBacktracking:
         nodes = [fab.identity(), w("a a b", fab), w("a a b b a a b", fab)]
         bl = BrokenLine.from_nodes(fab_rel_a, nodes)
         assert find_consecutive_backtracking(bl) == []
-
-
-class TestXLength:
-    def test_empty(self, fab_rel_a, fab):
-        p = _path(fab_rel_a, fab, [])
-        assert x_length_of_path(p, 1) == 0
-
-    def test_bound(self, fab_rel_a, fab):
-        p = _path(
-            fab_rel_a,
-            fab,
-            [("x", w("b", fab)), ("h", 0, w("a a", fab)), ("x", w("b", fab))],
-        )
-        assert x_length_of_path(p, 2) == 4  # |b a^2 b|_X = 4 <= 2 * 3
-
-    def test_equality_for_all_x(self, fab_rel_a, fab):
-        geo = word_metric_view(fab).geodesic(fab.identity(), w("a b a b", fab))
-        assert x_length_of_path(geo, 1) == 4
-
-    def test_theta_precondition(self, fab_rel_a, fab):
-        p = _path(fab_rel_a, fab, [("h", 0, w("a a a", fab))])
-        with pytest.raises(ValueError):
-            x_length_of_path(p, 2)
 
 
 def test_isolated_component_ratio_is_finite(fab_rel_a, fab):

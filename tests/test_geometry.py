@@ -11,7 +11,6 @@ from relhyp import (
     FreeGroup,
     FreeProduct,
     RelHyp,
-    SubgroupSpec,
     cyclic_group,
     geometry,
     word_to_elem,
@@ -30,7 +29,6 @@ from relhyp.geometry import (
     gromov_product,
     is_quasigeodesic,
     measure_delta,
-    nbhd_intersection_constant,
     thin_triangle_delta,
     _ScanTable,
 )
@@ -427,26 +425,3 @@ class TestConcatLemma:
         bl = BrokenLine((fab_word.geodesic(fab.identity(), w("a", fab)),))
         with pytest.raises(ValueError):
             check_concat_lemma(bl, 0, prof)
-
-
-class TestNbhdIntersection:
-    def test_a_equals_b(self, fab):
-        ball = build_ball(fab, 4)
-        A = SubgroupSpec((w("a", fab),), role="A")
-        kprime, _ = nbhd_intersection_constant(A, A, 0, ball)
-        assert kprime == 0
-
-    def test_trivial_intersection(self, fab):
-        ball = build_ball(fab, 4)
-        A = SubgroupSpec((w("a", fab),), role="Q")
-        B = SubgroupSpec((w("b", fab),), role="R")
-        kprime, caveat = nbhd_intersection_constant(A, B, 0, ball)
-        assert kprime == 0
-        assert "radius" in caveat
-
-    def test_measured_value_finite(self, fab):
-        ball = build_ball(fab, 5)
-        A = SubgroupSpec((w("a", fab),), role="Q")
-        B = SubgroupSpec((w("a b", fab),), role="R")
-        kprime, _ = nbhd_intersection_constant(A, B, 1, ball)
-        assert 0 <= kprime <= 10

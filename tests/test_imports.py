@@ -101,20 +101,19 @@ def _wrapped_by_tracer():
     return {attr for targets in spans.values() for _, attr in targets if "." not in attr}
 
 
-def test_no_unread_functions():
-    """Every top-level function and class of the package is read by name
-    (``name`` or ``obj.name``) somewhere in src, tests, demos or perfbench.
-    An import alone is not a read, so a name that only ``__init__.py``
-    re-exports is unread.  Functions the tracer wraps are exempt: it finds
-    them by their module path."""
-    read = set()
-    for path in READERS:
+def _unread_top_level(readers):
+    """Top-level functions and classes of the package that no file of
+    ``readers`` reads by name (``name`` or ``obj.name``).  An import alone is
+    not a read, so a name that only ``__init__.py`` re-exports is unread.
+    Functions the tracer wraps are exempt: it finds them by their module
+    path."""
+    read = _wrapped_by_tracer()
+    for path in readers:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    read |= _wrapped_by_tracer()
     unread = []
     for path in sorted(SRC.rglob("*.py")):
         for node in ast.parse(path.read_text(), filename=str(path)).body:
@@ -123,7 +122,28 @@ def test_no_unread_functions():
                 and node.name not in read
             ):
                 unread.append("%s (%s)" % (node.name, path.relative_to(SRC)))
+    return unread
+
+
+def test_no_unread_functions():
+    """Every top-level function and class of the package is read somewhere
+    in src, tests, demos or perfbench."""
+    unread = _unread_top_level(READERS)
     assert not unread, "functions and classes nothing reads: %s" % ", ".join(unread)
+
+
+def test_no_functions_only_unit_tests_read():
+    """Every top-level function and class of the package is read outside the
+    unit tests: in src, demos, perfbench, the shared oracles of
+    ``tests/conftest.py`` or the acceptance criteria.  A function that only
+    its own unit tests call has no user; it belongs in ``conftest.py`` as a
+    reference, or nowhere."""
+    readers = [
+        p for p in READERS
+        if p.parent.name != "tests" or p.name in ("conftest.py", "test_acceptance.py")
+    ]
+    unread = _unread_top_level(readers)
+    assert not unread, "functions and classes only unit tests read: %s" % ", ".join(unread)
 
 
 def test_one_bfs_kernel():

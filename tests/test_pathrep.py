@@ -11,14 +11,13 @@ from relhyp.pathrep import (
     PathRep,
     RepType,
     SearchBudget,
-    check_alternation,
     minimize_type,
-    node_products_bounded,
-    tail_height,
     type_of,
     width,
 )
 from relhyp.separability import membership_oracle
+
+from conftest import check_alternation, connected, node_products
 
 w = word_to_elem
 
@@ -202,25 +201,19 @@ class TestAlternation:
 class TestNodeProducts:
     def test_single_segment_vacuous(self, fab, fab_rel_a):
         line = BrokenLine.from_nodes(fab_rel_a, [fab.identity(), w("a a", fab)])
-        rep = PathRep("I", line, ("Q'",))
-        ok, worst, prods = node_products_bounded(rep, 0)
-        assert ok and prods == ()
+        assert node_products(line) == ()
 
     def test_full_cancellation(self, fab, fab_rel_a):
         line = BrokenLine.from_nodes(
             fab_rel_a, [fab.identity(), w("a a", fab), fab.identity()]
         )
-        rep = PathRep("I", line, ("Q'", "Q'"))
-        ok, worst, _ = node_products_bounded(rep, 0)
-        assert not ok and worst == 1  # (1 + 1 - 0) / 2
+        assert node_products(line) == (1,)  # (1 + 1 - 0) / 2
 
     def test_tree_no_cancellation(self, fab, fab_rel_a):
         line = BrokenLine.from_nodes(
             fab_rel_a, [fab.identity(), w("a a", fab), w("a a b b", fab)]
         )
-        rep = PathRep("I", line, ("Q'", "R'"))
-        ok, worst, _ = node_products_bounded(rep, 0)
-        assert ok and worst == 0
+        assert node_products(line) == (0,)
 
 
 def test_empirical_constant_estimates(fab, fab_rel_a, qprp):
@@ -229,7 +222,7 @@ def test_empirical_constant_estimates(fab, fab_rel_a, qprp):
     max X-distance from a connected component's end to its segment's end
     across adjacent segments (a C1 estimate).  Both must be finite; the
     values are reported, not assumed."""
-    from relhyp.components import connected, find_components
+    from relhyp.components import find_components
 
     qp, rp = qprp
     rng = random.Random(71)
@@ -243,8 +236,7 @@ def test_empirical_constant_estimates(fab, fab_rel_a, qprp):
         if res.rep is None:
             continue
         reps += 1
-        _, worst, _ = node_products_bounded(res.rep, 10**9)
-        c0_estimate = max(c0_estimate, worst)
+        c0_estimate = max([c0_estimate, *node_products(res.rep.line)])
         segs = res.rep.line.segments
         for s1, s2 in zip(segs, segs[1:]):
             for c in find_components(s1):
@@ -259,34 +251,3 @@ def test_empirical_constant_estimates(fab, fab_rel_a, qprp):
         "[empirical] C0 estimate (max node product over %d minimal reps): %s; "
         "C1 estimate (component end to node): %s" % (reps, c0_estimate, c1_estimate)
     )
-
-
-class TestWidthAndTail:
-    def _kind_iii(self, fab, fab_rel_a, r_word, t_words):
-        e = fab.identity()
-        nodes = [e, e]  # trivial q
-        cur = e
-        for word in ["b b", "a a"]:
-            cur = fab.mul(cur, w(word, fab))
-            nodes.append(cur)
-        cur = fab.mul(cur, w(r_word, fab) if r_word else e)
-        nodes.append(cur)
-        roles = ["Q", "R'", "Q'", "R"]
-        for i, t in enumerate(t_words):
-            cur = fab.mul(cur, w(t, fab))
-            nodes.append(cur)
-            roles.append("T%d" % (i + 1))
-        return PathRep("III", BrokenLine.from_nodes(fab_rel_a, nodes), tuple(roles))
-
-    def test_trivial_r(self, fab, fab_rel_a):
-        rep = self._kind_iii(fab, fab_rel_a, "", ["b", "a"])
-        assert tail_height(rep) == 0
-
-    def test_m_zero_is_infinite(self, fab, fab_rel_a):
-        rep = self._kind_iii(fab, fab_rel_a, "b a b", [])
-        assert tail_height(rep) == math.inf
-
-    def test_t_m_excluded(self, fab, fab_rel_a):
-        rep = self._kind_iii(fab, fab_rel_a, "b a b", ["b a b a b", "a"])
-        # min(|r|=3, |t1|=5); t2 never counts
-        assert tail_height(rep) == 3

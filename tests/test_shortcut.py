@@ -123,7 +123,10 @@ class TestProposition:
     def test_no_h_geodesic_vacuous(self, fab, fab_rel_a):
         bl = BrokenLine.from_nodes(fab_rel_a, [fab.identity(), w("b b b", fab)])
         rep = verify_shortcut_proposition(bl, 3, 1, 0, 0)
-        assert rep.conclusion_holds
+        assert rep.all_e_nontrivial
+        assert rep.quasigeodesic.ok
+        assert rep.without_backtracking
+        assert rep.eta_ok
 
     def test_components_found_once(self, a5_a10, monkeypatch):
         """With a tamability triple, each segment's components are found once
