@@ -7,7 +7,7 @@ preimage at vertex and edge-midpoint positions, where the maxima of the
 piecewise-linear preimage distances occur; the scans count these positions
 as integers, in doubled arclengths.  ``thin_triangle_delta`` scans one
 triangle's canonical geodesic sides in any view.  ``measure_delta`` scans
-every triple of a ball with one ``_ScanTable`` for the scan's lifetime.
+every triple of a ball with one ``_ScanTable``, over numbered vertices.
 The scan is pruned exactly by the triangle inequality behind the tripod
 definition (Bridson–Haefliger III.H.1.17): matched points at doubled
 position t are each t/2 from their corner, so at doubled distance at most
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import Optional
 
@@ -71,53 +71,55 @@ def is_quasigeodesic(p: EdgePath, lam, c) -> QuasigeodesicVerdict:
 class _ScanTable:
     """What a δ scan reads again and again, in one view, for one scan.
 
-    ``sides[u, v]`` is the canonical side from u to v as ``(verts, kinds)``:
-    its vertex tuple and each edge label less its element.  A side is built
-    once per unordered pair, by ``view.geodesic`` between its ends in
-    sort-key order, and stored under both orders, the second reversed.
-    ``dists`` memoises ``view.dist`` under both orders, every pair first in
-    ``measure_delta``; a side is built only when a scanned corner reads it.
-    A table is made by ``measure_delta`` for one scan, or by a lone
-    ``thin_triangle_delta`` call for its triangle, and dropped with it.
+    Vertices are numbered once, in order of first sight: vertex i is
+    ``elems[i]``, with sort key ``keys[i]``; ``rows[i]`` maps j to d(i, j),
+    from ``rows[i][i] = 0``, memoised under both orders.  ``sides[i, j]`` is
+    the canonical side from i to j as its vertex numbers and each edge label
+    less its element, built once per unordered pair when a scanned corner
+    reads it: the labels of ``view.decompose`` from the end with the lower
+    sort key, walked by ``base.mul``, stored under both orders, the second
+    reversed.  A table is made by ``measure_delta`` for one scan, or by a
+    lone ``thin_triangle_delta`` call for its triangle, and dropped with it.
     """
 
-    __slots__ = ("view", "keys", "sides", "dists")
+    __slots__ = ("view", "nums", "elems", "keys", "rows", "sides")
 
     def __init__(self, view: RelGraphView):
         self.view = view
-        self.keys = {}
-        self.sides = {}
-        self.dists = {}
+        self.nums, self.elems, self.keys, self.rows, self.sides = {}, [], [], [], {}
 
-    def key(self, g):
-        k = self.keys.get(g)
-        if k is None:
-            k = self.keys[g] = self.view.group.base.sort_key(g)
-        return k
+    def num(self, g) -> int:
+        i = self.nums.get(g)
+        if i is None:
+            i = self.nums[g] = len(self.elems)
+            self.elems.append(g)
+            self.keys.append(self.view.group.base.sort_key(g))
+            self.rows.append({i: 0})
+        return i
 
-    def side(self, u, v):
+    def side(self, u: int, v: int):
         s = self.sides.get((u, v))
         if s is None:
-            lo, hi = (v, u) if self.key(v) < self.key(u) else (u, v)
-            path = self.view.geodesic(lo, hi)
-            verts = path.vertices
-            kinds = tuple(lab[:-1] for lab in path.labels)
+            lo, hi = (v, u) if self.keys[v] < self.keys[u] else (u, v)
+            base, g = self.view.group.base, self.elems[lo]
+            labels = self.view.decompose(base.mul(base.inv(g), self.elems[hi]))
+            walk = accumulate((lab[-1] for lab in labels), base.mul, initial=g)
+            verts, kinds = tuple(map(self.num, walk)), tuple(lab[:-1] for lab in labels)
             self.sides[lo, hi] = verts, kinds
             self.sides[hi, lo] = verts[::-1], kinds[::-1]
             s = self.sides[u, v]
         return s
 
-    def dist(self, a, b):
-        if a == b:
-            return 0
-        d = self.dists.get((a, b))
+    def dist(self, a: int, b: int) -> int:
+        row = self.rows[a]
+        d = row.get(b)
         if d is None:
-            d = self.dists[a, b] = self.dists[b, a] = self.view.dist(a, b)
+            d = row[b] = self.rows[b][a] = self.view.dist(self.elems[a], self.elems[b])
         return d
 
 
 def thin_triangle_delta(
-    x, y, z, view: RelGraphView, table: Optional[_ScanTable] = None, floor=0
+    x, y, z, view: RelGraphView, table: Optional[_ScanTable] = None, floor=Fraction(0)
 ) -> Fraction:
     """max(floor, thinness) of the triangle on x, y, z with canonical sides.
 
@@ -131,6 +133,7 @@ def thin_triangle_delta(
     t/2 from their corner, so that doubled distance is at most 2t: only
     t > floor (an int or a Fraction) is read, and a corner whose doubled
     Gromov product is at most floor is skipped before its sides are built.
+    A triangle that cannot beat floor returns the floor object itself.
 
     Sides and distances come from ``table``, the calling scan's
     ``_ScanTable``, which must be a table of ``view`` itself; without one
@@ -141,7 +144,8 @@ def thin_triangle_delta(
         table = _ScanTable(view)
     elif table.view is not view:
         raise ValueError("the table belongs to another view")
-    side, dist = table.side, table.dist
+    side, dist, num = table.side, table.dist, table.num
+    x, y, z = num(x), num(y), num(z)
     dxy, dxz, dyz = dist(x, y), dist(x, z), dist(y, z)
     best = bar = 2 * floor.numerator // floor.denominator  # d beats floor iff d > bar
     for c, p, q, leg in (
@@ -163,7 +167,7 @@ def thin_triangle_delta(
                 d = 2 * dist(verts1[i], verts2[i])
             if d > best:
                 best = d
-    return Fraction(best, 2) if best > bar else Fraction(floor)
+    return Fraction(best, 2) if best > bar else floor
 
 
 @dataclass(frozen=True)
@@ -184,10 +188,11 @@ def measure_delta(ball: Ball, budget: Optional[int] = None) -> DeltaMeasurement:
     Cayley graph of a free basis is a tree, where the three sides of a
     triangle meet at one branch point and the points the tripod map
     matches coincide.  Otherwise one ``_ScanTable`` serves every triple,
-    holding all n² distances first.  A triangle's thinness is at most its
-    largest doubled Gromov product L, so a triple with 2L <= 2 best is
-    skipped with no call and the rest run with ``floor=best``: the value,
-    the first witness and the count are those of the full scan.
+    numbering the ball's elements first and holding all n² distances first.
+    A triangle's thinness is at most its largest doubled Gromov product L,
+    so a triple with 2L <= 2 best is skipped with no call and the rest run
+    with ``floor=best``, returned as is unless raised: the value, the first
+    witness and the count are those of the full scan.
     BudgetExceededError is raised before a scan of more than ``budget``
     triples (None: no cap).
     """
@@ -201,14 +206,15 @@ def measure_delta(ball: Ball, budget: Optional[int] = None) -> DeltaMeasurement:
         )
     view = word_metric_view(ball.group)
     table = _ScanTable(view)
-    dist = [[table.dist(a, b) for b in elems] for a in elems]
+    nums = [table.num(g) for g in elems]  # vertex i is elems[i]
+    dist = [[table.dist(i, j) for j in nums] for i in nums]
     best, bound, witness = Fraction(0), 0, None  # bound = 2 best
     for i, j, k in combinations(range(len(elems)), 3):
         dij, dik, djk = dist[i][j], dist[i][k], dist[j][k]
         if 2 * (dij + dik + djk - 2 * min(dij, dik, djk)) <= bound:  # 2 * largest L
             continue
         v = thin_triangle_delta(elems[i], elems[j], elems[k], view, table, floor=best)
-        if v > best:
+        if v is not best:  # the maximum rose
             best, bound, witness = v, int(2 * v), (elems[i], elems[j], elems[k])
     return DeltaMeasurement(best, ball.radius, count, witness)
 

@@ -294,11 +294,15 @@ class FreeAbelian(GroupSpec):
             out.append((s, tuple(v)))
         return out
 
+    @per_instance
+    def _steps(self):  # (unit step, its inverse) per generator, by index
+        return tuple((u, self.inv(u)) for _, u in self.generator_elems())
+
     def geodesic_word(self, a):
         """The positive unit steps by index, then the negative ones."""
-        units = [u for _, u in self.generator_elems()]
-        pos = [u for u, e in zip(units, a) for _ in range(e)]
-        neg = [self.inv(u) for u, e in zip(units, a) for _ in range(-e)]
+        steps = self._steps()
+        pos = [u for (u, _), e in zip(steps, a) for _ in range(e)]
+        neg = [u for (_, u), e in zip(steps, a) for _ in range(-e)]
         return pos + neg
 
     def elem_str(self, a):

@@ -196,9 +196,10 @@ def test_floor_is_a_lower_bound(data, floor_cases):
     view, elems, table = data.draw(st.sampled_from(floor_cases))
     x, y, z = data.draw(st.lists(st.sampled_from(elems), min_size=3, max_size=3))
     f = data.draw(st.sampled_from([Fraction(k, 2) for k in range(11)]))
-    assert thin_triangle_delta(x, y, z, view, table, floor=f) == max(
-        f, thin_triangle_delta(x, y, z, view)
-    )
+    v = thin_triangle_delta(x, y, z, view, table, floor=f)
+    assert v == max(f, thin_triangle_delta(x, y, z, view))
+    # a triangle that cannot beat the floor returns the floor object itself
+    assert (v is f) == (v == f)
 
 
 @pytest.mark.parametrize(
@@ -238,9 +239,11 @@ class TestScanTable:
                 ball.elements, word_metric_view(G)
             ), (G, radius)
 
-    def test_bound_skips_most_triples(self, z2z, monkeypatch):
-        # Z^2 * Z at radius 2: 5,456 triples, of which fewer than half can
-        # beat the running maximum when they are reached
+    def test_bound_skips_most_triples(self, z2z, amalgam46, monkeypatch):
+        # the two benchmark balls at radius 2: of 5,456 triples on Z^2 * Z
+        # and 560 on the amalgam, exactly 1,858 and 453 can beat the running
+        # maximum when they are reached, and only those reach the module's
+        # thin_triangle_delta
         calls = []
         thin = geometry.thin_triangle_delta
 
@@ -249,10 +252,14 @@ class TestScanTable:
             return thin(*args, **kwargs)
 
         monkeypatch.setattr(geometry, "thin_triangle_delta", counted)
-        m = measure_delta(build_ball(z2z.group.base, 2))
-        assert (m.delta, m.triples) == (4, 5456)
-        assert m.witness in calls
-        assert len(calls) < 5456 // 2
+        for G, delta, triples, called in (
+            (z2z.group.base, 4, 5456, 1858), (amalgam46, 2, 560, 453),
+        ):
+            calls.clear()
+            m = measure_delta(build_ball(G, 2))
+            assert (m.delta, m.triples) == (delta, triples)
+            assert m.witness in calls
+            assert len(calls) == called
 
     @pytest.mark.parametrize("view", _distinct_views())
     def test_metric_shapes_radius_2(self, view):
@@ -273,18 +280,41 @@ class TestScanTable:
             thin_triangle_delta(x, y, z, fab_word, _ScanTable(fab_rel_a))
 
     def test_one_geodesic_per_pair(self, z2z, monkeypatch):
+        # each side is read off one decompose call, made at most once per
+        # unordered pair of the ball, and nothing else in the scan decomposes
         calls = []
-        geodesic = RelGraphView.geodesic
+        decompose = RelGraphView.decompose
 
-        def counted(self, u, v):
-            calls.append((u, v))
-            return geodesic(self, u, v)
+        def counted(self, g):
+            calls.append(g)
+            return decompose(self, g)
 
-        monkeypatch.setattr(RelGraphView, "geodesic", counted)
+        monkeypatch.setattr(RelGraphView, "decompose", counted)
         ball = build_ball(z2z.group.base, 2)
         assert len(ball) == 33
         measure_delta(ball)
         assert 0 < len(calls) <= comb(33, 2)
+
+    @pytest.mark.parametrize("view", _distinct_views())
+    def test_sides_are_canonical_geodesics(self, view):
+        # the side between two vertices, built from the end with the lower
+        # sort key by walking decompose's labels, is view.geodesic between
+        # them in that order: its vertices, then its label kinds, and the
+        # same reversed from the other end
+        base = view.group.base
+        elems = build_ball(base, 2).elements
+        table = _ScanTable(view)
+        for u, v in combinations(elems, 2):
+            lo, hi = sorted((u, v), key=base.sort_key)
+            path = view.geodesic(lo, hi)
+            kinds = tuple(lab[:-1] for lab in path.labels)
+            for a, b, verts, ks in (
+                (hi, lo, path.vertices[::-1], kinds[::-1]),
+                (lo, hi, path.vertices, kinds),
+            ):
+                side_verts, side_kinds = table.side(table.num(a), table.num(b))
+                assert tuple(table.elems[i] for i in side_verts) == verts, (a, b)
+                assert side_kinds == ks, (a, b)
 
     @pytest.mark.parametrize("first,expected", [(("h", 0), 1), (("x",), 0)])
     def test_edge_kinds_are_compared(self, fab, fab_rel_a, first, expected):
@@ -295,11 +325,12 @@ class TestScanTable:
         one = fab.identity()
         a, ab, ab_ = (w(s, fab) for s in ("a", "a b", "a b^-1"))
         table = _ScanTable(fab_rel_a)
-        for verts, kinds in (
+        for path, kinds in (
             ((one, a, ab), (first, ("x",))),
             ((one, a, ab_), (("x",), ("x",))),
             ((ab, a, ab_), (("x",), ("x",))),
         ):
+            verts = tuple(map(table.num, path))
             table.sides[verts[0], verts[-1]] = verts, kinds
             table.sides[verts[-1], verts[0]] = verts[::-1], kinds[::-1]
         assert thin_triangle_delta(one, ab, ab_, fab_rel_a, table) == expected
