@@ -16,16 +16,20 @@ syllables of v less a last syllable in H_nu.
 A view with no peripherals is the plain word metric, so the same path and
 geodesic machinery serves both metrics.
 
+A ball is its levels: its elements in BFS order and the size of each level.
 Balls are built by ``groups.bfs``, except a free group's: its Cayley graph
 is a tree, so a word's products by letters are its parent and its children,
 and the ball is enumerated level by level as reduced words, its exact size
-checked against the vertex budget before any word is built.
+checked against the vertex budget before any word is built.  The distance
+map is built from the levels only when a caller reads it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, count, repeat
 from typing import Optional, Sequence
 
 from .errors import BudgetExceededError
@@ -310,12 +314,24 @@ class BrokenLine:
 
 @dataclass(frozen=True)
 class Ball:
-    """The radius-r ball of the word metric, with exact BFS distances."""
+    """The radius-r ball of the word metric, level by level: ``elements`` in
+    BFS order, ``sizes[d]`` of them at distance d, up to the last nonempty
+    level."""
 
     group: GroupSpec
     radius: int
     elements: tuple[Elem, ...]
-    dist: dict
+    sizes: tuple[int, ...]
+
+    @property
+    def max_distance(self) -> int:
+        return len(self.sizes) - 1
+
+    @cached_property
+    def dist(self) -> dict:
+        """Exact BFS distances in element order, built from the levels on
+        first read."""
+        return dict(zip(self.elements, chain.from_iterable(map(repeat, count(), self.sizes))))
 
     def __contains__(self, g) -> bool:
         return g in self.dist
@@ -324,9 +340,9 @@ class Ball:
         return len(self.elements)
 
 
-def _free_ball(G: FreeGroup, r: int, budget: int) -> dict:
-    """``bfs(G.identity(), G.letters(), G.mul, r, budget)`` on a free group,
-    item for item, as a walk down the Cayley tree.
+def _free_ball(G: FreeGroup, r: int, budget: int) -> list:
+    """The levels of ``bfs(G.identity(), G.letters(), G.mul, r, budget)`` on a
+    free group, word for word, as a walk down the Cayley tree.
 
     Every product v y of a reduced word v by a letter is v's parent (y
     cancels v's last letter) or a new reduced word, so level d + 1 is each
@@ -347,15 +363,12 @@ def _free_ball(G: FreeGroup, r: int, budget: int) -> dict:
     if size > budget:
         raise BudgetExceededError("search exceeded the %d-element budget" % budget)
     succ = {x: [y for y in letters if y[0] != -x] for (x,) in letters}
-    dist = {G.identity(): 0}
-    level = letters if r else []
-    for w in level:
-        dist[w] = 1
-    for d in range(2, r + 1):
-        level = [v + y for v in level for y in succ[v[-1]]]
-        for w in level:
-            dist[w] = d
-    return dist
+    levels = [[G.identity()]]
+    if r and letters:
+        levels.append(letters)
+        for _ in range(r - 1):
+            levels.append([v + y for v in levels[-1] for y in succ[v[-1]]])
+    return levels
 
 
 def build_ball(G: GroupSpec, r: int, budget: Optional[int] = None) -> Ball:
@@ -365,14 +378,15 @@ def build_ball(G: GroupSpec, r: int, budget: Optional[int] = None) -> Ball:
     BudgetExceededError is raised past that.  A free group's ball is a walk
     down its Cayley tree (``_free_ball``): no product is formed, and the
     exact ball size is checked against the budget before any vertex is
-    built.  Every other family runs the generic ``bfs``.
+    built.  Every other family runs the generic ``bfs``, whose distances
+    are nondecreasing in discovery order, so counting them gives the levels.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
     if budget is None:
         budget = DEFAULT_VERTEX_BUDGET
     if isinstance(G, FreeGroup):
-        dist = _free_ball(G, r, budget)
-    else:
-        dist = bfs(G.identity(), G.letters(), G.mul, r, budget)
-    return Ball(G, r, tuple(dist), dist)
+        levels = _free_ball(G, r, budget)
+        return Ball(G, r, tuple(chain.from_iterable(levels)), tuple(map(len, levels)))
+    dist = bfs(G.identity(), G.letters(), G.mul, r, budget)
+    return Ball(G, r, tuple(dist), tuple(Counter(dist.values()).values()))

@@ -337,7 +337,7 @@ def run(cfg: dict, command: str, reporter: Reporter,
         reporter.emit(
             command,
             {"radius": r},
-            {"vertices": len(ball), "max_distance": max(ball.dist.values(), default=0)},
+            {"vertices": len(ball), "max_distance": ball.max_distance},
         )
     elif command == "rel-dist":
         inputs, (u, v) = _word_params(cfg, G, "u", "v")
@@ -469,7 +469,8 @@ def run(cfg: dict, command: str, reporter: Reporter,
         reporter.emit(
             command,
             {"subgroup": name},
-            {"vertices": len(graph), "edges": sum(1 for _ in graph.edges())},
+            # each edge, a self-loop too, is two dict entries
+            {"vertices": len(graph), "edges": sum(map(len, graph.out)) // 2},
         )
     elif command == "member":
         inputs, (g,) = _word_params(cfg, G, "g")

@@ -158,7 +158,7 @@ def minimize_type(
             consider(prefix)
         if not remaining:
             return
-        gap = G.x_length(G.mul(G.inv(value), g))
+        gap = G.x_dist(value, g)
         if gap > remaining * budget.max_len:
             return
         if best is not None and len(prefix) + 1 > best[0].n:

@@ -9,9 +9,11 @@ Folding is union-find driven by a stack of pending merges (Touikan, "A fast
 algorithm for Stallings' folding process", IJAC 2006), near-linear in the
 input size.  The fold partition is unique, and the output does not depend on
 merge order because of two invariants: each class is rooted at its smallest
-input label, and the final rebuild walks the input edges in their given
-order.  So vertex numbers, and the key order of each transition dict, are a
-function of the input edge list alone; ``basis`` reads them in that order.
+input label, and the output's transition dicts are filled by one walk over
+the input edges in their given order.  The core is trimmed on the folded
+classes and its roots numbered in increasing order, so vertex numbers, and
+the key order of each transition dict, are a function of the input edge
+list alone; ``basis`` reads them in that order.
 
 Every traversal is ``groups.bfs`` over ``_letters``, each generator's code
 and then its inverse: the spanning tree of ``basis`` and the product graph
@@ -83,17 +85,14 @@ def subgroup_graph(gens: Sequence[Elem], G: FreeGroup) -> StallingsGraph:
 
 @per_instance
 def _fold(G: FreeGroup, gens: tuple) -> StallingsGraph:
+    # a word of length k is a loop at 0 through k - 1 new vertices
     edges = []
-    next_v = 1
+    n = 1
     for w in gens:
-        prev = 0
-        for i, x in enumerate(w):
-            tgt = 0 if i == len(w) - 1 else next_v
-            if i != len(w) - 1:
-                next_v += 1
-            edges.append((prev, x, tgt))
-            prev = tgt
-    return _assemble(G.rank, next_v, edges)
+        path = (0, *range(n, n + len(w) - 1), 0)
+        edges += zip(path, w, path[1:])
+        n += len(path) - 2
+    return _assemble(G.rank, n, edges)
 
 
 def _assemble(rank: int, n: int, edges) -> StallingsGraph:
@@ -134,39 +133,44 @@ def _assemble(rank: int, n: int, edges) -> StallingsGraph:
             if s != t:
                 pending.append((s, t))
 
-    # Rebuild on representatives, each resolved once, in input edge order,
-    # then trim to the core.
-    root = [find(v) for v in range(n)]
-    out_map: dict = {}
-    for (u, x, v) in edges:
-        ru, rv = root[u], root[v]
-        out_map.setdefault(ru, {})[x] = rv
-        out_map.setdefault(rv, {})[-x] = ru
-    base = root[0]
-    out_map.setdefault(base, {})
-    _trim(out_map, base)
+    # Every class is rooted at its smallest label, so parent[v] <= v and one
+    # increasing pass leaves each label's root in parent.
+    for v in range(n):
+        parent[v] = parent[parent[v]]
 
-    order = sorted(out_map, key=lambda v: (v != base, v))
-    index = {v: i for i, v in enumerate(order)}
-    out = tuple({x: index[w] for x, w in out_map[v].items()} for v in order)
-    return StallingsGraph(rank, out)
-
-
-def _trim(out_map: dict, keep=None) -> dict:
-    """Drop vertices of degree at most 1, other than ``keep``, until none is
-    left: the core of the graph ``out_map`` (vertex -> letter -> vertex), in
-    place."""
-    hanging = [v for v in out_map if v != keep and len(out_map[v]) <= 1]
+    # Trim to the core on the folded dicts: a root's degree is its dict's
+    # size less its entries to roots already trimmed; 0 is the basepoint.
+    alive = [t is not None for t in trans]
+    deg = [len(t) if t is not None else 0 for t in trans]
+    hanging = [v for v in range(1, n) if alive[v] and deg[v] <= 1]
     while hanging:
         v = hanging.pop()
-        if v not in out_map:
+        if not alive[v]:
             continue
-        for x, w in out_map.pop(v).items():
-            trans_w = out_map[w]
-            del trans_w[-x]
-            if w != keep and len(trans_w) <= 1:
-                hanging.append(w)
-    return out_map
+        alive[v] = False
+        for t in trans[v].values():
+            w = parent[t]
+            if alive[w]:
+                deg[w] -= 1
+                if w and deg[w] <= 1:
+                    hanging.append(w)
+
+    # Live roots numbered in increasing order (the basepoint first), and
+    # each transition dict filled in input edge order: an edge stays when
+    # both its ends are live, as the basepoint's folded dict keeps its
+    # entries to trimmed roots.
+    index = [0] * n
+    live = [v for v in range(n) if alive[v]]
+    for i, v in enumerate(live):
+        index[v] = i
+    out = tuple({} for _ in live)
+    for (u, x, v) in edges:
+        ru, rv = parent[u], parent[v]
+        if alive[ru] and alive[rv]:
+            iu, iv = index[ru], index[rv]
+            out[iu][x] = iv
+            out[iv][-x] = iu
+    return StallingsGraph(rank, out)
 
 
 def member(g: Elem, H: StallingsGraph) -> bool:

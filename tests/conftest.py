@@ -360,7 +360,7 @@ def reference_walk(H, word) -> Optional[int]:
     return v
 
 
-def reference_assemble(rank, n, edges):
+def reference_quadratic_assemble(rank, n, edges):
     """The original quadratic fold, kept as an oracle for ``stallings._assemble``.
 
     After every single merge it rescans every edge for a vertex that reads a
@@ -423,12 +423,29 @@ def reference_assemble(rank, n, edges):
     return StallingsGraph(rank, out)
 
 
-def reference_union_find_assemble(rank, n, edges):
-    """``stallings._assemble`` as it was before the rebuild resolved each
-    vertex's representative once: the union-find fold, its first pass a
-    loop over each edge's two ends, then a rebuild that calls ``find`` four
-    times per input edge, then the core trim."""
-    from relhyp.separability.stallings import StallingsGraph, _trim
+def reference_trim(out_map: dict, keep=None) -> dict:
+    """Drop vertices of degree at most 1, other than ``keep``, until none is
+    left: the core of the graph ``out_map`` (vertex -> letter -> vertex), in
+    place."""
+    hanging = [v for v in out_map if v != keep and len(out_map[v]) <= 1]
+    while hanging:
+        v = hanging.pop()
+        if v not in out_map:
+            continue
+        for x, w in out_map.pop(v).items():
+            trans_w = out_map[w]
+            del trans_w[-x]
+            if w != keep and len(trans_w) <= 1:
+                hanging.append(w)
+    return out_map
+
+
+def reference_assemble(rank, n, edges):
+    """``stallings._assemble`` as it was before it trimmed and numbered on
+    the union-find: the same fold, then a rebuild of the whole graph as a
+    dict of dicts on the roots, in input edge order, trimmed to the core
+    (``reference_trim``), sorted with the basepoint first and renumbered."""
+    from relhyp.separability.stallings import StallingsGraph
 
     parent = list(range(n))
 
@@ -441,10 +458,12 @@ def reference_union_find_assemble(rank, n, edges):
     trans = [{} for _ in range(n)]
     pending = []
     for (u, x, v) in edges:
-        for (a, l, b) in ((u, x, v), (v, -x, u)):
-            t = trans[a].setdefault(l, b)
-            if t != b:
-                pending.append((t, b))
+        t = trans[u].setdefault(x, v)
+        if t != v:
+            pending.append((t, v))
+        t = trans[v].setdefault(-x, u)
+        if t != u:
+            pending.append((t, u))
     while pending:
         a, b = pending.pop()
         ra, rb = find(a), find(b)
@@ -462,13 +481,15 @@ def reference_union_find_assemble(rank, n, edges):
             if s != t:
                 pending.append((s, t))
 
+    root = [find(v) for v in range(n)]
     out_map: dict = {}
     for (u, x, v) in edges:
-        out_map.setdefault(find(u), {})[x] = find(v)
-        out_map.setdefault(find(v), {})[-x] = find(u)
-    base = find(0)
+        ru, rv = root[u], root[v]
+        out_map.setdefault(ru, {})[x] = rv
+        out_map.setdefault(rv, {})[-x] = ru
+    base = root[0]
     out_map.setdefault(base, {})
-    _trim(out_map, base)
+    reference_trim(out_map, base)
 
     order = sorted(out_map, key=lambda v: (v != base, v))
     index = {v: i for i, v in enumerate(order)}
@@ -1305,9 +1326,9 @@ def finite_index_in(U, V) -> bool:
     in V every letter that a reads inside K.  A finite cover of K has no
     vertex of degree 1, so it lies in V's core.  A trivial U has index 1.
     """
-    from relhyp.separability.stallings import _product, _trim
+    from relhyp.separability.stallings import _product
 
-    core = _trim({v: dict(trans) for v, trans in enumerate(U.out)})
+    core = reference_trim({v: dict(trans) for v, trans in enumerate(U.out)})
     if not core:
         return True
     over = [(a, b) for a, b in _product(U, V) if a in core]

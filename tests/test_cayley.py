@@ -99,6 +99,30 @@ class TestBall:
             ref = bfs(F.identity(), F.letters(), F.mul, r)
             assert list(build_ball(F, r).dist.items()) == list(ref.items())
 
+    def test_levels_and_lazy_dist_are_bfs_item_for_item(self, fab, z2, z2z):
+        # Z/4 is its own radius-2 ball: at radius 6 the levels stop at 2
+        shapes = [(fab, r) for r in range(6)] + [
+            (FreeGroup(("a", "b", "c")), 3), (z2, 2), (z2z.group.base, 2),
+            (cyclic_group(4, "b"), 6),
+        ]
+        for G, r in shapes:
+            ref = bfs(G.identity(), G.letters(), G.mul, r)
+            ball = build_ball(G, r)
+            assert ball.elements == tuple(ref)
+            top = max(ref.values())
+            assert ball.sizes == tuple(list(ref.values()).count(d) for d in range(top + 1))
+            assert ball.max_distance == top
+            assert "dist" not in ball.__dict__
+            assert list(ball.dist.items()) == list(ref.items())
+        assert build_ball(cyclic_group(4, "b"), 6).max_distance == 2
+
+    def test_free_ball_builds_dist_on_first_read(self, fab):
+        ball = build_ball(fab, 9)
+        assert "dist" not in ball.__dict__
+        assert (len(ball), ball.max_distance, ball.sizes[-1]) == (39365, 9, 4 * 3 ** 8)
+        assert ball.dist is ball.__dict__["dist"]
+        assert len(ball.dist) == len(ball)
+
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_free_ball_budget_is_bfs_budget(self, rank):
         # raised exactly when bfs raises, with its message, although the free

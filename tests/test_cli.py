@@ -316,6 +316,13 @@ class TestMainExitCodes:
         assert main(argv + ["39364"]) == EXIT_BUDGET
         assert "39364-element budget" in capsys.readouterr().err
 
+    def test_ball_reports_the_last_level_reached(self, tmp_path, capsys):
+        # Z/4 is its own radius-2 ball, so radius 6 reaches distance 2 only
+        cfg = self._write(tmp_path, "[group]\nfamily = finite-cyclic\norder = 4\nsymbol = b\n")
+        assert main(["--config", cfg, "--command", "ball", "--radius", "6"]) == EXIT_OK
+        line = json.loads(capsys.readouterr().out)
+        assert line["verdict"] == {"vertices": 4, "max_distance": 2}
+
     def test_unsupported(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A + "\n[params]\nkind = BC\n")
         code = main(["--config", cfg, "--command", "amalgam-reduce"])

@@ -17,8 +17,8 @@ from conftest import (
     reference_finite_index_in,
     reference_image_walk,
     reference_minx_harness,
+    reference_quadratic_assemble,
     reference_stage,
-    reference_union_find_assemble,
     reference_walk,
     signed_letters,
     subgroups_equal,
@@ -204,10 +204,19 @@ def _subgroup_pair(draw):
     return rank, gens, probes
 
 
+def _random_word(rng, rank, length):
+    """A seeded random reduced word of rank ``rank`` and length ``length``."""
+    letters = signed_letters(rank)
+    word = []
+    while len(word) < length:
+        word.append(rng.choice([x for x in letters if not word or x != -word[-1]]))
+    return tuple(word)
+
+
 def _reference(fn, *args):
     # a fresh copy of a group argument holds none of the fast fold's graphs
     args = [FreeGroup(a.symbols) if isinstance(a, FreeGroup) else a for a in args]
-    with mock.patch.object(stallings, "_assemble", reference_assemble):
+    with mock.patch.object(stallings, "_assemble", reference_quadratic_assemble):
         return fn(*args)
 
 
@@ -236,12 +245,7 @@ class TestFoldAgainstReference:
     def test_large_fold_matches_reference(self, fab):
         # 60 reduced generators of length 30; no time is checked
         rng = random.Random(7)
-        gens = []
-        for _ in range(60):
-            g = [rng.choice(signed_letters(2))]
-            while len(g) < 30:
-                g.append(rng.choice([x for x in signed_letters(2) if x != -g[-1]]))
-            gens.append(tuple(g))
+        gens = [_random_word(rng, 2, 30) for _ in range(60)]
         H = subgroup_graph(gens, fab)
         R = _reference(subgroup_graph, gens, fab)
         assert len(H) == len(R) > 1
@@ -373,29 +377,70 @@ class TestTraversals:
         assert not member(w("b a b^-1", fab), inter)
 
 
+def _assemble_calls(fn, *args):
+    """The ``(rank, n, edges)`` of every ``_assemble`` call that ``fn(*args)``
+    makes, run on a fresh copy of each group argument (it holds no folded
+    graph)."""
+    calls = []
+    assemble = stallings._assemble
+
+    def recording(*call):
+        calls.append(call)
+        return assemble(*call)
+
+    args = [FreeGroup(a.symbols) if isinstance(a, FreeGroup) else a for a in args]
+    with mock.patch.object(stallings, "_assemble", recording):
+        fn(*args)
+    return calls
+
+
 class TestFoldRebuild:
-    """``_assemble`` resolves each vertex's representative once and gives
-    the graph of the union-find fold that resolved it per edge end, with the
-    same vertex numbers and the same key order in every transition dict."""
+    """``_assemble`` trims and numbers the fold on its union-find roots and
+    gives the graph of the fold that rebuilt, trimmed and sorted a dict of
+    dicts (``reference_assemble``), with the same vertex numbers and the
+    same key order in every transition dict."""
 
     @settings(max_examples=300, deadline=None)
     @given(_graph_pair())
     def test_matches_union_find_reference(self, case):
         G, a, b, _ = case
-        calls = []
-        assemble = stallings._assemble
-
-        def recording(*args):
-            calls.append(args)
-            return assemble(*args)
-
-        with mock.patch.object(stallings, "_assemble", recording):
-            G = FreeGroup(G.symbols)  # a fresh group holds no folded graph
-            pullback(subgroup_graph(a, G), subgroup_graph(b, G))
+        calls = _assemble_calls(lambda G: pullback(subgroup_graph(a, G), subgroup_graph(b, G)), G)
         assert len(calls) == (3 if a != b else 2)  # the folds and the pullback
         for rank, n, edges in calls:
-            assert _same_graph(assemble(rank, n, edges),
-                               reference_union_find_assemble(rank, n, edges))
+            assert _same_graph(stallings._assemble(rank, n, edges),
+                               reference_assemble(rank, n, edges))
+
+    def test_matches_reference_on_seeded_folds(self, fab):
+        """Seeded word folds at ranks 1-3, their generators cyclically
+        unreduced half the time, and the pullbacks of their pairs, among
+        them trivial intersections whose basepoint reads letters into the
+        product graph before the trim cuts them."""
+        rng = random.Random(33)
+        cases = [((w("a b", fab),), (w("a b^-1", fab),), fab),
+                 ((w("a b a^-1", fab),), (w("a b a b^-1 a^-1", fab),), fab)]
+        for _ in range(300):
+            rank = rng.randint(1, 3)
+            G = FreeGroup(tuple("abc"[:rank]))
+            pair = []
+            for _ in range(2):
+                gens = [_random_word(rng, rank, rng.randint(1, 6))
+                        for _ in range(rng.randint(1, 3))]
+                if rng.random() < 0.5:
+                    c = _random_word(rng, rank, rng.randint(1, 3))
+                    gens = [G.mul(G.mul(c, g), G.inv(c)) for g in gens]
+                pair.append(tuple(gens))
+            cases.append((*pair, G))
+        trimmed_at_base = 0
+        for a, b, G in cases:
+            calls = _assemble_calls(
+                lambda G: pullback(subgroup_graph(a, G), subgroup_graph(b, G)), G)
+            for rank, n, edges in calls:
+                got, ref = stallings._assemble(rank, n, edges), reference_assemble(rank, n, edges)
+                assert _same_graph(got, ref), (a, b, edges)
+            rank, n, edges = calls[-1]
+            if len(got) == 1 and not got.out[0] and any(0 in (u, v) for u, _, v in edges):
+                trimmed_at_base += 1
+        assert trimmed_at_base >= 2
 
 
 def _det(rows):
