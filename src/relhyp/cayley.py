@@ -16,12 +16,12 @@ syllables of v less a last syllable in H_nu.
 A view with no peripherals is the plain word metric, so the same path and
 geodesic machinery serves both metrics.
 
-A ball is its levels: its elements in BFS order and the size of each level.
-Balls are built by ``groups.bfs``, except a free group's: its Cayley graph
-is a tree, so a word's products by letters are its parent and its children,
-and the ball is enumerated level by level as reduced words, its exact size
-checked against the vertex budget before any word is built.  The distance
-map is built from the levels only when a caller reads it.
+A ball is its levels: the size of each level, and its elements in BFS
+order.  Balls are built by ``groups.bfs``, except a free group's: its Cayley
+graph is a tree, so level d holds n (n-1)^(d-1) reduced words for n letters,
+and the ball is these sizes, checked against the vertex budget.  Its words
+(a walk down the tree, level by level) and its distance map are built only
+when a caller reads them.
 """
 
 from __future__ import annotations
@@ -314,18 +314,22 @@ class BrokenLine:
 
 @dataclass(frozen=True)
 class Ball:
-    """The radius-r ball of the word metric, level by level: ``elements`` in
-    BFS order, ``sizes[d]`` of them at distance d, up to the last nonempty
-    level."""
+    """The radius-r ball of the word metric, level by level: ``sizes[d]``
+    vertices at distance d, up to the last nonempty level, and ``elements``
+    in BFS order, filled by ``build_ball`` from its BFS, or on a free group
+    walked down the tree (``_free_levels``) on first read."""
 
     group: GroupSpec
     radius: int
-    elements: tuple[Elem, ...]
     sizes: tuple[int, ...]
 
     @property
     def max_distance(self) -> int:
         return len(self.sizes) - 1
+
+    @cached_property
+    def elements(self) -> tuple[Elem, ...]:
+        return tuple(chain.from_iterable(_free_levels(self.group, self.max_distance)))
 
     @cached_property
     def dist(self) -> dict:
@@ -337,56 +341,58 @@ class Ball:
         return g in self.dist
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return sum(self.sizes)
 
 
-def _free_ball(G: FreeGroup, r: int, budget: int) -> list:
-    """The levels of ``bfs(G.identity(), G.letters(), G.mul, r, budget)`` on a
-    free group, word for word, as a walk down the Cayley tree.
+def _free_sizes(G: FreeGroup, r: int, budget: int) -> tuple[int, ...]:
+    """The level sizes of ``bfs(G.identity(), G.letters(), G.mul, r, budget)``
+    on a free group, n (n-1)^(d-1) at level d >= 1 for n letters, with bfs's
+    budget error on the same inputs and no word built."""
+    n = 2 * G.rank
+    sizes, size = [1], 1
+    while n and len(sizes) <= r and size <= budget:
+        sizes.append(n * (n - 1) ** (len(sizes) - 1))
+        size += sizes[-1]
+    if size > budget:
+        raise BudgetExceededError("search exceeded the %d-element budget" % budget)
+    return tuple(sizes)
+
+
+def _free_levels(G: FreeGroup, top: int):
+    """Levels 0 to ``top`` of a free group's ball, as lists of reduced words in
+    the order ``bfs`` finds them, by a walk down the Cayley tree.
 
     Every product v y of a reduced word v by a letter is v's parent (y
     cancels v's last letter) or a new reduced word, so level d + 1 is each
     word of level d, in order, followed by each letter in ``letters()`` order
-    but the inverse of its last.  With n letters level d holds n (n-1)^(d-1)
-    words, so the budget is checked, with bfs's message, before any is built.
+    but the inverse of its last.
     """
     letters = G.letters()
-    n = len(letters)
-    size = 1 + n * r
-    if n > 2:
-        size, width = 1, n
-        for _ in range(r):
-            size += width
-            if size > budget:
-                break
-            width *= n - 1
-    if size > budget:
-        raise BudgetExceededError("search exceeded the %d-element budget" % budget)
     succ = {x: [y for y in letters if y[0] != -x] for (x,) in letters}
-    levels = [[G.identity()]]
-    if r and letters:
-        levels.append(letters)
-        for _ in range(r - 1):
-            levels.append([v + y for v in levels[-1] for y in succ[v[-1]]])
-    return levels
+    level = [G.identity()]
+    yield level
+    for d in range(top):
+        level = [v + y for v in level for y in succ[v[-1]]] if d else letters
+        yield level
 
 
 def build_ball(G: GroupSpec, r: int, budget: Optional[int] = None) -> Ball:
     """Complete radius-r ball of the word metric; |g|_X is exact on it.
 
     At most ``budget`` vertices (None: DEFAULT_VERTEX_BUDGET) are stored;
-    BudgetExceededError is raised past that.  A free group's ball is a walk
-    down its Cayley tree (``_free_ball``): no product is formed, and the
-    exact ball size is checked against the budget before any vertex is
-    built.  Every other family runs the generic ``bfs``, whose distances
-    are nondecreasing in discovery order, so counting them gives the levels.
+    BudgetExceededError is raised past that.  A free group's ball is its
+    closed-form level sizes (``_free_sizes``), checked against the budget;
+    no word is built until ``elements`` is read.  Every other family runs the
+    generic ``bfs`` once, whose distances are nondecreasing in discovery
+    order, so counting them gives the levels, and its keys fill ``elements``.
     """
     if r < 0:
         raise ValueError("radius must be non-negative")
     if budget is None:
         budget = DEFAULT_VERTEX_BUDGET
     if isinstance(G, FreeGroup):
-        levels = _free_ball(G, r, budget)
-        return Ball(G, r, tuple(chain.from_iterable(levels)), tuple(map(len, levels)))
+        return Ball(G, r, _free_sizes(G, r, budget))
     dist = bfs(G.identity(), G.letters(), G.mul, r, budget)
-    return Ball(G, r, tuple(dist), tuple(Counter(dist.values()).values()))
+    ball = Ball(G, r, tuple(Counter(dist.values()).values()))
+    ball.__dict__["elements"] = tuple(dist)  # frozen: fill the cache directly
+    return ball

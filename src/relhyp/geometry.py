@@ -184,11 +184,12 @@ def measure_delta(ball: Ball, budget: Optional[int] = None) -> DeltaMeasurement:
     """Max of thin_triangle_delta over all vertex triples of the ball, in
     the word metric of ``ball.group``.
 
-    On a free group the answer is 0 with no witness, without a scan: the
-    Cayley graph of a free basis is a tree, where the three sides of a
-    triangle meet at one branch point and the points the tripod map
-    matches coincide.  Otherwise one ``_ScanTable`` serves every triple,
-    numbering the ball's elements first and holding all n² distances first.
+    On a free group the answer is 0 with no witness, from the ball's size
+    alone, with no scan and no word read: the Cayley graph of a free basis
+    is a tree, where the three sides of a triangle meet at one branch point
+    and the points the tripod map matches coincide.  Otherwise one
+    ``_ScanTable`` serves every triple, numbering the ball's elements first
+    and holding all n² distances first.
     A triangle's thinness is at most its largest doubled Gromov product L,
     so a triple with 2L <= 2 best is skipped with no call and the rest run
     with ``floor=best``, returned as is unless raised: the value, the first
@@ -196,14 +197,14 @@ def measure_delta(ball: Ball, budget: Optional[int] = None) -> DeltaMeasurement:
     BudgetExceededError is raised before a scan of more than ``budget``
     triples (None: no cap).
     """
-    elems = ball.elements
-    count = comb(len(elems), 3)
+    count = comb(len(ball), 3)
     if isinstance(ball.group, FreeGroup):
         return DeltaMeasurement(Fraction(0), ball.radius, count)
     if budget is not None and count > budget:
         raise BudgetExceededError(
             "%d vertex triples exceed the budget of %d" % (count, budget)
         )
+    elems = ball.elements
     view = word_metric_view(ball.group)
     table = _ScanTable(view)
     nums = [table.num(g) for g in elems]  # vertex i is elems[i]

@@ -602,6 +602,14 @@ class Amalgam(GroupSpec):
     def mul(self, a, b):
         return self._normalize(b, a)
 
+    def pow(self, a, n):
+        """A one-syllable element's power is taken in its factor and
+        normalized once; any other falls back to repeated squaring."""
+        if len(a) != 1:
+            return super().pow(a, n)
+        ((side, x),) = a
+        return self._normalize(((side, self._sides[side].pow(x, n)),))
+
     def inv(self, a):
         return self._normalize((side, self._sides[side].inv(x)) for side, x in reversed(a))
 

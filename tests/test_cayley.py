@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from relhyp import (
     cyclic_group,
     word_to_elem,
 )
+from relhyp import cayley
 from relhyp.cayley import (
     BrokenLine,
     EdgePath,
@@ -91,13 +93,16 @@ class TestBall:
         with pytest.raises(BudgetExceededError):
             build_ball(fab, 8, budget=100)
 
-    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("rank", [0, 1, 2, 3])
     def test_free_ball_is_bfs_item_for_item(self, rank):
         # the tree walk gives the generic kernel's dist: same order, same distances
         F = FreeGroup(("a", "b", "c")[:rank])
         for r in range(8):
             ref = bfs(F.identity(), F.letters(), F.mul, r)
-            assert list(build_ball(F, r).dist.items()) == list(ref.items())
+            ball = build_ball(F, r)
+            assert ball.sizes == tuple(Counter(ref.values()).values())
+            assert ball.elements == tuple(ref)
+            assert list(ball.dist.items()) == list(ref.items())
 
     def test_levels_and_lazy_dist_are_bfs_item_for_item(self, fab, z2, z2z):
         # Z/4 is its own radius-2 ball: at radius 6 the levels stop at 2
@@ -117,11 +122,32 @@ class TestBall:
         assert build_ball(cyclic_group(4, "b"), 6).max_distance == 2
 
     def test_free_ball_builds_dist_on_first_read(self, fab):
+        # a free ball is its closed-form level sizes: no word is built at build
         ball = build_ball(fab, 9)
-        assert "dist" not in ball.__dict__
-        assert (len(ball), ball.max_distance, ball.sizes[-1]) == (39365, 9, 4 * 3 ** 8)
+        assert "elements" not in ball.__dict__ and "dist" not in ball.__dict__
+        assert ball.sizes == (1,) + tuple(4 * 3 ** (d - 1) for d in range(1, 10))
+        assert (len(ball), ball.max_distance) == (39365, 9)
+        assert "elements" not in ball.__dict__
         assert ball.dist is ball.__dict__["dist"]
-        assert len(ball.dist) == len(ball)
+        assert ball.elements is ball.__dict__["elements"]
+        assert len(ball.dist) == len(ball.elements) == len(ball)
+
+    def test_other_balls_fill_elements_from_one_bfs(self, monkeypatch, z2, z2z):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return bfs(*args)
+
+        monkeypatch.setattr(cayley, "bfs", counted)
+        # Z/4 is its own radius-2 ball: at radius 6 the levels stop at 2
+        for G, r in ((z2, 3), (z2z.group.base, 3), (cyclic_group(4, "b"), 6)):
+            del calls[:]
+            ball = build_ball(G, r)
+            assert len(calls) == 1
+            assert ball.__dict__["elements"] == tuple(bfs(G.identity(), G.letters(), G.mul, r))
+            assert len(ball.dist) == len(ball)
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("rank", [1, 2, 3])
     def test_free_ball_budget_is_bfs_budget(self, rank):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from relhyp import cayley
 from relhyp.cli import (
     EXIT_BUDGET,
     EXIT_CHECK_FAILED,
@@ -315,6 +316,30 @@ class TestMainExitCodes:
         assert main(argv + ["39365"]) == EXIT_OK
         assert main(argv + ["39364"]) == EXIT_BUDGET
         assert "39364-element budget" in capsys.readouterr().err
+
+    def test_free_ball_and_delta_build_no_word(self, tmp_path, capsys, monkeypatch):
+        # both answer from the closed-form level sizes: with the tree walk
+        # broken they still print the same bytes
+        def walk(*args):
+            raise AssertionError("a free ball's words were built")
+
+        monkeypatch.setattr(cayley, "_free_levels", walk)
+        cfg = self._write(tmp_path, FAB_REL_A)
+        assert main(["--config", cfg, "--command", "ball", "--radius", "9"]) == EXIT_OK
+        assert main(["--config", cfg, "--command", "delta", "--radius", "4"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            '{"caveats": [], "command": "ball", "inputs": {"radius": 9}, "timing": null,'
+            ' "verdict": {"max_distance": 9, "vertices": 39365}, "witness": null}\n'
+            '{"caveats": ["measured over 682640 vertex triples of the radius-4 ball"],'
+            ' "command": "delta", "inputs": {"c0": 0, "radius": 4}, "timing": null,'
+            ' "verdict": {"c1": 1, "c2": 10, "c3": 20, "delta": 0}, "witness": null}\n'
+        )
+
+    def test_ball_on_a_rank_0_free_base(self, tmp_path, capsys):
+        cfg = self._write(tmp_path, "[group]\nfamily = free\nsymbols =\n")
+        assert main(["--config", cfg, "--command", "ball", "--radius", "3"]) == EXIT_OK
+        line = json.loads(capsys.readouterr().out)
+        assert line["verdict"] == {"vertices": 1, "max_distance": 0}
 
     def test_ball_reports_the_last_level_reached(self, tmp_path, capsys):
         # Z/4 is its own radius-2 ball, so radius 6 reaches distance 2 only

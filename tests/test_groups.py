@@ -18,7 +18,7 @@ from relhyp import (
 )
 from relhyp.cayley import build_ball, word_metric_view
 from relhyp.errors import BudgetExceededError
-from relhyp.groups import FiniteGroup, bfs, bfs_tree, letter, validate_elem
+from relhyp.groups import FiniteGroup, GroupSpec, bfs, bfs_tree, letter, validate_elem
 from relhyp.separability import membership_oracle
 from relhyp.separability.quotients import perm_mul, subgroup_closure
 
@@ -590,6 +590,17 @@ class TestPow:
         for _ in range(abs(n)):
             expected = G.mul(expected, step)
         assert G.pow(a, n) == expected
+
+    def test_amalgam_pow_agrees_with_repeated_squaring(self):
+        # a one-syllable element is raised in its factor and normalized once;
+        # on both amalgams of the pinned jobs it is GroupSpec.pow, n in [-70, 70]
+        for A in (cyclic_amalgam(4, 6, 2), cyclic_amalgam(60, 45, 15)):
+            two = A.mul(A.embed(0, 1), A.embed(1, 1))
+            elems = [two] + [A.embed(side, x) for side, fac in enumerate(A._sides)
+                             for x in fac.all_elements() if x != fac.identity()]
+            for a in elems:
+                for n in range(-70, 71):
+                    assert A.pow(a, n) == GroupSpec.pow(A, a, n)
 
 
 class TestWordReader:
