@@ -19,11 +19,11 @@ w = lambda s: word_to_elem(s, F)
 def context(k, B, C, radius=7):
     return ConditionContext(
         view=VIEW,
-        Q=SubgroupSpec((w("a"),), role="Q"),
-        R=SubgroupSpec((w("b"),), role="R"),
-        Qp=SubgroupSpec((F.pow(w("a"), k),), role="Q'"),
-        Rp=SubgroupSpec((F.pow(w("b"), k),), role="R'"),
-        P_list=(SubgroupSpec((w("a"),), role="P"),),
+        Q=SubgroupSpec((w("a"),)),
+        R=SubgroupSpec((w("b"),)),
+        Qp=SubgroupSpec((F.pow(w("a"), k),)),
+        Rp=SubgroupSpec((F.pow(w("b"), k),)),
+        P_list=(SubgroupSpec((w("a"),)),),
         B=B,
         C=C,
         A=B,
@@ -49,7 +49,7 @@ def main():
 
     print()
     print("relative quasiconvexity of the join <a^2, b^2>, measured:")
-    join = SubgroupSpec((w("a a"), w("b b")), role="join")
+    join = SubgroupSpec((w("a a"), w("b b")))
     for r in (4, 6):
         eps, caveat = quasiconvexity_epsilon(join, VIEW, r)
         print("  radius %d: epsilon = %d (%s)" % (r, eps, caveat))

@@ -60,7 +60,7 @@ def main():
 
     print()
     print("the concatenation bound at delta = 0, c0 = 0 (c1=1, c2=10, c3=20):")
-    profile = ConstantsProfile(delta=Fraction(0), c0=Fraction(0), ball_radius=3)
+    profile = ConstantsProfile(delta=Fraction(0), c0=Fraction(0))
     good = BrokenLine.from_nodes(viewf, [F.identity(), wf("a a"), wf("a a b b")])
     bad = BrokenLine.from_nodes(viewf, [F.identity(), wf("a a"), F.identity()])
     for name, bl in (("no cancellation", good), ("full cancellation", bad)):
@@ -73,8 +73,8 @@ def main():
     print()
     print("minimal types of factorizations through Q' = <a^2>, R' = <b^2>:")
     rel = relative_view(RelHyp(F, (PeripheralSpec(0, "cyclic-generator", "a"),)))
-    qp = SubgroupSpec((wf("a a"),), role="Q'")
-    rp = SubgroupSpec((wf("b b"),), role="R'")
+    qp = SubgroupSpec((wf("a a"),))
+    rp = SubgroupSpec((wf("b b"),))
     for word in ("a a b b", "b b a a b b", "a", ""):
         g = wf(word)
         res = minimize_type(g, qp, rp, rel, SearchBudget(4, 6))

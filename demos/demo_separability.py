@@ -14,7 +14,6 @@ from relhyp.separability import (
     amalgam_product_member,
     amalgam_reduce,
     find_separating_quotient,
-    member,
     minx_quotient_harness,
     product_member,
     subgroup_graph,
@@ -30,7 +29,7 @@ def main():
     H = subgroup_graph((w("a a"), w("b")), F)
     print("  vertices: %d" % len(H))
     for word in ("a", "a a", "a a b^-1 a^-1 a^-1", "b a b"):
-        print("  %-18s in <a^2,b>: %s" % (word, member(w(word), H)))
+        print("  %-18s in <a^2,b>: %s" % (word, H.accepts(w(word))))
 
     print()
     print("product membership with cancellation, <a><b>:")

@@ -59,7 +59,6 @@ from .separability import (
     RationalSubset,
     amalgam_product_member,
     find_separating_quotient,
-    member,
     minx_quotient_harness,
     product_member,
     subgroup_graph,
@@ -222,7 +221,7 @@ def subgroup_from_config(cfg: dict, name: str, G: GroupSpec) -> SubgroupSpec:
     gens = tuple(
         parse_word(w.strip(), G) for w in sec[name].split("|") if w.strip()
     )
-    return SubgroupSpec(gens, role=name)
+    return SubgroupSpec(gens)
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -357,7 +356,7 @@ def run(cfg: dict, command: str, reporter: Reporter,
         r = _int_param(cfg, "radius", override=radius)
         c0 = _int_param(cfg, "c0", default=0)
         m = measure_delta(build_ball(G, r, budget), budget)
-        profile = ConstantsProfile(delta=m.delta, c0=Fraction(c0), ball_radius=r)
+        profile = ConstantsProfile(delta=m.delta, c0=Fraction(c0))
         reporter.emit(
             command,
             {"radius": r, "c0": c0},
@@ -475,7 +474,7 @@ def run(cfg: dict, command: str, reporter: Reporter,
     elif command == "member":
         inputs, (g,) = _word_params(cfg, G, "g")
         name, graph = _named_subgroup(cfg, G)
-        reporter.emit(command, {**inputs, "subgroup": name}, member(g, graph))
+        reporter.emit(command, {**inputs, "subgroup": name}, graph.accepts(g))
     elif command == "product-member":
         inputs, (g,) = _word_params(cfg, G, "g")
         names, gens = _factor_gens(cfg, G)

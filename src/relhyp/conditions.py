@@ -43,7 +43,6 @@ from .separability import (
     basis,
     build_chain_nfa,
     least_word,
-    member,
     pullback,
     subgroup_graph,
 )
@@ -59,12 +58,10 @@ def minx(elements: Iterable[Elem], G: GroupSpec):
 
 @dataclass(frozen=True)
 class ConditionReport:
-    condition: str
     verdict: str  # "holds" | "holds-to-radius" | "fails" | "vacuous"
     radius: int
     witness: Optional[Elem] = None
     measured: object = None
-    params: tuple = ()
     caveats: tuple = ()
 
     @property
@@ -116,16 +113,12 @@ class ConditionContext:
         return self.restrict(self.Q, self.R)
 
     def join_spec(self) -> SubgroupSpec:
-        return SubgroupSpec(self.Qp.gens + self.Rp.gens, role="<Q',R'>")
-
-    def restrict(self, spec: SubgroupSpec, P: SubgroupSpec) -> SubgroupSpec:
-        """spec ∩ P, pulled back once per pair of generator tuples: the same
-        generators under another role are not pulled back again."""
-        return self._intersection(spec.gens, P.gens)
+        return SubgroupSpec(self.Qp.gens + self.Rp.gens)
 
     @per_instance
-    def _intersection(self, gens: tuple, p_gens: tuple) -> SubgroupSpec:
-        inter = pullback(subgroup_graph(gens, self.G), subgroup_graph(p_gens, self.G))
+    def restrict(self, spec: SubgroupSpec, P: SubgroupSpec) -> SubgroupSpec:
+        """spec ∩ P, pulled back once per pair of subgroups."""
+        inter = pullback(subgroup_graph(spec.gens, self.G), subgroup_graph(P.gens, self.G))
         return SubgroupSpec(tuple(basis(inter, self.G)))
 
     @per_instance
@@ -179,11 +172,9 @@ def quasiconvexity_epsilon(
 
 def _minx_condition(
     ctx: ConditionContext,
-    cond_id: str,
     inside: RationalSubset,
     outside: RationalSubset,
     threshold: int,
-    params: tuple,
     caveats: tuple = (),
 ) -> ConditionReport:
     """Generic minx(inside \\ outside) >= threshold over the radius ball.
@@ -198,16 +189,12 @@ def _minx_condition(
         raise AssertionError("search and simulation disagree on %r" % (witness,))
     measured = math.inf if witness is None else ctx.G.x_length(witness)
     if measured < threshold:
-        return ConditionReport(
-            cond_id, "fails", ctx.radius, witness, measured, params, caveats
-        )
+        return ConditionReport("fails", ctx.radius, witness, measured, caveats)
     return ConditionReport(
-        cond_id,
         "holds-to-radius",
         ctx.radius,
         None,
         measured,
-        params,
         caveats + ("pass is radius-stamped; a failure witness would be absolute",),
     )
 
@@ -241,7 +228,7 @@ def check_condition(cond_id: str, ctx: ConditionContext) -> ConditionReport:
         "P3": _check_p3,
     }[cond_id]
     if cond_id in _MINX_FAMILIES:
-        return _least(handler(ctx)) or ConditionReport(cond_id, "vacuous", ctx.radius)
+        return _least(handler(ctx)) or ConditionReport("vacuous", ctx.radius)
     return handler(ctx)
 
 
@@ -253,32 +240,27 @@ def _check_c1(ctx: ConditionContext) -> ConditionReport:
     witness = ctx.disagreement(qp_rp, s_graph)
     if witness is None:
         return ConditionReport(
-            "C1", "holds", ctx.radius, None, None, (), ("exact via folded automata",)
+            "holds", ctx.radius, None, None, ("exact via folded automata",)
         )
-    return ConditionReport("C1", "fails", ctx.radius, witness)
+    return ConditionReport("fails", ctx.radius, witness)
 
 
-def _c2_reports(ctx: ConditionContext, cond_id: str, side: SubgroupSpec, tails):
-    """The C2 minx reports on one side, lazily.
-
-    ``tails`` holds (params, factors) pairs: the factors extend both
-    products after the side, and the params follow B in the report.
-    """
+def _c2_reports(ctx: ConditionContext, side: SubgroupSpec, tails):
+    """The C2 minx reports on one side, lazily; each tail of factors extends
+    both products after the side."""
     join_gens = ctx.join_spec().gens
-    for extra, tail in tails:
+    for tail in tails:
         yield _minx_condition(
             ctx,
-            cond_id,
             ctx.subset((), (side.gens, join_gens, side.gens) + tail),
             ctx.subset((), (side.gens,) + tail),
             ctx.B,
-            params=(("B", ctx.B),) + extra,
         )
 
 
 def _check_c2(ctx: ConditionContext) -> Iterator[ConditionReport]:
     for side in (ctx.Q, ctx.R):
-        yield from _c2_reports(ctx, "C2", side, [((("side", side.role or "?"),), ())])
+        yield from _c2_reports(ctx, side, [()])
 
 
 def _check_c3(ctx: ConditionContext) -> Iterator[ConditionReport]:
@@ -288,19 +270,12 @@ def _check_c3(ctx: ConditionContext) -> Iterator[ConditionReport]:
     for P in ctx.P_list:
         ps = ctx.subset((), (P.gens, s.gens))
         for half in (ctx.Qp, ctx.Rp):
-            yield _minx_condition(
-                ctx,
-                "C3",
-                ctx.subset((), (P.gens, half.gens)),
-                ps,
-                ctx.C,
-                params=(("C", ctx.C), ("P", P.role or "?"), ("half", half.role or "?")),
-            )
+            yield _minx_condition(ctx, ctx.subset((), (P.gens, half.gens)), ps, ctx.C)
 
 
 def _check_c4(ctx: ConditionContext) -> ConditionReport:
     if not ctx.P_list:
-        return ConditionReport("C4", "vacuous", ctx.radius)
+        return ConditionReport("vacuous", ctx.radius)
     for P in ctx.P_list:
         qp_P = ctx.restrict(ctx.Qp, P)
         rp_P = ctx.restrict(ctx.Rp, P)
@@ -309,12 +284,9 @@ def _check_c4(ctx: ConditionContext) -> ConditionReport:
             lhs = pullback(subgroup_graph(ctx.restrict(big, P).gens, ctx.G), join_P)
             witness = ctx.disagreement(lhs, subgroup_graph(small.gens, ctx.G))
             if witness is not None:
-                return ConditionReport(
-                    "C4", "fails", ctx.radius, witness, None,
-                    (("P", P.role or "?"),),
-                )
+                return ConditionReport("fails", ctx.radius, witness)
     return ConditionReport(
-        "C4", "holds", ctx.radius, None, None, (), ("exact via folded automata",)
+        "holds", ctx.radius, None, None, ("exact via folded automata",)
     )
 
 
@@ -325,33 +297,27 @@ def _coset_reps_in_ball(ctx: ConditionContext, big: SubgroupSpec, small: Subgrou
     small_graph = subgroup_graph(small.gens, G)
     reps: list = []
     for g in subgroup_graph(big.gens, G).closed_words(G, ctx.radius, ctx.budget):
-        if not any(member(G.mul(G.inv(r), g), small_graph) for r in reps):
+        if not any(small_graph.accepts(G.mul(G.inv(r), g)) for r in reps):
             reps.append(g)
     return reps
 
 
-def _c5_reports(ctx: ConditionContext, cond_id: str, P: SubgroupSpec, tails):
-    """The C5 minx reports at one peripheral P, lazily.
-
-    ``tails`` holds (params, factors) pairs: the factors extend both
-    products after R_P, and the params go between P and q in the report.
-    """
+def _c5_reports(ctx: ConditionContext, P: SubgroupSpec, tails):
+    """The C5 minx reports at one peripheral P, lazily; each tail of factors
+    extends both products after R_P."""
     qp_P = ctx.restrict(ctx.Qp, P)
     rp_P = ctx.restrict(ctx.Rp, P)
     q_P = ctx.restrict(ctx.Q, P)
     r_P = ctx.restrict(ctx.R, P)
     join_gens = qp_P.gens + rp_P.gens
     reps = _coset_reps_in_ball(ctx, q_P, qp_P)
-    for extra, tail in tails:
+    for tail in tails:
         for q in reps:
             yield _minx_condition(
                 ctx,
-                cond_id,
                 ctx.subset(q, (join_gens, r_P.gens) + tail),
                 ctx.subset(q, (qp_P.gens, r_P.gens) + tail),
                 ctx.C,
-                params=(("C", ctx.C), ("P", P.role or "?")) + extra
-                + (("q", ctx.G.elem_str(q)),),
                 caveats=("q ranges over coset representatives found in the ball",),
             )
 
@@ -361,31 +327,25 @@ def _check_c5(ctx: ConditionContext) -> Iterator[ConditionReport]:
         # a subgroup of a free group is abelian exactly when it is cyclic
         if len(basis(subgroup_graph(P.gens, ctx.G), ctx.G)) <= 1:
             yield ConditionReport(
-                "C5", "vacuous", ctx.radius, None, None,
-                (("P", P.role or "?"),),
+                "vacuous", ctx.radius, None, None,
                 ("abelian peripheral: the two sides coincide",),
             )
         else:
-            yield from _c5_reports(ctx, "C5", P, [((), ())])
+            yield from _c5_reports(ctx, P, [()])
 
 
 def _check_c2m(ctx: ConditionContext) -> Iterator[ConditionReport]:
-    tails = (
-        ((("j", j),), tuple(t.gens for t in ctx.T_list[:j]))
-        for j in range(len(ctx.T_list) + 1)
-    )
-    yield from _c2_reports(ctx, "C2-m", ctx.R, tails)
+    tails = (tuple(t.gens for t in ctx.T_list[:j]) for j in range(len(ctx.T_list) + 1))
+    yield from _c2_reports(ctx, ctx.R, tails)
 
 
 def _check_c5m(ctx: ConditionContext) -> Iterator[ConditionReport]:
     for P in ctx.P_list:
         u_P = [ctx.restrict(U, P).gens for U in ctx.U_list]
         tails = (
-            ((("j", j),), tail)
-            for j in range(len(ctx.T_list) + 1)
-            for tail in iproduct(u_P, repeat=j)
+            tail for j in range(len(ctx.T_list) + 1) for tail in iproduct(u_P, repeat=j)
         )
-        yield from _c5_reports(ctx, "C5-m", P, tails)
+        yield from _c5_reports(ctx, P, tails)
 
 
 def _check_p1(ctx: ConditionContext) -> ConditionReport:
@@ -394,12 +354,10 @@ def _check_p1(ctx: ConditionContext) -> ConditionReport:
     eps2, _ = quasiconvexity_epsilon(join, ctx.view, ctx.radius + 2, ctx.budget)
     stable = eps1 == eps2
     return ConditionReport(
-        "P1",
         "holds-to-radius" if stable else "fails",
         ctx.radius,
         None,
         (eps1, eps2),
-        (),
         ("stability compared between radius r and r+2",),
     )
 
@@ -409,11 +367,11 @@ def _check_p2(ctx: ConditionContext) -> ConditionReport:
     s = ctx.s_spec()
     inside = ctx.subset((), (join.gens,))
     outside = ctx.subset((), (s.gens,))
-    return _minx_condition(ctx, "P2", inside, outside, ctx.A, params=(("A", ctx.A),))
+    return _minx_condition(ctx, inside, outside, ctx.A)
 
 
 def _check_p3(ctx: ConditionContext) -> ConditionReport:
     join = ctx.join_spec()
     inside = ctx.subset((), (ctx.Q.gens, join.gens, ctx.R.gens))
     outside = ctx.subset((), (ctx.Q.gens, ctx.R.gens))
-    return _minx_condition(ctx, "P3", inside, outside, ctx.A, params=(("A", ctx.A),))
+    return _minx_condition(ctx, inside, outside, ctx.A)

@@ -222,17 +222,13 @@ def measure_delta(ball: Ball, budget: Optional[int] = None) -> DeltaMeasurement:
 
 @dataclass(frozen=True)
 class ConstantsProfile:
-    """Constants derived from a measured delta on a stated ball.
+    """Constants derived from a measured delta.
 
-    c1 = 12(c0 + delta) + 1, c2 = 10(delta + c1), c3 = 10(delta + 2 c1);
-    ``empirical`` records estimates measured on finite data as (name, value,
-    radius).
+    c1 = 12(c0 + delta) + 1, c2 = 10(delta + c1), c3 = 10(delta + 2 c1).
     """
 
     delta: Fraction
     c0: Fraction
-    ball_radius: int
-    empirical: tuple = ()
 
     def __post_init__(self):
         if self.delta < 0 or self.c0 < 0:

@@ -721,10 +721,9 @@ class RelHyp:
 
 @dataclass(frozen=True)
 class SubgroupSpec:
-    """A finitely generated subgroup, given by generators, with a role tag."""
+    """A finitely generated subgroup, given by generators."""
 
     gens: tuple[Elem, ...]
-    role: Optional[str] = None
 
 
 # Functional wrappers over the family methods --------------------------------

@@ -1,9 +1,9 @@
-"""Path representatives: factorizations of an element through prescribed
-subgroups, realized as broken lines, ordered by lexicographic type.
+"""Path representatives: factorizations of an element through Q' and R',
+realized as broken lines, ordered by lexicographic type.
 
-The type of a representative is the triple (segment count of the core part,
-total length, total X-length of all peripheral components); minimization is
-a budget-bounded exhaustive search whose output is exact within the budget.
+The type of a representative is the triple (segment count, total length,
+total X-length of all peripheral components); minimization is a
+budget-bounded exhaustive search whose output is exact within the budget.
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from .errors import BudgetExceededError
 from .groups import Elem, SubgroupSpec
 from .separability import membership_oracle
 
-CORE_ROLES = ("Q'", "R'")
-
 
 class RepType(NamedTuple):
     """Lexicographically ordered type triple."""
@@ -30,58 +28,25 @@ class RepType(NamedTuple):
 
 @dataclass(frozen=True)
 class PathRep:
-    """A broken line whose segment labels factor an element.
+    """A broken line whose segments factor an element, one Q' or R' role per
+    segment."""
 
-    Kinds: "I" has core segments only (roles Q'/R'); "II" wraps them in a
-    Q-prefix and R-suffix; "III" appends T_1..T_m tail segments after the
-    suffix.  Trivial prefix/suffix/tail segments are genuine segments.
-    """
-
-    kind: str
     line: BrokenLine
     roles: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.roles) != len(self.line.segments):
             raise ValueError("one role per segment")
-        core = self.core_indices()
-        if self.kind == "I":
-            if core != list(range(len(self.roles))):
-                raise ValueError("kind I has only core segments")
-        elif self.kind in ("II", "III"):
-            if self.roles[0] != "Q":
-                raise ValueError("kind II/III starts with a Q segment")
-            r_pos = len(self.roles) - 1 if self.kind == "II" else self.roles.index("R")
-            if self.roles[r_pos] != "R":
-                raise ValueError("kind II/III needs an R segment after the core")
-            for i in range(1, r_pos):
-                if self.roles[i] not in CORE_ROLES:
-                    raise ValueError("non-core role inside the core block")
-            if self.kind == "III":
-                tails = self.roles[r_pos + 1 :]
-                if list(tails) != ["T%d" % (i + 1) for i in range(len(tails))]:
-                    raise ValueError("tail roles must be T1..Tm in order")
-        else:
-            raise ValueError("unknown kind %r" % self.kind)
-
-    def core_indices(self) -> list[int]:
-        return [i for i, r in enumerate(self.roles) if r in CORE_ROLES]
+        if not set(self.roles) <= {"Q'", "R'"}:
+            raise ValueError("every role is Q' or R'")
 
 
 def type_of(rep: PathRep) -> RepType:
-    n = width(rep)
-    if rep.kind == "I":
-        n = max(n, 1)  # the identity keeps one trivial segment
-    total = rep.line.length()
     comp_total = 0
     for seg in rep.line.segments:
         for c in find_components(seg):
             comp_total += c.x_length
-    return RepType(n, total, comp_total)
-
-
-def width(rep: PathRep) -> int:
-    return len(rep.core_indices())
+    return RepType(len(rep.roles), rep.line.length(), comp_total)
 
 
 @dataclass(frozen=True)
@@ -124,7 +89,7 @@ def minimize_type(
     caveat = "minimal up to budget (%s)" % budget.describe()
     if g == e:
         line = BrokenLine((trivial_path(view, e),))
-        rep = PathRep("I", line, ("Q'",))
+        rep = PathRep(line, ("Q'",))
         return MinimizeResult(rep, RepType(1, 0, 0), caveat)
 
     ball = build_ball(G, budget.max_len, node_budget).elements
@@ -142,7 +107,7 @@ def minimize_type(
         for y, _ in seq:
             nodes.append(G.mul(nodes[-1], y))
         line = BrokenLine.from_nodes(view, nodes)
-        rep = PathRep("I", line, tuple(role for _, role in seq))
+        rep = PathRep(line, tuple(role for _, role in seq))
         t = type_of(rep)
         if best is None or t < best[0]:
             best = (t, rep)

@@ -27,7 +27,6 @@ from .rational import RationalSubset, build_chain_nfa, least_word, product_membe
 from .stallings import (
     StallingsGraph,
     basis,
-    member,
     pullback,
     subgroup_graph,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "image_of_rational_subset",
     "induced_quotient",
     "least_word",
-    "member",
     "membership_oracle",
     "minx_quotient_harness",
     "perm_identity",

@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..cayley import DEFAULT_VERTEX_BUDGET, build_ball
 from ..errors import BudgetExceededError, InTargetError, UnsupportedFamilyError
@@ -282,20 +282,25 @@ class _Lazy:
             yield items[i]
 
 
+def _direct_sum(blocks: Iterable[tuple], degrees: Iterable[int]) -> tuple:
+    """The generator images of the direct sum of ``blocks`` (each a tuple of
+    generator images) on disjoint points: block k moves the points from the
+    sum of the earlier degrees on."""
+    offsets = itertools.accumulate(degrees, initial=0)
+    parts = [[tuple(v + o for v in p) for p in images] for images, o in zip(blocks, offsets)]
+    return tuple(sum(ps, ()) for ps in zip(*parts))
+
+
 def _block_sums(rank: int, blocks: tuple):
     """The first block sum in each orbit under the c mapping blocks onto
     blocks, in lexicographic order.  Such a c conjugates each block's images
     and swaps blocks of equal size (adjacent here), so a first block sum has
-    first images on each block, in nondecreasing order across equal sizes.
-    Block k moves the points from the sum of the earlier sizes on."""
+    first images on each block, in nondecreasing order across equal sizes."""
     runs = [itertools.combinations_with_replacement(list(_firsts(rank, b, _conjugators(b))),
                                                     len(list(run)))
             for b, run in itertools.groupby(blocks)]
-    offsets = list(itertools.accumulate(blocks[:-1], initial=0))
     for combo in itertools.product(*runs):
-        parts = [[tuple(v + o for v in p) for p in images]
-                 for images, o in zip(itertools.chain(*combo), offsets)]
-        yield tuple(sum(ps, ()) for ps in zip(*parts))
+        yield _direct_sum(itertools.chain(*combo), blocks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -468,11 +473,9 @@ def combine_quotients(G: FreeGroup, quotients: Sequence[FiniteQuotient]) -> Fini
     """Direct sum on disjoint points; the kernel is the intersection of kernels."""
     if not quotients:
         return FiniteQuotient(G, 1, ((0,),) * G.rank)
-    # quotient k moves the points from the sum of the earlier degrees on
-    offsets = itertools.accumulate([q.degree for q in quotients], initial=0)
-    parts = [[tuple(v + o for v in p) for p in q.gen_images] for q, o in zip(quotients, offsets)]
-    return FiniteQuotient(G, sum(q.degree for q in quotients),
-                          tuple(sum(ps, ()) for ps in zip(*parts)))
+    degrees = [q.degree for q in quotients]
+    return FiniteQuotient(G, sum(degrees),
+                          _direct_sum((q.gen_images for q in quotients), degrees))
 
 
 def minx_quotient_harness(

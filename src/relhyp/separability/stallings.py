@@ -173,11 +173,6 @@ def _assemble(rank: int, n: int, edges) -> StallingsGraph:
     return StallingsGraph(rank, out)
 
 
-def member(g: Elem, H: StallingsGraph) -> bool:
-    """Is the reduced word ``g`` in the subgroup of ``H``?"""
-    return H.accepts(g)
-
-
 def _letters(rank: int) -> list:
     """Each generator's code, then its inverse, in generator order."""
     return [s * letter(i) for i in range(rank) for s in (1, -1)]

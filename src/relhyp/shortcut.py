@@ -36,7 +36,6 @@ class ShortcutResult:
     source: BrokenLine
     theta: int
     V: tuple[tuple[int, int], ...]
-    fs: tuple[EdgePath, ...]
     es: tuple[EdgePath, ...]
     sigma: BrokenLine
 
@@ -123,7 +122,7 @@ def shortcut(bl: BrokenLine, theta: int) -> ShortcutResult:
         segments.append(e)
         segments.append(fs[k + 1])
     sigma = BrokenLine(tuple(segments))
-    return ShortcutResult(bl, theta, tuple(V), fs, tuple(es), sigma)
+    return ShortcutResult(bl, theta, tuple(V), tuple(es), sigma)
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,6 @@ def is_tamable(bl: BrokenLine, B, C, zeta, theta: int) -> TamabilityVerdict:
 class ShortcutPropositionReport:
     """Measured conclusions of the shortcutting quasigeodesicity statement."""
 
-    result: ShortcutResult
     all_e_nontrivial: bool
     quasigeodesic: QuasigeodesicVerdict
     without_backtracking: bool
@@ -221,5 +219,5 @@ def verify_shortcut_proposition(
     conclusion = nontrivial and qg.ok and no_bt and eta_ok
     violation = tam is not None and tam.ok and not conclusion
     return ShortcutPropositionReport(
-        res, nontrivial, qg, no_bt, eta_ok, tuple(eta_values), tam, violation
+        nontrivial, qg, no_bt, eta_ok, tuple(eta_values), tam, violation
     )

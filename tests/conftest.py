@@ -819,7 +819,7 @@ def least_hit(elements, pred):
     return measured, witness
 
 
-def reference_minx_condition(ctx, cond_id, inside, outside, threshold, params, caveats=()):
+def reference_minx_condition(ctx, inside, outside, threshold, caveats=()):
     """``conditions._minx_condition`` over a full scan of the ball
     (``least_hit``), with no use of the ball's breadth-first order; both
     subsets are decided by ``contains``."""
@@ -830,16 +830,12 @@ def reference_minx_condition(ctx, cond_id, inside, outside, threshold, params, c
         lambda g: inside.contains(g) and not outside.contains(g),
     )
     if measured < threshold:
-        return ConditionReport(
-            cond_id, "fails", ctx.radius, witness, measured, params, caveats
-        )
+        return ConditionReport("fails", ctx.radius, witness, measured, caveats)
     return ConditionReport(
-        cond_id,
         "holds-to-radius",
         ctx.radius,
         None,
         measured,
-        params,
         caveats + ("pass is radius-stamped; a failure witness would be absolute",),
     )
 
@@ -847,10 +843,10 @@ def reference_minx_condition(ctx, cond_id, inside, outside, threshold, params, c
 def subgroups_equal(A, B, G) -> bool:
     """Do the folded graphs ``A`` and ``B`` have the same subgroup?  Each
     free basis is read in the other graph."""
-    from relhyp.separability import basis, member
+    from relhyp.separability import basis
 
-    return all(member(g, B) for g in basis(A, G)) and all(
-        member(g, A) for g in basis(B, G)
+    return all(B.accepts(g) for g in basis(A, G)) and all(
+        A.accepts(g) for g in basis(B, G)
     )
 
 
@@ -979,17 +975,10 @@ def connected(h, k) -> bool:
 
 
 def check_alternation(rep, in_qp, in_rp, in_s) -> bool:
-    """Do the core segments of a path representative alternate between
-    Q'-only and R'-only elements?
-
-    For kinds II/III the core must start in R', end in Q', and have even
-    width whenever it is nonempty.
-    """
-    core = rep.core_indices()
-    if not core:
-        return True
-    elems = [rep.line.segments[i].elem() for i in core]
-    if len(elems) == 1 and rep.kind == "I":
+    """Do the segments of a path representative alternate between Q'-only
+    and R'-only elements?  A single segment needs only to lie in Q' or R'."""
+    elems = [seg.elem() for seg in rep.line.segments]
+    if len(elems) == 1:
         return in_qp(elems[0]) or in_rp(elems[0])
     sides = []
     for x in elems:
@@ -999,14 +988,7 @@ def check_alternation(rep, in_qp, in_rp, in_s) -> bool:
         if not (q or r):
             return False
         sides.append("Q'" if q else "R'")
-    if any(a == b for a, b in zip(sides, sides[1:])):
-        return False
-    if rep.kind in ("II", "III"):
-        if sides[0] != "R'" or sides[-1] != "Q'":
-            return False
-        if len(sides) % 2 != 0:
-            return False
-    return True
+    return all(a != b for a, b in zip(sides, sides[1:]))
 
 
 def node_products(line) -> tuple:

@@ -365,7 +365,7 @@ def test_criterion_06_concat_lemma():
     checker.  For 4 segments the count (~2.7e8) is certified by the verified
     local-to-global step: no cancellation at each node makes the whole label
     reduced, hence geodesic, hence (4, c) for every c >= 0."""
-    profile = ConstantsProfile(delta=Fraction(0), c0=Fraction(0), ball_radius=5)
+    profile = ConstantsProfile(delta=Fraction(0), c0=Fraction(0))
     assert (profile.c1, profile.c2, profile.c3) == (1, 10, 20)
 
     words = []  # nonempty reduced words of length <= 4, as tuples
@@ -573,8 +573,8 @@ def test_criterion_07_path_representatives():
     agree = 0
     for i in range(100):
         qg, rg = pairs[i % len(pairs)]
-        qp = SubgroupSpec((w(qg),), role="Q'")
-        rp = SubgroupSpec((w(rg),), role="R'")
+        qp = SubgroupSpec((w(qg),))
+        rp = SubgroupSpec((w(rg),))
         if rng.random() < 0.7:
             # a genuine product, so the searches usually succeed
             k = rng.randint(1, 3)
@@ -591,10 +591,10 @@ def test_criterion_07_path_representatives():
     assert agree == 100
 
     # kind-II widths on found minimal representatives
-    q_spec = SubgroupSpec((w("a"),), role="Q")
-    r_spec = SubgroupSpec((w("b"),), role="R")
-    qp = SubgroupSpec((w("a a"),), role="Q'")
-    rp = SubgroupSpec((w("b b"),), role="R'")
+    q_spec = SubgroupSpec((w("a"),))
+    r_spec = SubgroupSpec((w("b"),))
+    qp = SubgroupSpec((w("a a"),))
+    rp = SubgroupSpec((w("b b"),))
     qr = RationalSubset(FAB, (), (q_spec.gens, r_spec.gens))
     width_budget = SearchBudget(4, 4)
     checked = 0
@@ -631,11 +631,11 @@ def test_criterion_08_conditions():
     for k in (1, 2, 3, 4, 5):
         ctx = ConditionContext(
             view=FAB_REL,
-            Q=SubgroupSpec((w("a"),), role="Q"),
-            R=SubgroupSpec((w("b"),), role="R"),
-            Qp=SubgroupSpec((FAB.pow(w("a"), k),), role="Q'"),
-            Rp=SubgroupSpec((FAB.pow(w("b"), k),), role="R'"),
-            P_list=(SubgroupSpec((w("a"),), role="P"),),
+            Q=SubgroupSpec((w("a"),)),
+            R=SubgroupSpec((w("b"),)),
+            Qp=SubgroupSpec((FAB.pow(w("a"), k),)),
+            Rp=SubgroupSpec((FAB.pow(w("b"), k),)),
+            P_list=(SubgroupSpec((w("a"),)),),
             B=3,
             C=3,
             radius=8,

@@ -288,6 +288,24 @@ class TestMainExitCodes:
         cfg = self._write(tmp_path, FAB_REL_A)
         assert main(["--config", cfg, "--command", "rel-dist"]) == EXIT_OK
 
+    def test_segments_form_matches_nodes_form(self, tmp_path, capsys):
+        """A broken line written as its segments reports as it does written
+        as its nodes, in bytes and exit code: x:b, two h edges in the coset
+        b<a> (an adjacent backtracking), then x:b."""
+        forms = ("nodes = 1 ; b ; b a a a a a ; b a a a ; b a a a b",
+                 "segments = x:b | h:0:a,a,a,a,a | h:0:a^-1,a^-1 | x:b")
+        runs = {}
+        for command in ("backtracking", "shortcut", "tamable", "verify-shortcut"):
+            for form in forms:
+                cfg = self._write(tmp_path, FAB_REL_A.replace(
+                    "nodes = 1 ; a a a a a ; a a a a a a a a a a", form
+                ) + "\n[params]\nzeta = 1\nlambda = 4\nc = 10\n")
+                code = main(["--config", cfg, "--command", command])
+                runs.setdefault(command, []).append((code, capsys.readouterr().out))
+            assert runs[command][0] == runs[command][1], command
+        backtracking = json.loads(runs["backtracking"][0][1])["verdict"]
+        assert backtracking == [{"kind": "adjacent", "nu": 0, "segments": [1, 2]}]
+
     def test_check_failed(self, tmp_path, capsys):
         cfg = self._write(tmp_path, FAB_REL_A.replace("B = 2", "B = 99"))
         assert main(["--config", cfg, "--command", "check-conditions"]) == EXIT_CHECK_FAILED

@@ -148,15 +148,3 @@ def test_isolated_component_ratio_is_finite(fab_rel_a, fab):
         total = sum(c.x_length for c in isolated)
         worst = max(worst, total / len(cycle))
     assert worst < float("inf")
-    # the measured ratio is an empirical estimate; it rides in a profile
-    from fractions import Fraction
-
-    from relhyp.geometry import ConstantsProfile
-
-    profile = ConstantsProfile(
-        delta=Fraction(0),
-        c0=Fraction(0),
-        ball_radius=4,
-        empirical=(("isolated-component-ratio", worst, 4),),
-    )
-    assert profile.empirical[0][1] == worst

@@ -47,11 +47,11 @@ def make_ctx(fab, fab_rel_a, k=2, B=2, C=2, A=2, radius=6, with_p=True):
     gen_r = w("b", fab)
     return ConditionContext(
         view=fab_rel_a,
-        Q=SubgroupSpec((gen_q,), role="Q"),
-        R=SubgroupSpec((gen_r,), role="R"),
-        Qp=SubgroupSpec((fab.pow(gen_q, k),), role="Q'"),
-        Rp=SubgroupSpec((fab.pow(gen_r, k),), role="R'"),
-        P_list=(SubgroupSpec((gen_q,), role="P0"),) if with_p else (),
+        Q=SubgroupSpec((gen_q,)),
+        R=SubgroupSpec((gen_r,)),
+        Qp=SubgroupSpec((fab.pow(gen_q, k),)),
+        Rp=SubgroupSpec((fab.pow(gen_r, k),)),
+        P_list=(SubgroupSpec((gen_q,)),) if with_p else (),
         B=B,
         C=C,
         A=A,
@@ -139,7 +139,7 @@ class TestQuasiconvexity:
 
 
 def _report(verdict, measured, tag):
-    return ConditionReport("C2", verdict, 4, None, measured, (("tag", tag),))
+    return ConditionReport(verdict, 4, tag, measured)
 
 
 class TestLeast:
@@ -244,7 +244,7 @@ class TestConditions:
 
     def test_c1_fails_with_witness(self, fab, fab_rel_a):
         ctx = make_ctx(fab, fab_rel_a)
-        ctx.Qp = SubgroupSpec((w("a", fab), w("b", fab)), role="Q'")  # join too big
+        ctx.Qp = SubgroupSpec((w("a", fab), w("b", fab)))  # join too big
         rep = check_condition("C1", ctx)
         assert rep.verdict == "fails" and rep.witness is not None
 
@@ -306,7 +306,7 @@ class TestConditions:
         rep = check_condition("C2-m", ctx)
         assert rep.ok
         ctx_t = make_ctx(fab, fab_rel_a, k=2, B=2, radius=6)
-        ctx_t.T_list = (SubgroupSpec((w("a b", fab),), role="T1"),)
+        ctx_t.T_list = (SubgroupSpec((w("a b", fab),)),)
         rep2 = check_condition("C2-m", ctx_t)
         assert rep2.verdict in ("holds-to-radius", "fails")
 
@@ -318,16 +318,16 @@ class TestConditions:
         # P = the whole group exercises the non-vacuous branch: restrictions
         # are the subgroups themselves and q ranges over ball coset reps
         ctx = make_ctx(fab, fab_rel_a, k=2, C=1, radius=4)
-        ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab)), role="P"),)
+        ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab))),)
         rep = check_condition("C5", ctx)
         assert rep.verdict in ("holds-to-radius", "fails")
         assert any("coset representatives" in c for c in rep.caveats) or rep.verdict == "fails"
 
     def test_c5m_with_u_list(self, fab, fab_rel_a):
         ctx = make_ctx(fab, fab_rel_a, k=2, C=1, radius=4)
-        ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab)), role="P"),)
-        ctx.T_list = (SubgroupSpec((w("a b", fab),), role="T1"),)
-        ctx.U_list = (SubgroupSpec((w("a b", fab),), role="U1"),)
+        ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab))),)
+        ctx.T_list = (SubgroupSpec((w("a b", fab),)),)
+        ctx.U_list = (SubgroupSpec((w("a b", fab),)),)
         rep = check_condition("C5-m", ctx)
         assert rep.verdict in ("holds-to-radius", "fails")
 
@@ -352,49 +352,41 @@ class TestConditions:
 
 
 # Full reports of the minx-scan conditions on the fixtures above, pinned:
-# the CLI emits neither ``params`` nor ``measured``, so the golden replay
-# cannot see them.
-_P_WHOLE = dict(P_list=(("a", "b"), "P"))
-_T1 = dict(T_list=(("a b",), "T1"))
-_U1 = dict(U_list=(("a b",), "U1"))
+# the CLI does not emit ``measured``, so the golden replay cannot see it.
+_P_WHOLE = dict(P_list=("a", "b"))
+_T1 = dict(T_list=("a b",))
+_U1 = dict(U_list=("a b",))
 _RADIUS_CAVEAT = "pass is radius-stamped; a failure witness would be absolute"
 _COSET_CAVEAT = "q ranges over coset representatives found in the ball"
 PINNED_REPORTS = [
     ("C2", dict(k=4, B=3, radius=8), {},
-     ("holds-to-radius", 8, None, 4, (("B", 3), ("side", "Q")), (_RADIUS_CAVEAT,))),
+     ("holds-to-radius", 8, None, 4, (_RADIUS_CAVEAT,))),
     ("C2", dict(k=2, B=50, radius=6), {},
-     ("fails", 6, w("b b", _F2), 2, (("B", 50), ("side", "Q")), ())),
+     ("fails", 6, w("b b", _F2), 2, ())),
     ("C3", dict(k=2, C=2, radius=6), {},
-     ("holds-to-radius", 6, None, 2, (("C", 2), ("P", "P0"), ("half", "R'")),
-      (_RADIUS_CAVEAT,))),
+     ("holds-to-radius", 6, None, 2, (_RADIUS_CAVEAT,))),
     ("C3", dict(k=2, C=50, radius=6), {},
-     ("fails", 6, w("b b", _F2), 2, (("C", 50), ("P", "P0"), ("half", "R'")), ())),
+     ("fails", 6, w("b b", _F2), 2, ())),
     ("C5", dict(), {},
-     ("vacuous", 6, None, None, (("P", "P0"),),
-      ("abelian peripheral: the two sides coincide",))),
+     ("vacuous", 6, None, None, ("abelian peripheral: the two sides coincide",))),
     ("C5", dict(k=2, C=1, radius=4), _P_WHOLE,
-     ("holds-to-radius", 4, None, 4, (("C", 1), ("P", "P"), ("q", "1")),
-      (_COSET_CAVEAT, _RADIUS_CAVEAT))),
+     ("holds-to-radius", 4, None, 4, (_COSET_CAVEAT, _RADIUS_CAVEAT))),
     ("C5", dict(k=2, C=50, radius=4), _P_WHOLE,
-     ("fails", 4, w("b b a a", _F2), 4, (("C", 50), ("P", "P"), ("q", "1")),
-      (_COSET_CAVEAT,))),
+     ("fails", 4, w("b b a a", _F2), 4, (_COSET_CAVEAT,))),
     ("C2-m", dict(k=2, B=2, radius=6), {},
-     ("holds-to-radius", 6, None, 2, (("B", 2), ("j", 0)), (_RADIUS_CAVEAT,))),
+     ("holds-to-radius", 6, None, 2, (_RADIUS_CAVEAT,))),
     ("C2-m", dict(k=2, B=2, radius=6), _T1,
-     ("fails", 6, w("a", _F2), 1, (("B", 2), ("j", 1)), ())),
+     ("fails", 6, w("a", _F2), 1, ())),
     ("C2-m", dict(k=2, B=50, radius=6), _T1,
-     ("fails", 6, w("a a", _F2), 2, (("B", 50), ("j", 0)), ())),
+     ("fails", 6, w("a a", _F2), 2, ())),
     ("C5-m", dict(with_p=False), {},
-     ("vacuous", 6, None, None, (), ())),
+     ("vacuous", 6, None, None, ())),
     ("C5-m", dict(), {},
-     ("holds-to-radius", 6, None, math.inf, (("C", 2), ("P", "P0"), ("j", 0), ("q", "1")),
-      (_COSET_CAVEAT, _RADIUS_CAVEAT))),
+     ("holds-to-radius", 6, None, math.inf, (_COSET_CAVEAT, _RADIUS_CAVEAT))),
     ("C5-m", dict(k=2, C=1, radius=4), {**_P_WHOLE, **_T1, **_U1},
-     ("holds-to-radius", 4, None, 3, (("C", 1), ("P", "P"), ("j", 1), ("q", "1")),
-      (_COSET_CAVEAT, _RADIUS_CAVEAT))),
+     ("holds-to-radius", 4, None, 3, (_COSET_CAVEAT, _RADIUS_CAVEAT))),
     ("C5-m", dict(k=2, C=50, radius=4), {**_P_WHOLE, **_T1, **_U1},
-     ("fails", 4, w("b b a a", _F2), 4, (("C", 50), ("P", "P"), ("j", 0), ("q", "1")),
-      (_COSET_CAVEAT,))),
+     ("fails", 4, w("b b a a", _F2), 4, (_COSET_CAVEAT,))),
 ]
 
 
@@ -403,26 +395,25 @@ def test_pinned_report(fab, fab_rel_a, cond_id, kwargs, extra, expected):
     ctx = make_ctx(fab, fab_rel_a, **kwargs)
     for key, value in extra.items():
         if key.endswith("_list"):
-            words, role = value
-            value = (SubgroupSpec(tuple(w(x, fab) for x in words), role=role),)
+            value = (SubgroupSpec(tuple(w(x, fab) for x in value)),)
         setattr(ctx, key, value)
-    assert check_condition(cond_id, ctx) == ConditionReport(cond_id, *expected)
+    assert check_condition(cond_id, ctx) == ConditionReport(*expected)
 
 
 def test_c5m_tail_decides_the_report(fab, fab_rel_a):
     """A non-empty tail (j = 1, U1 restricted to P0) gives the failure; the
     empty tail alone passes, so a checker that scanned only j = 0 would
     report holds-to-radius."""
-    S = lambda role, *words: SubgroupSpec(tuple(w(x, fab) for x in words), role=role)
+    S = lambda *words: SubgroupSpec(tuple(w(x, fab) for x in words))
     ctx = ConditionContext(
         view=fab_rel_a,
-        Q=S("Q", "a"),
-        R=S("R", "b"),
-        Qp=S("Q'", "a a"),
-        Rp=S("R'", "b a b^-1"),
-        P_list=(S("P0", "a", "b a b^-1"),),
-        T_list=(S("T1", "b"),),
-        U_list=(S("U1", "a b a^-1 b^-1"),),
+        Q=S("a"),
+        R=S("b"),
+        Qp=S("a a"),
+        Rp=S("b a b^-1"),
+        P_list=(S("a", "b a b^-1"),),
+        T_list=(S("b"),),
+        U_list=(S("a b a^-1 b^-1"),),
         B=2,
         C=3,
         A=2,
@@ -430,7 +421,6 @@ def test_c5m_tail_decides_the_report(fab, fab_rel_a):
     )
     rep = check_condition("C5-m", ctx)
     assert (rep.verdict, rep.witness) == ("fails", w("a", fab))
-    assert rep.params == (("C", 3), ("P", "P0"), ("j", 1), ("q", "1"))
     ctx.U_list = ()
     assert check_condition("C5-m", ctx).verdict == "holds-to-radius"
 
@@ -462,7 +452,7 @@ def test_c5_abelian_rule_matches_commuting_generators(fab, fab_rel_a, case):
     commute = all(fab.mul(x, y) == fab.mul(y, x) for x in gens for y in gens)
     assert (len(basis(subgroup_graph(gens, fab), fab)) <= 1) == commute
     ctx = make_ctx(fab, fab_rel_a, radius=2)
-    ctx.P_list = (SubgroupSpec(gens, role="P"),)
+    ctx.P_list = (SubgroupSpec(gens),)
     rep = check_condition("C5", ctx)
     assert (rep.caveats == ("abelian peripheral: the two sides coincide",)) == commute
 
@@ -478,10 +468,8 @@ _gens = st.lists(
 ).map(tuple)
 
 
-def _specs(gens_list, role):
-    return tuple(
-        SubgroupSpec(gens, role="%s%d" % (role, i)) for i, gens in enumerate(gens_list)
-    )
+def _specs(gens_list):
+    return tuple(SubgroupSpec(gens) for gens in gens_list)
 
 
 @settings(max_examples=60, deadline=None)
@@ -499,13 +487,13 @@ def test_first_hit_reports_match_full_scan(
     B, C, A = bounds
     ctx = ConditionContext(
         view=fab_rel_a,
-        Q=SubgroupSpec(q, role="Q"),
-        R=SubgroupSpec(r, role="R"),
-        Qp=SubgroupSpec(qp, role="Q'"),
-        Rp=SubgroupSpec(rp, role="R'"),
-        P_list=_specs(p_list, "P"),
-        T_list=_specs(t_list, "T"),
-        U_list=_specs(u_list, "U"),
+        Q=SubgroupSpec(q),
+        R=SubgroupSpec(r),
+        Qp=SubgroupSpec(qp),
+        Rp=SubgroupSpec(rp),
+        P_list=_specs(p_list),
+        T_list=_specs(t_list),
+        U_list=_specs(u_list),
         B=B,
         C=C,
         A=A,
@@ -531,11 +519,11 @@ def test_c1_c4_witness_is_the_least_disagreement(fab, fab_rel_a, q, r, qp, rp, p
     has none, whatever the radius of the check."""
     ctx = ConditionContext(
         view=fab_rel_a,
-        Q=SubgroupSpec(q, role="Q"),
-        R=SubgroupSpec(r, role="R"),
-        Qp=SubgroupSpec(qp, role="Q'"),
-        Rp=SubgroupSpec(rp, role="R'"),
-        P_list=(SubgroupSpec(p, role="P0"),),
+        Q=SubgroupSpec(q),
+        R=SubgroupSpec(r),
+        Qp=SubgroupSpec(qp),
+        Rp=SubgroupSpec(rp),
+        P_list=(SubgroupSpec(p),),
         radius=radius,
     )
     ball = build_ball(fab, radius + 2).elements
@@ -581,19 +569,18 @@ def test_c4_fails_beyond_the_radius(fab, fab_rel_a):
     """Q = R = Q' = <a>, R' = <b^2>, P0 = <b^3> at radius 3: R_P is trivial
     and R'_P = <b^6>, so C4 fails on b^6, which lies outside the radius-3
     ball; a search capped at the radius found no witness."""
-    S = lambda role, word: SubgroupSpec((w(word, fab),), role=role)
+    S = lambda word: SubgroupSpec((w(word, fab),))
     ctx = ConditionContext(
         view=fab_rel_a,
-        Q=S("Q", "a"),
-        R=S("R", "a"),
-        Qp=S("Q'", "a"),
-        Rp=S("R'", "b b"),
-        P_list=(S("P0", "b b b"),),
+        Q=S("a"),
+        R=S("a"),
+        Qp=S("a"),
+        Rp=S("b b"),
+        P_list=(S("b b b"),),
         radius=3,
     )
     rep = check_condition("C4", ctx)
     assert (rep.verdict, rep.witness) == ("fails", w("b b b b b b", fab))
-    assert rep.params == (("P", "P0"),)
 
 
 @settings(max_examples=60, deadline=None)
@@ -669,7 +656,7 @@ def test_restrict_pulls_back_once_per_context(fab, fab_rel_a, monkeypatch):
     )
     for _ in range(2):
         ctx = make_ctx(fab, fab_rel_a, k=2, C=1, radius=4)
-        ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab)), role="P"),)
+        ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab))),)
         for _ in range(2):
             for cond_id in ("C3", "C5", "C5-m", "P2"):
                 check_condition(cond_id, ctx)
@@ -680,7 +667,7 @@ def test_restrict_keys_on_generators(fab, fab_rel_a, monkeypatch):
     """Q, R and Q' share the generator a, so their restrictions to P0 are
     one pullback: the ten conditions make C1's two (S = Q cap R and
     Q' cap R'), C4's two restrictions (a and b^2 to b^3) and C4's two
-    left-hand sides, 6 in all; a memo keyed by role makes 8."""
+    left-hand sides, 6 in all, not one per context field that asks (8)."""
     calls = []
     pullback_ = conditions.pullback
     monkeypatch.setattr(
@@ -689,11 +676,11 @@ def test_restrict_keys_on_generators(fab, fab_rel_a, monkeypatch):
     a, b2, b3 = w("a", fab), w("b b", fab), w("b b b", fab)
     ctx = ConditionContext(
         view=fab_rel_a,
-        Q=SubgroupSpec((a,), role="Q"),
-        R=SubgroupSpec((a,), role="R"),
-        Qp=SubgroupSpec((a,), role="Q'"),
-        Rp=SubgroupSpec((b2,), role="R'"),
-        P_list=(SubgroupSpec((b3,), role="P0"),),
+        Q=SubgroupSpec((a,)),
+        R=SubgroupSpec((a,)),
+        Qp=SubgroupSpec((a,)),
+        Rp=SubgroupSpec((b2,)),
+        P_list=(SubgroupSpec((b3,)),),
         radius=3,
     )
     for cond_id in conditions.CONDITION_IDS:
@@ -722,9 +709,9 @@ def test_checkers_build_no_ball(fab, fab_rel_a, monkeypatch):
     equal.Rp = equal.Qp  # Q' cap R' = Q' is not S = 1: C1 and C4 fail
     contexts = (holds, fails, equal)
     for ctx in contexts:
-        ctx.P_list += (SubgroupSpec((w("a", fab), w("b", fab)), role="P"),)
-        ctx.T_list = (SubgroupSpec((w("a b", fab),), role="T1"),)
-        ctx.U_list = (SubgroupSpec((w("a b", fab),), role="U1"),)
+        ctx.P_list += (SubgroupSpec((w("a", fab), w("b", fab))),)
+        ctx.T_list = (SubgroupSpec((w("a b", fab),)),)
+        ctx.U_list = (SubgroupSpec((w("a b", fab),)),)
     verdicts = {
         c: [check_condition(c, ctx).verdict for ctx in contexts]
         for c in conditions.CONDITION_IDS
@@ -748,9 +735,9 @@ def _nonabelian_ctx(fab, fab_rel_a, k, B, C, radius, t0, t1, u1):
     """The non-abelian peripheral P0 = <a, b a b^-1> with tails T0, T1 and
     U0 = <a>, U1 = <u1>, over the Q, R, Q', R' of ``make_ctx``."""
     ctx = make_ctx(fab, fab_rel_a, k=k, B=B, C=C, A=B, radius=radius)
-    ctx.P_list = (SubgroupSpec((w("a", fab), w("b a b^-1", fab)), role="P0"),)
-    ctx.T_list = (SubgroupSpec((t0,), role="T0"), SubgroupSpec((t1,), role="T1"))
-    ctx.U_list = (SubgroupSpec((w("a", fab),), role="U0"), SubgroupSpec((u1,), role="U1"))
+    ctx.P_list = (SubgroupSpec((w("a", fab), w("b a b^-1", fab))),)
+    ctx.T_list = (SubgroupSpec((t0,)), SubgroupSpec((t1,)))
+    ctx.U_list = (SubgroupSpec((w("a", fab),)), SubgroupSpec((u1,)))
     return ctx
 
 
@@ -795,9 +782,9 @@ def test_nonabelian_saturates_each_subset_once(fab, fab_rel_a, monkeypatch):
         built.append((g0, factors))
         return subset_(G, g0, factors)
 
-    def minx_condition(ctx, cond_id, inside, outside, *args, **kwargs):
+    def minx_condition(ctx, inside, outside, *args, **kwargs):
         asked.extend([(inside.g0, inside.factors), (outside.g0, outside.factors)])
-        return minx_(ctx, cond_id, inside, outside, *args, **kwargs)
+        return minx_(ctx, inside, outside, *args, **kwargs)
 
     monkeypatch.setattr(conditions, "RationalSubset", subset)
     monkeypatch.setattr(rational, "saturate", lambda nfa: saturated.append(1) or saturate_(nfa))

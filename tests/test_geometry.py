@@ -418,11 +418,11 @@ class TestConstantsProfile:
     def test_degenerate_arithmetic(self):
         # delta = 0, c0 = 0: c1 = 12(0+0)+1 = 1, c2 = 10(0+1) = 10,
         # c3 = 10(0+2*1) = 20
-        prof = ConstantsProfile(delta=Fraction(0), c0=Fraction(0), ball_radius=4)
+        prof = ConstantsProfile(delta=Fraction(0), c0=Fraction(0))
         assert prof.c1 == 1 and prof.c2 == 10 and prof.c3 == 20
 
     def test_formula_dependencies(self):
-        prof = ConstantsProfile(delta=Fraction(1), c0=Fraction(14), ball_radius=3)
+        prof = ConstantsProfile(delta=Fraction(1), c0=Fraction(14))
         assert prof.c1 == 12 * (14 + 1) + 1
         assert prof.c2 == 10 * (1 + prof.c1)
         assert prof.c3 == 10 * (1 + 2 * prof.c1)
@@ -430,7 +430,7 @@ class TestConstantsProfile:
 
 class TestConcatLemma:
     def _profile(self):
-        return ConstantsProfile(delta=Fraction(0), c0=Fraction(0), ball_radius=4)
+        return ConstantsProfile(delta=Fraction(0), c0=Fraction(0))
 
     def test_single_segment(self, fab, fab_word):
         bl = BrokenLine((fab_word.geodesic(fab.identity(), w("a a", fab)),))
@@ -452,7 +452,7 @@ class TestConcatLemma:
         assert not rep.hypotheses_hold
 
     def test_c0_precondition(self, fab, fab_word):
-        prof = ConstantsProfile(delta=Fraction(1), c0=Fraction(0), ball_radius=2)
+        prof = ConstantsProfile(delta=Fraction(1), c0=Fraction(0))
         bl = BrokenLine((fab_word.geodesic(fab.identity(), w("a", fab)),))
         with pytest.raises(ValueError):
             check_concat_lemma(bl, 0, prof)

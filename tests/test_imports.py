@@ -132,18 +132,58 @@ def test_no_unread_functions():
     assert not unread, "functions and classes nothing reads: %s" % ", ".join(unread)
 
 
+# src, demos, perfbench, the shared oracles of tests/conftest.py and the
+# acceptance criteria: every reader but the unit tests
+OUTSIDE_UNIT_TESTS = [
+    p for p in READERS
+    if p.parent.name != "tests" or p.name in ("conftest.py", "test_acceptance.py")
+]
+
+
 def test_no_functions_only_unit_tests_read():
     """Every top-level function and class of the package is read outside the
     unit tests: in src, demos, perfbench, the shared oracles of
     ``tests/conftest.py`` or the acceptance criteria.  A function that only
     its own unit tests call has no user; it belongs in ``conftest.py`` as a
     reference, or nowhere."""
-    readers = [
-        p for p in READERS
-        if p.parent.name != "tests" or p.name in ("conftest.py", "test_acceptance.py")
-    ]
-    unread = _unread_top_level(readers)
+    unread = _unread_top_level(OUTSIDE_UNIT_TESTS)
     assert not unread, "functions and classes only unit tests read: %s" % ", ".join(unread)
+
+
+def _is_dataclass(cls):
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def test_no_fields_only_unit_tests_read():
+    """Every field of a ``@dataclass`` class of the package is read as an
+    attribute (``obj.name``) outside the unit tests, by the readers of
+    ``test_no_functions_only_unit_tests_read``.  A field that no such reader
+    reads is carried and never looked at.  ``NamedTuple`` classes are not
+    checked: their fields are read by position too.
+
+    Like its siblings the check goes by name only, so a field whose name is
+    read anywhere else escapes it, on whatever object: ``PathRep.kind``
+    escaped through ``PeripheralSpec.kind`` (and through its own checks) while
+    every representative built was of kind I."""
+    read = {
+        node.attr
+        for path in OUTSIDE_UNIT_TESTS
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                unread += [
+                    "%s.%s (%s)" % (cls.name, field.target.id, path.relative_to(SRC))
+                    for field in cls.body
+                    if isinstance(field, ast.AnnAssign) and field.target.id not in read
+                ]
+    assert not unread, "fields only unit tests read: %s" % ", ".join(unread)
 
 
 def test_one_bfs_kernel():

@@ -13,7 +13,6 @@ from relhyp.pathrep import (
     SearchBudget,
     minimize_type,
     type_of,
-    width,
 )
 from relhyp.separability import membership_oracle
 
@@ -56,32 +55,22 @@ def brute_force_min_type(g, qp_gens, rp_gens, view, budget):
 @pytest.fixture()
 def qprp(fab):
     return (
-        SubgroupSpec((w("a a", fab),), role="Q'"),
-        SubgroupSpec((w("b b", fab),), role="R'"),
+        SubgroupSpec((w("a a", fab),)),
+        SubgroupSpec((w("b b", fab),)),
     )
 
 
 class TestTypeOf:
     def test_identity_rep(self, fab, fab_rel_a):
         line = BrokenLine((trivial_path(fab_rel_a, fab.identity()),))
-        rep = PathRep("I", line, ("Q'",))
+        rep = PathRep(line, ("Q'",))
         assert type_of(rep) == RepType(1, 0, 0)
 
     def test_two_h_segments(self, fab, fab_rel_a):
         a5 = w("a a a a a", fab)
         line = BrokenLine.from_nodes(fab_rel_a, [fab.identity(), a5, fab.mul(a5, a5)])
-        rep = PathRep("I", line, ("Q'", "Q'"))
+        rep = PathRep(line, ("Q'", "Q'"))
         assert type_of(rep) == RepType(2, 2, 10)
-
-    def test_kind_iii_counts_core_only_in_n(self, fab, fab_rel_a):
-        e = fab.identity()
-        a2, b2 = w("a a", fab), w("b b", fab)
-        nodes = [e, e, b2, fab.mul(b2, a2), fab.mul(b2, a2), fab.mul(fab.mul(b2, a2), w("b", fab))]
-        line = BrokenLine.from_nodes(fab_rel_a, nodes)
-        rep = PathRep("III", line, ("Q", "R'", "Q'", "R", "T1"))
-        t = type_of(rep)
-        assert t.n == 2
-        assert t.length == line.length()
 
 
 class TestMinimize:
@@ -108,8 +97,8 @@ class TestMinimize:
         ball = build_ball(fab, 4)
         pairs = [("a a", "b b"), ("a a", "b a b^-1"), ("a a a", "b b b")]
         for qg, rg in pairs:
-            qp = SubgroupSpec((w(qg, fab),), role="Q'")
-            rp = SubgroupSpec((w(rg, fab),), role="R'")
+            qp = SubgroupSpec((w(qg, fab),))
+            rp = SubgroupSpec((w(rg, fab),))
             for _ in range(6):
                 g = rng.choice(ball.elements)
                 res = minimize_type(g, qp, rp, fab_rel_a, budget)
@@ -152,7 +141,7 @@ class TestAlternation:
     def test_single_segment(self, fab, fab_rel_a, qprp):
         qp, rp = qprp
         line = BrokenLine.from_nodes(fab_rel_a, [fab.identity(), w("a a", fab)])
-        rep = PathRep("I", line, ("Q'",))
+        rep = PathRep(line, ("Q'",))
         assert check_alternation(rep, *self._oracles(fab, qp, rp))
 
     def test_two_consecutive_q_segments(self, fab, fab_rel_a, qprp):
@@ -160,7 +149,7 @@ class TestAlternation:
         line = BrokenLine.from_nodes(
             fab_rel_a, [fab.identity(), w("a a", fab), w("a a a a", fab)]
         )
-        rep = PathRep("I", line, ("Q'", "Q'"))
+        rep = PathRep(line, ("Q'", "Q'"))
         assert not check_alternation(rep, *self._oracles(fab, qp, rp))
 
     def test_minimal_reps_alternate(self, fab, fab_rel_a, qprp):
@@ -176,26 +165,6 @@ class TestAlternation:
                 assert check_alternation(res.rep, *oracles)
                 found += 1
         assert found > 0
-
-    def test_kind_ii_even_width(self, fab, fab_rel_a, qprp):
-        qp, rp = qprp
-        e = fab.identity()
-        b2, a2 = w("b b", fab), w("a a", fab)
-        # q trivial, p1 in R'\S, p2 in Q'\S, r trivial: width 2, even
-        nodes = [e, e, b2, fab.mul(b2, a2), fab.mul(b2, a2)]
-        line = BrokenLine.from_nodes(fab_rel_a, nodes)
-        rep = PathRep("II", line, ("Q", "R'", "Q'", "R"))
-        assert check_alternation(rep, *self._oracles(fab, qp, rp))
-        assert width(rep) == 2
-
-    def test_kind_ii_odd_width_flagged(self, fab, fab_rel_a, qprp):
-        qp, rp = qprp
-        e = fab.identity()
-        b2 = w("b b", fab)
-        nodes = [e, e, b2, b2]
-        line = BrokenLine.from_nodes(fab_rel_a, nodes)
-        rep = PathRep("II", line, ("Q", "R'", "R"))
-        assert not check_alternation(rep, *self._oracles(fab, qp, rp))
 
 
 class TestNodeProducts:

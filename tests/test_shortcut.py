@@ -35,7 +35,7 @@ class TestProcedure:
         res = shortcut(bl, 3)
         res.check_invariants()
         assert res.V == ((0, 2),)
-        assert len(res.fs) == 1 and len(res.es) == 0
+        assert len(res.sigma.segments) == 1 and len(res.es) == 0
 
     def test_theta_5_fixture(self, a5_a10, fab):
         res = shortcut(a5_a10, 5)
