@@ -7,12 +7,16 @@ preimage at vertex and edge-midpoint positions, where the maxima of the
 piecewise-linear preimage distances occur; the scans count these positions
 as integers, in doubled arclengths.  ``thin_triangle_delta`` scans one
 triangle's canonical geodesic sides in any view.  ``measure_delta`` scans
-every triple of a ball with one ``_ScanTable``, over numbered vertices.
+every triple of a ball with one ``_ScanTable``, over numbered vertices,
+whose sides multiply each edge of the table once and read it back after.
 The scan is pruned exactly by the triangle inequality behind the tripod
 definition (Bridson–Haefliger III.H.1.17): matched points at doubled
 position t are each t/2 from their corner, so at doubled distance at most
-2t, and t runs up to the corner's doubled Gromov product L.  A triple or
-position that cannot beat the running maximum is skipped.  A free group's
+2t, and t runs up to the corner's doubled Gromov product L.  Through the
+far ends of their sides they are also at doubled distance at most
+2P - 2t, for the perimeter P.  A position beats a doubled running maximum
+B only when floor(B/2) < t <= min(L, P - floor(B/2) - 1); a triple or
+position outside that range is skipped.  A free group's
 word metric is a tree, whose triangles are tripods (0-thin), so there
 ``measure_delta`` returns 0 without a scan.
 """
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
 from math import comb
 from typing import Optional
 
@@ -77,16 +80,20 @@ class _ScanTable:
     the canonical side from i to j as its vertex numbers and each edge label
     less its element, built once per unordered pair when a scanned corner
     reads it: the labels of ``view.decompose`` from the end with the lower
-    sort key, walked by ``base.mul``, stored under both orders, the second
-    reversed.  A table is made by ``measure_delta`` for one scan, or by a
-    lone ``thin_triangle_delta`` call for its triangle, and dropped with it.
+    sort key, stored under both orders, the second reversed.  The side walks
+    its labels through ``steps``, which maps (vertex number, label element)
+    to the vertex number of their product, so each edge of the table costs
+    one ``base.mul``, on its first walk.  A table is made by
+    ``measure_delta`` for one scan, or by a lone ``thin_triangle_delta``
+    call for its triangle, and dropped with it.
     """
 
-    __slots__ = ("view", "nums", "elems", "keys", "rows", "sides")
+    __slots__ = ("view", "nums", "elems", "keys", "rows", "sides", "steps")
 
     def __init__(self, view: RelGraphView):
         self.view = view
-        self.nums, self.elems, self.keys, self.rows, self.sides = {}, [], [], [], {}
+        self.nums, self.elems, self.keys, self.rows = {}, [], [], []
+        self.sides, self.steps = {}, {}
 
     def num(self, g) -> int:
         i = self.nums.get(g)
@@ -101,10 +108,16 @@ class _ScanTable:
         s = self.sides.get((u, v))
         if s is None:
             lo, hi = (v, u) if self.keys[v] < self.keys[u] else (u, v)
-            base, g = self.view.group.base, self.elems[lo]
-            labels = self.view.decompose(base.mul(base.inv(g), self.elems[hi]))
-            walk = accumulate((lab[-1] for lab in labels), base.mul, initial=g)
-            verts, kinds = tuple(map(self.num, walk)), tuple(lab[:-1] for lab in labels)
+            base, elems, steps = self.view.group.base, self.elems, self.steps
+            labels = self.view.decompose(base.mul(base.inv(elems[lo]), elems[hi]))
+            verts = [lo]
+            for lab in labels:
+                step = verts[-1], lab[-1]
+                w = steps.get(step)
+                if w is None:
+                    w = steps[step] = self.num(base.mul(elems[verts[-1]], lab[-1]))
+                verts.append(w)
+            verts, kinds = tuple(verts), tuple(lab[:-1] for lab in labels)
             self.sides[lo, hi] = verts, kinds
             self.sides[hi, lo] = verts[::-1], kinds[::-1]
             s = self.sides[u, v]
@@ -130,10 +143,15 @@ def thin_triangle_delta(
     two vertices (t even) at doubled distance 2 d(a, b); two edge midpoints
     (t odd) at 0 on one edge, fixed by its unordered ends and its label less
     the element, else at 2 + 2 min d(a, b) over their ends.  Both points are
-    t/2 from their corner, so that doubled distance is at most 2t: only
-    t > floor (an int or a Fraction) is read, and a corner whose doubled
-    Gromov product is at most floor is skipped before its sides are built.
-    A triangle that cannot beat floor returns the floor object itself.
+    t/2 from their corner, so that doubled distance is at most 2t.  On the
+    sides from corner c to p and to q they are also d(c, p) - t/2 from p
+    and d(c, q) - t/2 from q, so through p and q, with P the perimeter,
+    that doubled distance is at most 2P - 2t.  With B twice floor (an int
+    or a Fraction) rounded down, a position beats floor only when
+    floor(B/2) < t <= P - floor(B/2) - 1, and t runs up to the doubled
+    Gromov product L of its corner: only that range is read, and a corner
+    where it is empty is skipped before its sides are built.  A triangle
+    that cannot beat floor returns the floor object itself.
 
     Sides and distances come from ``table``, the calling scan's
     ``_ScanTable``, which must be a table of ``view`` itself; without one
@@ -147,16 +165,21 @@ def thin_triangle_delta(
     side, dist, num = table.side, table.dist, table.num
     x, y, z = num(x), num(y), num(z)
     dxy, dxz, dyz = dist(x, y), dist(x, z), dist(y, z)
+    per = dxy + dxz + dyz
     best = bar = 2 * floor.numerator // floor.denominator  # d beats floor iff d > bar
     for c, p, q, leg in (
-        (x, y, z, dxy + dxz - dyz),
-        (y, x, z, dxy + dyz - dxz),
-        (z, x, y, dxz + dyz - dxy),
+        (x, y, z, per - 2 * dyz),
+        (y, x, z, per - 2 * dxz),
+        (z, x, y, per - 2 * dxy),
     ):
-        if 2 * leg <= best:  # d <= 2t <= 2 leg cannot beat best
+        low = best // 2  # d <= 2t and d <= 2 per - 2t beat best only above low
+        top = per - low - 1
+        if leg < top:
+            top = leg
+        if top <= low:
             continue
         (verts1, kinds1), (verts2, kinds2) = side(c, p), side(c, q)
-        for t in range(best // 2 + 1, leg + 1):
+        for t in range(low + 1, top + 1):
             i = t >> 1
             if t & 1:
                 a1, b1, a2, b2 = verts1[i], verts1[i + 1], verts2[i], verts2[i + 1]
@@ -190,10 +213,12 @@ def measure_delta(ball: Ball, budget: Optional[int] = None) -> DeltaMeasurement:
     and the points the tripod map matches coincide.  Otherwise one
     ``_ScanTable`` serves every triple, numbering the ball's elements first
     and holding all n² distances first.
-    A triangle's thinness is at most its largest doubled Gromov product L,
-    so a triple with 2L <= 2 best is skipped with no call and the rest run
-    with ``floor=best``, returned as is unless raised: the value, the first
-    witness and the count are those of the full scan.
+    A triangle beats best only at a doubled position t with
+    floor(best) < t <= min(L, P - floor(best) - 1), for its largest doubled
+    Gromov product L and its perimeter P (see ``thin_triangle_delta``), so
+    a triple where that range is empty is skipped with no call, and the
+    rest run with ``floor=best``, returned as is unless raised: the value,
+    the first witness and the count are those of the full scan.
     BudgetExceededError is raised before a scan of more than ``budget``
     triples (None: no cap).
     """
@@ -209,14 +234,22 @@ def measure_delta(ball: Ball, budget: Optional[int] = None) -> DeltaMeasurement:
     table = _ScanTable(view)
     nums = [table.num(g) for g in elems]  # vertex i is elems[i]
     dist = [[table.dist(i, j) for j in nums] for i in nums]
-    best, bound, witness = Fraction(0), 0, None  # bound = 2 best
-    for i, j, k in combinations(range(len(elems)), 3):
-        dij, dik, djk = dist[i][j], dist[i][k], dist[j][k]
-        if 2 * (dij + dik + djk - 2 * min(dij, dik, djk)) <= bound:  # 2 * largest L
-            continue
-        v = thin_triangle_delta(elems[i], elems[j], elems[k], view, table, floor=best)
-        if v is not best:  # the maximum rose
-            best, bound, witness = v, int(2 * v), (elems[i], elems[j], elems[k])
+    best, low, witness = Fraction(0), 0, None  # low = floor(best)
+    n = len(elems)
+    for i in range(n - 2):
+        di, x = dist[i], elems[i]
+        for j in range(i + 1, n - 1):
+            dj, y, dij = dist[j], elems[j], di[j]
+            for k in range(j + 1, n):
+                dik, djk = di[k], dj[k]
+                per = dij + dik + djk
+                # skip when t has no room: per - low - 1 <= low, or the largest L
+                # (per - 2 min) <= low
+                if per <= 2 * low + 1 or per - 2 * min(dij, dik, djk) <= low:
+                    continue
+                v = thin_triangle_delta(x, y, elems[k], view, table, floor=best)
+                if v is not best:  # the maximum rose
+                    best, low, witness = v, v.numerator // v.denominator, (x, y, elems[k])
     return DeltaMeasurement(best, ball.radius, count, witness)
 
 

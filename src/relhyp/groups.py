@@ -300,9 +300,10 @@ class FreeAbelian(GroupSpec):
 
     def geodesic_word(self, a):
         """The positive unit steps by index, then the negative ones."""
-        steps = self._steps()
-        pos = [u for (u, _), e in zip(steps, a) for _ in range(e)]
-        neg = [u for (_, u), e in zip(steps, a) for _ in range(-e)]
+        pos, neg = [], []
+        for (u, ui), e in zip(self._steps(), a):
+            pos += [u] * e
+            neg += [ui] * -e
         return pos + neg
 
     def elem_str(self, a):

@@ -318,6 +318,21 @@ def reference_free_product_reduce(G: FreeProduct, sylls) -> tuple:
     return tuple(out)
 
 
+def reference_free_abelian_word(a) -> list:
+    """The canonical geodesic word of the exponent vector ``a`` in Z^n, built
+    coordinate by coordinate with no group arithmetic: for each index i in
+    turn, a[i] copies of the unit vector e_i where a[i] > 0, then, index by
+    index again, -a[i] copies of -e_i where a[i] < 0."""
+    n = len(a)
+    word = []
+    for sign in (1, -1):
+        for i, e in enumerate(a):
+            if sign * e > 0:
+                step = tuple(sign if k == i else 0 for k in range(n))
+                word.extend([step] * (sign * e))
+    return word
+
+
 def fixpoint_lengths(letters, mul, identity):
     """Word lengths in a finite group by set products, with no search.
 

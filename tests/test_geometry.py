@@ -190,14 +190,16 @@ def floor_cases(z2z, amalgam46, z2, fab_rel_a):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_floor_is_a_lower_bound(data, floor_cases):
-    # thin_triangle_delta(..., floor=f) == max(f, thinness); the floor call
-    # shares its view's table across examples, so it also reads sides and
-    # distances that other triangles built
+    # thin_triangle_delta(..., floor=f) == max(f, thinness), with the
+    # thinness of the unpruned Fraction arclength scan, which shares neither
+    # the 2t bound nor the perimeter cap; the floor call shares its view's
+    # table across examples, so it also reads sides and distances that
+    # other triangles built
     view, elems, table = data.draw(st.sampled_from(floor_cases))
     x, y, z = data.draw(st.lists(st.sampled_from(elems), min_size=3, max_size=3))
     f = data.draw(st.sampled_from([Fraction(k, 2) for k in range(11)]))
     v = thin_triangle_delta(x, y, z, view, table, floor=f)
-    assert v == max(f, thin_triangle_delta(x, y, z, view))
+    assert v == max(f, reference_thin_triangle_delta(x, y, z, view))
     # a triangle that cannot beat the floor returns the floor object itself
     assert (v is f) == (v == f)
 
@@ -241,9 +243,11 @@ class TestScanTable:
 
     def test_bound_skips_most_triples(self, z2z, amalgam46, monkeypatch):
         # the two benchmark balls at radius 2: of 5,456 triples on Z^2 * Z
-        # and 560 on the amalgam, exactly 1,858 and 453 can beat the running
+        # and 560 on the amalgam, exactly 1,260 and 389 can beat the running
         # maximum when they are reached, and only those reach the module's
-        # thin_triangle_delta
+        # thin_triangle_delta.  The bound is the largest doubled Gromov
+        # product capped by the perimeter: a doubled position t beats best
+        # only when floor(best) < t <= min(L, P - floor(best) - 1)
         calls = []
         thin = geometry.thin_triangle_delta
 
@@ -253,7 +257,7 @@ class TestScanTable:
 
         monkeypatch.setattr(geometry, "thin_triangle_delta", counted)
         for G, delta, triples, called in (
-            (z2z.group.base, 4, 5456, 1858), (amalgam46, 2, 560, 453),
+            (z2z.group.base, 4, 5456, 1260), (amalgam46, 2, 560, 389),
         ):
             calls.clear()
             m = measure_delta(build_ball(G, 2))
@@ -294,6 +298,36 @@ class TestScanTable:
         assert len(ball) == 33
         measure_delta(ball)
         assert 0 < len(calls) <= comb(33, 2)
+
+    def test_each_edge_multiplied_once(self, z2z, monkeypatch):
+        # one table reads every side of the Z^2 * Z ball at radius 2: each
+        # entry of table.steps costs exactly one base.mul, and the side
+        # walks make no other; the only other product is the one g^-1 h
+        # that each side decomposes
+        G = z2z.group.base
+        elems = build_ball(G, 2).elements
+        table = _ScanTable(word_metric_view(G))
+        nums = [table.num(g) for g in elems]
+        muls, decomposes = [], []
+        mul, decompose = FreeProduct.mul, RelGraphView.decompose
+
+        def counted_mul(self, a, b):
+            muls.append((a, b))
+            return mul(self, a, b)
+
+        def counted_decompose(self, g):
+            decomposes.append(g)
+            return decompose(self, g)
+
+        monkeypatch.setattr(FreeProduct, "mul", counted_mul)
+        monkeypatch.setattr(RelGraphView, "decompose", counted_decompose)
+        for u, v in combinations(nums, 2):
+            table.side(u, v)
+        assert len(decomposes) == comb(33, 2)
+        assert len(muls) == len(table.steps) + len(decomposes)
+        for i, x in table.steps:
+            assert (table.elems[i], x) in muls
+        assert len(table.steps) <= len(table.elems) * 2 * len(G.generator_elems())
 
     @pytest.mark.parametrize("view", _distinct_views())
     def test_sides_are_canonical_geodesics(self, view):

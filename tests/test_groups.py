@@ -30,6 +30,7 @@ from conftest import (
     reduce_letters_naive,
     reference_amalgam_normalize,
     reference_bfs_parents,
+    reference_free_abelian_word,
     reference_free_product_reduce,
     reference_word_to_elem,
     signed_letters,
@@ -142,6 +143,20 @@ class TestFreeAbelian:
     def test_inverse_law_on_ball(self, z2):
         for g in build_ball(z2, 4).elements:
             assert z2.mul(g, z2.inv(g)) == z2.identity()
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.lists(st.integers(-5, 5), min_size=1, max_size=4).map(tuple))
+    def test_geodesic_word_matches_reference(self, a):
+        # x_length(a) letters that multiply to a: the positive unit steps by
+        # index, then the negative ones
+        G = FreeAbelian(tuple("pqrs"[: len(a)]))
+        word = G.geodesic_word(a)
+        assert word == reference_free_abelian_word(a)
+        assert len(word) == G.x_length(a)
+        prod = G.identity()
+        for letter_ in word:
+            prod = G.mul(prod, letter_)
+        assert prod == a
 
 
 class TestFiniteGroup:
