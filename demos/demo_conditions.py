@@ -7,7 +7,7 @@ pass is stamped with the enumeration radius.
 Run: python3 demos/demo_conditions.py
 """
 
-from relhyp import FreeGroup, PeripheralSpec, RelHyp, SubgroupSpec, word_to_elem
+from relhyp import FreeGroup, PeripheralSpec, RelHyp, word_to_elem
 from relhyp.cayley import relative_view
 from relhyp.conditions import ConditionContext, check_condition, quasiconvexity_epsilon
 
@@ -19,11 +19,11 @@ w = lambda s: word_to_elem(s, F)
 def context(k, B, C, radius=7):
     return ConditionContext(
         view=VIEW,
-        Q=SubgroupSpec((w("a"),)),
-        R=SubgroupSpec((w("b"),)),
-        Qp=SubgroupSpec((F.pow(w("a"), k),)),
-        Rp=SubgroupSpec((F.pow(w("b"), k),)),
-        P_list=(SubgroupSpec((w("a"),)),),
+        Q=(w("a"),),
+        R=(w("b"),),
+        Qp=(F.pow(w("a"), k),),
+        Rp=(F.pow(w("b"), k),),
+        P_list=((w("a"),),),
         B=B,
         C=C,
         A=B,
@@ -49,7 +49,7 @@ def main():
 
     print()
     print("relative quasiconvexity of the join <a^2, b^2>, measured:")
-    join = SubgroupSpec((w("a a"), w("b b")))
+    join = (w("a a"), w("b b"))
     for r in (4, 6):
         eps, caveat = quasiconvexity_epsilon(join, VIEW, r)
         print("  radius %d: epsilon = %d (%s)" % (r, eps, caveat))

@@ -15,7 +15,6 @@ from relhyp import (
     FreeGroup,
     PeripheralSpec,
     RelHyp,
-    SubgroupSpec,
     word_to_elem,
 )
 from relhyp.cayley import BrokenLine, build_ball, relative_view, word_metric_view
@@ -73,8 +72,8 @@ def main():
     print()
     print("minimal types of factorizations through Q' = <a^2>, R' = <b^2>:")
     rel = relative_view(RelHyp(F, (PeripheralSpec(0, "cyclic-generator", "a"),)))
-    qp = SubgroupSpec((wf("a a"),))
-    rp = SubgroupSpec((wf("b b"),))
+    qp = (wf("a a"),)
+    rp = (wf("b b"),)
     for word in ("a a b b", "b b a a b b", "a", ""):
         g = wf(word)
         res = minimize_type(g, qp, rp, rel, SearchBudget(4, 6))

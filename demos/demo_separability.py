@@ -12,7 +12,6 @@ from relhyp import Amalgam, FreeGroup, cyclic_group, word_to_elem
 from relhyp.separability import (
     RationalSubset,
     amalgam_product_member,
-    amalgam_reduce,
     find_separating_quotient,
     minx_quotient_harness,
     product_member,

@@ -30,7 +30,6 @@ from .groups import (
     GroupSpec,
     PeripheralSpec,
     RelHyp,
-    SubgroupSpec,
     cyclic_group,
     inv,
     mul,

@@ -50,7 +50,6 @@ from .groups import (
     GroupSpec,
     PeripheralSpec,
     RelHyp,
-    SubgroupSpec,
     cyclic_group,
     word_to_elem,
 )
@@ -214,14 +213,11 @@ def parse_broken_line(view: RelGraphView, sec: dict) -> BrokenLine:
         raise SchemaError("bad segments: %s" % e)
 
 
-def subgroup_from_config(cfg: dict, name: str, G: GroupSpec) -> SubgroupSpec:
+def subgroup_from_config(cfg: dict, name: str, G: GroupSpec) -> tuple:
     sec = cfg.get("subgroups", {})
     if name not in sec:
         raise SchemaError("missing subgroup %r" % name)
-    gens = tuple(
-        parse_word(w.strip(), G) for w in sec[name].split("|") if w.strip()
-    )
-    return SubgroupSpec(gens)
+    return tuple(parse_word(w.strip(), G) for w in sec[name].split("|") if w.strip())
 
 
 # -- report plumbing ---------------------------------------------------------
@@ -303,13 +299,13 @@ def _word_list(text: str, G: GroupSpec) -> list:
 def _factor_gens(cfg, G):
     """The subgroup names the 'factors' parameter lists, and their generators."""
     names = _params(cfg).get("factors", "").split()
-    return names, tuple(subgroup_from_config(cfg, n, G).gens for n in names)
+    return names, tuple(subgroup_from_config(cfg, n, G) for n in names)
 
 
 def _named_subgroup(cfg, G):
     """The subgroup the 'subgroup' parameter names (default Q), and its folded graph."""
     name = _params(cfg).get("subgroup", "Q")
-    return name, subgroup_graph(subgroup_from_config(cfg, name, G).gens, G)
+    return name, subgroup_graph(subgroup_from_config(cfg, name, G), G)
 
 
 # Commands defined on one base family only; any other base exits 5.

@@ -36,7 +36,7 @@ from typing import Iterable, Iterator, Optional
 
 from .cayley import DEFAULT_VERTEX_BUDGET, RelGraphView
 from .errors import UnsupportedFamilyError
-from .groups import Elem, FreeGroup, GroupSpec, SubgroupSpec, per_instance
+from .groups import Elem, FreeGroup, GroupSpec, per_instance
 from .separability import (
     RationalSubset,
     StallingsGraph,
@@ -73,19 +73,19 @@ class ConditionReport:
 class ConditionContext:
     """Everything a condition checker needs, bundled once.
 
-    Subgroups are given by generators in the ambient group; products are
-    decided by saturated automata, so the ambient base must be free for the
-    product conditions.
+    Each subgroup is its tuple of generators in the ambient group; products
+    are decided by saturated automata, so the ambient base must be free for
+    the product conditions.
     """
 
     view: RelGraphView
-    Q: SubgroupSpec
-    R: SubgroupSpec
-    Qp: SubgroupSpec
-    Rp: SubgroupSpec
-    P_list: tuple[SubgroupSpec, ...] = ()
-    T_list: tuple[SubgroupSpec, ...] = ()
-    U_list: tuple[SubgroupSpec, ...] = ()
+    Q: tuple[Elem, ...]
+    R: tuple[Elem, ...]
+    Qp: tuple[Elem, ...]
+    Rp: tuple[Elem, ...]
+    P_list: tuple[tuple[Elem, ...], ...] = ()
+    T_list: tuple[tuple[Elem, ...], ...] = ()
+    U_list: tuple[tuple[Elem, ...], ...] = ()
     B: int = 0
     C: int = 0
     A: int = 0
@@ -109,17 +109,11 @@ class ConditionContext:
 
     # -- derived subgroups, all exact via folded automata --
 
-    def s_spec(self) -> SubgroupSpec:
-        return self.restrict(self.Q, self.R)
-
-    def join_spec(self) -> SubgroupSpec:
-        return SubgroupSpec(self.Qp.gens + self.Rp.gens)
-
     @per_instance
-    def restrict(self, spec: SubgroupSpec, P: SubgroupSpec) -> SubgroupSpec:
-        """spec ∩ P, pulled back once per pair of subgroups."""
-        inter = pullback(subgroup_graph(spec.gens, self.G), subgroup_graph(P.gens, self.G))
-        return SubgroupSpec(tuple(basis(inter, self.G)))
+    def restrict(self, H: tuple, P: tuple) -> tuple:
+        """Generators of H ∩ P, pulled back once per pair of subgroups."""
+        inter = pullback(subgroup_graph(H, self.G), subgroup_graph(P, self.G))
+        return tuple(basis(inter, self.G))
 
     @per_instance
     def subset(self, g0: Elem, factors: tuple) -> RationalSubset:
@@ -128,11 +122,12 @@ class ConditionContext:
 
 
 def quasiconvexity_epsilon(
-    Q: SubgroupSpec, view: RelGraphView, radius: int, budget: Optional[int] = None
+    Q: tuple, view: RelGraphView, radius: int, budget: Optional[int] = None
 ) -> tuple[int, str]:
     """Largest d_X from a vertex of a canonical relative geodesic between
-    two points of P = Q ∩ B_r to P.  Radius-stamped; P is read off Q's
-    folded graph, storing at most ``budget`` walks (None: no cap).
+    two points of P = ⟨Q⟩ ∩ B_r to P, for a generator tuple Q.
+    Radius-stamped; P is read off Q's folded graph, storing at most
+    ``budget`` walks (None: no cap).
 
     The base of ``view`` must be free (else UnsupportedFamilyError); then
     one geodesic per point suffices, |P| - 1 in all, not one per pair.  The
@@ -158,7 +153,7 @@ def quasiconvexity_epsilon(
     G = view.group.base
     if not isinstance(G, FreeGroup):
         raise UnsupportedFamilyError("quasiconvexity_epsilon needs a free base")
-    pts = subgroup_graph(Q.gens, G).closed_words(G, radius, budget)
+    pts = subgroup_graph(Q, G).closed_words(G, radius, budget)
     e = G.identity()
     need = set()
     for u in pts:
@@ -233,10 +228,8 @@ def check_condition(cond_id: str, ctx: ConditionContext) -> ConditionReport:
 
 
 def _check_c1(ctx: ConditionContext) -> ConditionReport:
-    s_graph = subgroup_graph(ctx.s_spec().gens, ctx.G)
-    qp_rp = pullback(
-        subgroup_graph(ctx.Qp.gens, ctx.G), subgroup_graph(ctx.Rp.gens, ctx.G)
-    )
+    s_graph = subgroup_graph(ctx.restrict(ctx.Q, ctx.R), ctx.G)
+    qp_rp = pullback(subgroup_graph(ctx.Qp, ctx.G), subgroup_graph(ctx.Rp, ctx.G))
     witness = ctx.disagreement(qp_rp, s_graph)
     if witness is None:
         return ConditionReport(
@@ -245,15 +238,15 @@ def _check_c1(ctx: ConditionContext) -> ConditionReport:
     return ConditionReport("fails", ctx.radius, witness)
 
 
-def _c2_reports(ctx: ConditionContext, side: SubgroupSpec, tails):
+def _c2_reports(ctx: ConditionContext, side: tuple, tails):
     """The C2 minx reports on one side, lazily; each tail of factors extends
     both products after the side."""
-    join_gens = ctx.join_spec().gens
+    join = ctx.Qp + ctx.Rp
     for tail in tails:
         yield _minx_condition(
             ctx,
-            ctx.subset((), (side.gens, join_gens, side.gens) + tail),
-            ctx.subset((), (side.gens,) + tail),
+            ctx.subset((), (side, join, side) + tail),
+            ctx.subset((), (side,) + tail),
             ctx.B,
         )
 
@@ -266,11 +259,11 @@ def _check_c2(ctx: ConditionContext) -> Iterator[ConditionReport]:
 def _check_c3(ctx: ConditionContext) -> Iterator[ConditionReport]:
     if not ctx.P_list:
         return
-    s = ctx.s_spec()
+    s = ctx.restrict(ctx.Q, ctx.R)
     for P in ctx.P_list:
-        ps = ctx.subset((), (P.gens, s.gens))
+        ps = ctx.subset((), (P, s))
         for half in (ctx.Qp, ctx.Rp):
-            yield _minx_condition(ctx, ctx.subset((), (P.gens, half.gens)), ps, ctx.C)
+            yield _minx_condition(ctx, ctx.subset((), (P, half)), ps, ctx.C)
 
 
 def _check_c4(ctx: ConditionContext) -> ConditionReport:
@@ -279,10 +272,10 @@ def _check_c4(ctx: ConditionContext) -> ConditionReport:
     for P in ctx.P_list:
         qp_P = ctx.restrict(ctx.Qp, P)
         rp_P = ctx.restrict(ctx.Rp, P)
-        join_P = subgroup_graph(qp_P.gens + rp_P.gens, ctx.G)
+        join_P = subgroup_graph(qp_P + rp_P, ctx.G)
         for big, small in ((ctx.Q, qp_P), (ctx.R, rp_P)):
-            lhs = pullback(subgroup_graph(ctx.restrict(big, P).gens, ctx.G), join_P)
-            witness = ctx.disagreement(lhs, subgroup_graph(small.gens, ctx.G))
+            lhs = pullback(subgroup_graph(ctx.restrict(big, P), ctx.G), join_P)
+            witness = ctx.disagreement(lhs, subgroup_graph(small, ctx.G))
             if witness is not None:
                 return ConditionReport("fails", ctx.radius, witness)
     return ConditionReport(
@@ -290,33 +283,32 @@ def _check_c4(ctx: ConditionContext) -> ConditionReport:
     )
 
 
-def _coset_reps_in_ball(ctx: ConditionContext, big: SubgroupSpec, small: SubgroupSpec):
+def _coset_reps_in_ball(ctx: ConditionContext, big: tuple, small: tuple):
     """The first element of each small-coset among big's closed walks up to
     the radius, in ball order."""
     G = ctx.G
-    small_graph = subgroup_graph(small.gens, G)
+    small_graph = subgroup_graph(small, G)
     reps: list = []
-    for g in subgroup_graph(big.gens, G).closed_words(G, ctx.radius, ctx.budget):
+    for g in subgroup_graph(big, G).closed_words(G, ctx.radius, ctx.budget):
         if not any(small_graph.accepts(G.mul(G.inv(r), g)) for r in reps):
             reps.append(g)
     return reps
 
 
-def _c5_reports(ctx: ConditionContext, P: SubgroupSpec, tails):
+def _c5_reports(ctx: ConditionContext, P: tuple, tails):
     """The C5 minx reports at one peripheral P, lazily; each tail of factors
     extends both products after R_P."""
     qp_P = ctx.restrict(ctx.Qp, P)
     rp_P = ctx.restrict(ctx.Rp, P)
     q_P = ctx.restrict(ctx.Q, P)
     r_P = ctx.restrict(ctx.R, P)
-    join_gens = qp_P.gens + rp_P.gens
     reps = _coset_reps_in_ball(ctx, q_P, qp_P)
     for tail in tails:
         for q in reps:
             yield _minx_condition(
                 ctx,
-                ctx.subset(q, (join_gens, r_P.gens) + tail),
-                ctx.subset(q, (qp_P.gens, r_P.gens) + tail),
+                ctx.subset(q, (qp_P + rp_P, r_P) + tail),
+                ctx.subset(q, (qp_P, r_P) + tail),
                 ctx.C,
                 caveats=("q ranges over coset representatives found in the ball",),
             )
@@ -325,7 +317,7 @@ def _c5_reports(ctx: ConditionContext, P: SubgroupSpec, tails):
 def _check_c5(ctx: ConditionContext) -> Iterator[ConditionReport]:
     for P in ctx.P_list:
         # a subgroup of a free group is abelian exactly when it is cyclic
-        if len(basis(subgroup_graph(P.gens, ctx.G), ctx.G)) <= 1:
+        if len(basis(subgroup_graph(P, ctx.G), ctx.G)) <= 1:
             yield ConditionReport(
                 "vacuous", ctx.radius, None, None,
                 ("abelian peripheral: the two sides coincide",),
@@ -335,13 +327,13 @@ def _check_c5(ctx: ConditionContext) -> Iterator[ConditionReport]:
 
 
 def _check_c2m(ctx: ConditionContext) -> Iterator[ConditionReport]:
-    tails = (tuple(t.gens for t in ctx.T_list[:j]) for j in range(len(ctx.T_list) + 1))
+    tails = (ctx.T_list[:j] for j in range(len(ctx.T_list) + 1))
     yield from _c2_reports(ctx, ctx.R, tails)
 
 
 def _check_c5m(ctx: ConditionContext) -> Iterator[ConditionReport]:
     for P in ctx.P_list:
-        u_P = [ctx.restrict(U, P).gens for U in ctx.U_list]
+        u_P = [ctx.restrict(U, P) for U in ctx.U_list]
         tails = (
             tail for j in range(len(ctx.T_list) + 1) for tail in iproduct(u_P, repeat=j)
         )
@@ -349,7 +341,7 @@ def _check_c5m(ctx: ConditionContext) -> Iterator[ConditionReport]:
 
 
 def _check_p1(ctx: ConditionContext) -> ConditionReport:
-    join = ctx.join_spec()
+    join = ctx.Qp + ctx.Rp
     eps1, _ = quasiconvexity_epsilon(join, ctx.view, ctx.radius, ctx.budget)
     eps2, _ = quasiconvexity_epsilon(join, ctx.view, ctx.radius + 2, ctx.budget)
     stable = eps1 == eps2
@@ -363,15 +355,12 @@ def _check_p1(ctx: ConditionContext) -> ConditionReport:
 
 
 def _check_p2(ctx: ConditionContext) -> ConditionReport:
-    join = ctx.join_spec()
-    s = ctx.s_spec()
-    inside = ctx.subset((), (join.gens,))
-    outside = ctx.subset((), (s.gens,))
+    inside = ctx.subset((), (ctx.Qp + ctx.Rp,))
+    outside = ctx.subset((), (ctx.restrict(ctx.Q, ctx.R),))
     return _minx_condition(ctx, inside, outside, ctx.A)
 
 
 def _check_p3(ctx: ConditionContext) -> ConditionReport:
-    join = ctx.join_spec()
-    inside = ctx.subset((), (ctx.Q.gens, join.gens, ctx.R.gens))
-    outside = ctx.subset((), (ctx.Q.gens, ctx.R.gens))
+    inside = ctx.subset((), (ctx.Q, ctx.Qp + ctx.Rp, ctx.R))
+    outside = ctx.subset((), (ctx.Q, ctx.R))
     return _minx_condition(ctx, inside, outside, ctx.A)

@@ -720,13 +720,6 @@ class RelHyp:
         return len(g) == 1 and g[0][0] == p.arg
 
 
-@dataclass(frozen=True)
-class SubgroupSpec:
-    """A finitely generated subgroup, given by generators."""
-
-    gens: tuple[Elem, ...]
-
-
 # Functional wrappers over the family methods --------------------------------
 
 

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from .cayley import BrokenLine, RelGraphView, build_ball, trivial_path
 from .components import find_components
 from .errors import BudgetExceededError
-from .groups import Elem, SubgroupSpec
+from .groups import Elem
 from .separability import membership_oracle
 
 
@@ -67,14 +67,15 @@ class MinimizeResult:
 
 def minimize_type(
     g: Elem,
-    qp: SubgroupSpec,
-    rp: SubgroupSpec,
+    qp: tuple[Elem, ...],
+    rp: tuple[Elem, ...],
     view: RelGraphView,
     budget: SearchBudget = SearchBudget(),
     node_budget: Optional[int] = None,
 ) -> MinimizeResult:
     """Exhaustive minimal-type search over factorizations g = y_1 ... y_n
-    with every y_i in Q' or R', within the budget.
+    with every y_i in Q' or R' (given by their generator tuples ``qp`` and
+    ``rp``), within the budget.
 
     The identity is represented by a single trivial segment of type (1,0,0).
     Output is labelled minimal up to the budget, never globally.  The pool
@@ -94,8 +95,8 @@ def minimize_type(
 
     ball = build_ball(G, budget.max_len, node_budget).elements
     pool = []
-    for spec, role in ((qp, "Q'"), (rp, "R'")):
-        cands = filter(membership_oracle(G, spec.gens), ball)
+    for gens, role in ((qp, "Q'"), (rp, "R'")):
+        cands = filter(membership_oracle(G, gens), ball)
         pool += [(y, role) for y in sorted(cands, key=G.sort_key) if y != e]
 
     best: Optional[tuple[RepType, tuple]] = None

@@ -3,7 +3,6 @@ membership, finite-quotient separation, and the amalgam double-coset criterion.
 """
 
 from .amalgams import (
-    AmalgamNF,
     InducedQuotient,
     amalgam_product_member,
     amalgam_reduce,
@@ -32,7 +31,6 @@ from .stallings import (
 )
 
 __all__ = [
-    "AmalgamNF",
     "FiniteQuotient",
     "InducedQuotient",
     "MinxHarnessResult",

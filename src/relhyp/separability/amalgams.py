@@ -16,24 +16,14 @@ from ..groups import Amalgam, Elem, FiniteGroup
 from .quotients import FiniteQuotient, perm_mul
 
 
-@dataclass(frozen=True)
-class AmalgamNF:
-    """Reduced syllable form of an amalgam element.
+def amalgam_reduce(word: Sequence[tuple[int, Elem]], A: Amalgam) -> Elem:
+    """Reduced form of a product of factor elements, given as (side, element).
 
-    Syllables alternate factors and, for forms of length at least one that
-    are not edge elements, none lies in the edge subgroup.
+    The form is the element's tuple of (side, element) syllables.  They
+    alternate factors and, for forms of length at least one that are not
+    edge elements, none lies in the edge subgroup.
     """
-
-    syllables: tuple[tuple[int, Elem], ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.syllables)
-
-
-def amalgam_reduce(word: Sequence[tuple[int, Elem]], A: Amalgam) -> AmalgamNF:
-    """Reduced form of a product of factor elements, given as (side, element)."""
-    return AmalgamNF(A._normalize(tuple(word)))
+    return A._normalize(tuple(word))
 
 
 def _factor_payload(A: Amalgam, g: Elem, side: int) -> Optional[Elem]:

@@ -12,12 +12,13 @@ set products.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import itertools
 import math
-import random
 from collections import deque
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -41,6 +42,19 @@ from relhyp.cayley import (
     word_metric_view,
 )
 from relhyp.groups import common_prefix, letter
+
+
+def _load_perfbench_oracles():
+    """``perfbench/oracles.py``: the benchmark's reference checks, which
+    import nothing from relhyp.  Its words code generator i as i + 1."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "oracles.py"
+    spec = importlib.util.spec_from_file_location("perfbench_oracles", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+perfbench_oracles = _load_perfbench_oracles()
 
 
 def w(word, G):
@@ -137,13 +151,6 @@ def reference_word_to_elem(word: str, G):
             raise FamilyMismatchError("unknown letter %r" % sym)
         out = G.mul(out, G.pow(lookup[sym], n))
     return out
-
-
-def random_free_letters(rng: random.Random, rank: int, max_len: int):
-    return [
-        rng.choice(signed_letters(rank))
-        for _ in range(rng.randrange(max_len + 1))
-    ]
 
 
 def amalgam_word_classes(A: Amalgam, max_syllables: int):
@@ -872,8 +879,8 @@ def reference_coset_reps_in_ball(ctx, big, small):
     from relhyp.separability import membership_oracle
 
     G = ctx.G
-    in_big = membership_oracle(G, big.gens)
-    in_small = membership_oracle(G, small.gens)
+    in_big = membership_oracle(G, big)
+    in_small = membership_oracle(G, small)
     reps = []
     for g in build_ball(G, ctx.radius).elements:
         if in_big(g) and not any(in_small(G.mul(G.inv(r), g)) for r in reps):
@@ -890,7 +897,7 @@ def reference_quasiconvexity_epsilon(Q, view, radius):
 
     G = view.group.base
     ball = build_ball(G, radius)
-    oracle = membership_oracle(G, Q.gens)
+    oracle = membership_oracle(G, Q)
     pts = [g for g in ball.elements if oracle(g)]
     need = set()
     for u in pts:

@@ -10,12 +10,10 @@ union-find rewriting closure for amalgam words).
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from fractions import Fraction
 
 import numpy as np
-import pytest
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
@@ -26,7 +24,6 @@ from relhyp import (
     FreeProduct,
     PeripheralSpec,
     RelHyp,
-    SubgroupSpec,
     cyclic_group,
     word_to_elem,
 )
@@ -40,7 +37,7 @@ from relhyp.geometry import (
     is_quasigeodesic,
     measure_delta,
 )
-from relhyp.pathrep import RepType, SearchBudget, minimize_type
+from relhyp.pathrep import SearchBudget, minimize_type
 from relhyp.separability import (
     RationalSubset,
     amalgam_product_member,
@@ -493,8 +490,8 @@ def _flat_min_type(g, qp, rp, view, budget):
     if g == G.identity():
         return (1, 0, 0)  # single trivial segment, by the identity convention
     ball = build_ball(G, budget.max_len)
-    in_q = membership_oracle(G, qp.gens)
-    in_r = membership_oracle(G, rp.gens)
+    in_q = membership_oracle(G, qp)
+    in_r = membership_oracle(G, rp)
     cands = [x for x in ball.elements if x != G.identity() and (in_q(x) or in_r(x))]
     best = None
     for n in range(1, budget.max_factors + 1):
@@ -517,20 +514,20 @@ def _flat_min_type(g, qp, rp, view, budget):
     return best
 
 
-def _min_kind2_width(g, q_spec, r_spec, qp, rp, view, budget):
+def _min_kind2_width(g, q_gens, r_gens, qp, rp, view, budget):
     """Brute-force minimal kind-II representative width, or None."""
     G = view.group.base
     ball = build_ball(G, budget.max_len)
-    in_specs = {
-        name: membership_oracle(G, spec.gens)
-        for name, spec in (("Q", q_spec), ("R", r_spec), ("Q'", qp), ("R'", rp))
+    in_sub = {
+        name: membership_oracle(G, gens)
+        for name, gens in (("Q", q_gens), ("R", r_gens), ("Q'", qp), ("R'", rp))
     }
-    qs = [x for x in ball.elements if in_specs["Q"](x)]
-    rs = [x for x in ball.elements if in_specs["R"](x)]
+    qs = [x for x in ball.elements if in_sub["Q"](x)]
+    rs = [x for x in ball.elements if in_sub["R"](x)]
     cands = [
         x
         for x in ball.elements
-        if x != G.identity() and (in_specs["Q'"](x) or in_specs["R'"](x))
+        if x != G.identity() and (in_sub["Q'"](x) or in_sub["R'"](x))
     ]
     best = None
     for q in qs:
@@ -540,7 +537,7 @@ def _min_kind2_width(g, q_spec, r_spec, qp, rp, view, budget):
                 for y in combo:
                     prod = G.mul(prod, y)
                 r = G.mul(G.inv(prod), g)
-                if not in_specs["R"](r):
+                if not in_sub["R"](r):
                     continue
                 if G.x_length(r) > budget.max_len:
                     continue
@@ -573,8 +570,8 @@ def test_criterion_07_path_representatives():
     agree = 0
     for i in range(100):
         qg, rg = pairs[i % len(pairs)]
-        qp = SubgroupSpec((w(qg),))
-        rp = SubgroupSpec((w(rg),))
+        qp = (w(qg),)
+        rp = (w(rg),)
         if rng.random() < 0.7:
             # a genuine product, so the searches usually succeed
             k = rng.randint(1, 3)
@@ -591,11 +588,11 @@ def test_criterion_07_path_representatives():
     assert agree == 100
 
     # kind-II widths on found minimal representatives
-    q_spec = SubgroupSpec((w("a"),))
-    r_spec = SubgroupSpec((w("b"),))
-    qp = SubgroupSpec((w("a a"),))
-    rp = SubgroupSpec((w("b b"),))
-    qr = RationalSubset(FAB, (), (q_spec.gens, r_spec.gens))
+    q_gens = (w("a"),)
+    r_gens = (w("b"),)
+    qp = (w("a a"),)
+    rp = (w("b b"),)
+    qr = RationalSubset(FAB, (), (q_gens, r_gens))
     width_budget = SearchBudget(4, 4)
     checked = 0
     even_ok = True
@@ -603,7 +600,7 @@ def test_criterion_07_path_representatives():
         g = w(g_word)
         if qr.contains(g):
             continue
-        best = _min_kind2_width(g, q_spec, r_spec, qp, rp, FAB_REL, width_budget)
+        best = _min_kind2_width(g, q_gens, r_gens, qp, rp, FAB_REL, width_budget)
         if best is None:
             continue
         checked += 1
@@ -631,11 +628,11 @@ def test_criterion_08_conditions():
     for k in (1, 2, 3, 4, 5):
         ctx = ConditionContext(
             view=FAB_REL,
-            Q=SubgroupSpec((w("a"),)),
-            R=SubgroupSpec((w("b"),)),
-            Qp=SubgroupSpec((FAB.pow(w("a"), k),)),
-            Rp=SubgroupSpec((FAB.pow(w("b"), k),)),
-            P_list=(SubgroupSpec((w("a"),)),),
+            Q=(w("a"),),
+            R=(w("b"),),
+            Qp=(FAB.pow(w("a"), k),),
+            Rp=(FAB.pow(w("b"), k),),
+            P_list=((w("a"),),),
             B=3,
             C=3,
             radius=8,
@@ -766,7 +763,7 @@ def test_criterion_11_amalgam_engine():
     nf_to_class = {}
     reduce_ok = True
     for word in words:
-        nf = amalgam_reduce(word, A).syllables
+        nf = amalgam_reduce(word, A)
         root = find(index[word])
         if by_class.setdefault(root, nf) != nf:
             reduce_ok = False

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relhyp import FreeGroup, PeripheralSpec, RelHyp, SubgroupSpec, word_to_elem
+from relhyp import FreeGroup, PeripheralSpec, RelHyp, word_to_elem
 from relhyp import conditions
 from relhyp.cayley import RelGraphView, build_ball, relative_view
 from relhyp.conditions import (
@@ -29,6 +29,7 @@ from relhyp.separability import rational
 from conftest import (
     finite_index_in,
     least_hit,
+    perfbench_oracles,
     reduce_letters_naive,
     reference_coset_reps_in_ball,
     reference_minx_condition,
@@ -47,11 +48,11 @@ def make_ctx(fab, fab_rel_a, k=2, B=2, C=2, A=2, radius=6, with_p=True):
     gen_r = w("b", fab)
     return ConditionContext(
         view=fab_rel_a,
-        Q=SubgroupSpec((gen_q,)),
-        R=SubgroupSpec((gen_r,)),
-        Qp=SubgroupSpec((fab.pow(gen_q, k),)),
-        Rp=SubgroupSpec((fab.pow(gen_r, k),)),
-        P_list=(SubgroupSpec((gen_q,)),) if with_p else (),
+        Q=(gen_q,),
+        R=(gen_r,),
+        Qp=(fab.pow(gen_q, k),),
+        Rp=(fab.pow(gen_r, k),),
+        P_list=((gen_q,),) if with_p else (),
         B=B,
         C=C,
         A=A,
@@ -73,18 +74,18 @@ class TestMinx:
 class TestQuasiconvexity:
     def test_peripheral_subgroup(self, fab, fab_rel_a):
         eps, caveat = quasiconvexity_epsilon(
-            SubgroupSpec((w("a", fab),)), fab_rel_a, 5
+            (w("a", fab),), fab_rel_a, 5
         )
         assert eps == 0 and "radius-5" in caveat
 
     def test_whole_group(self, fab, fab_rel_a):
         eps, _ = quasiconvexity_epsilon(
-            SubgroupSpec((w("a", fab), w("b", fab))), fab_rel_a, 4
+            (w("a", fab), w("b", fab)), fab_rel_a, 4
         )
         assert eps == 0
 
     def test_ab_cyclic(self, fab, fab_rel_a):
-        eps, _ = quasiconvexity_epsilon(SubgroupSpec((w("a b", fab),)), fab_rel_a, 6)
+        eps, _ = quasiconvexity_epsilon((w("a b", fab),), fab_rel_a, 6)
         assert eps == 1
 
     @given(data=st.data())
@@ -110,7 +111,7 @@ class TestQuasiconvexity:
             )
         view = relative_view(RelHyp(F, peripherals))
         radius = data.draw(st.integers(1, 4))
-        Q = SubgroupSpec(tuple(gens))
+        Q = tuple(gens)
         assert quasiconvexity_epsilon(Q, view, radius) == reference_quasiconvexity_epsilon(
             Q, view, radius
         )
@@ -118,7 +119,7 @@ class TestQuasiconvexity:
     def test_non_free_base_unsupported(self, z2):
         # on Z^2, (1, 1) lies on the geodesic from (1, 0) to (0, 1) only
         with pytest.raises(UnsupportedFamilyError):
-            quasiconvexity_epsilon(SubgroupSpec(((1, 0), (0, 1))), relative_view(z2), 2)
+            quasiconvexity_epsilon(((1, 0), (0, 1)), relative_view(z2), 2)
 
     def test_p1_one_geodesic_per_point(self, fab, fab_rel_a, monkeypatch):
         """P1 at radius r builds one geodesic per point of the join other than
@@ -133,7 +134,7 @@ class TestQuasiconvexity:
 
         monkeypatch.setattr(RelGraphView, "geodesic", counted)
         check_condition("P1", ctx)
-        in_join = membership_oracle(fab, ctx.join_spec().gens)
+        in_join = membership_oracle(fab, ctx.Qp + ctx.Rp)
         points = [sum(map(in_join, build_ball(fab, r).elements)) for r in (3, 5)]
         assert len(calls) == (points[0] - 1) + (points[1] - 1)
 
@@ -186,22 +187,22 @@ class TestLeast:
 def preccurlyeq(U, V, G):
     """The finite-index preorder: is the intersection of U and V of finite
     index in U?"""
-    return finite_index_in(subgroup_graph(U.gens, G), subgroup_graph(V.gens, G))
+    return finite_index_in(subgroup_graph(U, G), subgroup_graph(V, G))
 
 
 class TestPreccurlyeq:
     def test_reflexive(self, fab):
-        U = SubgroupSpec((w("a", fab),))
+        U = (w("a", fab),)
         assert preccurlyeq(U, U, fab)
 
     def test_index_two(self, fab):
         assert preccurlyeq(
-            SubgroupSpec((w("a", fab),)), SubgroupSpec((w("a a", fab),)), fab
+            (w("a", fab),), (w("a a", fab),), fab
         )
 
     def test_infinite_index(self, fab):
         assert not preccurlyeq(
-            SubgroupSpec((w("a", fab),)), SubgroupSpec((w("b", fab),)), fab
+            (w("a", fab),), (w("b", fab),), fab
         )
 
     def test_against_coset_counting_oracle(self, fab):
@@ -214,11 +215,11 @@ class TestPreccurlyeq:
             (("a b",), ("a b a b a b",), True),
         ]
         for ug, vg, expected in cases:
-            U = SubgroupSpec(tuple(w(x, fab) for x in ug))
-            V = SubgroupSpec(tuple(w(x, fab) for x in vg))
+            U = tuple(w(x, fab) for x in ug)
+            V = tuple(w(x, fab) for x in vg)
             assert preccurlyeq(U, V, fab) == expected
-            in_u = membership_oracle(fab, U.gens)
-            in_v = membership_oracle(fab, V.gens)
+            in_u = membership_oracle(fab, U)
+            in_v = membership_oracle(fab, V)
             counts = []
             for r in (4, 6, 8):
                 reps = []
@@ -244,7 +245,7 @@ class TestConditions:
 
     def test_c1_fails_with_witness(self, fab, fab_rel_a):
         ctx = make_ctx(fab, fab_rel_a)
-        ctx.Qp = SubgroupSpec((w("a", fab), w("b", fab)))  # join too big
+        ctx.Qp = (w("a", fab), w("b", fab))  # join too big
         rep = check_condition("C1", ctx)
         assert rep.verdict == "fails" and rep.witness is not None
 
@@ -277,8 +278,8 @@ class TestConditions:
         for k in (2, 3):
             ctx = make_ctx(fab, fab_rel_a, k=k, radius=6)
             rep = check_condition("C2", ctx)
-            in_q = membership_oracle(fab, ctx.Qp.gens)
-            in_r = membership_oracle(fab, ctx.Rp.gens)
+            in_q = membership_oracle(fab, ctx.Qp)
+            in_r = membership_oracle(fab, ctx.Rp)
             in_s = lambda g: in_q(g) and in_r(g)
             vals = [
                 fab.x_length(g)
@@ -306,7 +307,7 @@ class TestConditions:
         rep = check_condition("C2-m", ctx)
         assert rep.ok
         ctx_t = make_ctx(fab, fab_rel_a, k=2, B=2, radius=6)
-        ctx_t.T_list = (SubgroupSpec((w("a b", fab),)),)
+        ctx_t.T_list = ((w("a b", fab),),)
         rep2 = check_condition("C2-m", ctx_t)
         assert rep2.verdict in ("holds-to-radius", "fails")
 
@@ -318,16 +319,16 @@ class TestConditions:
         # P = the whole group exercises the non-vacuous branch: restrictions
         # are the subgroups themselves and q ranges over ball coset reps
         ctx = make_ctx(fab, fab_rel_a, k=2, C=1, radius=4)
-        ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab))),)
+        ctx.P_list = ((w("a", fab), w("b", fab)),)
         rep = check_condition("C5", ctx)
         assert rep.verdict in ("holds-to-radius", "fails")
         assert any("coset representatives" in c for c in rep.caveats) or rep.verdict == "fails"
 
     def test_c5m_with_u_list(self, fab, fab_rel_a):
         ctx = make_ctx(fab, fab_rel_a, k=2, C=1, radius=4)
-        ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab))),)
-        ctx.T_list = (SubgroupSpec((w("a b", fab),)),)
-        ctx.U_list = (SubgroupSpec((w("a b", fab),)),)
+        ctx.P_list = ((w("a", fab), w("b", fab)),)
+        ctx.T_list = ((w("a b", fab),),)
+        ctx.U_list = ((w("a b", fab),),)
         rep = check_condition("C5-m", ctx)
         assert rep.verdict in ("holds-to-radius", "fails")
 
@@ -395,7 +396,7 @@ def test_pinned_report(fab, fab_rel_a, cond_id, kwargs, extra, expected):
     ctx = make_ctx(fab, fab_rel_a, **kwargs)
     for key, value in extra.items():
         if key.endswith("_list"):
-            value = (SubgroupSpec(tuple(w(x, fab) for x in value)),)
+            value = (tuple(w(x, fab) for x in value),)
         setattr(ctx, key, value)
     assert check_condition(cond_id, ctx) == ConditionReport(*expected)
 
@@ -404,7 +405,7 @@ def test_c5m_tail_decides_the_report(fab, fab_rel_a):
     """A non-empty tail (j = 1, U1 restricted to P0) gives the failure; the
     empty tail alone passes, so a checker that scanned only j = 0 would
     report holds-to-radius."""
-    S = lambda *words: SubgroupSpec(tuple(w(x, fab) for x in words))
+    S = lambda *words: tuple(w(x, fab) for x in words)
     ctx = ConditionContext(
         view=fab_rel_a,
         Q=S("a"),
@@ -452,7 +453,7 @@ def test_c5_abelian_rule_matches_commuting_generators(fab, fab_rel_a, case):
     commute = all(fab.mul(x, y) == fab.mul(y, x) for x in gens for y in gens)
     assert (len(basis(subgroup_graph(gens, fab), fab)) <= 1) == commute
     ctx = make_ctx(fab, fab_rel_a, radius=2)
-    ctx.P_list = (SubgroupSpec(gens),)
+    ctx.P_list = (gens,)
     rep = check_condition("C5", ctx)
     assert (rep.caveats == ("abelian peripheral: the two sides coincide",)) == commute
 
@@ -466,10 +467,6 @@ _gens = st.lists(
     min_size=1,
     max_size=2,
 ).map(tuple)
-
-
-def _specs(gens_list):
-    return tuple(SubgroupSpec(gens) for gens in gens_list)
 
 
 @settings(max_examples=60, deadline=None)
@@ -487,13 +484,13 @@ def test_first_hit_reports_match_full_scan(
     B, C, A = bounds
     ctx = ConditionContext(
         view=fab_rel_a,
-        Q=SubgroupSpec(q),
-        R=SubgroupSpec(r),
-        Qp=SubgroupSpec(qp),
-        Rp=SubgroupSpec(rp),
-        P_list=_specs(p_list),
-        T_list=_specs(t_list),
-        U_list=_specs(u_list),
+        Q=q,
+        R=r,
+        Qp=qp,
+        Rp=rp,
+        P_list=tuple(p_list),
+        T_list=tuple(t_list),
+        U_list=tuple(u_list),
         B=B,
         C=C,
         A=A,
@@ -519,11 +516,11 @@ def test_c1_c4_witness_is_the_least_disagreement(fab, fab_rel_a, q, r, qp, rp, p
     has none, whatever the radius of the check."""
     ctx = ConditionContext(
         view=fab_rel_a,
-        Q=SubgroupSpec(q),
-        R=SubgroupSpec(r),
-        Qp=SubgroupSpec(qp),
-        Rp=SubgroupSpec(rp),
-        P_list=(SubgroupSpec(p),),
+        Q=q,
+        R=r,
+        Qp=qp,
+        Rp=rp,
+        P_list=(p,),
         radius=radius,
     )
     ball = build_ball(fab, radius + 2).elements
@@ -552,13 +549,13 @@ def test_c1_c4_witness_is_the_least_disagreement(fab, fab_rel_a, q, r, qp, rp, p
     )])
     P = ctx.P_list[0]
     qp_P, rp_P = ctx.restrict(ctx.Qp, P), ctx.restrict(ctx.Rp, P)
-    join_P = graph(qp_P.gens + rp_P.gens)
-    in_join = membership_oracle(fab, qp_P.gens + rp_P.gens)
+    join_P = graph(qp_P + rp_P)
+    in_join = membership_oracle(fab, qp_P + rp_P)
     pairs = []
     for big, in_big, small in ((q, in_q, qp_P), (r, in_r, rp_P)):
-        in_small = membership_oracle(fab, small.gens)
+        in_small = membership_oracle(fab, small)
         pairs.append((
-            pullback(pullback(graph(big), graph(p)), join_P), graph(small.gens),
+            pullback(pullback(graph(big), graph(p)), join_P), graph(small),
             lambda g, in_big=in_big, in_small=in_small: (
                 in_big(g) and in_p(g) and in_join(g)) != in_small(g),
         ))
@@ -569,7 +566,7 @@ def test_c4_fails_beyond_the_radius(fab, fab_rel_a):
     """Q = R = Q' = <a>, R' = <b^2>, P0 = <b^3> at radius 3: R_P is trivial
     and R'_P = <b^6>, so C4 fails on b^6, which lies outside the radius-3
     ball; a search capped at the radius found no witness."""
-    S = lambda word: SubgroupSpec((w(word, fab),))
+    S = lambda word: (w(word, fab),)
     ctx = ConditionContext(
         view=fab_rel_a,
         Q=S("a"),
@@ -590,8 +587,7 @@ def test_c5_coset_reps_match_the_ball_scan(fab, fab_rel_a, big, small, radius):
     ball scan, in the same order, for a small subgroup of big (as C5 asks)
     and for any small one."""
     ctx = make_ctx(fab, fab_rel_a, radius=radius)
-    big = SubgroupSpec(big)
-    for small in (ctx.restrict(SubgroupSpec(small), big), SubgroupSpec(small)):
+    for small in (ctx.restrict(small, big), small):
         assert conditions._coset_reps_in_ball(ctx, big, small) == (
             reference_coset_reps_in_ball(ctx, big, small)
         )
@@ -656,7 +652,7 @@ def test_restrict_pulls_back_once_per_context(fab, fab_rel_a, monkeypatch):
     )
     for _ in range(2):
         ctx = make_ctx(fab, fab_rel_a, k=2, C=1, radius=4)
-        ctx.P_list = (SubgroupSpec((w("a", fab), w("b", fab))),)
+        ctx.P_list = ((w("a", fab), w("b", fab)),)
         for _ in range(2):
             for cond_id in ("C3", "C5", "C5-m", "P2"):
                 check_condition(cond_id, ctx)
@@ -676,16 +672,37 @@ def test_restrict_keys_on_generators(fab, fab_rel_a, monkeypatch):
     a, b2, b3 = w("a", fab), w("b b", fab), w("b b b", fab)
     ctx = ConditionContext(
         view=fab_rel_a,
-        Q=SubgroupSpec((a,)),
-        R=SubgroupSpec((a,)),
-        Qp=SubgroupSpec((a,)),
-        Rp=SubgroupSpec((b2,)),
-        P_list=(SubgroupSpec((b3,)),),
+        Q=(a,),
+        R=(a,),
+        Qp=(a,),
+        Rp=(b2,),
+        P_list=((b3,),),
         radius=3,
     )
     for cond_id in conditions.CONDITION_IDS:
         check_condition(cond_id, ctx)
     assert len(calls) == 6
+
+
+def _oracle_word(g):
+    """A free word in the letter code of ``perfbench/oracles.py``."""
+    return tuple(x - 1 if x > 0 else x + 1 for x in g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=_gens, p=_gens)
+# <a^2, b> cap <a, b a b^-1> holds a^2 and b a^2 b^-1
+@example(q=(w("a a", _F2), w("b", _F2)), p=(w("a", _F2), w("b a b^-1", _F2)))
+def test_restrict_is_the_intersection(fab, fab_rel_a, q, p):
+    """The folded graph of ``restrict(Q, P)`` accepts a word of the radius-4
+    ball exactly when the folding oracle of ``perfbench/oracles.py``, which
+    shares no code with ``stallings``, puts it in both <Q> and <P>."""
+    ctx = make_ctx(fab, fab_rel_a)
+    graph = subgroup_graph(ctx.restrict(q, p), fab)
+    gens = [[_oracle_word(h) for h in H] for H in (q, p)]
+    for g in build_ball(fab, 4).elements:
+        want = all(perfbench_oracles.fold_member(H, _oracle_word(g)) for H in gens)
+        assert graph.accepts(g) == want, g
 
 
 def test_checkers_build_no_ball(fab, fab_rel_a, monkeypatch):
@@ -709,9 +726,9 @@ def test_checkers_build_no_ball(fab, fab_rel_a, monkeypatch):
     equal.Rp = equal.Qp  # Q' cap R' = Q' is not S = 1: C1 and C4 fail
     contexts = (holds, fails, equal)
     for ctx in contexts:
-        ctx.P_list += (SubgroupSpec((w("a", fab), w("b", fab))),)
-        ctx.T_list = (SubgroupSpec((w("a b", fab),)),)
-        ctx.U_list = (SubgroupSpec((w("a b", fab),)),)
+        ctx.P_list += ((w("a", fab), w("b", fab)),)
+        ctx.T_list = ((w("a b", fab),),)
+        ctx.U_list = ((w("a b", fab),),)
     verdicts = {
         c: [check_condition(c, ctx).verdict for ctx in contexts]
         for c in conditions.CONDITION_IDS
@@ -735,9 +752,9 @@ def _nonabelian_ctx(fab, fab_rel_a, k, B, C, radius, t0, t1, u1):
     """The non-abelian peripheral P0 = <a, b a b^-1> with tails T0, T1 and
     U0 = <a>, U1 = <u1>, over the Q, R, Q', R' of ``make_ctx``."""
     ctx = make_ctx(fab, fab_rel_a, k=k, B=B, C=C, A=B, radius=radius)
-    ctx.P_list = (SubgroupSpec((w("a", fab), w("b a b^-1", fab))),)
-    ctx.T_list = (SubgroupSpec((t0,)), SubgroupSpec((t1,)))
-    ctx.U_list = (SubgroupSpec((w("a", fab),)), SubgroupSpec((u1,)))
+    ctx.P_list = ((w("a", fab), w("b a b^-1", fab)),)
+    ctx.T_list = ((t0,), (t1,))
+    ctx.U_list = ((w("a", fab),), (u1,))
     return ctx
 
 

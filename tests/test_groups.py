@@ -26,7 +26,6 @@ from conftest import (
     amalgam_word_classes,
     fixpoint_closure,
     fixpoint_lengths,
-    random_free_letters,
     reduce_letters_naive,
     reference_amalgam_normalize,
     reference_bfs_parents,

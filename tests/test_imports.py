@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, or imports
-inside a function.
+"""No module of the package, test or demo imports a name it never uses,
+and no module of the package imports inside a function.
 
 No linter ships with the project, so this reads each module's syntax tree:
 every name bound by a top-level import must be read somewhere in the module.
@@ -13,7 +13,9 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "relhyp"
+ROOT = SRC.parent.parent
 MODULES = sorted(p for p in SRC.rglob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted(p for d in ("tests", "demos") for p in (ROOT / d).glob("*.py"))
 
 
 def _imported(tree):
@@ -27,7 +29,10 @@ def _imported(tree):
                 yield (alias.asname or alias.name), node.lineno
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=lambda p: str(p.relative_to(SRC if SRC in p.parents else ROOT)),
+)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
@@ -51,7 +56,6 @@ def test_no_function_level_imports():
     assert not found, "imports inside functions: %s" % ", ".join(found)
 
 
-ROOT = SRC.parent.parent
 READERS = sorted(
     p
     for d in ("src", "tests", "demos", "perfbench")

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from relhyp import SubgroupSpec, word_to_elem
+from relhyp import word_to_elem
 from relhyp.cayley import BrokenLine, build_ball, trivial_path
 from relhyp.errors import BudgetExceededError
 from relhyp.pathrep import (
@@ -55,8 +55,8 @@ def brute_force_min_type(g, qp_gens, rp_gens, view, budget):
 @pytest.fixture()
 def qprp(fab):
     return (
-        SubgroupSpec((w("a a", fab),)),
-        SubgroupSpec((w("b b", fab),)),
+        (w("a a", fab),),
+        (w("b b", fab),),
     )
 
 
@@ -97,12 +97,12 @@ class TestMinimize:
         ball = build_ball(fab, 4)
         pairs = [("a a", "b b"), ("a a", "b a b^-1"), ("a a a", "b b b")]
         for qg, rg in pairs:
-            qp = SubgroupSpec((w(qg, fab),))
-            rp = SubgroupSpec((w(rg, fab),))
+            qp = (w(qg, fab),)
+            rp = (w(rg, fab),)
             for _ in range(6):
                 g = rng.choice(ball.elements)
                 res = minimize_type(g, qp, rp, fab_rel_a, budget)
-                oracle = brute_force_min_type(g, qp.gens, rp.gens, fab_rel_a, budget)
+                oracle = brute_force_min_type(g, qp, rp, fab_rel_a, budget)
                 if oracle is None:
                     assert res.rep is None
                 else:
@@ -133,8 +133,8 @@ class TestMinimize:
 class TestAlternation:
     def _oracles(self, fab, qp, rp):
         G = fab
-        in_q = membership_oracle(G, qp.gens)
-        in_r = membership_oracle(G, rp.gens)
+        in_q = membership_oracle(G, qp)
+        in_r = membership_oracle(G, rp)
         in_s = lambda x: in_q(x) and in_r(x)
         return in_q, in_r, in_s
 
